@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from .circuits import generate_cat_circuit
@@ -46,11 +47,12 @@ class _Emitter:
         self.dir = Path(out_dir)
         self.formats = formats
 
-    def write(self, name: str, text: str, fmt: str = "json") -> None:
+    def write(self, name: str, render: Callable[[], str], fmt: str = "json") -> None:
+        """Render and write one artifact, only if its format is requested."""
         if fmt != "json" and fmt not in self.formats:
             return
         self.dir.mkdir(parents=True, exist_ok=True)
-        (self.dir / name).write_text(text, encoding="utf-8")
+        (self.dir / name).write_text(render(), encoding="utf-8")
 
 
 def _read_netlist(path: str) -> Netlist:
@@ -68,22 +70,20 @@ def _pipeline(netlist: Netlist, args, emit: _Emitter, upto: str) -> int:
     if args.library != "none":
         lib = Library.CV_LIBRARY if args.library == "cv" else Library.FT_LIBRARY
         netlist = decompose(netlist, lib)
-    emit.write("netlist.json", netlist.to_json())
+    emit.write("netlist.json", netlist.to_json)
     if upto == "parse":
         print(f"parsed {len(netlist)} instructions on {netlist.qubit_count} qubits")
         return EXIT_OK
 
     graph = build_dataflow(netlist)
-    emit.write("dataflow.json", graph.to_json())
-    emit.write("dataflow.dot", graph.to_dot(), "dot")
+    emit.write("dataflow.json", graph.to_json)
+    emit.write("dataflow.dot", graph.to_dot, "dot")
     schedule = schedule_netlist(
         netlist, node_budget=args.node_budget, time_budget=args.time_budget, graph=graph
     )
-    windows_model = emit_ilp(
-        netlist, graph, asap_alap(graph, schedule.horizon), schedule.horizon
-    )
-    emit.write("schedule.json", schedule.to_json())
-    emit.write("model.lp", to_lp_text(windows_model), "lp")
+    emit.write("schedule.json", schedule.to_json)
+    h = schedule.horizon
+    emit.write("model.lp", lambda: to_lp_text(emit_ilp(netlist, graph, asap_alap(graph, h), h)), "lp")
     violations = validate(netlist, graph, schedule)
     assert not violations, violations
     print(f"scheduled in {schedule.stage_count} stages (lower bound {stage_lower_bound(netlist, graph)})")
@@ -91,28 +91,28 @@ def _pipeline(netlist: Netlist, args, emit: _Emitter, upto: str) -> int:
         return EXIT_OK
 
     qfg = build_qfg(netlist, schedule)
-    emit.write("qfg.json", qfg.to_json())
-    emit.write("qfg.dot", qfg.to_dot(), "dot")
+    emit.write("qfg.json", qfg.to_json)
+    emit.write("qfg.dot", qfg.to_dot, "dot")
     pg = planarize(qfg)
     drawing = compact(pg, orthogonalize(pg))
     problems = validate_drawing(drawing)
     if problems:
         raise LayoutError(f"invalid drawing: {problems[0]}")
-    emit.write("drawing.json", drawing.to_json())
-    emit.write("drawing.svg", drawing.to_svg(), "svg")
+    emit.write("drawing.json", drawing.to_json)
+    emit.write("drawing.svg", drawing.to_svg, "svg")
     layout = tile(drawing)
-    emit.write("layout.json", layout.to_json())
-    emit.write("layout.txt", layout.to_text())
-    emit.write("layout.svg", layout.to_svg(), "svg")
+    emit.write("layout.json", layout.to_json)
+    emit.write("layout.txt", layout.to_text)
+    emit.write("layout.svg", layout.to_svg, "svg")
     if upto == "layout":
         print(f"layout: {len(layout.blocks)} macroblocks, {len(layout.gate_location_of)} gate locations")
         return EXIT_OK
 
     plan = route(qfg, drawing, layout)
-    placement = place_qubits(netlist, schedule, layout)
+    placement = place_qubits(netlist, qfg, layout)
     model = load_latency_model(args.latency_config)
     report = simulate(netlist, schedule, layout, plan, placement, model)
-    emit.write("latency.json", report.to_json())
+    emit.write("latency.json", report.to_json)
     print(f"total latency: {report.total} us over {schedule.stage_count} stages")
     return EXIT_OK
 
@@ -188,15 +188,15 @@ def main(argv: list[str] | None = None) -> int:
             return _pipeline(netlist, args, emit, "latency")
         netlist = _read_netlist(args.input)
         return _pipeline(netlist, args, emit, args.command)
+    except (PlanarizeError, LayoutError) as exc:  # both are ValueErrors, so catch them first
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_LAYOUT
     except (QasmError, NetlistError, DecomposeError, LatencyConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except SolverBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (PlanarizeError, LayoutError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LAYOUT
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

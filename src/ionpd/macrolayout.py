@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from .drawing import EdgeKey, OrthogonalDrawing, Point
 from .gates import Netlist
 from .qfg import QubitFlowGraph
-from .solver import Schedule
 
 SCALE = 3
 
@@ -327,7 +326,7 @@ def route(
         steps[(qubit, key)] = _tag_turns(cells) if len(cells) > 1 else ()
 
     movers: dict[int, tuple[int, ...]] = {}
-    location = dict(place_qubits_from_first_use(qfg, layout))
+    location: dict[int, Point] = {}  # a qubit starts at its first-use gate
     incoming: dict[int, list[int]] = {n: [] for n in qfg.nodes}
     for i, j, qubit in qfg.edges:
         incoming[j].append(qubit)
@@ -335,39 +334,23 @@ def route(
         incoming[first].append(qubit)
     for node in sorted(qfg.nodes, key=lambda n: (qfg.stage_of[n], n)):
         cell = layout.gate_location_of[node]
-        moving = sorted(q for q in incoming[node] if location[q] != cell)
+        moving = sorted(q for q in incoming[node] if location.get(q, cell) != cell)
         for qubit in incoming[node]:
             location[qubit] = cell
         movers[node] = tuple(moving)
     return RoutePlan(steps, movers)
 
 
-def place_qubits_from_first_use(
-    qfg: QubitFlowGraph, layout: MacroLayout
-) -> dict[int, Point]:
-    return {
-        qubit: layout.gate_location_of[first]
-        for qubit, first in sorted(qfg.first_use.items())
-    }
-
-
 def place_qubits(
-    netlist: Netlist, schedule: Schedule, layout: MacroLayout
+    netlist: Netlist, qfg: QubitFlowGraph, layout: MacroLayout
 ) -> dict[int, Point]:
     """Initial placement: each qubit starts at its first-use gate location.
 
     Qubits the netlist never touches park on the free cell nearest the
     origin; they play no further part in routing or timing.
     """
-    first_use: dict[int, int] = {}
-    for instr in netlist.instructions:
-        for q in instr.qubits:
-            if q not in first_use or (
-                schedule.stage_of[instr.id] < schedule.stage_of[first_use[q]]
-            ):
-                first_use[q] = instr.id
     placement = {
-        q: layout.gate_location_of[i] for q, i in sorted(first_use.items())
+        q: layout.gate_location_of[i] for q, i in sorted(qfg.first_use.items())
     }
     idle = _idle_cell(layout)
     for q in range(netlist.qubit_count):

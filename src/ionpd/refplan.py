@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .circuits import generate_cat_circuit
 from .gates import Netlist
-from .macrolayout import Macroblock, MacroLayout, Point, RoutePlan, RouteStep
+from .macrolayout import Macroblock, MacroLayout, Point, RoutePlan, RouteStep, place_qubits
 from .qfg import QubitFlowGraph, build_qfg
 from .solver import Schedule
 
@@ -107,7 +107,7 @@ def build_reference_cat_plan(n: int) -> ReferencePlan:
             raise AssertionError(f"unplanned reference edge {(i, j, qubit)}")
 
     movers: dict[int, tuple[int, ...]] = {}
-    placement = {q: gate_cell[first] for q, first in qfg.first_use.items()}
+    placement = place_qubits(netlist, qfg, layout)
     location = dict(placement)
     for node in sorted(qfg.nodes, key=lambda v: (qfg.stage_of[v], v)):
         incoming = [q for i, j, q in qfg.edges if j == node]

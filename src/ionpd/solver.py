@@ -15,14 +15,13 @@ from dataclasses import dataclass
 
 from .depgraph import (
     DataflowGraph,
-    InfeasibleHorizon,
+    ScheduleWindow,
     asap_alap,
     build_dataflow,
     common_qubit_table,
     stage_lower_bound,
 )
 from .gates import Netlist
-from .ilp import IlpModel, emit_ilp
 
 INFEASIBLE = None
 
@@ -130,30 +129,40 @@ def _search(
     return dict(assignment) if extend(0) else None
 
 
-def _model_tables(model: IlpModel) -> tuple[dict[int, list[int]], dict[int, list[int]], dict[int, list[int]], dict[int, list[int]]]:
-    domains = {c.instr: list(c.stages) for c in model.once}
-    conflicts: dict[int, list[int]] = {i: [] for i in domains}
-    seen = set()
-    for c in model.exclusions:
-        if (c.a, c.b) not in seen:
-            seen.add((c.a, c.b))
-            conflicts[c.a].append(c.b)
-            conflicts[c.b].append(c.a)
+def _tables(
+    netlist: Netlist, graph: DataflowGraph, windows: ScheduleWindow
+) -> tuple[dict[int, list[int]], dict[int, list[int]], dict[int, list[int]], dict[int, list[int]]]:
+    """Stage domains, conflicts, and reduced-dependency preds/succs.
+
+    Two instructions conflict when they share a qubit and their windows
+    overlap; these are exactly the pairs the LP export writes series-2 rows
+    for.
+    """
+    domains = {i: list(windows.stages(i)) for i in graph.nodes}
+    conflicts: dict[int, set[int]] = {i: set() for i in domains}
+    for ids in common_qubit_table(netlist).values():
+        for k, b in enumerate(ids):
+            for a in ids[:k]:
+                if max(windows.asap[a], windows.asap[b]) <= min(windows.alap[a], windows.alap[b]):
+                    conflicts[a].add(b)
+                    conflicts[b].add(a)
     preds: dict[int, list[int]] = {i: [] for i in domains}
     succs: dict[int, list[int]] = {i: [] for i in domains}
-    for c in model.orders:
-        preds[c.after].append(c.before)
-        succs[c.before].append(c.after)
-    return domains, conflicts, preds, succs
+    for j, i in graph.reduced_edges():
+        preds[i].append(j)
+        succs[j].append(i)
+    return domains, {i: sorted(c) for i, c in conflicts.items()}, preds, succs
 
 
 def solve(
-    model: IlpModel,
+    netlist: Netlist,
+    graph: DataflowGraph,
+    windows: ScheduleWindow,
     node_budget: int | None = None,
     time_budget: float | None = None,
 ) -> Schedule | None:
-    """Deterministic assignment satisfying the model, or INFEASIBLE (None)."""
-    domains, conflicts, preds, succs = _model_tables(model)
+    """Deterministic assignment within `windows`, or INFEASIBLE (None)."""
+    domains, conflicts, preds, succs = _tables(netlist, graph, windows)
     budget = _Budget(node_budget, time_budget)
     ids = sorted(domains)
 
@@ -165,7 +174,7 @@ def solve(
     assignment = _search(ids, domains, conflicts, preds, succs, budget)
     assert assignment is not None
     stage_count = max(assignment.values(), default=0)
-    return Schedule(assignment, stage_count, model.horizon)
+    return Schedule(assignment, stage_count, windows.horizon)
 
 
 def schedule_netlist(
@@ -181,9 +190,7 @@ def schedule_netlist(
         return Schedule({}, 0, 0)
     horizon = max(1, stage_lower_bound(netlist, graph))
     while True:
-        windows = asap_alap(graph, horizon)
-        model = emit_ilp(netlist, graph, windows, horizon)
-        schedule = solve(model, node_budget, time_budget)
+        schedule = solve(netlist, graph, asap_alap(graph, horizon), node_budget, time_budget)
         if schedule is not None:
             return schedule
         horizon += 1  # horizon = n is always feasible, so this terminates

@@ -131,3 +131,28 @@ def test_latency_config_flag(tmp_path):
     out2 = tmp_path / "default_out"
     assert main(["latency", CODE932, "--out", str(out2)]) == 0
     assert slower >= json.loads(read(out2, "latency.json"))["total_us"]
+
+
+def test_layout_error_exit_code(tmp_path, capsys):
+    # an undecomposed Toffoli leaves a degree-6 flow-graph node
+    source = tmp_path / "toffoli.qasm"
+    source.write_text("H q0\nH q1\nH q2\nToffoli q0,q1,q2\nH q0\nH q1\nH q2\n")
+    assert main(["layout", str(source), "--out", str(tmp_path / "o")]) == 4
+    assert "node 4 has degree 6" in capsys.readouterr().err
+
+
+def test_default_emit_renders_no_extras(tmp_path, monkeypatch):
+    from ionpd.depgraph import DataflowGraph
+    from ionpd.drawing import OrthogonalDrawing
+    from ionpd.macrolayout import MacroLayout
+    from ionpd.qfg import QubitFlowGraph
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rendered an artifact that --emit did not ask for")
+
+    for owner in (MacroLayout, OrthogonalDrawing):
+        monkeypatch.setattr(owner, "to_svg", refuse)
+    for owner in (DataflowGraph, QubitFlowGraph):
+        monkeypatch.setattr(owner, "to_dot", refuse)
+    monkeypatch.setattr("ionpd.cli.to_lp_text", refuse)
+    assert main(["latency", CODE932, "--out", str(tmp_path / "lazy")]) == 0

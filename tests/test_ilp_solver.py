@@ -54,10 +54,44 @@ class TestModel:
         assert any("s3_1_2" in line and "<= -1" in line for line in to_lp_text(model).splitlines())
 
 
+class TestLpExport:
+    def test_rows_hold_on_solver_schedules(self):
+        rng = random.Random(11)
+        rows = [0, 0, 0]
+        for _ in range(60):
+            netlist = random_netlist(rng)
+            graph = build_dataflow(netlist)
+            schedule = schedule_netlist(netlist, graph=graph)
+            h = schedule.horizon
+            model = emit_ilp(netlist, graph, asap_alap(graph, h), h)
+
+            def x(instr, stage):
+                return int(schedule.stage_of[instr] == stage)
+
+            def weighted(instr):
+                return sum(l * x(instr, l) for l in model.domain(instr))
+
+            for c in model.once:
+                assert sum(x(c.instr, l) for l in c.stages) == 1, c
+            for c in model.exclusions:
+                assert x(c.a, c.stage) + x(c.b, c.stage) <= 1, c
+            for c in model.orders:
+                assert weighted(c.before) + 1 <= weighted(c.after), c
+            rows[0] += len(model.once)
+            rows[1] += len(model.exclusions)
+            rows[2] += len(model.orders)
+        assert all(rows), rows
+
+
+def solve_at(netlist, horizon, **budgets):
+    graph = build_dataflow(netlist)
+    return solve(netlist, graph, asap_alap(graph, horizon), **budgets)
+
+
 class TestSolve:
     def test_code932_solves_at_six(self, code932):
-        model, graph = model_for(code932, 6)
-        schedule = solve(model)
+        graph = build_dataflow(code932)
+        schedule = solve(code932, graph, asap_alap(graph, 6))
         assert schedule is not INFEASIBLE
         assert schedule.stage_count == 6
         assert validate(code932, graph, schedule) == []
@@ -65,33 +99,30 @@ class TestSolve:
     def test_infeasible_horizon_chain(self):
         # exchangeable pair sharing a wire: two stages needed, one offered
         netlist = parse_qasm("T q0\nS q0")
-        assert solve(model_for(netlist, 1)[0]) is INFEASIBLE
+        assert solve_at(netlist, 1) is INFEASIBLE
 
     def test_dependent_chain_fails_at_window_construction(self):
         from ionpd.depgraph import InfeasibleHorizon
 
         with pytest.raises(InfeasibleHorizon):
-            model_for(parse_qasm("H q0\nX q0"), 1)
+            solve_at(parse_qasm("H q0\nX q0"), 1)
 
     def test_cat4_at_horizon_five_matches_published_stages(self):
         netlist = generate_cat_circuit(4)
-        schedule = solve(model_for(netlist, 5)[0])
+        schedule = solve_at(netlist, 5)
         assert schedule.stages() == {1: [1], 2: [2], 3: [3, 4], 4: [5], 5: [6]}
 
     def test_determinism(self, code932):
-        model, _ = model_for(code932, 6)
-        assert solve(model).stage_of == solve(model).stage_of
+        assert solve_at(code932, 6).stage_of == solve_at(code932, 6).stage_of
 
     def test_budget_exhaustion_reports_node_count(self, code932):
-        model, _ = model_for(code932, 6)
         with pytest.raises(SolverBudgetExceeded) as err:
-            solve(model, node_budget=1)
+            solve_at(code932, 6, node_budget=1)
         assert err.value.explored > 0
 
     def test_zero_time_budget_exhausts(self, code932):
-        model, _ = model_for(code932, 6)
         with pytest.raises(SolverBudgetExceeded):
-            solve(model, time_budget=0.0)
+            solve_at(code932, 6, time_budget=0.0)
 
 
 class TestScheduleNetlist:

@@ -129,8 +129,8 @@ class TestTile:
 class TestPlaceQubits:
     def test_cat7_first_use_rule(self):
         netlist = generate_cat_circuit(7)
-        schedule, qfg, drawing, layout = pipeline(netlist)
-        placement = place_qubits(netlist, schedule, layout)
+        _, qfg, _, layout = pipeline(netlist)
+        placement = place_qubits(netlist, qfg, layout)
         assert placement[3] == layout.gate_location_of[1]   # H wire
         assert placement[4] == layout.gate_location_of[2]
         assert placement[0] == layout.gate_location_of[7]   # low chain end
@@ -138,14 +138,14 @@ class TestPlaceQubits:
 
     def test_single_use_qubit(self):
         netlist = parse_qasm("CX q0,q1")
-        schedule, _, _, layout = pipeline(netlist)
-        placement = place_qubits(netlist, schedule, layout)
+        _, qfg, _, layout = pipeline(netlist)
+        placement = place_qubits(netlist, qfg, layout)
         assert placement[0] == placement[1] == layout.gate_location_of[1]
 
     def test_unused_qubit_parks_near_origin(self):
         netlist = parse_qasm("H q0\nH q2")
-        schedule, _, _, layout = pipeline(netlist)
-        placement = place_qubits(netlist, schedule, layout)
+        _, qfg, _, layout = pipeline(netlist)
+        placement = place_qubits(netlist, qfg, layout)
         assert 1 in placement
         assert placement[1] not in layout.blocks
 
