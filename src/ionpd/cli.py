@@ -21,7 +21,7 @@ from .depgraph import asap_alap, build_dataflow, stage_lower_bound
 from .drawing import validate_drawing
 from .gates import Netlist, NetlistError
 from .ilp import emit_ilp, to_lp_text
-from .latency import LatencyConfigError, load_latency_model, simulate
+from .latency import LatencyConfigError, LatencyModel, load_latency_model, simulate
 from .macrolayout import LayoutError, place_qubits, route, tile
 from .orthogonal import orthogonalize
 from .planar import PlanarizeError, planarize
@@ -66,10 +66,24 @@ def _read_netlist(path: str) -> Netlist:
     return netlist
 
 
+def _require_gate_costs(netlist: Netlist, model: LatencyModel) -> None:
+    """Reject, before any work, a gate kind the latency model cannot cost."""
+    for kind in dict.fromkeys(instr.kind for instr in netlist.instructions):
+        try:
+            model.gate_cost(kind)
+        except ValueError as exc:
+            raise ValueError(
+                f"{kind.label} gates have no latency cost; decompose them with --library cv|ft"
+            ) from exc
+
+
 def _pipeline(netlist: Netlist, args, emit: _Emitter, upto: str) -> int:
     if args.library != "none":
         lib = Library.CV_LIBRARY if args.library == "cv" else Library.FT_LIBRARY
         netlist = decompose(netlist, lib)
+    if upto == "latency":
+        model = load_latency_model(args.latency_config)
+        _require_gate_costs(netlist, model)
     emit.write("netlist.json", netlist.to_json)
     if upto == "parse":
         print(f"parsed {len(netlist)} instructions on {netlist.qubit_count} qubits")
@@ -90,7 +104,7 @@ def _pipeline(netlist: Netlist, args, emit: _Emitter, upto: str) -> int:
     if upto == "schedule":
         return EXIT_OK
 
-    qfg = build_qfg(netlist, schedule)
+    qfg = build_qfg(netlist, schedule, graph)
     emit.write("qfg.json", qfg.to_json)
     emit.write("qfg.dot", qfg.to_dot, "dot")
     pg = planarize(qfg)
@@ -110,8 +124,7 @@ def _pipeline(netlist: Netlist, args, emit: _Emitter, upto: str) -> int:
 
     plan = route(qfg, drawing, layout)
     placement = place_qubits(netlist, qfg, layout)
-    model = load_latency_model(args.latency_config)
-    report = simulate(netlist, schedule, layout, plan, placement, model)
+    report = simulate(netlist, schedule, layout, plan, placement, model, graph)
     emit.write("latency.json", report.to_json)
     print(f"total latency: {report.total} us over {schedule.stage_count} stages")
     return EXIT_OK

@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-from .depgraph import build_dataflow
+from .depgraph import DataflowGraph, build_dataflow
 from .gates import GateKind, Netlist
 from .macrolayout import MacroLayout, Point, RoutePlan
 from .solver import Schedule, validate
@@ -155,10 +155,13 @@ def simulate(
     routes: RoutePlan,
     placement: dict[int, Point],
     model: LatencyModel | None = None,
+    graph: DataflowGraph | None = None,
 ) -> LatencyReport:
     """Availability-time simulation of a placed, routed, scheduled circuit."""
     m = model or LatencyModel()
-    violations = validate(netlist, build_dataflow(netlist), schedule)
+    if graph is None:
+        graph = build_dataflow(netlist)
+    violations = validate(netlist, graph, schedule)
     if violations:
         raise ValueError(f"invalid schedule: {violations[0].message}")
 

@@ -1,10 +1,20 @@
 """Planarization of the qubit flow graph.
 
-Edges are inserted one by one into a maintained planar subgraph; each edge
-that breaks planarity is routed afterwards through the face-adjacency dual
-of the current embedding along a fewest-crossings path, and every crossing
-becomes a degree-4 dummy vertex. Parallel edges are split with a routing
-dummy first so the working graph stays simple.
+Edges are taken greedily in sorted order into a planar subgraph: an edge is
+kept unless it makes the kept graph non-planar. Each rejected edge is routed
+afterwards through the face-adjacency dual of the current embedding along a
+fewest-crossings path, and every crossing becomes a degree-4 dummy vertex.
+Parallel edges are split with a routing dummy first so the working graph
+stays simple.
+
+The greedy choice is found by bisection rather than one planarity test per
+edge. Removing edges keeps a graph planar, so "kept graph plus edges[pos:k+1]
+is planar" holds for every k up to the next rejected edge and fails for
+every k after it. The next rejection is therefore the first k where the test
+fails, found by testing the whole remaining suffix once (a planar input
+needs one test in all) and bisecting only when that fails. The kept edges
+are added in input order and trial edges are removed without trace, so the
+adjacency order that feeds the embedding equals that of the one-by-one loop.
 """
 
 from __future__ import annotations
@@ -21,7 +31,8 @@ HalfEdge = tuple  # (tail, head)
 
 
 class PlanarizeError(ValueError):
-    """Input unusable for drawing (node degree above four)."""
+    """Input unusable for drawing (node degree above four), or a broken
+    planarization invariant."""
 
 
 def node_key(v: Node):
@@ -81,16 +92,17 @@ class PlanarizedGraph:
 
     def check_euler(self) -> None:
         """V - E + F = 2 within every connected component."""
-        for comp in self.components():
-            comp_set = set(comp)
+        comps = self.components()
+        comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+        face_counts = [0] * len(comps)
+        for walk in self.faces():
+            face_counts[comp_of[walk[0][0]]] += 1
+        for comp, face_count in zip(comps, face_counts):
             edge_count = sum(len(self.adj.get(v, [])) for v in comp) // 2
             if edge_count == 0:
                 continue
-            face_count = sum(
-                1 for walk in self.faces() if walk[0][0] in comp_set
-            )
             if len(comp) - edge_count + face_count != 2:
-                raise AssertionError(
+                raise PlanarizeError(
                     f"Euler check failed: V={len(comp)} E={edge_count} F={face_count}"
                 )
 
@@ -98,9 +110,43 @@ class PlanarizedGraph:
 def _fresh_embedding(graph: nx.Graph) -> dict[Node, list[Node]]:
     is_planar, embedding = nx.check_planarity(graph)
     if not is_planar:
-        raise AssertionError("working graph lost planarity")
+        raise PlanarizeError("working graph lost planarity")
     data = embedding.get_data()
     return {v: data.get(v, []) for v in sorted(graph.nodes, key=node_key)}
+
+
+def _add_planar_greedy(
+    graph: nx.Graph, edges: list[tuple[Node, Node]]
+) -> list[tuple[Node, Node]]:
+    """Add each edge in order unless it breaks planarity; return the rest.
+
+    Same result as testing edges one at a time, with one test per rejected
+    edge plus a bisection over the suffix (see the module docstring).
+    """
+
+    def planar_with(extra: list[tuple[Node, Node]]) -> bool:
+        graph.add_edges_from(extra)
+        is_planar = nx.check_planarity(graph)[0]
+        graph.remove_edges_from(extra)  # deletes the keys: no trace in adjacency order
+        return is_planar
+
+    deferred: list[tuple[Node, Node]] = []
+    pos = 0
+    while pos < len(edges):
+        if planar_with(edges[pos:]):
+            graph.add_edges_from(edges[pos:])
+            break
+        lo, hi = pos, len(edges) - 1  # kept graph + edges[pos:hi + 1] is non-planar
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if planar_with(edges[pos:mid + 1]):
+                lo = mid + 1
+            else:
+                hi = mid
+        graph.add_edges_from(edges[pos:lo])
+        deferred.append(edges[lo])
+        pos = lo + 1
+    return deferred
 
 
 def _route_through_faces(
@@ -148,7 +194,7 @@ def _route_through_faces(
                     counter += 1
                     heapq.heappush(heap, (d + 1, counter, gi))
     if goal is None:
-        raise AssertionError(f"no dual route between {u} and {v}")
+        raise PlanarizeError(f"no dual route between {u} and {v}")
     crossed: list[frozenset] = []
     cur = goal
     while back[cur] is not None:
@@ -191,12 +237,7 @@ def planarize(qfg: QubitFlowGraph) -> PlanarizedGraph:
     for dummy in splits:
         graph.add_node(dummy)
 
-    deferred: list[tuple[Node, Node]] = []
-    for a, b in simple_edges:
-        graph.add_edge(a, b)
-        if not nx.check_planarity(graph)[0]:
-            graph.remove_edge(a, b)
-            deferred.append((a, b))
+    deferred = _add_planar_greedy(graph, simple_edges)
 
     crossings: list[str] = []
 
@@ -207,7 +248,7 @@ def planarize(qfg: QubitFlowGraph) -> PlanarizedGraph:
                 if {path[pos], path[pos + 1]} == {a, b}:
                     path.insert(pos + 1, dummy)
                     return
-        raise AssertionError(f"crossed edge {a}-{b} not found in any chain")
+        raise PlanarizeError(f"crossed edge {a}-{b} not found in any chain")
 
     for a, b in deferred:
         adj = _fresh_embedding(graph)
@@ -246,4 +287,4 @@ def _splice_chain(chains: dict, a: Node, b: Node, new_path: list[Node]) -> None:
                 orientation = new_path if path[pos] == a else list(reversed(new_path))
                 chains[key] = path[:pos] + orientation + path[pos + 2:]
                 return
-    raise AssertionError(f"deferred edge {a}-{b} not found in chains")
+    raise PlanarizeError(f"deferred edge {a}-{b} not found in chains")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .depgraph import build_dataflow, common_qubit_table
+from .depgraph import DataflowGraph, build_dataflow, common_qubit_table
 from .gates import Netlist
 from .solver import Schedule, validate
 
@@ -58,8 +58,12 @@ class QubitFlowGraph:
         return "\n".join(lines) + "\n"
 
 
-def build_qfg(netlist: Netlist, schedule: Schedule) -> QubitFlowGraph:
-    violations = validate(netlist, build_dataflow(netlist), schedule)
+def build_qfg(
+    netlist: Netlist, schedule: Schedule, graph: DataflowGraph | None = None
+) -> QubitFlowGraph:
+    if graph is None:
+        graph = build_dataflow(netlist)
+    violations = validate(netlist, graph, schedule)
     if violations:
         raise ValueError(f"invalid schedule: {violations[0].message}")
     stage_of = {i.id: schedule.stage_of[i.id] for i in netlist.instructions}

@@ -141,6 +141,23 @@ def test_layout_error_exit_code(tmp_path, capsys):
     assert "node 4 has degree 6" in capsys.readouterr().err
 
 
+def test_undecomposed_toffoli_rejected_before_work(tmp_path, capsys):
+    out = tmp_path / "tof"
+    source = str(ROOT / "circuits" / "toffoli_pair.qasm")
+    assert main(["latency", source, "--out", str(out)]) == 2
+    assert "--library" in capsys.readouterr().err
+    assert not (out / "schedule.json").exists()
+    assert not (out / "layout.json").exists()
+
+
+def test_planarize_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # a planarity test that always fails breaks the final embedding
+    monkeypatch.setattr("ionpd.planar.nx.check_planarity", lambda graph: (False, None))
+    assert main(["layout", CODE932, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_default_emit_renders_no_extras(tmp_path, monkeypatch):
     from ionpd.depgraph import DataflowGraph
     from ionpd.drawing import OrthogonalDrawing

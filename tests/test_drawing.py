@@ -1,16 +1,19 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
 
 from helpers import bend_minimum_milp, random_degree4_graph, synth_qfg
+from ionpd import planar
 from ionpd.circuits import generate_cat_circuit
 from ionpd.compact import compact
 from ionpd.drawing import OrthogonalDrawing, validate_drawing
+from ionpd.gates import GateKind, make_netlist
 from ionpd.orthogonal import orthogonalize
 from ionpd.planar import PlanarizeError, planarize
 from ionpd.qfg import build_qfg
-from ionpd.solver import schedule_netlist
+from ionpd.solver import Schedule, schedule_netlist
 
 
 def draw(qfg):
@@ -68,6 +71,98 @@ class TestPlanarize:
         rng = random.Random(18)
         for _ in range(40):
             planarize(random_degree4_graph(rng)).check_euler()  # raises on failure
+
+
+def sequential_greedy(graph, edges):
+    """Reference planar subgraph: one planarity test per edge, in order."""
+    deferred = []
+    for a, b in edges:
+        graph.add_edge(a, b)
+        if not nx.check_planarity(graph)[0]:
+            graph.remove_edge(a, b)
+            deferred.append((a, b))
+    return deferred
+
+
+def planarize_with(qfg, greedy):
+    """planarize(qfg) with its greedy planar-subgraph step replaced by
+    `greedy`; returns that step's deferred edges and the result."""
+    deferred = []
+
+    def spy(graph, edges):
+        deferred.extend(greedy(graph, edges))
+        return deferred
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(planar, "_add_planar_greedy", spy)
+        pg = planarize(qfg)
+    return deferred, pg
+
+
+def dense_degree4_graph(rng, n):
+    """Every node filled up to degree four where it can be: mostly non-planar."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    rng.shuffle(pairs)
+    deg = dict.fromkeys(range(1, n + 1), 0)
+    edges = []
+    for a, b in pairs:
+        if deg[a] < 4 and deg[b] < 4:
+            edges.append((a, b))
+            deg[a] += 1
+            deg[b] += 1
+    return synth_qfg(list(range(1, n + 1)), edges)
+
+
+def layered_flow_graph(rng, qubits=8, layers=6):
+    """Flow graph of random layers: a one-qubit gate on every qubit, then a
+    perfect matching of two-qubit gates, each layer two stages."""
+    gates, stages = [], []
+    for layer in range(layers):
+        for q in range(qubits):
+            gates.append((rng.choice([GateKind.H, GateKind.T, GateKind.X]), (), q))
+            stages.append(2 * layer + 1)
+        order = list(range(qubits))
+        rng.shuffle(order)
+        for a, b in zip(order[::2], order[1::2]):
+            gates.append((rng.choice([GateKind.CX, GateKind.CZ]), (a,), b))
+            stages.append(2 * layer + 2)
+    netlist = make_netlist(gates)
+    stage_of = {instr.id: stage for instr, stage in zip(netlist.instructions, stages)}
+    return build_qfg(netlist, Schedule(stage_of, 2 * layers, 2 * layers))
+
+
+class TestGreedyBisection:
+    def test_matches_sequential_greedy(self):
+        rng = random.Random(31)
+        graphs = [random_degree4_graph(rng) for _ in range(200)]
+        graphs += [dense_degree4_graph(rng, rng.randint(6, 16)) for _ in range(40)]
+        graphs += [layered_flow_graph(rng) for _ in range(8)]
+        graphs.append(synth_qfg(list(range(1, 6)), list(itertools.combinations(range(1, 6), 2))))
+        graphs.append(synth_qfg(list(range(1, 7)), [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)]))
+        with_crossings = 0
+        for qfg in graphs:
+            fast_deferred, fast = planarize_with(qfg, planar._add_planar_greedy)
+            ref_deferred, ref = planarize_with(qfg, sequential_greedy)
+            assert fast_deferred == ref_deferred
+            assert list(fast.adj.items()) == list(ref.adj.items())  # neighbour order too
+            assert fast.chains == ref.chains and fast.crossings == ref.crossings
+            with_crossings += bool(ref_deferred)
+        assert with_crossings >= 70  # the bisection path is exercised, not only the fast path
+
+    def test_planar_cat80_takes_two_planarity_tests(self, monkeypatch):
+        netlist = generate_cat_circuit(80)
+        qfg = build_qfg(netlist, schedule_netlist(netlist))
+        calls = []
+        check = nx.check_planarity
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(planar.nx, "check_planarity", counted)
+        pg = planarize(qfg)
+        assert pg.crossings == frozenset()
+        assert len(calls) == 2  # one for the greedy search, one for the final embedding
 
 
 class TestOrthogonalize:
