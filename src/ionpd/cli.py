@@ -29,7 +29,7 @@ from .qasm import QasmError, parse_qasm
 from .qfg import build_qfg
 from .solver import (
     Schedule,
-    SolverBudgetExceeded,
+    SolverError,
     oracle_min_stages,
     schedule_netlist,
     validate,
@@ -99,7 +99,8 @@ def _pipeline(netlist: Netlist, args, emit: _Emitter, upto: str) -> int:
     h = schedule.horizon
     emit.write("model.lp", lambda: to_lp_text(emit_ilp(netlist, graph, asap_alap(graph, h), h)), "lp")
     violations = validate(netlist, graph, schedule)
-    assert not violations, violations
+    if violations:
+        raise SolverError(f"scheduler produced an invalid schedule: {violations[0].message}")
     print(f"scheduled in {schedule.stage_count} stages (lower bound {stage_lower_bound(netlist, graph)})")
     if upto == "schedule":
         return EXIT_OK
@@ -207,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     except (QasmError, NetlistError, DecomposeError, LatencyConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except SolverBudgetExceeded as exc:
+    except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as exc:

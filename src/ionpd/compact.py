@@ -11,6 +11,7 @@ coordinates with heuristically short edges.
 from __future__ import annotations
 
 from .drawing import OrthogonalDrawing, Point
+from .macrolayout import LayoutError
 from .orthogonal import OrthoRep
 from .planar import Node, PlanarizedGraph, node_key
 
@@ -57,7 +58,8 @@ def _bend_values(rep: OrthoRep, u: Node, v: Node) -> list[int]:
     """Bend angles along (u, v) as seen from the (u, v) walk side."""
     convex = rep.bends.get((u, v), 0)
     reflex = rep.bends.get((v, u), 0)
-    assert convex == 0 or reflex == 0, "bends must be one-sided after cancellation"
+    if convex and reflex:
+        raise LayoutError(f"bends on {u}-{v} are not one-sided after cancellation")
     return [1] * convex + [3] * reflex
 
 
@@ -110,11 +112,13 @@ def _assign_directions(mesh: _Mesh, angles_after: dict[tuple, int]) -> None:
         rot = (2 - angles_after[he]) % 4
         for other, value in ((twin, (d + 2) % 4), (mesh.nxt[he], (d + rot) % 4)):
             if other in mesh.dirs:
-                assert mesh.dirs[other] == value, f"direction clash at {other}"
+                if mesh.dirs[other] != value:
+                    raise LayoutError(f"direction clash at {other}")
             else:
                 mesh.dirs[other] = value
                 stack.append(other)
-    assert len(mesh.dirs) == len(mesh.nxt), "disconnected mesh"
+    if len(mesh.dirs) != len(mesh.nxt):
+        raise LayoutError("disconnected mesh")
 
 
 class _NameSource:
@@ -133,7 +137,8 @@ def _add_border(mesh: _Mesh, names: _NameSource) -> None:
         if sum(mesh.turn(he) for he in walk) == -4:
             external = walk
             break
-    assert external is not None, "no external face found"
+    if external is None:
+        raise LayoutError("no external face found")
 
     he0 = next(he for he in external if mesh.turn(he) <= 0)
     he1 = mesh.nxt[he0]
@@ -204,7 +209,8 @@ def _refine(mesh: _Mesh, names: _NameSource) -> None:
         total = sum(mesh.turn(he) for he in walk)
         if total == -4:
             continue  # the single external face stays
-        assert total == 4, f"face turn sum {total}"
+        if total != 4:
+            raise LayoutError(f"face turn sum {total}")
         he0 = next((he for he in walk if mesh.turn(he) <= -1), None)
         if he0 is None:
             continue  # rectangle already
@@ -217,10 +223,13 @@ def _refine(mesh: _Mesh, names: _NameSource) -> None:
                 front = mesh.nxt[cur]
                 break
             cur = mesh.nxt[cur]
-            assert cur != he0, "no front side found"
+            if cur == he0:
+                raise LayoutError("no front side found")
         x, y = front
-        assert v not in front, "projection hit its own corner"
-        assert (mesh.dirs[front] - mesh.dirs[he0]) % 2 == 1, "front not perpendicular"
+        if v in front:
+            raise LayoutError("projection hit its own corner")
+        if (mesh.dirs[front] - mesh.dirs[he0]) % 2 != 1:
+            raise LayoutError("front not perpendicular")
 
         m = names.fresh("r")
         _split_edge(mesh, front, m)
@@ -279,7 +288,8 @@ def _coordinates(mesh: _Mesh) -> dict[Node, Point]:
                 indeg[other] -= 1
                 if indeg[other] == 0:
                     queue.append(other)
-        assert len(order) == len(chains), "cyclic compaction constraints"
+        if len(order) != len(chains):
+            raise LayoutError("cyclic compaction constraints")
         return {n: coord[find(index[n])] for n in nodes}
 
     xs = compact_axis((_NORTH, _SOUTH), _EAST)

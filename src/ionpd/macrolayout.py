@@ -26,7 +26,8 @@ _ORDER = ("E", "S", "W", "N")
 
 
 class LayoutError(ValueError):
-    """Inconsistent port demands or unroutable endpoints."""
+    """A drawing or layout that cannot be built: infeasible angle flow,
+    broken mesh invariant, inconsistent port demands or unroutable endpoints."""
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,34 @@
 Angles and bends are 90-degree units carried as flow: every vertex supplies
 four units, each vertex-face corner consumes at least one, and each face
 consumes 2*deg - 4 units (external: 2*deg + 4). Routing surplus units across
-an edge from one face to the other costs one bend. An integral minimum-cost
-flow therefore encodes an orthogonal representation of the fixed embedding
-with the fewest bends; feasibility is guaranteed for max degree four.
+an edge from one face to the other is one bend. An integral minimum-cost
+flow, found by network simplex, therefore encodes an orthogonal
+representation of the fixed embedding; feasibility is guaranteed for max
+degree four (Tamassia, SIAM J. Comput. 1987).
+
+Costs are lexicographic. Each bend costs more than all other arcs together
+can, so the bend count is exactly minimal. Among bend-minimal flows the
+rest prefer straight angles: a corner's second unit is free and its third
+and fourth cost one each, or two each at a degree-2 vertex whose edges
+carry the same qubit. At degree 1, 3 and 4 the angles are forced up to
+rotation, so only the choice between a turn and a straight pass at degree-2
+vertices is affected, and a qubit passing through a gate is kept straight
+first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .planar import HalfEdge, Node, PlanarizedGraph, node_key
+import networkx as nx
+
+from .macrolayout import LayoutError
+from .planar import HalfEdge, Node, PlanarizedGraph
+
+# Cost of each angle unit a corner takes beyond its second (a straight
+# angle); a turn at a degree-2 vertex costs one such unit.
+_WIDE_COST = 1
+_WIDE_COST_SAME_QUBIT = 2
 
 
 def min_cost_flow(
@@ -20,74 +38,20 @@ def min_cost_flow(
     arcs: list[tuple[int, int, int, int]],  # (from, to, capacity, cost)
     demand: list[int],  # negative = supply
 ) -> list[int]:
-    """Integral min-cost flow by successive shortest paths (Bellman-Ford)."""
-    if sum(demand) != 0:
-        raise ValueError("demands do not balance")
-    n = node_count + 2
-    source, sink = node_count, node_count + 1
-    graph: list[list[int]] = [[] for _ in range(n)]
-    arc_to: list[int] = []
-    arc_cap: list[int] = []
-    arc_cost: list[int] = []
+    """Integral min-cost flow by network simplex; one flow value per arc.
 
-    def add(u: int, v: int, cap: int, cost: int) -> int:
-        idx = len(arc_to)
-        graph[u].append(idx)
-        arc_to.append(v)
-        arc_cap.append(cap)
-        arc_cost.append(cost)
-        graph[v].append(idx + 1)
-        arc_to.append(u)
-        arc_cap.append(0)
-        arc_cost.append(-cost)
-        return idx
-
-    base = [add(u, v, cap, cost) for u, v, cap, cost in arcs]
-    need = 0
-    for node, d in enumerate(demand):
-        if d < 0:
-            add(source, node, -d, 0)
-            need += -d
-        elif d > 0:
-            add(node, sink, d, 0)
-
-    sent = 0
-    while sent < need:
-        dist = [None] * n
-        parent: list[int | None] = [None] * n
-        dist[source] = 0
-        for _ in range(n):
-            changed = False
-            for u in range(n):
-                if dist[u] is None:
-                    continue
-                for idx in graph[u]:
-                    if arc_cap[idx] > 0:
-                        v = arc_to[idx]
-                        nd = dist[u] + arc_cost[idx]
-                        if dist[v] is None or nd < dist[v]:
-                            dist[v] = nd
-                            parent[v] = idx
-                            changed = True
-            if not changed:
-                break
-        if dist[sink] is None:
-            raise AssertionError("flow network infeasible")
-        push = need - sent
-        v = sink
-        while v != source:
-            idx = parent[v]
-            push = min(push, arc_cap[idx])
-            v = arc_to[idx ^ 1]
-        v = sink
-        while v != source:
-            idx = parent[v]
-            arc_cap[idx] -= push
-            arc_cap[idx ^ 1] += push
-            v = arc_to[idx ^ 1]
-        sent += push
-
-    return [arc_cap[idx ^ 1] for idx in base]  # flow = residual of reverse
+    Arcs may repeat a node pair (two faces sharing several edges), so the
+    network is a multigraph keyed by arc index.
+    """
+    network = nx.MultiDiGraph()
+    network.add_nodes_from((node, {"demand": demand[node]}) for node in range(node_count))
+    for key, (u, v, cap, cost) in enumerate(arcs):
+        network.add_edge(u, v, key, capacity=cap, weight=cost)
+    try:
+        _, flow = nx.network_simplex(network)
+    except nx.NetworkXUnfeasible as exc:
+        raise LayoutError(f"flow network infeasible: {exc}") from exc
+    return [flow[u][v][key] for key, (u, v, _, _) in enumerate(arcs)]
 
 
 @dataclass(frozen=True)
@@ -131,10 +95,25 @@ def _component_faces(
     return by_first
 
 
+def _wide_costs(pg: PlanarizedGraph, degree: dict[Node, int]) -> dict[Node, int]:
+    """Per-vertex cost of each angle unit beyond a straight angle."""
+    qubit_of = {
+        frozenset(pair): key[2]
+        for key, chain in pg.chains.items()
+        for pair in zip(chain, chain[1:])
+    }
+    costs = {}
+    for v, d in degree.items():
+        through = d == 2 and len({qubit_of[frozenset((v, w))] for w in pg.adj[v]}) == 1
+        costs[v] = _WIDE_COST_SAME_QUBIT if through else _WIDE_COST
+    return costs
+
+
 def orthogonalize(pg: PlanarizedGraph) -> OrthoRep:
     """Minimum-bend representation of the embedding, per component."""
     faces = pg.faces()
     degree = {v: len(pg.adj.get(v, [])) for v in pg.nodes}
+    wide_cost = _wide_costs(pg, degree)
     angles: dict[tuple[int, int], int] = {}
     bends: dict[HalfEdge, int] = {}
     ext_faces: set[int] = set()
@@ -169,7 +148,11 @@ def orthogonalize(pg: PlanarizedGraph) -> OrthoRep:
             for ci, he in enumerate(walk):
                 half_edge_face[he] = fi
                 corner_arcs.append((fi, ci))
-                arcs.append((nid(("v", he[1])), nid(("f", fi)), 3, 0))
+                v, f = nid(("v", he[1])), nid(("f", fi))
+                arcs.append((v, f, 1, 0))
+                arcs.append((v, f, 2, wide_cost[he[1]]))
+        # one bend outweighs every corner cost of the component together
+        bend_cost = 4 * len(corner_arcs) + 1
         for fi in face_idx:
             for he in faces[fi]:
                 twin = (he[1], he[0])
@@ -177,20 +160,18 @@ def orthogonalize(pg: PlanarizedGraph) -> OrthoRep:
                 if gi == fi:
                     continue  # bridge: bends cancel inside one face
                 bend_arcs.append(he)
-                arcs.append((nid(("f", fi)), nid(("f", gi)), 1 << 20, 1))
+                arcs.append((nid(("f", fi)), nid(("f", gi)), 1 << 20, bend_cost))
 
         demand = [0] * len(ids)
         for node, d in demand_map.items():
             demand[node] = d
         flows = min_cost_flow(len(ids), arcs, demand)
 
-        pos = 0
-        for fi, ci in corner_arcs:
-            angles[(fi, ci)] = 1 + flows[pos]
-            pos += 1
-        for he in bend_arcs:
-            bends[he] = flows[pos]
-            pos += 1
+        for k, corner in enumerate(corner_arcs):
+            angles[corner] = 1 + flows[2 * k] + flows[2 * k + 1]
+        pos = 2 * len(corner_arcs)
+        for k, he in enumerate(bend_arcs):
+            bends[he] = flows[pos + k]
 
     # cancel opposite-direction bends on one edge: a convex/reflex pair is
     # never optimal and a one-sided string keeps downstream bookkeeping simple
@@ -201,14 +182,13 @@ def orthogonalize(pg: PlanarizedGraph) -> OrthoRep:
             bends[he] -= common
             bends[twin] -= common
 
-    for v in pg.nodes:
-        if degree[v]:
-            total = 0
-            for fi, walk in enumerate(faces):
-                for ci, (_, head) in enumerate(walk):
-                    if head == v:
-                        total += angles[(fi, ci)]
-            assert total == 4, f"angles around {v} sum to {total}"
+    around: dict[Node, int] = {}
+    for fi, walk in enumerate(faces):
+        for ci, (_, head) in enumerate(walk):
+            around[head] = around.get(head, 0) + angles[(fi, ci)]
+    for v, total in around.items():
+        if total != 4:
+            raise LayoutError(f"angles around {v} sum to {total}")
 
     return OrthoRep(
         faces=tuple(tuple(walk) for walk in faces),

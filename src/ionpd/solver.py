@@ -26,7 +26,11 @@ from .gates import Netlist
 INFEASIBLE = None
 
 
-class SolverBudgetExceeded(RuntimeError):
+class SolverError(RuntimeError):
+    """No valid schedule: the search gave up or broke its own invariant."""
+
+
+class SolverBudgetExceeded(SolverError):
     """Search aborted; carries the number of explored nodes."""
 
     def __init__(self, explored: int, reason: str):
@@ -172,7 +176,8 @@ def solve(
     if _search(by_slack, domains, conflicts, preds, succs, budget) is None:
         return INFEASIBLE
     assignment = _search(ids, domains, conflicts, preds, succs, budget)
-    assert assignment is not None
+    if assignment is None:
+        raise SolverError("canonical pass found no assignment the refutation pass found")
     stage_count = max(assignment.values(), default=0)
     return Schedule(assignment, stage_count, windows.horizon)
 

@@ -158,6 +158,39 @@ def test_planarize_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_infeasible_angle_flow_exit_code(tmp_path, capsys, monkeypatch):
+    import networkx as nx
+
+    def unfeasible(network):
+        raise nx.NetworkXUnfeasible("no flow satisfies all node demands")
+
+    monkeypatch.setattr("ionpd.orthogonal.nx.network_simplex", unfeasible)
+    assert main(["layout", CODE932, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_invalid_schedule_exit_code(tmp_path, capsys, monkeypatch):
+    from ionpd.solver import Violation
+
+    clash = Violation(2, (1, 2), "instructions [1, 2] share q0 in stage 1")
+    monkeypatch.setattr("ionpd.cli.validate", lambda *args: [clash])
+    assert main(["schedule", CODE932, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "share q0" in err
+
+
+def test_solver_pass_disagreement_exit_code(tmp_path, capsys, monkeypatch):
+    import ionpd.solver as solver
+
+    # the refutation pass finds an assignment, the canonical pass none
+    passes = iter([solver._search])
+    monkeypatch.setattr(solver, "_search", lambda *args: next(passes, lambda *a: None)(*args))
+    assert main(["schedule", CODE932, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "canonical pass" in err
+
+
 def test_default_emit_renders_no_extras(tmp_path, monkeypatch):
     from ionpd.depgraph import DataflowGraph
     from ionpd.drawing import OrthogonalDrawing

@@ -1,7 +1,9 @@
 import itertools
 import random
+from dataclasses import replace
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from helpers import bend_minimum_milp, random_degree4_graph, synth_qfg
@@ -10,7 +12,8 @@ from ionpd.circuits import generate_cat_circuit
 from ionpd.compact import compact
 from ionpd.drawing import OrthogonalDrawing, validate_drawing
 from ionpd.gates import GateKind, make_netlist
-from ionpd.orthogonal import orthogonalize
+from ionpd.macrolayout import LayoutError
+from ionpd.orthogonal import min_cost_flow, orthogonalize
 from ionpd.planar import PlanarizeError, planarize
 from ionpd.qfg import build_qfg
 from ionpd.solver import Schedule, schedule_netlist
@@ -193,6 +196,50 @@ class TestOrthogonalize:
             assert rep.total_bends == bend_minimum_milp(pg, rep)
             checked += 1
 
+    def test_min_cost_flow_matches_milp_optimum(self):
+        from scipy.optimize import Bounds, LinearConstraint, milp
+
+        rng = random.Random(5150)
+        for _ in range(100):
+            n = rng.randint(2, 7)
+            arcs = []
+            for _ in range(rng.randint(n, 3 * n)):
+                u, v = rng.sample(range(n), 2)
+                arcs.append((u, v, rng.randint(0, 4), rng.randint(-3, 9)))
+            for u, v, _, _ in rng.sample(arcs, rng.randint(1, 3)):  # parallel arcs
+                arcs.append((u, v, rng.randint(1, 4), rng.randint(-3, 9)))
+            # demands of a random flow within capacity: the network is feasible
+            demand = [0] * n
+            for u, v, cap, _ in arcs:
+                sent = rng.randint(0, cap)
+                demand[u] -= sent
+                demand[v] += sent
+
+            flows = min_cost_flow(n, arcs, demand)
+            net = [0] * n
+            for (u, v, cap, _), sent in zip(arcs, flows):
+                assert 0 <= sent <= cap
+                net[u] -= sent
+                net[v] += sent
+            assert net == demand
+
+            incidence = np.zeros((n, len(arcs)))
+            for k, (u, v, _, _) in enumerate(arcs):
+                incidence[u, k] -= 1
+                incidence[v, k] += 1
+            best = milp(
+                c=[cost for *_, cost in arcs],
+                constraints=LinearConstraint(incidence, demand, demand),
+                bounds=Bounds(0, [cap for _, _, cap, _ in arcs]),
+                integrality=np.ones(len(arcs)),
+            )
+            assert best.success, best.message
+            assert sum(sent * cost for sent, (*_, cost) in zip(flows, arcs)) == round(best.fun)
+
+    def test_infeasible_flow_raises_layout_error(self):
+        with pytest.raises(LayoutError, match="infeasible"):
+            min_cost_flow(2, [(0, 1, 1, 0)], [-2, 2])
+
 
 class TestCompact:
     def test_single_edge_unit_length(self):
@@ -227,6 +274,13 @@ class TestCompact:
         first = draw(qfg)[2]
         second = draw(qfg)[2]
         assert first == second
+
+    def test_broken_representation_raises_layout_error(self):
+        pg, rep, _ = draw(synth_qfg([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (1, 4)]))
+        with pytest.raises(LayoutError, match="no external face"):
+            compact(pg, replace(rep, angles={corner: 2 for corner in rep.angles}))
+        with pytest.raises(LayoutError, match="not one-sided"):
+            compact(pg, replace(rep, bends={(1, 2): 1, (2, 1): 1}))
 
     def test_fuzz_validity(self):
         rng = random.Random(2024)

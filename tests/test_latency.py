@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from helpers import random_netlist
+from ionpd.circuits import generate_cat_circuit
 from ionpd.gates import GateKind
 from ionpd.latency import (
     LatencyConfigError,
@@ -124,6 +125,11 @@ class TestSimulate:
             )
             assert report.total == cat_latency_formula(n)
             assert report.congestion_delay == 0.0
+
+    def test_automatic_cat_within_twice_formula(self):
+        for n in (4, 7, 8, 16, 32, 48, 80):
+            report = full_pipeline(generate_cat_circuit(n))
+            assert report.total <= 2 * cat_latency_formula(n), n
 
     def test_reference_plan_matches_formula_other_models(self):
         model = LatencyModel(
