@@ -7,19 +7,23 @@ fewest-crossings path, and every crossing becomes a degree-4 dummy vertex.
 Parallel edges are split with a routing dummy first so the working graph
 stays simple.
 
-The greedy choice is found by bisection rather than one planarity test per
-edge. Removing edges keeps a graph planar, so "kept graph plus edges[pos:k+1]
-is planar" holds for every k up to the next rejected edge and fails for
-every k after it. The next rejection is therefore the first k where the test
-fails, found by testing the whole remaining suffix once (a planar input
-needs one test in all) and bisecting only when that fails. The kept edges
-are added in input order and trial edges are removed without trace, so the
-adjacency order that feeds the embedding equals that of the one-by-one loop.
+The greedy choice tests planarity only where it must. The kept graph plus
+all edges is tested once, and a planar input is taken whole. Otherwise the
+edges are walked in order against a rotation system of the kept graph
+that knows the face of every half-edge. An edge whose endpoints lie in
+different components, or on a common face, can always be drawn without a
+crossing, so it joins untested at that face's corners. Any other edge
+costs one planarity test of the kept graph plus that edge: if planar, the
+edge stays and the test's embedding replaces the rotation; if not, it is
+removed without trace and deferred. The kept set is therefore exactly that
+of the one-by-one loop, and kept edges enter the graph in input order, so
+the adjacency order that feeds every later embedding is the same too.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import networkx as nx
@@ -115,37 +119,108 @@ def _fresh_embedding(graph: nx.Graph) -> dict[Node, list[Node]]:
     return {v: data.get(v, []) for v in sorted(graph.nodes, key=node_key)}
 
 
+class _FaceBook:
+    """Rotation system of a planar graph, the face id of every half-edge
+    (the `faces_from_embedding` walk rule) and a union-find of components.
+    It starts with the given nodes and no edges."""
+
+    def __init__(self, nodes: Iterable[Node]):
+        self.adopt({v: [] for v in nodes})
+        self.root = {v: v for v in self.rotation}
+
+    def _find(self, v: Node) -> Node:
+        root = self.root
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    def adopt(self, rotation: dict[Node, list[Node]]) -> None:
+        """Replace the rotation (same components) and retrace every face."""
+        self.rotation = rotation
+        self.face_of: dict[HalfEdge, int] = {}
+        self.next_face = 0
+        for u, ring in rotation.items():
+            for v in ring:
+                if (u, v) not in self.face_of:
+                    self._trace((u, v))
+
+    def _trace(self, start: HalfEdge) -> int:
+        """Give the face walk through `start` a fresh id; return the id."""
+        face, self.next_face = self.next_face, self.next_face + 1
+        face_of, rotation = self.face_of, self.rotation
+        cur = start
+        while True:
+            face_of[cur] = face
+            tail, head = cur
+            ring = rotation[head]
+            cur = (head, ring[(ring.index(tail) + 1) % len(ring)])
+            if cur == start:
+                return face
+
+    def place(self, a: Node, b: Node) -> bool:
+        """Insert edge a-b if it joins two components or two corners of one
+        face; False (rotation unchanged) if neither holds."""
+        rotation = self.rotation
+        ra, rb = self._find(a), self._find(b)
+        if ra != rb:
+            self.root[ra] = rb
+            at_a = rotation[a][0] if rotation[a] else None
+            at_b = rotation[b][0] if rotation[b] else None
+            self._insert(a, at_a, b, at_b, split=False)
+            return True
+        corner_of = {self.face_of[(a, y)]: y for y in reversed(rotation[a])}
+        for y in rotation[b]:
+            face = self.face_of[(b, y)]
+            if face in corner_of:
+                self._insert(a, corner_of[face], b, y, split=True)
+                return True
+        return False
+
+    def _insert(self, a: Node, at_a: Node | None, b: Node, at_b: Node | None, split: bool) -> None:
+        """Put b before at_a in a's ring and a before at_b in b's ring (None:
+        the ring is empty), then retrace the faces the new edge touches."""
+        for u, at, v in ((a, at_a, b), (b, at_b, a)):
+            ring = self.rotation[u]
+            ring.insert(0 if at is None else ring.index(at), v)
+        face = self._trace((a, b))
+        if (self.face_of.get((b, a)) == face) == split:
+            raise PlanarizeError(
+                f"edge {a}-{b} did not {'split' if split else 'merge'} its faces: "
+                "stale face bookkeeping"
+            )
+        if split:
+            self._trace((b, a))
+
+
 def _add_planar_greedy(
     graph: nx.Graph, edges: list[tuple[Node, Node]]
 ) -> list[tuple[Node, Node]]:
     """Add each edge in order unless it breaks planarity; return the rest.
 
-    Same result as testing edges one at a time, with one test per rejected
-    edge plus a bisection over the suffix (see the module docstring).
+    Same result as testing edges one at a time, with a test only for an
+    edge whose endpoints share no face (see the module docstring). `graph`
+    holds every endpoint as a node and no edges yet.
     """
+    graph.add_edges_from(edges)
+    is_planar = nx.check_planarity(graph)[0]
+    graph.remove_edges_from(edges)  # deletes the keys: no trace in adjacency order
+    if is_planar:
+        graph.add_edges_from(edges)
+        return []
 
-    def planar_with(extra: list[tuple[Node, Node]]) -> bool:
-        graph.add_edges_from(extra)
-        is_planar = nx.check_planarity(graph)[0]
-        graph.remove_edges_from(extra)  # deletes the keys: no trace in adjacency order
-        return is_planar
-
+    book = _FaceBook(graph.nodes)
     deferred: list[tuple[Node, Node]] = []
-    pos = 0
-    while pos < len(edges):
-        if planar_with(edges[pos:]):
-            graph.add_edges_from(edges[pos:])
-            break
-        lo, hi = pos, len(edges) - 1  # kept graph + edges[pos:hi + 1] is non-planar
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if planar_with(edges[pos:mid + 1]):
-                lo = mid + 1
-            else:
-                hi = mid
-        graph.add_edges_from(edges[pos:lo])
-        deferred.append(edges[lo])
-        pos = lo + 1
+    for a, b in edges:
+        graph.add_edge(a, b)
+        if book.place(a, b):
+            continue
+        is_planar, embedding = nx.check_planarity(graph)
+        if is_planar:
+            book.adopt(embedding.get_data())
+        else:
+            graph.remove_edge(a, b)
+            deferred.append((a, b))
     return deferred
 
 

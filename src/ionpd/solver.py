@@ -80,17 +80,13 @@ class Violation:
 
 
 class _Budget:
+    """Nodes and seconds one scheduling run may spend, over every pass of
+    every horizon it tries."""
+
     def __init__(self, node_budget: int | None, time_budget: float | None):
         self.node_budget = node_budget
         self.deadline = None if time_budget is None else time.monotonic() + time_budget
         self.explored = 0
-
-    def tick(self) -> None:
-        self.explored += 1
-        if self.node_budget is not None and self.explored > self.node_budget:
-            raise SolverBudgetExceeded(self.explored, "node budget")
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise SolverBudgetExceeded(self.explored, "time budget")
 
 
 def _search(
@@ -101,7 +97,13 @@ def _search(
     succs: dict[int, list[int]],
     budget: _Budget,
 ) -> dict[int, int] | None:
-    """DFS with forward checking; `order` fixes both branch and value order."""
+    """DFS with forward checking; `order` fixes both branch and value order.
+
+    Iterative, with one value iterator per depth, so the search depth is not
+    bounded by the recursion limit. Every value tried is one node.
+    """
+    if not order:
+        return {}
     assignment: dict[int, int] = {}
 
     def feasible(instr: int, stage: int) -> bool:
@@ -116,21 +118,38 @@ def _search(
                 return False
         return True
 
-    def extend(depth: int) -> bool:
-        if depth == len(order):
-            return True
-        instr = order[depth]
-        for stage in domains[instr]:
-            budget.tick()
-            if not feasible(instr, stage):
-                continue
-            assignment[instr] = stage
-            if extend(depth + 1):
-                return True
-            del assignment[instr]
-        return False
-
-    return dict(assignment) if extend(0) else None
+    explored, limit, deadline = budget.explored, budget.node_budget, budget.deadline
+    pending: list = []  # value iterators of the shallower depths, resumed on backtrack
+    depth, last = 0, len(order) - 1
+    instr = order[0]
+    values = iter(domains[instr])
+    try:
+        while True:
+            for stage in values:
+                explored += 1
+                if limit is not None and explored > limit:
+                    raise SolverBudgetExceeded(explored, "node budget")
+                if deadline is not None and time.monotonic() > deadline:
+                    raise SolverBudgetExceeded(explored, "time budget")
+                if not feasible(instr, stage):
+                    continue
+                assignment[instr] = stage
+                if depth == last:
+                    return dict(assignment)
+                pending.append(values)
+                depth += 1
+                instr = order[depth]
+                values = iter(domains[instr])
+                break
+            else:  # every value at this depth failed: backtrack
+                if depth == 0:
+                    return None
+                depth -= 1
+                instr = order[depth]
+                values = pending.pop()
+                del assignment[instr]
+    finally:
+        budget.explored = explored
 
 
 def _tables(
@@ -164,10 +183,18 @@ def solve(
     windows: ScheduleWindow,
     node_budget: int | None = None,
     time_budget: float | None = None,
+    *,
+    budget: _Budget | None = None,
 ) -> Schedule | None:
-    """Deterministic assignment within `windows`, or INFEASIBLE (None)."""
+    """Deterministic assignment within `windows`, or INFEASIBLE (None).
+
+    The search spends `budget` when given (`schedule_netlist` shares one
+    over all its horizons), else a fresh one of `node_budget` nodes and
+    `time_budget` seconds.
+    """
     domains, conflicts, preds, succs = _tables(netlist, graph, windows)
-    budget = _Budget(node_budget, time_budget)
+    if budget is None:
+        budget = _Budget(node_budget, time_budget)
     ids = sorted(domains)
 
     # Refutation pass branching on tight windows first, then the canonical
@@ -188,14 +215,19 @@ def schedule_netlist(
     time_budget: float | None = None,
     graph: DataflowGraph | None = None,
 ) -> Schedule:
-    """Minimal-stage schedule: grow the horizon from the lower bound."""
+    """Minimal-stage schedule: grow the horizon from the lower bound.
+
+    `node_budget` and `time_budget` bound the whole run, every horizon
+    tried included.
+    """
     if graph is None:
         graph = build_dataflow(netlist)
     if not netlist.instructions:
         return Schedule({}, 0, 0)
+    budget = _Budget(node_budget, time_budget)
     horizon = max(1, stage_lower_bound(netlist, graph))
     while True:
-        schedule = solve(netlist, graph, asap_alap(graph, horizon), node_budget, time_budget)
+        schedule = solve(netlist, graph, asap_alap(graph, horizon), budget=budget)
         if schedule is not None:
             return schedule
         horizon += 1  # horizon = n is always feasible, so this terminates

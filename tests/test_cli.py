@@ -95,6 +95,16 @@ def test_node_budget_exit_code(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_schedule_1200_instructions(tmp_path, capsys):
+    source = tmp_path / "deep.qasm"
+    source.write_text("".join(f"{g} q{q}\n" for g in ("H", "T", "H", "T") for q in range(300)))
+    out = tmp_path / "o"
+    assert main(["schedule", str(source), "--out", str(out)]) == 0
+    assert "scheduled in 4 stages" in capsys.readouterr().out
+    assert main(["verify", str(source), str(out / "schedule.json")]) == 0
+    assert "OK, 0 violations" in capsys.readouterr().out
+
+
 def test_empty_file_exit_code(tmp_path, capsys):
     empty = tmp_path / "empty.qasm"
     empty.write_text("")

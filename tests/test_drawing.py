@@ -150,7 +150,7 @@ class TestGreedyBisection:
             assert list(fast.adj.items()) == list(ref.adj.items())  # neighbour order too
             assert fast.chains == ref.chains and fast.crossings == ref.crossings
             with_crossings += bool(ref_deferred)
-        assert with_crossings >= 70  # the bisection path is exercised, not only the fast path
+        assert with_crossings >= 70  # the edge-by-edge walk is exercised, not only the one-test path
 
     def test_planar_cat80_takes_two_planarity_tests(self, monkeypatch):
         netlist = generate_cat_circuit(80)
@@ -166,6 +166,55 @@ class TestGreedyBisection:
         pg = planarize(qfg)
         assert pg.crossings == frozenset()
         assert len(calls) == 2  # one for the greedy search, one for the final embedding
+
+    def test_readopted_embeddings_match_sequential_greedy(self, monkeypatch):
+        # the random graphs of test_matches_sequential_greedy, drawn the same way
+        rng = random.Random(31)
+        graphs = [random_degree4_graph(rng) for _ in range(200)]
+        graphs += [dense_degree4_graph(rng, rng.randint(6, 16)) for _ in range(40)]
+        graphs += [layered_flow_graph(rng) for _ in range(8)]
+        adopted = []
+        adopt = planar._FaceBook.adopt
+
+        def counted(book, rotation):
+            adopted.append(1)
+            adopt(book, rotation)
+
+        monkeypatch.setattr(planar._FaceBook, "adopt", counted)
+        graphs_readopting = 0
+        for qfg in graphs:
+            before = len(adopted)
+            fast_deferred, fast = planarize_with(qfg, planar._add_planar_greedy)
+            if len(adopted) - before <= 1:  # only the initial rotation
+                continue
+            graphs_readopting += 1
+            ref_deferred, ref = planarize_with(qfg, sequential_greedy)
+            assert fast_deferred == ref_deferred
+            assert list(fast.adj.items()) == list(ref.adj.items())
+        assert graphs_readopting >= 20
+
+    def test_layered16_planarity_test_count(self, monkeypatch):
+        rng = random.Random(5)
+        graphs = [layered_flow_graph(rng, qubits=16, layers=6) for _ in range(6)]
+        calls = []
+        check = nx.check_planarity
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(planar.nx, "check_planarity", counted)
+        for qfg in graphs:
+            planarize(qfg)
+        assert len(calls) <= 260  # 630 with a bisection per rejected edge
+
+    def test_stale_face_ids_raise(self):
+        book = planar._FaceBook([1, 2, 3, 4])
+        assert all(book.place(a, b) for a, b in [(1, 2), (2, 3), (3, 4), (4, 1)])
+        assert len(set(book.face_of.values())) == 2  # a 4-cycle: inner and outer face
+        book.face_of = dict.fromkeys(book.face_of, 0)
+        with pytest.raises(PlanarizeError, match="stale face bookkeeping"):
+            book.place(1, 3)
 
 
 class TestOrthogonalize:

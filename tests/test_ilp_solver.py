@@ -144,6 +144,14 @@ class TestScheduleNetlist:
         schedule = schedule_netlist(parse_qasm(""))
         assert schedule.stage_count == 0 and schedule.stage_of == {}
 
+    def test_node_budget_bounds_the_whole_run(self):
+        netlist = random_netlist(random.Random(155))
+        # two horizons: 30 nodes prove the first infeasible, 45 solve the second
+        assert schedule_netlist(netlist, node_budget=75).stage_count == 5
+        with pytest.raises(SolverBudgetExceeded) as err:
+            schedule_netlist(netlist, node_budget=60)
+        assert err.value.explored == 61
+
     def test_stage_count_never_below_lower_bound(self):
         rng = random.Random(5)
         for _ in range(40):
