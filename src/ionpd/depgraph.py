@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .gates import DIAGONAL_1Q, NON_UNITARY, Instruction, Netlist
 
@@ -88,18 +89,27 @@ class DataflowGraph:
                     stack.append(nxt)
         return False
 
-    def reduced_edges(self) -> list[tuple[int, int]]:
-        """Transitive reduction, used when emitting ordering constraints."""
+    def reduced_edges(self) -> tuple[tuple[int, int], ...]:
+        """Transitive reduction in sorted order, computed once per graph."""
+        return self._reduced
+
+    @cached_property
+    def _reduced(self) -> tuple[tuple[int, int], ...]:
+        # Ancestor sets are ints used as bitsets over topological positions.
+        # A predecessor is implied iff it is an ancestor of a later
+        # predecessor; scanning predecessors latest first, every skipped one's
+        # ancestors are already in `above`.
+        position = {node: k for k, node in enumerate(self.nodes)}
+        ancestors: dict[int, int] = {}
         kept = []
-        for j, i in sorted(self.edges):
-            implied = any(
-                mid != i and self.reachable(mid, i)
-                for mid in self._succs[j]
-                if mid < i
-            )
-            if not implied:
-                kept.append((j, i))
-        return kept
+        for node in self.nodes:  # node ids ascend, so predecessors are done
+            above = 0
+            for p in reversed(self._preds[node]):
+                if not above >> position[p] & 1:
+                    above |= ancestors[p] | 1 << position[p]
+                    kept.append((p, node))
+            ancestors[node] = above
+        return tuple(sorted(kept))
 
     def critical_path_length(self) -> int:
         """Longest dependency chain, counted in instructions."""

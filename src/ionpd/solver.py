@@ -1,17 +1,43 @@
-"""Branch-and-bound stage solver, schedule validation and brute-force oracle.
+"""Stage solver, schedule validation and brute-force oracle.
 
-The solver performs a complete depth-first search over per-instruction stage
-domains with forward checking on all three constraint series. Branching
-follows ascending instruction id with ascending stage values, so the first
-solution found is the lexicographically smallest feasible stage vector; that
-makes the output canonical and runs independent of each other.
+`solve` gives every instruction a stage inside its `[asap, alap]` window at
+one horizon, so that instructions sharing a qubit get distinct stages and
+each reduced dependency j -> i puts j strictly before i. It is a complete
+depth-first search with bounds propagation:
+
+- Every instruction has stage bounds [lo, hi], first its window. Placing an
+  instruction narrows the bounds of the others; a trail records each change
+  and a backtrack undoes it.
+- Precedence: the successors' lo moves above the stage and the
+  predecessors' hi below it, transitively over the reduced edges.
+- Occupancy: a per-qubit set of occupied stages tells in one lookup per
+  qubit whether a stage is free. The bounds of unplaced instructions on the
+  qubit step past occupied stages.
+- Hall check (Puget, AAAI 1998): on each qubit whose bounds moved, no
+  interval [a, b] may hold the bounds of more unplaced instructions than it
+  has free stages.
+
+A node fails as soon as some bounds cross or a Hall check fails. Every value
+tried is one node.
+
+`solve` makes two passes. The first branches on the tightest windows first
+and only decides feasibility, which it refutes fast. The second branches in
+ascending instruction id with ascending stage values, so it meets the
+feasible stage vectors in lexicographic order. Propagation removes only
+values that no solution extending the current placements uses, so it skips
+none of them, and the first solution found is the lexicographically smallest.
+That makes the output canonical and runs independent of each other.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from .depgraph import (
     DataflowGraph,
@@ -91,38 +117,162 @@ class _Budget:
 
 def _search(
     order: list[int],
-    domains: dict[int, list[int]],
-    conflicts: dict[int, list[int]],
-    preds: dict[int, list[int]],
-    succs: dict[int, list[int]],
+    netlist: Netlist,
+    graph: DataflowGraph,
+    windows: ScheduleWindow,
     budget: _Budget,
 ) -> dict[int, int] | None:
-    """DFS with forward checking; `order` fixes both branch and value order.
+    """DFS with bounds propagation; `order` fixes both branch and value order.
 
-    Iterative, with one value iterator per depth, so the search depth is not
-    bounded by the recursion limit. Every value tried is one node.
+    Variables are the positions in `order`, so the variable branched on at
+    depth d is d and every variable below it is placed. Each placement
+    narrows the stage bounds of the others (`place`); the changes are logged
+    on a trail and undone on backtrack. Iterative, with one value iterator
+    per depth, so the search depth is not bounded by the recursion limit.
+    Every value tried is one node.
     """
     if not order:
         return {}
-    assignment: dict[int, int] = {}
+    position = {instr: k for k, instr in enumerate(order)}
+    qubits_of = {instr.id: instr.qubits for instr in netlist.instructions}
+    qubits = [qubits_of[instr] for instr in order]
+    lo = [windows.asap[instr] for instr in order]
+    hi = [windows.alap[instr] for instr in order]
+    succs: list[list[int]] = [[] for _ in order]
+    preds: list[list[int]] = [[] for _ in order]
+    for j, i in graph.reduced_edges():
+        succs[position[j]].append(position[i])
+        preds[position[i]].append(position[j])
+    linked = [bool(succs[k] or preds[k]) for k in range(len(order))]
+    unplaced: dict[int, set[int]] = {}  # qubit -> unplaced variables on it
+    for k, qs in enumerate(qubits):
+        for q in qs:
+            unplaced.setdefault(q, set()).add(k)
+    taken: dict[int, set[int]] = {q: set() for q in unplaced}  # qubit -> occupied stages
+    occupied = [tuple(taken[q] for q in qs) for qs in qubits]  # variable -> its qubits' sets
+    trail: list[int] = []  # (variable, old lo, old hi) triples, flattened
 
-    def feasible(instr: int, stage: int) -> bool:
-        for other in conflicts[instr]:
-            if assignment.get(other) == stage:
-                return False
-        for p in preds[instr]:
-            if p in assignment and assignment[p] >= stage:
-                return False
-        for s in succs[instr]:
-            if s in assignment and assignment[s] <= stage:
-                return False
+    def hall(q: int) -> bool:
+        """Hall's condition for the unplaced variables on qubit q: no
+        interval [a, b] holds the bounds of more of them than it has free
+        stages. A variable whose bounds met counts as a blocked stage
+        instead, which is the same condition with fewer intervals to test."""
+        ws = unplaced[q]
+        if len(ws) < 3:
+            # bounds never rest on an occupied stage, so with one or two
+            # variables only two fixed to the same stage break the condition
+            if len(ws) < 2:
+                return True
+            v, w = ws
+            return not lo[v] == hi[v] == lo[w] == hi[w]
+        spans = Counter(zip(map(lo.__getitem__, ws), map(hi.__getitem__, ws)))
+        fixed = [a for a, b in spans if a == b]
+        for a in fixed:
+            if spans.pop((a, a)) > 1:
+                return False  # two variables fixed to one stage
+        if not spans:
+            return True
+        blocked = sorted(taken[q].union(fixed))
+        ends = sorted({b for _, b in spans})
+        end_index = {b: j for j, b in enumerate(ends)}
+        inside = [0] * len(ends)  # variables with lo >= a, by their hi
+        for a, group in groupby(sorted(spans, reverse=True), key=itemgetter(0)):
+            for span in group:
+                inside[end_index[span[1]]] += spans[span]
+            count = 0
+            before = bisect_left(blocked, a)
+            for j in range(bisect_left(ends, a), len(ends)):
+                count += inside[j]
+                b = ends[j]
+                if count > b - a + 1 - (bisect_right(blocked, b) - before):
+                    return False
         return True
+
+    def place(k: int, stage: int) -> bool:
+        """Put variable k in `stage` and narrow what that implies; False as
+        soon as some bounds cross or a qubit fails `hall`. The caller undoes
+        the changes either way through `undo`."""
+        # placing a variable whose bounds already met changes no Hall count
+        moved = set() if lo[k] == hi[k] else set(qubits[k])
+        queue = [k]
+
+        def tighten(w: int, a: int, b: int) -> bool:
+            sets = occupied[w]
+            while any(a in t for t in sets):
+                a += 1
+            while any(b in t for t in sets):
+                b -= 1
+            if a > b:
+                return False
+            trail.extend((w, lo[w], hi[w]))
+            lo[w], hi[w] = a, b
+            moved.update(qubits[w])
+            if linked[w]:
+                queue.append(w)
+            return True
+
+        trail.extend((k, lo[k], hi[k]))
+        lo[k] = hi[k] = stage
+        for q in qubits[k]:
+            taken[q].add(stage)
+            unplaced[q].discard(k)
+        # occupancy: a bound on the newly occupied stage steps past it. A
+        # one-qubit variable steps to the qubit's nearest free stage, found
+        # once per qubit, because in a long run of one-qubit gates every
+        # unplaced gate steps at every placement.
+        for q in qubits[k]:
+            t = taken[q]
+            up, down = stage + 1, stage - 1
+            while up in t:
+                up += 1
+            while down in t:
+                down -= 1
+            for w in unplaced[q]:
+                a, b = lo[w], hi[w]
+                if a != stage and b != stage:
+                    continue
+                if len(occupied[w]) > 1:
+                    if not tighten(w, a, b):
+                        return False
+                    continue
+                trail.extend((w, a, b))
+                if a == stage:
+                    lo[w] = a = up
+                if b == stage:
+                    hi[w] = b = down
+                if a > b:
+                    return False
+                moved.add(q)
+                if linked[w]:
+                    queue.append(w)
+        # precedence, transitively over the reduced edges; a placed
+        # variable cannot move, so a bound that would move it fails
+        while queue:
+            v = queue.pop()
+            a = lo[v] + 1
+            for w in succs[v]:
+                if lo[w] < a and (w <= k or not tighten(w, a, hi[w])):
+                    return False
+            b = hi[v] - 1
+            for w in preds[v]:
+                if hi[w] > b and (w <= k or not tighten(w, lo[w], b)):
+                    return False
+        return all(hall(q) for q in moved)
+
+    def undo(k: int, mark: int) -> None:
+        """Take variable k out of its stage and restore the bounds of `mark`."""
+        for q in qubits[k]:
+            taken[q].discard(lo[k])
+            unplaced[q].add(k)
+        while len(trail) > mark:
+            hi_w, lo_w, w = trail.pop(), trail.pop(), trail.pop()
+            lo[w], hi[w] = lo_w, hi_w
 
     explored, limit, deadline = budget.explored, budget.node_budget, budget.deadline
     pending: list = []  # value iterators of the shallower depths, resumed on backtrack
+    marks: list[int] = []  # trail length before each shallower depth's placement
     depth, last = 0, len(order) - 1
-    instr = order[0]
-    values = iter(domains[instr])
+    values = iter(range(lo[0], hi[0] + 1))
     try:
         while True:
             for stage in values:
@@ -131,50 +281,27 @@ def _search(
                     raise SolverBudgetExceeded(explored, "node budget")
                 if deadline is not None and time.monotonic() > deadline:
                     raise SolverBudgetExceeded(explored, "time budget")
-                if not feasible(instr, stage):
+                if any(stage in taken[q] for q in qubits[depth]):
                     continue
-                assignment[instr] = stage
+                mark = len(trail)
+                if not place(depth, stage):
+                    undo(depth, mark)
+                    continue
                 if depth == last:
-                    return dict(assignment)
+                    return {instr: lo[k] for k, instr in enumerate(order)}
                 pending.append(values)
+                marks.append(mark)
                 depth += 1
-                instr = order[depth]
-                values = iter(domains[instr])
+                values = iter(range(lo[depth], hi[depth] + 1))
                 break
             else:  # every value at this depth failed: backtrack
                 if depth == 0:
                     return None
                 depth -= 1
-                instr = order[depth]
                 values = pending.pop()
-                del assignment[instr]
+                undo(depth, marks.pop())
     finally:
         budget.explored = explored
-
-
-def _tables(
-    netlist: Netlist, graph: DataflowGraph, windows: ScheduleWindow
-) -> tuple[dict[int, list[int]], dict[int, list[int]], dict[int, list[int]], dict[int, list[int]]]:
-    """Stage domains, conflicts, and reduced-dependency preds/succs.
-
-    Two instructions conflict when they share a qubit and their windows
-    overlap; these are exactly the pairs the LP export writes series-2 rows
-    for.
-    """
-    domains = {i: list(windows.stages(i)) for i in graph.nodes}
-    conflicts: dict[int, set[int]] = {i: set() for i in domains}
-    for ids in common_qubit_table(netlist).values():
-        for k, b in enumerate(ids):
-            for a in ids[:k]:
-                if max(windows.asap[a], windows.asap[b]) <= min(windows.alap[a], windows.alap[b]):
-                    conflicts[a].add(b)
-                    conflicts[b].add(a)
-    preds: dict[int, list[int]] = {i: [] for i in domains}
-    succs: dict[int, list[int]] = {i: [] for i in domains}
-    for j, i in graph.reduced_edges():
-        preds[i].append(j)
-        succs[j].append(i)
-    return domains, {i: sorted(c) for i, c in conflicts.items()}, preds, succs
 
 
 def solve(
@@ -192,17 +319,16 @@ def solve(
     over all its horizons), else a fresh one of `node_budget` nodes and
     `time_budget` seconds.
     """
-    domains, conflicts, preds, succs = _tables(netlist, graph, windows)
     if budget is None:
         budget = _Budget(node_budget, time_budget)
-    ids = sorted(domains)
+    ids = sorted(graph.nodes)
 
     # Refutation pass branching on tight windows first, then the canonical
     # id-ordered pass; both are complete, the first merely fails faster.
-    by_slack = sorted(ids, key=lambda i: (len(domains[i]), i))
-    if _search(by_slack, domains, conflicts, preds, succs, budget) is None:
+    by_slack = sorted(ids, key=lambda i: (windows.slack(i), i))
+    if _search(by_slack, netlist, graph, windows, budget) is None:
         return INFEASIBLE
-    assignment = _search(ids, domains, conflicts, preds, succs, budget)
+    assignment = _search(ids, netlist, graph, windows, budget)
     if assignment is None:
         raise SolverError("canonical pass found no assignment the refutation pass found")
     stage_count = max(assignment.values(), default=0)

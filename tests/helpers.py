@@ -1,4 +1,5 @@
-"""Shared test oracles: exact unitaries, bend-minimum MILP, random inputs."""
+"""Shared test oracles: exact unitaries, bend-minimum MILP, brute-force and
+MILP stage schedules, random inputs."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import random
 
 import numpy as np
 
+from ionpd.depgraph import DataflowGraph
 from ionpd.gates import GateKind, Instruction, Netlist, make_netlist
 from ionpd.qfg import QubitFlowGraph
 
@@ -181,3 +183,69 @@ def bend_minimum_milp(pg, rep) -> int:
         assert res.success, res.message
         total += round(res.fun)
     return total
+
+
+def lexmin_stages(netlist: Netlist, graph: DataflowGraph, horizon: int) -> dict[int, int] | None:
+    """First valid stage vector of an id-order, ascending-stage enumeration
+    over stages 1..horizon: the lexicographically smallest one, or None."""
+    ids = sorted(i.id for i in netlist.instructions)
+    qubits = {i.id: set(i.qubits) for i in netlist.instructions}
+    stage_of: dict[int, int] = {}
+
+    def place(idx: int) -> bool:
+        if idx == len(ids):
+            return True
+        instr = ids[idx]
+        for stage in range(1, horizon + 1):
+            if any(stage_of[p] >= stage for p in graph.predecessors(instr)):
+                continue
+            if any(s == stage and qubits[o] & qubits[instr] for o, s in stage_of.items()):
+                continue
+            stage_of[instr] = stage
+            if place(idx + 1):
+                return True
+            del stage_of[instr]
+        return False
+
+    return dict(stage_of) if place(0) else None
+
+
+def stage_milp_status(netlist: Netlist, graph: DataflowGraph, horizon: int) -> int:
+    """HiGHS status of the stage assignment at `horizon`: 0 feasible,
+    2 infeasible. Built from the netlist and the full edge set, not from the
+    solver's windows or the ILP export."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    ids = [i.id for i in netlist.instructions]
+    col = {(i, l): k for k, (i, l) in enumerate(itertools.product(ids, range(1, horizon + 1)))}
+    rows, lower, upper = [], [], []
+
+    def row(coeffs: dict[int, float], lo: float, hi: float) -> None:
+        r = np.zeros(len(col))
+        for k, c in coeffs.items():
+            r[k] += c
+        rows.append(r)
+        lower.append(lo)
+        upper.append(hi)
+
+    for i in ids:  # each instruction in exactly one stage
+        row({col[i, l]: 1 for l in range(1, horizon + 1)}, 1, 1)
+    on_qubit: dict[int, list[int]] = {}
+    for instr in netlist.instructions:
+        for q in instr.qubits:
+            on_qubit.setdefault(q, []).append(instr.id)
+    for members in on_qubit.values():  # one instruction per qubit and stage
+        for l in range(1, horizon + 1):
+            row({col[i, l]: 1 for i in members}, 0, 1)
+    for j, i in graph.edges:  # stage(i) - stage(j) >= 1
+        coeffs = {col[i, l]: l for l in range(1, horizon + 1)}
+        for l in range(1, horizon + 1):
+            coeffs[col[j, l]] = -l
+        row(coeffs, 1, np.inf)
+    res = milp(
+        c=np.zeros(len(col)),
+        constraints=LinearConstraint(np.array(rows), lower, upper),
+        bounds=Bounds(0, 1),
+        integrality=np.ones(len(col)),
+    )
+    return res.status

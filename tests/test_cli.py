@@ -105,6 +105,23 @@ def test_schedule_1200_instructions(tmp_path, capsys):
     assert "OK, 0 violations" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "gates",
+    [["H"], ["H", "T"]],
+    ids=["exchangeable", "chain"],
+)
+def test_schedule_1200_gates_on_one_qubit(tmp_path, capsys, gates):
+    # pairwise exchangeable gates all conflict; H and T alternating form a
+    # chain with an edge between every H and every T
+    source = tmp_path / "wire.qasm"
+    source.write_text("".join(f"{gates[k % len(gates)]} q0\n" for k in range(1200)))
+    out = tmp_path / "o"
+    assert main(["schedule", str(source), "--out", str(out)]) == 0
+    assert "scheduled in 1200 stages" in capsys.readouterr().out
+    assert main(["verify", str(source), str(out / "schedule.json")]) == 0
+    assert "OK, 0 violations" in capsys.readouterr().out
+
+
 def test_empty_file_exit_code(tmp_path, capsys):
     empty = tmp_path / "empty.qasm"
     empty.write_text("")

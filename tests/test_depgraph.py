@@ -105,6 +105,32 @@ class TestDataflow:
         for j, i in graph.edges:
             assert thin.reachable(j, i)
 
+    def test_reduction_matches_networkx(self):
+        import networkx as nx
+
+        from ionpd.depgraph import DataflowGraph
+
+        rng = random.Random(23)
+        graphs = [build_dataflow(random_netlist(rng, max_instr=30)) for _ in range(100)]
+        for _ in range(100):
+            n = rng.randint(1, 40)
+            density = rng.random()
+            edges = {(j, i) for i in range(1, n + 1) for j in range(1, i) if rng.random() < density}
+            graphs.append(DataflowGraph(tuple(range(1, n + 1)), frozenset(edges)))
+        chain = "".join(("H q0\n", "T q0\n")[k % 2] for k in range(300))
+        graphs.append(build_dataflow(parse_qasm(chain)))
+        for graph in graphs:
+            dag = nx.DiGraph(graph.edges)
+            dag.add_nodes_from(graph.nodes)
+            expected = sorted(nx.transitive_reduction(dag).edges)
+            assert list(graph.reduced_edges()) == expected
+        assert len(graphs[-1].edges) == 150 * 150  # every H against every T
+        assert graphs[-1].reduced_edges() == tuple((k, k + 1) for k in range(1, 300))
+
+    def test_reduction_is_computed_once(self, code932):
+        graph = build_dataflow(code932)
+        assert graph.reduced_edges() is graph.reduced_edges()
+
     def test_exports(self, code932):
         graph = build_dataflow(code932)
         assert '"nodes"' in graph.to_json()

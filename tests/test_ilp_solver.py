@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from helpers import random_netlist
+from helpers import lexmin_stages, random_netlist, stage_milp_status
 from ionpd.circuits import generate_cat_circuit
 from ionpd.depgraph import asap_alap, build_dataflow, stage_lower_bound
+from ionpd.gates import GateKind, make_netlist
 from ionpd.ilp import emit_ilp, to_lp_text
 from ionpd.qasm import parse_qasm
 from ionpd.solver import (
@@ -146,11 +147,12 @@ class TestScheduleNetlist:
 
     def test_node_budget_bounds_the_whole_run(self):
         netlist = random_netlist(random.Random(155))
-        # two horizons: 30 nodes prove the first infeasible, 45 solve the second
-        assert schedule_netlist(netlist, node_budget=75).stage_count == 5
+        # two horizons: 6 nodes prove the first infeasible, 20 solve the
+        # second; a budget of 20 covers either horizon but not both
+        assert schedule_netlist(netlist, node_budget=26).stage_count == 5
         with pytest.raises(SolverBudgetExceeded) as err:
-            schedule_netlist(netlist, node_budget=60)
-        assert err.value.explored == 61
+            schedule_netlist(netlist, node_budget=20)
+        assert err.value.explored == 21
 
     def test_stage_count_never_below_lower_bound(self):
         rng = random.Random(5)
@@ -160,6 +162,42 @@ class TestScheduleNetlist:
             schedule = schedule_netlist(netlist, graph=graph)
             assert schedule.stage_count >= stage_lower_bound(netlist, graph)
             assert validate(netlist, graph, schedule) == []
+
+
+def sched_netlist(k):
+    """60 gates on 10 qubits drawn from random.Random(f"sched:{k}"), the
+    generator of the benchmark's random `sched` netlists."""
+    kinds = [
+        GateKind.H, GateKind.X, GateKind.T, GateKind.S,
+        GateKind.CX, GateKind.CZ, GateKind.CY,
+    ]
+    rng = random.Random(f"sched:{k}")
+    gates = []
+    for _ in range(60):
+        kind = kinds[rng.randrange(len(kinds))]
+        if kind.arity == 1:
+            gates.append((kind, (), rng.randrange(10)))
+        else:
+            a, b = rng.sample(range(10), 2)
+            gates.append((kind, (a,), b))
+    return make_netlist(gates)
+
+
+# netlists on which a search without propagation spends 10^6 nodes at the
+# optimal horizon, with that horizon
+HARD_SCHED = {4: 17, 11: 18, 15: 17, 17: 15}
+
+
+@pytest.mark.parametrize("k", sorted(HARD_SCHED))
+def test_hard_sched_netlist_is_minimal_within_budget(k):
+    netlist = sched_netlist(k)
+    graph = build_dataflow(netlist)
+    schedule = schedule_netlist(netlist, node_budget=10_000, graph=graph)
+    assert validate(netlist, graph, schedule) == []
+    stages = HARD_SCHED[k]
+    assert schedule.stage_count == schedule.horizon == stages
+    assert stage_milp_status(netlist, graph, stages) == 0
+    assert stage_milp_status(netlist, graph, stages - 1) == 2  # infeasible
 
 
 class TestValidate:
@@ -207,6 +245,16 @@ class TestOracle:
         netlist = generate_cat_circuit(12)
         with pytest.raises(ValueError):
             oracle_min_stages(netlist, build_dataflow(netlist))
+
+    def test_schedule_is_lexmin_at_minimal_horizon(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            netlist = random_netlist(rng)
+            graph = build_dataflow(netlist)
+            horizon = oracle_min_stages(netlist, graph)
+            schedule = schedule_netlist(netlist, graph=graph)
+            assert schedule.horizon == horizon
+            assert schedule.stage_of == lexmin_stages(netlist, graph, horizon)
 
     def test_matches_solver_on_random_instances(self):
         rng = random.Random(99)
