@@ -10,17 +10,19 @@ and PrepZ are ordered against everything on their wire.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from .artifact import render_json
 from .gates import DIAGONAL_1Q, NON_UNITARY, Instruction, Netlist
 
 
 def exchangeable(a: Instruction, b: Instruction) -> bool:
-    shared = set(a.qubits) & set(b.qubits)
-    if not shared:
-        return True
+    return set(a.qubits).isdisjoint(b.qubits) or _exchangeable_sharing(a, b)
+
+
+def _exchangeable_sharing(a: Instruction, b: Instruction) -> bool:
+    """`exchangeable` for two instructions known to share a qubit."""
     if a.kind in NON_UNITARY or b.kind in NON_UNITARY:
         return False
     if a.kind.arity == 1 and b.kind.arity == 1:
@@ -121,11 +123,7 @@ class DataflowGraph:
         return best
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"nodes": list(self.nodes), "edges": sorted(self.edges)},
-            indent=2,
-            sort_keys=True,
-        )
+        return render_json({"nodes": list(self.nodes), "edges": sorted(self.edges)})
 
     def to_dot(self) -> str:
         lines = ["digraph dataflow {"]
@@ -138,13 +136,24 @@ class DataflowGraph:
 
 
 def build_dataflow(netlist: Netlist) -> DataflowGraph:
-    """Edge j -> i for every earlier, qubit-sharing, non-exchangeable j."""
-    edges = set()
+    """Edge j -> i for every earlier, qubit-sharing, non-exchangeable j.
+
+    The candidates for i are the ids before it in the common-qubit rows of
+    its qubits; each candidate pair is tested once, even when it shares two
+    qubits.
+    """
     instrs = netlist.instructions
-    for bi, b in enumerate(instrs):
-        for a in instrs[:bi]:
-            if set(a.qubits) & set(b.qubits) and not exchangeable(a, b):
-                edges.add((a.id, b.id))
+    table = common_qubit_table(netlist)
+    passed = dict.fromkeys(table, 0)  # qubit -> ids in its row before b
+    edges = []
+    for b in instrs:
+        earlier: list[int] | set[int] = []
+        for q in b.qubits:
+            earlier += table[q][: passed[q]]
+            passed[q] += 1
+        if len(b.qubits) > 1:  # a pair sharing two qubits is in both rows
+            earlier = set(earlier)
+        edges += [(j, b.id) for j in earlier if not _exchangeable_sharing(instrs[j - 1], b)]
     return DataflowGraph(tuple(i.id for i in instrs), frozenset(edges))
 
 

@@ -7,8 +7,9 @@ shared endpoints or at registered crossing points.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+
+from .artifact import render_json
 
 Point = tuple[int, int]
 EdgeKey = tuple[int, int, int]  # (from id, to id, qubit)
@@ -42,7 +43,7 @@ class OrthogonalDrawing:
             ],
             "crossings": [list(p) for p in self.crossings],
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return render_json(payload)
 
     def to_svg(self, cell: int = 24, margin: int = 20) -> str:
         xs = [x for x, _ in self.node_pos.values()] or [0]

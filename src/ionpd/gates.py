@@ -11,6 +11,8 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
+from .artifact import render_json
+
 
 class GateKind(Enum):
     H = ("H", 1)
@@ -120,7 +122,7 @@ class Netlist:
                 for i in self.instructions
             ],
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return render_json(payload)
 
     @staticmethod
     def from_json(text: str) -> "Netlist":

@@ -14,10 +14,10 @@ instruction id through the deterministic processing order.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
+from .artifact import render_json
 from .depgraph import DataflowGraph, build_dataflow
 from .gates import GateKind, Netlist
 from .macrolayout import MacroLayout, Point, RoutePlan
@@ -145,7 +145,7 @@ class LatencyReport:
                 for m in self.movements
             ],
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return render_json(payload)
 
 
 def simulate(

@@ -10,9 +10,11 @@ to three macroblocks, which leaves that channel block free by construction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from itertools import combinations
+from operator import itemgetter
 
+from .artifact import render_json
 from .drawing import EdgeKey, OrthogonalDrawing, Point
 from .gates import Netlist
 from .qfg import QubitFlowGraph
@@ -50,20 +52,29 @@ class Macroblock:
 
     @property
     def kind(self) -> str:
-        ports = self.ports
-        if ports == frozenset({"E", "W"}):
-            return "GATE_STRAIGHT_H" if self.gate_of else "STRAIGHT_H"
-        if ports == frozenset({"N", "S"}):
-            return "GATE_STRAIGHT_V" if self.gate_of else "STRAIGHT_V"
-        if len(ports) == 4:
-            return "CROSS"
-        if len(ports) == 3:
-            return "TEE_" + "".join(p for p in _ORDER if p in ports)
-        if len(ports) == 2:
-            return "TURN_" + "".join(p for p in _ORDER if p in ports)
-        if len(ports) == 1:
-            return "DEAD_END_" + next(iter(ports))
-        raise LayoutError("macroblock with no ports")
+        kind = _KIND_OF_PORTS.get(self.ports)
+        if kind is None:
+            raise LayoutError("macroblock with no ports")
+        # __post_init__ admits gates on straight blocks only
+        return "GATE_" + kind if self.gate_of else kind
+
+
+def _kind_name(ports: tuple[str, ...]) -> str:
+    """Kind of a gate-free block whose ports, in _ORDER, are `ports`."""
+    if ports == ("E", "W"):
+        return "STRAIGHT_H"
+    if ports == ("S", "N"):
+        return "STRAIGHT_V"
+    if len(ports) == 4:
+        return "CROSS"
+    return {3: "TEE_", 2: "TURN_", 1: "DEAD_END_"}[len(ports)] + "".join(ports)
+
+
+_KIND_OF_PORTS: dict[frozenset[str], str] = {
+    frozenset(ports): _kind_name(ports)
+    for n in range(1, 5)
+    for ports in combinations(_ORDER, n)
+}
 
 
 @dataclass(frozen=True)
@@ -111,30 +122,39 @@ class MacroLayout:
                 for i, (x, y) in sorted(self.gate_location_of.items())
             ],
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return render_json(payload)
 
     def to_text(self) -> str:
-        """Cell-level glyph grid: '#' electrode, '.' channel, digit gate trap."""
+        """Cell-level glyph grid: '#' electrode, '.' channel, digit gate trap.
+
+        Each block is 3x3 cells of two characters; blank cells pad between
+        blocks and nothing pads a row's end. Rows are rendered one block row
+        at a time, so the bounding box itself is never allocated.
+        """
         if not self.blocks:
             return "(empty layout)\n"
-        xs = [x for x, _ in self.blocks]
-        ys = [y for _, y in self.blocks]
-        x0, y0 = min(xs), min(ys)
-        width = (max(xs) - x0 + 1) * 3
-        height = (max(ys) - y0 + 1) * 3
-        grid = [["  "] * width for _ in range(height)]
-        for (bx, by), block in self.blocks.items():
-            cx, cy = (bx - x0) * 3, (by - y0) * 3
-            for dy in range(3):
-                for dx in range(3):
-                    grid[cy + dy][cx + dx] = "##"
-            grid[cy + 1][cx + 1] = ".."
-            for port in block.ports:
-                dx, dy = DIRS[port]
-                grid[cy + 1 + dy][cx + 1 + dx] = ".."
-            if block.gate_of:
-                grid[cy + 1][cx + 1] = f"{block.gate_of[0]:2d}"
-        lines = ["".join(row).rstrip() for row in grid]
+        x0 = min(x for x, _ in self.blocks)
+        rows: dict[int, list[tuple[int, Macroblock]]] = {}
+        for (x, y), block in self.blocks.items():
+            rows.setdefault(y, []).append((x, block))
+        lines = []
+        for y in range(min(rows), max(rows) + 1):
+            top, middle, bottom = [], [], []
+            next_x = x0
+            for x, block in sorted(rows.get(y, ()), key=itemgetter(0)):
+                pad = "      " * (x - next_x)
+                next_x = x + 1
+                ports = block.ports
+                centre = f"{block.gate_of[0]:2d}" if block.gate_of else ".."
+                top.append(pad + ("##..##" if "N" in ports else "######"))
+                middle.append(
+                    pad
+                    + (".." if "W" in ports else "##")
+                    + centre
+                    + (".." if "E" in ports else "##")
+                )
+                bottom.append(pad + ("##..##" if "S" in ports else "######"))
+            lines += ("".join(top), "".join(middle), "".join(bottom))
         legend = [
             f"gate {i} at block ({x},{y})"
             for i, (x, y) in sorted(self.gate_location_of.items())

@@ -8,9 +8,9 @@ and two-qubit gates.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
+from .artifact import render_json
 from .depgraph import DataflowGraph, build_dataflow, common_qubit_table
 from .gates import Netlist
 from .solver import Schedule, validate
@@ -40,7 +40,7 @@ class QubitFlowGraph:
                 {"from": i, "to": j, "qubit": q} for i, j, q in self.edges
             ],
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return render_json(payload)
 
     def to_dot(self) -> str:
         lines = ["digraph qfg {", "  rankdir=TB;"]

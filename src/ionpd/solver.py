@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 
+from .artifact import render_json
 from .depgraph import (
     DataflowGraph,
     ScheduleWindow,
@@ -84,7 +85,7 @@ class Schedule:
                 for stage, ids in self.stages().items()
             ],
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return render_json(payload)
 
     @staticmethod
     def from_json(text: str) -> "Schedule":

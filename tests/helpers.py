@@ -1,5 +1,6 @@
 """Shared test oracles: exact unitaries, bend-minimum MILP, brute-force and
-MILP stage schedules, random inputs."""
+MILP stage schedules, the all-pairs dataflow rule, the full-grid layout
+text, random inputs."""
 
 from __future__ import annotations
 
@@ -8,9 +9,11 @@ import random
 
 import numpy as np
 
-from ionpd.depgraph import DataflowGraph
+from ionpd.depgraph import DataflowGraph, exchangeable
 from ionpd.gates import GateKind, Instruction, Netlist, make_netlist
-from ionpd.qfg import QubitFlowGraph
+from ionpd.macrolayout import DIRS, MacroLayout
+from ionpd.qfg import QubitFlowGraph, build_qfg
+from ionpd.solver import Schedule
 
 _SQ = {
     GateKind.H: np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
@@ -112,6 +115,24 @@ def random_degree4_graph(rng: random.Random, max_nodes: int = 12) -> QubitFlowGr
     return synth_qfg(nodes, edges)
 
 
+def layered_flow_graph(rng, qubits=8, layers=6):
+    """Flow graph of random layers: a one-qubit gate on every qubit, then a
+    perfect matching of two-qubit gates, each layer two stages."""
+    gates, stages = [], []
+    for layer in range(layers):
+        for q in range(qubits):
+            gates.append((rng.choice([GateKind.H, GateKind.T, GateKind.X]), (), q))
+            stages.append(2 * layer + 1)
+        order = list(range(qubits))
+        rng.shuffle(order)
+        for a, b in zip(order[::2], order[1::2]):
+            gates.append((rng.choice([GateKind.CX, GateKind.CZ]), (a,), b))
+            stages.append(2 * layer + 2)
+    netlist = make_netlist(gates)
+    stage_of = {instr.id: stage for instr, stage in zip(netlist.instructions, stages)}
+    return build_qfg(netlist, Schedule(stage_of, 2 * layers, 2 * layers))
+
+
 _RANDOM_KINDS = [
     GateKind.H, GateKind.X, GateKind.T, GateKind.S,
     GateKind.CX, GateKind.CZ, GateKind.CY,
@@ -130,6 +151,19 @@ def random_netlist(rng: random.Random, max_instr: int = 10, max_qubits: int = 6)
             a, b = rng.sample(range(qubits), 2)
             gates.append((kind, (a,), b))
     return make_netlist(gates)
+
+
+def all_pairs_dataflow(netlist: Netlist) -> DataflowGraph:
+    """`build_dataflow` by its definition: every earlier instruction is a
+    candidate, kept if it shares a qubit and is not exchangeable."""
+    instrs = netlist.instructions
+    edges = {
+        (a.id, b.id)
+        for k, b in enumerate(instrs)
+        for a in instrs[:k]
+        if set(a.qubits) & set(b.qubits) and not exchangeable(a, b)
+    }
+    return DataflowGraph(tuple(i.id for i in instrs), frozenset(edges))
 
 
 def bend_minimum_milp(pg, rep) -> int:
@@ -249,3 +283,33 @@ def stage_milp_status(netlist: Netlist, graph: DataflowGraph, horizon: int) -> i
         integrality=np.ones(len(col)),
     )
     return res.status
+
+
+def reference_layout_text(layout: MacroLayout) -> str:
+    """`MacroLayout.to_text` by the full bounding-box grid of 2-character
+    cells, each row right-stripped."""
+    if not layout.blocks:
+        return "(empty layout)\n"
+    xs = [x for x, _ in layout.blocks]
+    ys = [y for _, y in layout.blocks]
+    x0, y0 = min(xs), min(ys)
+    width = (max(xs) - x0 + 1) * 3
+    height = (max(ys) - y0 + 1) * 3
+    grid = [["  "] * width for _ in range(height)]
+    for (bx, by), block in layout.blocks.items():
+        cx, cy = (bx - x0) * 3, (by - y0) * 3
+        for dy in range(3):
+            for dx in range(3):
+                grid[cy + dy][cx + dx] = "##"
+        grid[cy + 1][cx + 1] = ".."
+        for port in block.ports:
+            dx, dy = DIRS[port]
+            grid[cy + 1 + dy][cx + 1 + dx] = ".."
+        if block.gate_of:
+            grid[cy + 1][cx + 1] = f"{block.gate_of[0]:2d}"
+    lines = ["".join(row).rstrip() for row in grid]
+    legend = [
+        f"gate {i} at block ({x},{y})"
+        for i, (x, y) in sorted(layout.gate_location_of.items())
+    ]
+    return "\n".join(lines + legend) + "\n"

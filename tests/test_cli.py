@@ -3,7 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from ionpd.artifact import render_json
 from ionpd.cli import main
+from ionpd.gates import Netlist
+from ionpd.solver import Schedule
 
 ROOT = Path(__file__).resolve().parent.parent
 CODE932 = str(ROOT / "circuits" / "code_9_3_2.qasm")
@@ -46,6 +49,25 @@ def test_byte_identical_reruns(tmp_path):
         assert main(["latency", CODE932, "--out", str(out), "--emit", "dot,svg,lp,json"]) == 0
     for path in sorted(out1.iterdir()):
         assert path.read_bytes() == (out2 / path.name).read_bytes(), path.name
+
+
+def test_json_artifacts_are_compact_sorted_lines(tmp_path):
+    out = tmp_path / "fmt"
+    assert main(["latency", CODE932, "--out", str(out), "--emit", "dot,svg,lp,json"]) == 0
+    paths = sorted(out.glob("*.json"))
+    assert [p.name for p in paths] == [
+        "dataflow.json", "drawing.json", "latency.json", "layout.json",
+        "netlist.json", "qfg.json", "schedule.json",
+    ]
+    for path in paths:
+        text = path.read_text()
+        assert text.endswith("\n") and text.count("\n") == 1, path.name
+        payload = json.loads(text)
+        compact = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        assert text == render_json(payload) == compact, path.name
+    for name, reader in (("netlist.json", Netlist), ("schedule.json", Schedule)):
+        text = read(out, name)
+        assert reader.from_json(text).to_json() == text
 
 
 def test_parse_subcommand(tmp_path, capsys):

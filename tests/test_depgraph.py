@@ -1,9 +1,10 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import random_netlist
+from helpers import all_pairs_dataflow, random_netlist
 from ionpd.circuits import generate_cat_circuit
 from ionpd.depgraph import (
     InfeasibleHorizon,
@@ -15,6 +16,8 @@ from ionpd.depgraph import (
 )
 from ionpd.gates import GateKind, Instruction, make_netlist
 from ionpd.qasm import parse_qasm
+
+TOFFOLI_PAIR = Path(__file__).resolve().parent.parent / "circuits" / "toffoli_pair.qasm"
 
 
 def gate(kind, controls, target, gate_id=1):
@@ -94,6 +97,13 @@ class TestDataflow:
             a, b = code932[j], code932[i]
             assert set(a.qubits) & set(b.qubits)
             assert not exchangeable(a, b)
+
+    def test_matches_all_pairs_rule(self, code932):
+        rng = random.Random(41)
+        netlists = [random_netlist(rng, max_instr=30) for _ in range(200)]
+        netlists += [generate_cat_circuit(80), code932, parse_qasm(TOFFOLI_PAIR.read_text())]
+        for netlist in netlists:
+            assert build_dataflow(netlist) == all_pairs_dataflow(netlist)
 
     def test_reduction_preserves_reachability(self, code932):
         graph = build_dataflow(code932)

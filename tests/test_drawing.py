@@ -6,17 +6,16 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from helpers import bend_minimum_milp, random_degree4_graph, synth_qfg
+from helpers import bend_minimum_milp, layered_flow_graph, random_degree4_graph, synth_qfg
 from ionpd import planar
 from ionpd.circuits import generate_cat_circuit
 from ionpd.compact import compact
 from ionpd.drawing import OrthogonalDrawing, validate_drawing
-from ionpd.gates import GateKind, make_netlist
 from ionpd.macrolayout import LayoutError
 from ionpd.orthogonal import min_cost_flow, orthogonalize
 from ionpd.planar import PlanarizeError, planarize
 from ionpd.qfg import build_qfg
-from ionpd.solver import Schedule, schedule_netlist
+from ionpd.solver import schedule_netlist
 
 
 def draw(qfg):
@@ -114,24 +113,6 @@ def dense_degree4_graph(rng, n):
             deg[a] += 1
             deg[b] += 1
     return synth_qfg(list(range(1, n + 1)), edges)
-
-
-def layered_flow_graph(rng, qubits=8, layers=6):
-    """Flow graph of random layers: a one-qubit gate on every qubit, then a
-    perfect matching of two-qubit gates, each layer two stages."""
-    gates, stages = [], []
-    for layer in range(layers):
-        for q in range(qubits):
-            gates.append((rng.choice([GateKind.H, GateKind.T, GateKind.X]), (), q))
-            stages.append(2 * layer + 1)
-        order = list(range(qubits))
-        rng.shuffle(order)
-        for a, b in zip(order[::2], order[1::2]):
-            gates.append((rng.choice([GateKind.CX, GateKind.CZ]), (a,), b))
-            stages.append(2 * layer + 2)
-    netlist = make_netlist(gates)
-    stage_of = {instr.id: stage for instr, stage in zip(netlist.instructions, stages)}
-    return build_qfg(netlist, Schedule(stage_of, 2 * layers, 2 * layers))
 
 
 class TestGreedyBisection:

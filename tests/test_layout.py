@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from helpers import random_degree4_graph, synth_qfg
+from helpers import layered_flow_graph, random_degree4_graph, reference_layout_text, synth_qfg
 from ionpd.circuits import generate_cat_circuit
 from ionpd.compact import compact
 from ionpd.drawing import OrthogonalDrawing
 from ionpd.macrolayout import (
     LayoutError,
+    MacroLayout,
     Macroblock,
     RoutePlan,
     RouteStep,
@@ -210,3 +211,44 @@ def test_layout_renders(code932):
     assert "gate 1 at block" in text
     assert layout.to_svg().startswith("<svg")
     assert '"blocks"' in layout.to_json()
+
+
+def assert_text_matches_reference(layout):
+    # compared line by line: pytest's diff of two multi-megabyte strings
+    # takes minutes, of two lists it names the first differing line
+    assert layout.to_text().split("\n") == reference_layout_text(layout).split("\n")
+
+
+class TestText:
+    """`to_text` renders row by row; the full-grid renderer is the reference."""
+
+    @pytest.mark.parametrize("n", [7, 32, 320])
+    def test_cat(self, n):
+        _, _, _, layout = pipeline(generate_cat_circuit(n))
+        assert_text_matches_reference(layout)
+        if n == 320:  # a gate id of three digits widens its row by one character
+            assert max(layout.gate_location_of) >= 100
+
+    def test_code932(self, code932):
+        _, _, _, layout = pipeline(code932)
+        assert_text_matches_reference(layout)
+
+    def test_layered16(self):
+        pg = planarize(layered_flow_graph(random.Random(5), qubits=16))
+        layout = tile(compact(pg, orthogonalize(pg)))
+        assert_text_matches_reference(layout)
+
+    def test_gaps_between_blocks_and_rows(self):
+        blocks = {
+            (0, 0): Macroblock(frozenset("EW"), (123,)),
+            (3, 0): Macroblock(frozenset("NS"), (7,)),
+            (2, 3): Macroblock(frozenset("ESWN")),
+            (-1, 3): Macroblock(frozenset("S")),
+        }
+        layout = MacroLayout(blocks, {123: (0, 0), 7: (3, 0)}, {})
+        assert_text_matches_reference(layout)
+        assert "\n\n\n\n" in layout.to_text()  # rows 1 and 2 hold no block
+
+    def test_empty(self):
+        layout = MacroLayout({}, {}, {})
+        assert layout.to_text() == reference_layout_text(layout) == "(empty layout)\n"
