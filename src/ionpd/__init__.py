@@ -31,7 +31,7 @@ from .macrolayout import MacroLayout, Macroblock, RoutePlan, place_qubits, route
 from .orthogonal import OrthoRep, orthogonalize
 from .planar import PlanarizedGraph, planarize
 from .qasm import parse_qasm, render_qasm
-from .qfg import QubitFlowGraph, build_qfg, qfg_degree_check
+from .qfg import QubitFlowGraph, build_qfg
 from .refplan import build_reference_cat_plan
 from .solver import (
     INFEASIBLE,
@@ -51,7 +51,7 @@ __all__ = [
     "cat_latency_formula", "common_qubit_table", "compact", "decompose",
     "emit_ilp", "exchangeable", "generate_cat_circuit", "load_latency_model",
     "make_netlist", "oracle_min_stages", "orthogonalize", "parse_qasm",
-    "place_qubits", "planarize", "qfg_degree_check", "render_qasm", "route",
+    "place_qubits", "planarize", "render_qasm", "route",
     "schedule_netlist", "simulate", "solve", "stage_lower_bound", "tile",
     "to_lp_text", "validate", "validate_drawing",
 ]

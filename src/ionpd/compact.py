@@ -10,6 +10,8 @@ coordinates with heuristically short edges.
 
 from __future__ import annotations
 
+import networkx as nx
+
 from .drawing import OrthogonalDrawing, Point
 from .macrolayout import LayoutError
 from .orthogonal import OrthoRep
@@ -64,7 +66,7 @@ def _bend_values(rep: OrthoRep, u: Node, v: Node) -> list[int]:
 
 
 def _build_mesh(
-    rep: OrthoRep, face_idx: list[int], names: "_NameSource"
+    rep: OrthoRep, face_idx: tuple[int, ...], names: "_NameSource"
 ) -> tuple[_Mesh, dict[tuple[Node, Node], list[str]], dict[tuple, int]]:
     """Subdivide bends and link the refined face walks of one component."""
     mesh = _Mesh()
@@ -249,48 +251,29 @@ def _refine(mesh: _Mesh, names: _NameSource) -> None:
 
 def _coordinates(mesh: _Mesh) -> dict[Node, Point]:
     nodes = sorted({n for he in mesh.nxt for n in he}, key=node_key)
-    index = {n: k for k, n in enumerate(nodes)}
 
-    def compact_axis(vertical_dirs: tuple[int, int], forward: int) -> dict[Node, int]:
-        parent = list(range(len(nodes)))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for (a, b), d in mesh.dirs.items():
-            if d in vertical_dirs:
-                ra, rb = find(index[a]), find(index[b])
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-        arcs: dict[int, set[int]] = {}
-        indeg: dict[int, int] = {}
-        chains = sorted({find(k) for k in range(len(nodes))})
-        for ch in chains:
-            arcs[ch] = set()
-            indeg[ch] = 0
-        for (a, b), d in mesh.dirs.items():
-            if d == forward:
-                ca, cb = find(index[a]), find(index[b])
-                if cb not in arcs[ca]:
-                    arcs[ca].add(cb)
-                    indeg[cb] += 1
-        coord = {ch: 0 for ch in chains}
-        queue = sorted(ch for ch in chains if indeg[ch] == 0)
-        order = []
-        while queue:
-            ch = queue.pop(0)
-            order.append(ch)
-            for other in sorted(arcs[ch]):
-                coord[other] = max(coord[other], coord[ch] + 1)
-                indeg[other] -= 1
-                if indeg[other] == 0:
-                    queue.append(other)
-        if len(order) != len(chains):
-            raise LayoutError("cyclic compaction constraints")
-        return {n: coord[find(index[n])] for n in nodes}
+    def compact_axis(line_dirs: tuple[int, int], forward: int) -> dict[Node, int]:
+        """One coordinate per line (a component of `line_dirs` edges): the
+        longest path to it along `forward` edges, i.e. its topological
+        generation."""
+        lines = nx.Graph()
+        lines.add_nodes_from(nodes)
+        lines.add_edges_from(he for he, d in mesh.dirs.items() if d in line_dirs)
+        line_of = {n: k for k, line in enumerate(nx.connected_components(lines)) for n in line}
+        order = nx.DiGraph()
+        order.add_nodes_from(line_of.values())
+        order.add_edges_from(
+            (line_of[a], line_of[b]) for (a, b), d in mesh.dirs.items() if d == forward
+        )
+        try:
+            coord = {
+                line: depth
+                for depth, generation in enumerate(nx.topological_generations(order))
+                for line in generation
+            }
+        except nx.NetworkXUnfeasible as exc:
+            raise LayoutError("cyclic compaction constraints") from exc
+        return {n: coord[line_of[n]] for n in nodes}
 
     xs = compact_axis((_NORTH, _SOUTH), _EAST)
     ys = compact_axis((_EAST, _WEST), _SOUTH)
@@ -298,12 +281,8 @@ def _coordinates(mesh: _Mesh) -> dict[Node, Point]:
 
 
 def _component_positions(
-    pg: PlanarizedGraph, rep: OrthoRep, comp: list[Node], names: _NameSource
+    rep: OrthoRep, comp: tuple[Node, ...], face_idx: tuple[int, ...], names: _NameSource
 ) -> tuple[dict[Node, Point], dict[tuple[Node, Node], list[str]]]:
-    comp_set = set(comp)
-    face_idx = [
-        fi for fi, walk in enumerate(rep.faces) if walk and walk[0][0] in comp_set
-    ]
     if not face_idx:
         return {comp[0]: (0, 0)}, {}
     mesh, bend_nodes, angles_after = _build_mesh(rep, face_idx, names)
@@ -325,8 +304,8 @@ def compact(pg: PlanarizedGraph, rep: OrthoRep) -> OrthogonalDrawing:
     positions: dict[Node, Point] = {}
     bend_map: dict[tuple[Node, Node], list[str]] = {}
     offset = 0
-    for comp in pg.components():
-        local, bends = _component_positions(pg, rep, comp, names)
+    for comp, face_idx in pg.component_faces():
+        local, bends = _component_positions(rep, comp, face_idx, names)
         xs = [p[0] for p in local.values()]
         ys = [p[1] for p in local.values()]
         dx, dy = offset - min(xs), -min(ys)

@@ -29,13 +29,9 @@ class GateKind(Enum):
     Measure = ("Measure", 1)
     PrepZ = ("PrepZ", 1)
 
-    @property
-    def label(self) -> str:
-        return self.value[0]
-
-    @property
-    def arity(self) -> int:
-        return self.value[1]
+    def __init__(self, label: str, arity: int) -> None:
+        self.label = label
+        self.arity = arity
 
 
 # Upper-cased spelling -> kind; CCX is accepted as a Toffoli alias.

@@ -210,8 +210,7 @@ def simulate(
                     if not final:
                         cell_free[step.cell] = max(cell_free.get(step.cell, 0.0), t)
                     prev_cell = step.cell
-                straights = 3 * sum(1 for s in leg if not s.turn)
-                turns = sum(1 for s in leg if s.turn)
+                straights, turns = routes.straights_and_turns(qubit, edge)
                 movements.append(Movement(qubit, edge, straights, turns, delay))
                 movement_time[qubit] = movement_time.get(qubit, 0.0) + (
                     straights * m.straight_move + turns * m.turn

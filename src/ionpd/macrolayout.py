@@ -226,11 +226,9 @@ def polyline_cells(points: tuple[Point, ...]) -> list[Point]:
 def tile(drawing: OrthogonalDrawing) -> MacroLayout:
     """Convert a drawing into a port-consistent macroblock grid."""
     demands: dict[Point, set[str]] = {}
-    scaled_routes: dict[EdgeKey, list[Point]] = {}
     for key, pts in sorted(drawing.routes.items()):
         scaled = tuple((x * SCALE, y * SCALE) for x, y in pts)
         cells = polyline_cells(scaled)
-        scaled_routes[key] = cells
         for a, b in zip(cells, cells[1:]):
             d = _direction(a, b)
             demands.setdefault(a, set()).add(d)

@@ -84,17 +84,6 @@ class OrthoRep:
         return out
 
 
-def _component_faces(
-    pg: PlanarizedGraph, faces: list[list[HalfEdge]]
-) -> list[tuple[list[Node], list[int]]]:
-    by_first: list[tuple[list[Node], list[int]]] = []
-    for comp in pg.components():
-        comp_set = set(comp)
-        indices = [fi for fi, walk in enumerate(faces) if walk[0][0] in comp_set]
-        by_first.append((comp, indices))
-    return by_first
-
-
 def _wide_costs(pg: PlanarizedGraph, degree: dict[Node, int]) -> dict[Node, int]:
     """Per-vertex cost of each angle unit beyond a straight angle."""
     qubit_of = {
@@ -118,7 +107,7 @@ def orthogonalize(pg: PlanarizedGraph) -> OrthoRep:
     bends: dict[HalfEdge, int] = {}
     ext_faces: set[int] = set()
 
-    for comp, face_idx in _component_faces(pg, faces):
+    for comp, face_idx in pg.component_faces():
         if not face_idx:
             continue  # isolated node: no angles to assign
         # the external face is the longest walk (ties: smallest index)
@@ -191,7 +180,7 @@ def orthogonalize(pg: PlanarizedGraph) -> OrthoRep:
             raise LayoutError(f"angles around {v} sum to {total}")
 
     return OrthoRep(
-        faces=tuple(tuple(walk) for walk in faces),
+        faces=faces,
         ext_face=frozenset(ext_faces),
         angles=angles,
         bends=bends,

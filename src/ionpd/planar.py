@@ -23,8 +23,10 @@ the adjacency order that feeds every later embedding is the same too.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
 import networkx as nx
 
@@ -73,41 +75,45 @@ class PlanarizedGraph:
     splits: frozenset[str]
     chains: dict[tuple[int, int, int], list[Node]]  # QFG edge -> node path
 
-    def faces(self) -> list[list[HalfEdge]]:
-        return faces_from_embedding(self.adj)
+    def faces(self) -> tuple[tuple[HalfEdge, ...], ...]:
+        """Face walks of the embedding, traced once per graph."""
+        return self._faces
 
-    def components(self) -> list[list[Node]]:
-        remaining = set(self.nodes)
-        out: list[list[Node]] = []
-        for start in sorted(self.nodes, key=node_key):
-            if start not in remaining:
-                continue
-            stack, comp = [start], []
-            remaining.discard(start)
-            while stack:
-                cur = stack.pop()
-                comp.append(cur)
-                for nxt in self.adj.get(cur, []):
-                    if nxt in remaining:
-                        remaining.discard(nxt)
-                        stack.append(nxt)
-            out.append(sorted(comp, key=node_key))
-        return out
+    @cached_property
+    def _faces(self) -> tuple[tuple[HalfEdge, ...], ...]:
+        return tuple(tuple(walk) for walk in faces_from_embedding(self.adj))
+
+    def components(self) -> list[tuple[Node, ...]]:
+        return [comp for comp, _ in self.component_faces()]
+
+    def component_faces(self) -> tuple[tuple[tuple[Node, ...], tuple[int, ...]], ...]:
+        """Connected components, each with the indices of its faces (a face
+        belongs to the tail of its first half-edge), computed once per graph.
+        Nodes are sorted by `node_key` and components by their first node."""
+        return self._component_faces
+
+    @cached_property
+    def _component_faces(self) -> tuple[tuple[tuple[Node, ...], tuple[int, ...]], ...]:
+        graph = nx.from_dict_of_lists(self.adj)
+        comps = sorted(
+            (tuple(sorted(comp, key=node_key)) for comp in nx.connected_components(graph)),
+            key=lambda comp: node_key(comp[0]),
+        )
+        comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+        face_idx: list[list[int]] = [[] for _ in comps]
+        for fi, walk in enumerate(self.faces()):
+            face_idx[comp_of[walk[0][0]]].append(fi)
+        return tuple(zip(comps, map(tuple, face_idx)))
 
     def check_euler(self) -> None:
         """V - E + F = 2 within every connected component."""
-        comps = self.components()
-        comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
-        face_counts = [0] * len(comps)
-        for walk in self.faces():
-            face_counts[comp_of[walk[0][0]]] += 1
-        for comp, face_count in zip(comps, face_counts):
+        for comp, face_idx in self.component_faces():
             edge_count = sum(len(self.adj.get(v, [])) for v in comp) // 2
             if edge_count == 0:
                 continue
-            if len(comp) - edge_count + face_count != 2:
+            if len(comp) - edge_count + len(face_idx) != 2:
                 raise PlanarizeError(
-                    f"Euler check failed: V={len(comp)} E={edge_count} F={face_count}"
+                    f"Euler check failed: V={len(comp)} E={edge_count} F={len(face_idx)}"
                 )
 
 
@@ -126,14 +132,7 @@ class _FaceBook:
 
     def __init__(self, nodes: Iterable[Node]):
         self.adopt({v: [] for v in nodes})
-        self.root = {v: v for v in self.rotation}
-
-    def _find(self, v: Node) -> Node:
-        root = self.root
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
+        self.components = nx.utils.UnionFind(self.rotation)
 
     def adopt(self, rotation: dict[Node, list[Node]]) -> None:
         """Replace the rotation (same components) and retrace every face."""
@@ -162,9 +161,8 @@ class _FaceBook:
         """Insert edge a-b if it joins two components or two corners of one
         face; False (rotation unchanged) if neither holds."""
         rotation = self.rotation
-        ra, rb = self._find(a), self._find(b)
-        if ra != rb:
-            self.root[ra] = rb
+        if self.components[a] != self.components[b]:
+            self.components.union(a, b)
             at_a = rotation[a][0] if rotation[a] else None
             at_b = rotation[b][0] if rotation[b] else None
             self._insert(a, at_a, b, at_b, split=False)
@@ -282,10 +280,11 @@ def _route_through_faces(
 
 def planarize(qfg: QubitFlowGraph) -> PlanarizedGraph:
     """Planar embedding of the flow graph with crossings as dummy vertices."""
-    for node in qfg.nodes:
-        if qfg.degree(node) > 4:
+    degree = Counter(v for i, j, _ in qfg.edges for v in (i, j))
+    for node, count in sorted(degree.items()):
+        if count > 4:
             raise PlanarizeError(
-                f"node {node} has degree {qfg.degree(node)}; orthogonal drawing needs <= 4"
+                f"node {node} has degree {count}; orthogonal drawing needs <= 4"
             )
 
     chains: dict[tuple[int, int, int], list[Node]] = {}
@@ -315,16 +314,6 @@ def planarize(qfg: QubitFlowGraph) -> PlanarizedGraph:
     deferred = _add_planar_greedy(graph, simple_edges)
 
     crossings: list[str] = []
-
-    def split_chain(edge: frozenset, dummy: str) -> None:
-        a, b = sorted(edge, key=node_key)
-        for path in chains.values():
-            for pos in range(len(path) - 1):
-                if {path[pos], path[pos + 1]} == {a, b}:
-                    path.insert(pos + 1, dummy)
-                    return
-        raise PlanarizeError(f"crossed edge {a}-{b} not found in any chain")
-
     for a, b in deferred:
         adj = _fresh_embedding(graph)
         crossed = _route_through_faces(adj, a, b)
@@ -336,7 +325,7 @@ def planarize(qfg: QubitFlowGraph) -> PlanarizedGraph:
             graph.remove_edge(x, y)
             graph.add_edge(x, dummy)
             graph.add_edge(dummy, y)
-            split_chain(edge, dummy)
+            _splice_chain(chains, x, y, [x, dummy, y])
             graph.add_edge(prev, dummy)
             prev = dummy
         graph.add_edge(prev, b)
@@ -356,10 +345,12 @@ def planarize(qfg: QubitFlowGraph) -> PlanarizedGraph:
 
 
 def _splice_chain(chains: dict, a: Node, b: Node, new_path: list[Node]) -> None:
+    """Replace the first chain step between a and b, in either direction, by
+    `new_path` (which runs from a to b)."""
     for key, path in chains.items():
         for pos in range(len(path) - 1):
             if {path[pos], path[pos + 1]} == {a, b}:
                 orientation = new_path if path[pos] == a else list(reversed(new_path))
                 chains[key] = path[:pos] + orientation + path[pos + 2:]
                 return
-    raise PlanarizeError(f"deferred edge {a}-{b} not found in chains")
+    raise PlanarizeError(f"edge {a}-{b} not found in any chain")

@@ -30,9 +30,6 @@ class QubitFlowGraph:
     def degree(self, node: int) -> int:
         return sum(1 for i, j, _ in self.edges if node in (i, j))
 
-    def incident(self, node: int) -> list[tuple[int, int, int]]:
-        return [e for e in self.edges if node in e[:2]]
-
     def to_json(self) -> str:
         payload = {
             "nodes": [{"id": i, "stage": self.stage_of[i]} for i in self.nodes],
@@ -79,8 +76,3 @@ def build_qfg(
         )
     edges.sort()
     return QubitFlowGraph(stage_of, tuple(edges), first_use, last_use)
-
-
-def qfg_degree_check(g: QubitFlowGraph) -> bool:
-    """Drawing precondition: every node has degree at most four."""
-    return all(g.degree(node) <= 4 for node in g.nodes)

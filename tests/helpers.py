@@ -1,6 +1,6 @@
 """Shared test oracles: exact unitaries, bend-minimum MILP, brute-force and
 MILP stage schedules, the all-pairs dataflow rule, the full-grid layout
-text, random inputs."""
+text, hand-rolled component grouping and compaction, random inputs."""
 
 from __future__ import annotations
 
@@ -9,9 +9,11 @@ import random
 
 import numpy as np
 
+from ionpd.compact import _EAST, _NORTH, _SOUTH, _WEST
 from ionpd.depgraph import DataflowGraph, exchangeable
 from ionpd.gates import GateKind, Instruction, Netlist, make_netlist
-from ionpd.macrolayout import DIRS, MacroLayout
+from ionpd.macrolayout import DIRS, LayoutError, MacroLayout
+from ionpd.planar import faces_from_embedding, node_key
 from ionpd.qfg import QubitFlowGraph, build_qfg
 from ionpd.solver import Schedule
 
@@ -313,3 +315,82 @@ def reference_layout_text(layout: MacroLayout) -> str:
         for i, (x, y) in sorted(layout.gate_location_of.items())
     ]
     return "\n".join(lines + legend) + "\n"
+
+
+def reference_component_faces(pg) -> tuple[tuple[tuple, tuple[int, ...]], ...]:
+    """`PlanarizedGraph.component_faces` by a depth-first search from each
+    unvisited node in `node_key` order, then one scan of every face walk per
+    component."""
+    remaining = set(pg.nodes)
+    comps = []
+    for start in sorted(pg.nodes, key=node_key):
+        if start not in remaining:
+            continue
+        stack, comp = [start], []
+        remaining.discard(start)
+        while stack:
+            cur = stack.pop()
+            comp.append(cur)
+            for nxt in pg.adj.get(cur, []):
+                if nxt in remaining:
+                    remaining.discard(nxt)
+                    stack.append(nxt)
+        comps.append(tuple(sorted(comp, key=node_key)))
+    faces = faces_from_embedding(pg.adj)
+    grouped = []
+    for comp in comps:
+        comp_set = set(comp)
+        grouped.append((comp, tuple(fi for fi, walk in enumerate(faces) if walk[0][0] in comp_set)))
+    return tuple(grouped)
+
+
+def reference_coordinates(mesh) -> dict:
+    """`compact._coordinates` by a hand-rolled union-find of the lines and a
+    Kahn pass over the constraint arcs that relaxes longest paths."""
+    nodes = sorted({n for he in mesh.nxt for n in he}, key=node_key)
+    index = {n: k for k, n in enumerate(nodes)}
+
+    def compact_axis(vertical_dirs: tuple[int, int], forward: int) -> dict:
+        parent = list(range(len(nodes)))
+
+        def find(a: int) -> int:
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        for (a, b), d in mesh.dirs.items():
+            if d in vertical_dirs:
+                ra, rb = find(index[a]), find(index[b])
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+        arcs: dict[int, set[int]] = {}
+        indeg: dict[int, int] = {}
+        chains = sorted({find(k) for k in range(len(nodes))})
+        for ch in chains:
+            arcs[ch] = set()
+            indeg[ch] = 0
+        for (a, b), d in mesh.dirs.items():
+            if d == forward:
+                ca, cb = find(index[a]), find(index[b])
+                if cb not in arcs[ca]:
+                    arcs[ca].add(cb)
+                    indeg[cb] += 1
+        coord = {ch: 0 for ch in chains}
+        queue = sorted(ch for ch in chains if indeg[ch] == 0)
+        order = []
+        while queue:
+            ch = queue.pop(0)
+            order.append(ch)
+            for other in sorted(arcs[ch]):
+                coord[other] = max(coord[other], coord[ch] + 1)
+                indeg[other] -= 1
+                if indeg[other] == 0:
+                    queue.append(other)
+        if len(order) != len(chains):
+            raise LayoutError("cyclic compaction constraints")
+        return {n: coord[find(index[n])] for n in nodes}
+
+    xs = compact_axis((_NORTH, _SOUTH), _EAST)
+    ys = compact_axis((_EAST, _WEST), _SOUTH)
+    return {n: (xs[n], ys[n]) for n in nodes}

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 from dataclasses import replace
@@ -6,7 +7,14 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from helpers import bend_minimum_milp, layered_flow_graph, random_degree4_graph, synth_qfg
+from helpers import (
+    bend_minimum_milp,
+    layered_flow_graph,
+    random_degree4_graph,
+    reference_component_faces,
+    reference_coordinates,
+    synth_qfg,
+)
 from ionpd import planar
 from ionpd.circuits import generate_cat_circuit
 from ionpd.compact import compact
@@ -16,6 +24,8 @@ from ionpd.orthogonal import min_cost_flow, orthogonalize
 from ionpd.planar import PlanarizeError, planarize
 from ionpd.qfg import build_qfg
 from ionpd.solver import schedule_netlist
+
+compact_module = importlib.import_module("ionpd.compact")  # `ionpd.compact` is the function
 
 
 def draw(qfg):
@@ -196,6 +206,71 @@ class TestGreedyBisection:
         book.face_of = dict.fromkeys(book.face_of, 0)
         with pytest.raises(PlanarizeError, match="stale face bookkeeping"):
             book.place(1, 3)
+
+
+def decomposition_graphs():
+    """Fuzz graphs, many of them disconnected, and layered drawings with
+    crossings."""
+    rng = random.Random(77)
+    graphs = [random_degree4_graph(rng) for _ in range(150)]
+    graphs += [layered_flow_graph(rng) for _ in range(4)]
+    graphs.append(layered_flow_graph(rng, qubits=16, layers=6))
+    return graphs
+
+
+class TestDecomposition:
+    def test_component_faces_match_reference(self):
+        multi_component = 0
+        for qfg in decomposition_graphs():
+            pg = planarize(qfg)
+            expected = reference_component_faces(pg)
+            assert pg.component_faces() == expected
+            assert pg.components() == [comp for comp, _ in expected]
+            multi_component += len(expected) > 1
+        assert multi_component >= 40
+
+    def test_coordinates_match_reference(self, monkeypatch):
+        coordinates = compact_module._coordinates
+        meshes = []
+
+        def both(mesh):
+            got = coordinates(mesh)
+            assert got == reference_coordinates(mesh)
+            meshes.append(len(got))
+            return got
+
+        monkeypatch.setattr(compact_module, "_coordinates", both)
+        for qfg in decomposition_graphs():
+            draw(qfg)
+        assert len(meshes) >= 140  # one per component with an edge
+        assert max(meshes) >= 300  # the 16-qubit layered drawing
+
+    def test_cyclic_constraints_raise_layout_error(self):
+        mesh = compact_module._Mesh()
+        mesh.link((1, 2), (2, 1))
+        mesh.link((2, 1), (1, 2))
+        mesh.dirs = {(1, 2): compact_module._EAST, (2, 1): compact_module._EAST}
+        with pytest.raises(LayoutError, match="cyclic"):
+            compact_module._coordinates(mesh)
+
+    def test_faces_are_traced_once_per_graph(self, monkeypatch):
+        traced = []
+        trace = planar.faces_from_embedding
+
+        def counted(adj):
+            traced.append(adj)
+            return trace(adj)
+
+        monkeypatch.setattr(planar, "faces_from_embedding", counted)
+        pg = planarize(layered_flow_graph(random.Random(5)))
+        assert pg.crossings  # intermediate embeddings were traced as well
+        after_planarize = len(traced)
+        rep = orthogonalize(pg)
+        compact(pg, rep)
+        assert len(traced) == after_planarize
+        assert sum(adj is pg.adj for adj in traced) == 1
+        assert pg.faces() is pg.faces()
+        assert pg.component_faces() is pg.component_faces()
 
 
 class TestOrthogonalize:

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from helpers import random_netlist, synth_qfg
+from helpers import random_netlist
 from ionpd.circuits import generate_cat_circuit
 from ionpd.depgraph import common_qubit_table
 from ionpd.qasm import parse_qasm
-from ionpd.qfg import build_qfg, qfg_degree_check
+from ionpd.qfg import build_qfg
 from ionpd.solver import Schedule, schedule_netlist
 
 
@@ -70,14 +70,6 @@ def test_per_qubit_edge_counts_schedule_independent(code932):
 def test_invalid_schedule_rejected(code932):
     with pytest.raises(ValueError):
         build_qfg(code932, Schedule({i.id: 1 for i in code932.instructions}, 1, 1))
-
-
-def test_degree_check():
-    netlist = generate_cat_circuit(7)
-    qfg = build_qfg(netlist, schedule_netlist(netlist))
-    assert qfg_degree_check(qfg)
-    overloaded = synth_qfg([1, 2, 3, 4, 5, 6], [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6)])
-    assert not qfg_degree_check(overloaded)
 
 
 def test_exports(code932):
