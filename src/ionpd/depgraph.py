@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .artifact import render_json
-from .gates import DIAGONAL_1Q, NON_UNITARY, Instruction, Netlist
+from .gates import Instruction, Netlist
 
 
 def exchangeable(a: Instruction, b: Instruction) -> bool:
@@ -23,11 +23,11 @@ def exchangeable(a: Instruction, b: Instruction) -> bool:
 
 def _exchangeable_sharing(a: Instruction, b: Instruction) -> bool:
     """`exchangeable` for two instructions known to share a qubit."""
-    if a.kind in NON_UNITARY or b.kind in NON_UNITARY:
+    if a.kind.non_unitary or b.kind.non_unitary:
         return False
     if a.kind.arity == 1 and b.kind.arity == 1:
         # same wire: exchange only if the matrices commute
-        return a.kind is b.kind or (a.kind in DIAGONAL_1Q and b.kind in DIAGONAL_1Q)
+        return a.kind is b.kind or (a.kind.diagonal_1q and b.kind.diagonal_1q)
     if a.target in b.controls or b.target in a.controls:
         return False
     if a.kind is not b.kind and a.target == b.target:

@@ -32,17 +32,15 @@ class GateKind(Enum):
     def __init__(self, label: str, arity: int) -> None:
         self.label = label
         self.arity = arity
+        # diagonal single-qubit gates commute with each other on a shared wire
+        self.diagonal_1q = label in ("T", "Tdg", "S")
+        # state-collapsing operations never commute with anything on their wire
+        self.non_unitary = label in ("Measure", "PrepZ")
 
 
 # Upper-cased spelling -> kind; CCX is accepted as a Toffoli alias.
 GATE_ALIASES: dict[str, GateKind] = {k.label.upper(): k for k in GateKind}
 GATE_ALIASES["CCX"] = GateKind.Toffoli
-
-# Diagonal single-qubit gates commute with each other on a shared wire.
-DIAGONAL_1Q = frozenset({GateKind.T, GateKind.Tdg, GateKind.S})
-
-# State-collapsing operations never commute with anything on their wire.
-NON_UNITARY = frozenset({GateKind.Measure, GateKind.PrepZ})
 
 
 class NetlistError(ValueError):

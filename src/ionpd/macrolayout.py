@@ -267,15 +267,10 @@ def tile(drawing: OrthogonalDrawing) -> MacroLayout:
             gate_cells[instr] = host
             gate_marks.setdefault(host, []).append(instr)
 
-    built: dict[Point, Macroblock] = {}
-    for cell, ports in blocks.items():
-        gates = tuple(gate_marks.get(cell, ()))
-        axis_ok = ports in ({"E", "W"}, {"N", "S"})
-        if gates and not axis_ok:
-            raise LayoutError(
-                f"inconsistent port demands at {cell}: gate on ports {sorted(ports)}"
-            )
-        built[cell] = Macroblock(frozenset(ports), gates)
+    built = {
+        cell: Macroblock(frozenset(ports), tuple(gate_marks.get(cell, ())))
+        for cell, ports in blocks.items()
+    }
 
     layout = MacroLayout(built, gate_cells, node_cell)
     layout.check_ports()
@@ -291,7 +286,6 @@ class RouteStep:
 @dataclass(frozen=True)
 class RoutePlan:
     steps: dict[tuple[int, EdgeKey], tuple[RouteStep, ...]]  # keyed (qubit, edge)
-    movers: dict[int, tuple[int, ...]]  # instruction -> qubits that move to it
 
     def straights_and_turns(self, qubit: int, edge: EdgeKey) -> tuple[int, int]:
         """Straight-move units (three per block) and turn count of one leg."""
@@ -344,45 +338,13 @@ def route(
                 raise LayoutError(f"gate of {j} disconnected from route {key}")
         steps[(qubit, key)] = _tag_turns(cells) if len(cells) > 1 else ()
 
-    movers: dict[int, tuple[int, ...]] = {}
-    location: dict[int, Point] = {}  # a qubit starts at its first-use gate
-    incoming: dict[int, list[int]] = {n: [] for n in qfg.nodes}
-    for i, j, qubit in qfg.edges:
-        incoming[j].append(qubit)
-    for qubit, first in sorted(qfg.first_use.items()):
-        incoming[first].append(qubit)
-    for node in sorted(qfg.nodes, key=lambda n: (qfg.stage_of[n], n)):
-        cell = layout.gate_location_of[node]
-        moving = sorted(q for q in incoming[node] if location.get(q, cell) != cell)
-        for qubit in incoming[node]:
-            location[qubit] = cell
-        movers[node] = tuple(moving)
-    return RoutePlan(steps, movers)
+    return RoutePlan(steps)
 
 
 def place_qubits(
     netlist: Netlist, qfg: QubitFlowGraph, layout: MacroLayout
 ) -> dict[int, Point]:
     """Initial placement: each qubit starts at its first-use gate location.
-
-    Qubits the netlist never touches park on the free cell nearest the
-    origin; they play no further part in routing or timing.
-    """
-    placement = {
-        q: layout.gate_location_of[i] for q, i in sorted(qfg.first_use.items())
-    }
-    idle = _idle_cell(layout)
-    for q in range(netlist.qubit_count):
-        if q not in placement:
-            placement[q] = idle
-    return placement
-
-
-def _idle_cell(layout: MacroLayout) -> Point:
-    k = 0
-    while True:
-        for x in range(k + 1):
-            cell = (x, k - x)
-            if cell not in layout.blocks:
-                return cell
-        k += 1
+    Qubits the netlist never touches play no part in routing or timing and
+    get no entry."""
+    return {q: layout.gate_location_of[i] for q, i in sorted(qfg.first_use.items())}

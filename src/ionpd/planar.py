@@ -3,7 +3,8 @@
 Edges are taken greedily in sorted order into a planar subgraph: an edge is
 kept unless it makes the kept graph non-planar. Each rejected edge is routed
 afterwards through the face-adjacency dual of the current embedding along a
-fewest-crossings path, and every crossing becomes a degree-4 dummy vertex.
+fewest-crossings path, found breadth first, and every crossing becomes a
+degree-4 dummy vertex. `_FaceBook` traces the faces of every embedding.
 Parallel edges are split with a routing dummy first so the working graph
 stays simple.
 
@@ -22,9 +23,7 @@ the adjacency order that feeds every later embedding is the same too.
 
 from __future__ import annotations
 
-import heapq
-from collections import Counter
-from collections.abc import Iterable
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,27 +45,6 @@ def node_key(v: Node):
     return (0, v, "") if isinstance(v, int) else (1, 0, v)
 
 
-def faces_from_embedding(adj: dict[Node, list[Node]]) -> list[list[HalfEdge]]:
-    """Trace all face walks of a rotation system (clockwise neighbour lists)."""
-    faces: list[list[HalfEdge]] = []
-    seen: set[HalfEdge] = set()
-    for u in sorted(adj, key=node_key):
-        for v in adj[u]:
-            if (u, v) in seen:
-                continue
-            walk: list[HalfEdge] = []
-            cur = (u, v)
-            while cur not in seen:
-                seen.add(cur)
-                walk.append(cur)
-                tail, head = cur
-                ring = adj[head]
-                nxt = ring[(ring.index(tail) + 1) % len(ring)]
-                cur = (head, nxt)
-            faces.append(walk)
-    return faces
-
-
 @dataclass(frozen=True)
 class PlanarizedGraph:
     nodes: tuple[Node, ...]
@@ -81,7 +59,7 @@ class PlanarizedGraph:
 
     @cached_property
     def _faces(self) -> tuple[tuple[HalfEdge, ...], ...]:
-        return tuple(tuple(walk) for walk in faces_from_embedding(self.adj))
+        return _FaceBook(self.adj).walks()
 
     def components(self) -> list[tuple[Node, ...]]:
         return [comp for comp, _ in self.component_faces()]
@@ -126,23 +104,40 @@ def _fresh_embedding(graph: nx.Graph) -> dict[Node, list[Node]]:
 
 
 class _FaceBook:
-    """Rotation system of a planar graph, the face id of every half-edge
-    (the `faces_from_embedding` walk rule) and a union-find of components.
-    It starts with the given nodes and no edges."""
+    """Rotation system of a planar graph (clockwise neighbour lists) and the
+    face id of every half-edge. The face walk leaves half-edge (tail, head)
+    along the half-edge that follows tail in head's ring. `place` inserts
+    edges, keeping a union-find of the components."""
 
-    def __init__(self, nodes: Iterable[Node]):
-        self.adopt({v: [] for v in nodes})
-        self.components = nx.utils.UnionFind(self.rotation)
+    def __init__(self, rotation: dict[Node, list[Node]]):
+        self.adopt(rotation)
 
     def adopt(self, rotation: dict[Node, list[Node]]) -> None:
-        """Replace the rotation (same components) and retrace every face."""
+        """Replace the rotation (same components) and retrace every face,
+        numbered in `node_key` order of each face's first tail."""
         self.rotation = rotation
         self.face_of: dict[HalfEdge, int] = {}
         self.next_face = 0
-        for u, ring in rotation.items():
-            for v in ring:
+        for u in sorted(rotation, key=node_key):
+            for v in rotation[u]:
                 if (u, v) not in self.face_of:
                     self._trace((u, v))
+
+    def walks(self) -> tuple[tuple[HalfEdge, ...], ...]:
+        """Face walks by face id, each in trace order. Only `adopt` keeps
+        that order: after `place`, ids have gaps and walks are reordered."""
+        walks: list[list[HalfEdge]] = [[] for _ in range(self.next_face)]
+        for half_edge, face in self.face_of.items():
+            walks[face].append(half_edge)
+        return tuple(map(tuple, walks))
+
+    @cached_property
+    def components(self) -> nx.utils.UnionFind:
+        """Connected components, built from the rotation on first use."""
+        components = nx.utils.UnionFind(self.rotation)
+        for u, ring in self.rotation.items():
+            components.union(u, *ring)
+        return components
 
     def _trace(self, start: HalfEdge) -> int:
         """Give the face walk through `start` a fresh id; return the id."""
@@ -207,7 +202,7 @@ def _add_planar_greedy(
         graph.add_edges_from(edges)
         return []
 
-    book = _FaceBook(graph.nodes)
+    book = _FaceBook({v: [] for v in graph.nodes})
     deferred: list[tuple[Node, Node]] = []
     for a, b in edges:
         graph.add_edge(a, b)
@@ -222,58 +217,32 @@ def _add_planar_greedy(
     return deferred
 
 
-def _route_through_faces(
-    adj: dict[Node, list[Node]], u: Node, v: Node
-) -> list[frozenset]:
-    """Edges to cross when inserting (u, v): fewest-crossings dual path."""
-    faces = faces_from_embedding(adj)
-    incident: dict[Node, list[int]] = {}
-    face_edges: dict[int, list[frozenset]] = {fi: [] for fi in range(len(faces))}
-    edge_faces: dict[frozenset, set[int]] = {}
-    for fi, walk in enumerate(faces):
-        for a, b in walk:
-            incident.setdefault(a, [])
-            if fi not in incident[a]:
-                incident[a].append(fi)
-            edge = frozenset((a, b))
-            if edge not in face_edges[fi]:
-                face_edges[fi].append(edge)
-            edge_faces.setdefault(edge, set()).add(fi)
-
-    dist: dict[int, int] = {}
-    back: dict[int, tuple[int, frozenset] | None] = {}
-    heap: list[tuple[int, int, int]] = []
-    for order, fi in enumerate(incident.get(u, [])):
-        dist[fi] = 0
-        back[fi] = None
-        heapq.heappush(heap, (0, order, fi))
-    target_faces = set(incident.get(v, []))
-    goal = None
-    counter = len(heap)
-    while heap:
-        d, _, fi = heapq.heappop(heap)
-        if d > dist.get(fi, 1 << 30):
-            continue
-        if fi in target_faces:
-            goal = fi
+def _route_through_faces(book: _FaceBook, u: Node, v: Node) -> list[frozenset]:
+    """Edges to cross when inserting (u, v): a fewest-crossings path through
+    the dual of the book's embedding, searched breadth first from u's faces
+    in ascending id. The face across half-edge (a, b) is that of (b, a)."""
+    face_of, walks = book.face_of, book.walks()
+    sources = sorted({face_of[(u, y)] for y in book.rotation[u]})
+    targets = {face_of[(v, y)] for y in book.rotation[v]}
+    back: dict[int, tuple[int, frozenset] | None] = dict.fromkeys(sources)
+    queue = deque(sources)
+    while queue:
+        face = queue.popleft()
+        if face in targets:
             break
-        for edge in face_edges[fi]:
-            if u in edge or v in edge:
+        for a, b in walks[face]:
+            if u in (a, b) or v in (a, b):
                 continue  # crossing an endpoint-incident edge would double an edge
-            for gi in edge_faces[edge]:
-                if gi != fi and d + 1 < dist.get(gi, 1 << 30):
-                    dist[gi] = d + 1
-                    back[gi] = (fi, edge)
-                    counter += 1
-                    heapq.heappush(heap, (d + 1, counter, gi))
-    if goal is None:
+            across = face_of[(b, a)]
+            if across not in back:  # a bridge has its own face on both sides
+                back[across] = (face, frozenset((a, b)))
+                queue.append(across)
+    else:
         raise PlanarizeError(f"no dual route between {u} and {v}")
     crossed: list[frozenset] = []
-    cur = goal
-    while back[cur] is not None:
-        prev, edge = back[cur]
+    while back[face] is not None:
+        face, edge = back[face]
         crossed.append(edge)
-        cur = prev
     crossed.reverse()
     return crossed
 
@@ -315,8 +284,7 @@ def planarize(qfg: QubitFlowGraph) -> PlanarizedGraph:
 
     crossings: list[str] = []
     for a, b in deferred:
-        adj = _fresh_embedding(graph)
-        crossed = _route_through_faces(adj, a, b)
+        crossed = _route_through_faces(_FaceBook(_fresh_embedding(graph)), a, b)
         prev = a
         for edge in crossed:
             x, y = sorted(edge, key=node_key)

@@ -106,14 +106,5 @@ def build_reference_cat_plan(n: int) -> ReferencePlan:
         else:
             raise AssertionError(f"unplanned reference edge {(i, j, qubit)}")
 
-    movers: dict[int, tuple[int, ...]] = {}
     placement = place_qubits(netlist, qfg, layout)
-    location = dict(placement)
-    for node in sorted(qfg.nodes, key=lambda v: (qfg.stage_of[v], v)):
-        incoming = [q for i, j, q in qfg.edges if j == node]
-        movers[node] = tuple(sorted(q for q in incoming if location[q] != gate_cell[node]))
-        for q in netlist[node].qubits:
-            location[q] = gate_cell[node]
-
-    routes = RoutePlan(steps, movers)
-    return ReferencePlan(netlist, schedule, layout, qfg, routes, placement)
+    return ReferencePlan(netlist, schedule, layout, qfg, RoutePlan(steps), placement)

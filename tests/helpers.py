@@ -1,9 +1,11 @@
 """Shared test oracles: exact unitaries, bend-minimum MILP, brute-force and
-MILP stage schedules, the all-pairs dataflow rule, the full-grid layout
-text, hand-rolled component grouping and compaction, random inputs."""
+MILP stage schedules, the all-pairs dataflow rule and the set-based
+exchangeability rule, the full-grid layout text, hand-rolled face walks,
+dual routing, component grouping and compaction, random inputs."""
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 
@@ -13,7 +15,7 @@ from ionpd.compact import _EAST, _NORTH, _SOUTH, _WEST
 from ionpd.depgraph import DataflowGraph, exchangeable
 from ionpd.gates import GateKind, Instruction, Netlist, make_netlist
 from ionpd.macrolayout import DIRS, LayoutError, MacroLayout
-from ionpd.planar import faces_from_embedding, node_key
+from ionpd.planar import PlanarizeError, node_key
 from ionpd.qfg import QubitFlowGraph, build_qfg
 from ionpd.solver import Schedule
 
@@ -317,6 +319,102 @@ def reference_layout_text(layout: MacroLayout) -> str:
     return "\n".join(lines + legend) + "\n"
 
 
+_DIAGONAL_1Q = frozenset({GateKind.T, GateKind.Tdg, GateKind.S})
+_NON_UNITARY = frozenset({GateKind.Measure, GateKind.PrepZ})
+
+
+def reference_exchangeable(a: Instruction, b: Instruction) -> bool:
+    """`depgraph.exchangeable` with the gate classes as sets of kinds."""
+    if set(a.qubits).isdisjoint(b.qubits):
+        return True
+    if a.kind in _NON_UNITARY or b.kind in _NON_UNITARY:
+        return False
+    if a.kind.arity == 1 and b.kind.arity == 1:
+        return a.kind is b.kind or (a.kind in _DIAGONAL_1Q and b.kind in _DIAGONAL_1Q)
+    if a.target in b.controls or b.target in a.controls:
+        return False
+    if a.kind is not b.kind and a.target == b.target:
+        return False
+    return True
+
+
+def reference_faces(adj: dict) -> list[list[tuple]]:
+    """Face walks of a rotation system (clockwise neighbour lists), traced
+    from each unseen half-edge in `node_key` order of its tail."""
+    faces: list[list[tuple]] = []
+    seen: set[tuple] = set()
+    for u in sorted(adj, key=node_key):
+        for v in adj[u]:
+            if (u, v) in seen:
+                continue
+            walk: list[tuple] = []
+            cur = (u, v)
+            while cur not in seen:
+                seen.add(cur)
+                walk.append(cur)
+                tail, head = cur
+                ring = adj[head]
+                nxt = ring[(ring.index(tail) + 1) % len(ring)]
+                cur = (head, nxt)
+            faces.append(walk)
+    return faces
+
+
+def reference_route_through_faces(adj: dict, u, v) -> list[frozenset]:
+    """`planar._route_through_faces` as Dijkstra with unit weights over a
+    dual graph built from the face walks; heap ties go to the earlier push."""
+    faces = reference_faces(adj)
+    incident: dict = {}
+    face_edges: dict[int, list[frozenset]] = {fi: [] for fi in range(len(faces))}
+    edge_faces: dict[frozenset, set[int]] = {}
+    for fi, walk in enumerate(faces):
+        for a, b in walk:
+            incident.setdefault(a, [])
+            if fi not in incident[a]:
+                incident[a].append(fi)
+            edge = frozenset((a, b))
+            if edge not in face_edges[fi]:
+                face_edges[fi].append(edge)
+            edge_faces.setdefault(edge, set()).add(fi)
+
+    dist: dict[int, int] = {}
+    back: dict[int, tuple[int, frozenset] | None] = {}
+    heap: list[tuple[int, int, int]] = []
+    for order, fi in enumerate(incident.get(u, [])):
+        dist[fi] = 0
+        back[fi] = None
+        heapq.heappush(heap, (0, order, fi))
+    target_faces = set(incident.get(v, []))
+    goal = None
+    counter = len(heap)
+    while heap:
+        d, _, fi = heapq.heappop(heap)
+        if d > dist.get(fi, 1 << 30):
+            continue
+        if fi in target_faces:
+            goal = fi
+            break
+        for edge in face_edges[fi]:
+            if u in edge or v in edge:
+                continue
+            for gi in edge_faces[edge]:
+                if gi != fi and d + 1 < dist.get(gi, 1 << 30):
+                    dist[gi] = d + 1
+                    back[gi] = (fi, edge)
+                    counter += 1
+                    heapq.heappush(heap, (d + 1, counter, gi))
+    if goal is None:
+        raise PlanarizeError(f"no dual route between {u} and {v}")
+    crossed: list[frozenset] = []
+    cur = goal
+    while back[cur] is not None:
+        prev, edge = back[cur]
+        crossed.append(edge)
+        cur = prev
+    crossed.reverse()
+    return crossed
+
+
 def reference_component_faces(pg) -> tuple[tuple[tuple, tuple[int, ...]], ...]:
     """`PlanarizedGraph.component_faces` by a depth-first search from each
     unvisited node in `node_key` order, then one scan of every face walk per
@@ -336,7 +434,7 @@ def reference_component_faces(pg) -> tuple[tuple[tuple, tuple[int, ...]], ...]:
                     remaining.discard(nxt)
                     stack.append(nxt)
         comps.append(tuple(sorted(comp, key=node_key)))
-    faces = faces_from_embedding(pg.adj)
+    faces = reference_faces(pg.adj)
     grouped = []
     for comp in comps:
         comp_set = set(comp)

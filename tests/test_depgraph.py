@@ -1,10 +1,11 @@
+import itertools
 import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import all_pairs_dataflow, random_netlist
+from helpers import all_pairs_dataflow, random_netlist, reference_exchangeable
 from ionpd.circuits import generate_cat_circuit
 from ionpd.depgraph import (
     InfeasibleHorizon,
@@ -22,6 +23,14 @@ TOFFOLI_PAIR = Path(__file__).resolve().parent.parent / "circuits" / "toffoli_pa
 
 def gate(kind, controls, target, gate_id=1):
     return Instruction(gate_id, kind, controls, target)
+
+
+def placements_on_three_wires(kind, gate_id):
+    """Every instruction of `kind` on wires 0-2: each ordered operand choice."""
+    return [
+        Instruction(gate_id, kind, operands[:-1], operands[-1])
+        for operands in itertools.permutations(range(3), kind.arity)
+    ]
 
 
 class TestExchangeable:
@@ -55,6 +64,17 @@ class TestExchangeable:
         b = gate(GateKind.CX, (3,), 2)
         assert not exchangeable(a, b)
         assert exchangeable(gate(GateKind.CZ, (1,), 2), gate(GateKind.CX, (1,), 3))
+
+    def test_matches_set_rule_on_three_wires(self):
+        kinds = [kind for kind in GateKind if kind.arity <= 2]
+        assert GateKind.Measure in kinds and GateKind.PrepZ in kinds
+        pairs = 0
+        for ka, kb in itertools.product(kinds, repeat=2):
+            for a in placements_on_three_wires(ka, 1):
+                for b in placements_on_three_wires(kb, 2):
+                    assert exchangeable(a, b) == reference_exchangeable(a, b), (a, b)
+                    pairs += 1
+        assert pairs == 2601  # (7 * 3 + 5 * 6) ** 2: seven one-qubit, five two-qubit kinds
 
     @given(st.data())
     def test_symmetry(self, data):

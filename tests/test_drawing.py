@@ -13,6 +13,8 @@ from helpers import (
     random_degree4_graph,
     reference_component_faces,
     reference_coordinates,
+    reference_faces,
+    reference_route_through_faces,
     synth_qfg,
 )
 from ionpd import planar
@@ -158,7 +160,7 @@ class TestGreedyBisection:
         assert pg.crossings == frozenset()
         assert len(calls) == 2  # one for the greedy search, one for the final embedding
 
-    def test_readopted_embeddings_match_sequential_greedy(self, monkeypatch):
+    def test_readopted_embeddings_match_sequential_greedy(self):
         # the random graphs of test_matches_sequential_greedy, drawn the same way
         rng = random.Random(31)
         graphs = [random_degree4_graph(rng) for _ in range(200)]
@@ -166,16 +168,22 @@ class TestGreedyBisection:
         graphs += [layered_flow_graph(rng) for _ in range(8)]
         adopted = []
         adopt = planar._FaceBook.adopt
+        add_planar_greedy = planar._add_planar_greedy
 
         def counted(book, rotation):
             adopted.append(1)
             adopt(book, rotation)
 
-        monkeypatch.setattr(planar._FaceBook, "adopt", counted)
+        def greedy(graph, edges):
+            # routing books adopt their embedding too; count the greedy's only
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(planar._FaceBook, "adopt", counted)
+                return add_planar_greedy(graph, edges)
+
         graphs_readopting = 0
         for qfg in graphs:
             before = len(adopted)
-            fast_deferred, fast = planarize_with(qfg, planar._add_planar_greedy)
+            fast_deferred, fast = planarize_with(qfg, greedy)
             if len(adopted) - before <= 1:  # only the initial rotation
                 continue
             graphs_readopting += 1
@@ -200,7 +208,7 @@ class TestGreedyBisection:
         assert len(calls) <= 260  # 630 with a bisection per rejected edge
 
     def test_stale_face_ids_raise(self):
-        book = planar._FaceBook([1, 2, 3, 4])
+        book = planar._FaceBook({v: [] for v in (1, 2, 3, 4)})
         assert all(book.place(a, b) for a, b in [(1, 2), (2, 3), (3, 4), (4, 1)])
         assert len(set(book.face_of.values())) == 2  # a 4-cycle: inner and outer face
         book.face_of = dict.fromkeys(book.face_of, 0)
@@ -255,15 +263,15 @@ class TestDecomposition:
 
     def test_faces_are_traced_once_per_graph(self, monkeypatch):
         traced = []
-        trace = planar.faces_from_embedding
+        adopt = planar._FaceBook.adopt
 
-        def counted(adj):
-            traced.append(adj)
-            return trace(adj)
+        def counted(book, rotation):
+            traced.append(rotation)
+            adopt(book, rotation)
 
-        monkeypatch.setattr(planar, "faces_from_embedding", counted)
+        monkeypatch.setattr(planar._FaceBook, "adopt", counted)
         pg = planarize(layered_flow_graph(random.Random(5)))
-        assert pg.crossings  # intermediate embeddings were traced as well
+        assert pg.crossings  # routing books traced intermediate embeddings as well
         after_planarize = len(traced)
         rep = orthogonalize(pg)
         compact(pg, rep)
@@ -271,6 +279,67 @@ class TestDecomposition:
         assert sum(adj is pg.adj for adj in traced) == 1
         assert pg.faces() is pg.faces()
         assert pg.component_faces() is pg.component_faces()
+
+
+def random_embedding(rng):
+    """Rotation system of a random planar graph on 1-30 nodes, some of them
+    named by strings: often disconnected, with bridges and isolated nodes."""
+    names = [f"v{k}" if rng.random() < 0.3 else k for k in range(rng.randint(1, 30))]
+    graph = nx.Graph()
+    graph.add_nodes_from(names)
+    for k in range(1, len(names)):  # a random forest, then random chords
+        if rng.random() < 0.9:
+            graph.add_edge(names[k], names[rng.randrange(k)])
+    for _ in range(rng.randint(0, len(names)) if len(names) > 1 else 0):
+        graph.add_edge(*rng.sample(names, 2))
+    while True:
+        is_planar, embedding = nx.check_planarity(graph)
+        if is_planar:
+            return embedding.get_data()
+        graph.remove_edge(*rng.choice(list(graph.edges)))
+
+
+class TestDualRouting:
+    def test_walks_and_routes_match_reference(self):
+        rng = random.Random(2024)
+        routes = crossing_routes = unroutable = bridged = isolated = string_named = 0
+        while routes < 5000:
+            adj = random_embedding(rng)
+            book = planar._FaceBook(adj)
+            assert book.walks() == tuple(map(tuple, reference_faces(adj)))
+            bridged += any(book.face_of[(a, b)] == book.face_of[(b, a)] for a, b in book.face_of)
+            isolated += any(not ring for ring in adj.values())
+            string_named += any(isinstance(v, str) for v in adj)
+            nodes = list(adj)
+            for _ in range(min(12, len(nodes) * (len(nodes) - 1))):
+                u, v = rng.sample(nodes, 2)
+                try:
+                    expected = reference_route_through_faces(adj, u, v)
+                except PlanarizeError:
+                    with pytest.raises(PlanarizeError, match="no dual route"):
+                        planar._route_through_faces(book, u, v)
+                    unroutable += 1
+                else:
+                    assert planar._route_through_faces(book, u, v) == expected
+                    crossing_routes += bool(expected)
+                routes += 1
+        assert crossing_routes >= 1000 and unroutable >= 300
+        assert bridged >= 300 and isolated >= 100 and string_named >= 300
+
+    def test_layered_routes_match_reference(self, monkeypatch):
+        route = planar._route_through_faces
+        routed = []
+
+        def both(book, u, v):
+            got = route(book, u, v)
+            assert got == reference_route_through_faces(book.rotation, u, v)
+            routed.append(len(got))
+            return got
+
+        monkeypatch.setattr(planar, "_route_through_faces", both)
+        for k in range(3):
+            planarize(layered_flow_graph(random.Random(k), qubits=16, layers=6))
+        assert len(routed) >= 40 and max(routed) >= 3
 
 
 class TestOrthogonalize:

@@ -108,8 +108,7 @@ class TestSimulate:
         layout = MacroLayout(row, {1: (2, 0)}, {1: (2, 0)})
         layout.check_ports()
         plan = RoutePlan(
-            {(0, (0, 1, 0)): (RouteStep((1, 0), False), RouteStep((2, 0), False))},
-            {1: (0,)},
+            {(0, (0, 1, 0)): (RouteStep((1, 0), False), RouteStep((2, 0), False))}
         )
         placement = {0: (0, 0), 1: (2, 0)}
         report = simulate(netlist, Schedule({1: 1}, 1, 1), layout, plan, placement)
@@ -183,7 +182,7 @@ class TestSimulate:
         layout = MacroLayout(blocks, gate_cells, gate_cells)
         schedule = Schedule({1: 1, 2: 2, 3: 3, 4: 1}, 3, 3)
         placement = {0: (0, 0), 1: (0, 2), 2: (0, 2)}
-        report = simulate(netlist, schedule, layout, RoutePlan({}, {}), placement)
+        report = simulate(netlist, schedule, layout, RoutePlan({}), placement)
         assert report.total == 10.0  # max(1+1+1 on q0, 10 on q1/q2)
         assert not report.movements
 
@@ -218,7 +217,7 @@ class TestSimulate:
                 plan.netlist,
                 plan.schedule,
                 plan.layout,
-                RoutePlan(broken_steps, plan.routes.movers),
+                RoutePlan(broken_steps),
                 plan.placement,
             )
 
