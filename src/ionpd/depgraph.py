@@ -65,11 +65,19 @@ class DataflowGraph:
         for node in self.nodes:
             self._succs[node] = []
             self._preds[node] = []
-        for j, i in sorted(self.edges):
+        for j, i in self.sorted_edges():
             if j >= i:
                 raise ValueError(f"dependency edge must point forward, got {j} -> {i}")
             self._succs[j].append(i)
             self._preds[i].append(j)
+
+    def sorted_edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges in ascending order, sorted once per graph."""
+        return self._sorted
+
+    @cached_property
+    def _sorted(self) -> tuple[tuple[int, int], ...]:
+        return tuple(sorted(self.edges))
 
     def successors(self, node: int) -> list[int]:
         return self._succs[node]
@@ -123,13 +131,13 @@ class DataflowGraph:
         return best
 
     def to_json(self) -> str:
-        return render_json({"nodes": list(self.nodes), "edges": sorted(self.edges)})
+        return render_json({"nodes": list(self.nodes), "edges": self.sorted_edges()})
 
     def to_dot(self) -> str:
         lines = ["digraph dataflow {"]
         for node in self.nodes:
             lines.append(f"  n{node} [label=\"{node}\"];")
-        for j, i in sorted(self.edges):
+        for j, i in self.sorted_edges():
             lines.append(f"  n{j} -> n{i};")
         lines.append("}")
         return "\n".join(lines) + "\n"

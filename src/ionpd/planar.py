@@ -8,17 +8,19 @@ degree-4 dummy vertex. `_FaceBook` traces the faces of every embedding.
 Parallel edges are split with a routing dummy first so the working graph
 stays simple.
 
-The greedy choice tests planarity only where it must. The kept graph plus
-all edges is tested once, and a planar input is taken whole. Otherwise the
-edges are walked in order against a rotation system of the kept graph
-that knows the face of every half-edge. An edge whose endpoints lie in
-different components, or on a common face, can always be drawn without a
-crossing, so it joins untested at that face's corners. Any other edge
-costs one planarity test of the kept graph plus that edge: if planar, the
-edge stays and the test's embedding replaces the rotation; if not, it is
-removed without trace and deferred. The kept set is therefore exactly that
-of the one-by-one loop, and kept edges enter the graph in input order, so
-the adjacency order that feeds every later embedding is the same too.
+Planarity tests and embeddings come from `lrplanarity.planar_rotation`.
+The graph with all edges is tested first: a planar input is taken whole,
+and that test's rotation is the final embedding. Otherwise the greedy
+choice tests planarity only where it must: the edges are walked in order
+against a rotation system of the kept graph that knows the face of every
+half-edge. An edge whose endpoints lie in different components, or on a
+common face, can always be drawn without a crossing, so it joins untested
+at that face's corners. Any other edge costs one planarity test of the
+kept graph plus that edge: if planar, the edge stays and the test's
+embedding replaces the rotation; if not, it is removed without trace and
+deferred. The kept set is therefore exactly that of the one-by-one loop,
+and kept edges enter the graph in input order, so the adjacency order that
+feeds every later embedding is the same too.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from functools import cached_property
 
 import networkx as nx
 
+from .lrplanarity import planar_rotation
 from .qfg import QubitFlowGraph
 
 Node = object  # int for instructions, str for dummies ("x0" crossing, "s0" split)
@@ -95,12 +98,11 @@ class PlanarizedGraph:
                 )
 
 
-def _fresh_embedding(graph: nx.Graph) -> dict[Node, list[Node]]:
-    is_planar, embedding = nx.check_planarity(graph)
-    if not is_planar:
+def _embedding(rotation: dict[Node, list[Node]] | None) -> dict[Node, list[Node]]:
+    """A planarity test's rotation with nodes in `node_key` order."""
+    if rotation is None:
         raise PlanarizeError("working graph lost planarity")
-    data = embedding.get_data()
-    return {v: data.get(v, []) for v in sorted(graph.nodes, key=node_key)}
+    return {v: rotation[v] for v in sorted(rotation, key=node_key)}
 
 
 class _FaceBook:
@@ -195,22 +197,15 @@ def _add_planar_greedy(
     edge whose endpoints share no face (see the module docstring). `graph`
     holds every endpoint as a node and no edges yet.
     """
-    graph.add_edges_from(edges)
-    is_planar = nx.check_planarity(graph)[0]
-    graph.remove_edges_from(edges)  # deletes the keys: no trace in adjacency order
-    if is_planar:
-        graph.add_edges_from(edges)
-        return []
-
     book = _FaceBook({v: [] for v in graph.nodes})
     deferred: list[tuple[Node, Node]] = []
     for a, b in edges:
         graph.add_edge(a, b)
         if book.place(a, b):
             continue
-        is_planar, embedding = nx.check_planarity(graph)
-        if is_planar:
-            book.adopt(embedding.get_data())
+        rotation = planar_rotation(graph)
+        if rotation is not None:
+            book.adopt(rotation)
         else:
             graph.remove_edge(a, b)
             deferred.append((a, b))
@@ -280,11 +275,17 @@ def planarize(qfg: QubitFlowGraph) -> PlanarizedGraph:
     for dummy in splits:
         graph.add_node(dummy)
 
-    deferred = _add_planar_greedy(graph, simple_edges)
+    graph.add_edges_from(simple_edges)
+    rotation = planar_rotation(graph)  # if planar, the final embedding
+    deferred: list[tuple[Node, Node]] = []
+    if rotation is None:
+        graph.remove_edges_from(simple_edges)  # deletes the keys: no trace in adjacency order
+        deferred = _add_planar_greedy(graph, simple_edges)
 
     crossings: list[str] = []
     for a, b in deferred:
-        crossed = _route_through_faces(_FaceBook(_fresh_embedding(graph)), a, b)
+        book = _FaceBook(_embedding(planar_rotation(graph)))
+        crossed = _route_through_faces(book, a, b)
         prev = a
         for edge in crossed:
             x, y = sorted(edge, key=node_key)
@@ -300,10 +301,11 @@ def planarize(qfg: QubitFlowGraph) -> PlanarizedGraph:
         inserted = crossings[len(crossings) - len(crossed):]
         _splice_chain(chains, a, b, [a, *inserted, b])
 
-    adj = _fresh_embedding(graph)
+    if rotation is None:
+        rotation = planar_rotation(graph)
     pg = PlanarizedGraph(
         nodes=tuple(sorted(graph.nodes, key=node_key)),
-        adj=adj,
+        adj=_embedding(rotation),
         crossings=frozenset(crossings),
         splits=frozenset(splits),
         chains=chains,

@@ -390,7 +390,7 @@ def validate(netlist: Netlist, graph: DataflowGraph, schedule: Schedule) -> list
                         f"instructions {clashing} share q{qubit} in stage {stage}",
                     )
                 )
-    for j, i in sorted(graph.edges):
+    for j, i in graph.sorted_edges():
         if j in stage_of and i in stage_of and stage_of[j] >= stage_of[i]:
             violations.append(
                 Violation(3, (j, i), f"instruction {i} depends on {j} but is not later")

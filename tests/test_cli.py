@@ -201,7 +201,7 @@ def test_undecomposed_toffoli_rejected_before_work(tmp_path, capsys):
 
 def test_planarize_failure_exit_code(tmp_path, capsys, monkeypatch):
     # a planarity test that always fails breaks the final embedding
-    monkeypatch.setattr("ionpd.planar.nx.check_planarity", lambda graph: (False, None))
+    monkeypatch.setattr("ionpd.planar.planar_rotation", lambda graph: None)
     assert main(["layout", CODE932, "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

@@ -1,7 +1,9 @@
+import hashlib
 import importlib
 import itertools
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -21,13 +23,19 @@ from ionpd import planar
 from ionpd.circuits import generate_cat_circuit
 from ionpd.compact import compact
 from ionpd.drawing import OrthogonalDrawing, validate_drawing
+from ionpd.lrplanarity import planar_rotation
 from ionpd.macrolayout import LayoutError
 from ionpd.orthogonal import min_cost_flow, orthogonalize
 from ionpd.planar import PlanarizeError, planarize
+from ionpd.qasm import parse_qasm
 from ionpd.qfg import build_qfg
 from ionpd.solver import schedule_netlist
 
 compact_module = importlib.import_module("ionpd.compact")  # `ionpd.compact` is the function
+LAYERED16 = Path(__file__).resolve().parent / "fixtures" / "layered16.qasm"
+# sha256 of the fixture's planarization (embedding, chains, crossings): it
+# changes only if an embedding does
+LAYERED16_PLANARIZATION = "8036adbbcde5e6f73d5f26d8e305850adcadcb0fbdd26246f7c737452d36caa2"
 
 
 def draw(qfg):
@@ -145,20 +153,20 @@ class TestGreedyBisection:
             with_crossings += bool(ref_deferred)
         assert with_crossings >= 70  # the edge-by-edge walk is exercised, not only the one-test path
 
-    def test_planar_cat80_takes_two_planarity_tests(self, monkeypatch):
+    def test_planar_cat80_takes_one_planarity_test(self, monkeypatch):
         netlist = generate_cat_circuit(80)
         qfg = build_qfg(netlist, schedule_netlist(netlist))
         calls = []
-        check = nx.check_planarity
+        check = planar.planar_rotation
 
         def counted(*args, **kwargs):
             calls.append(1)
             return check(*args, **kwargs)
 
-        monkeypatch.setattr(planar.nx, "check_planarity", counted)
+        monkeypatch.setattr(planar, "planar_rotation", counted)
         pg = planarize(qfg)
         assert pg.crossings == frozenset()
-        assert len(calls) == 2  # one for the greedy search, one for the final embedding
+        assert len(calls) == 1  # the whole-graph test's rotation is the final embedding
 
     def test_readopted_embeddings_match_sequential_greedy(self):
         # the random graphs of test_matches_sequential_greedy, drawn the same way
@@ -196,13 +204,13 @@ class TestGreedyBisection:
         rng = random.Random(5)
         graphs = [layered_flow_graph(rng, qubits=16, layers=6) for _ in range(6)]
         calls = []
-        check = nx.check_planarity
+        check = planar.planar_rotation
 
         def counted(*args, **kwargs):
             calls.append(1)
             return check(*args, **kwargs)
 
-        monkeypatch.setattr(planar.nx, "check_planarity", counted)
+        monkeypatch.setattr(planar, "planar_rotation", counted)
         for qfg in graphs:
             planarize(qfg)
         assert len(calls) <= 260  # 630 with a bisection per rejected edge
@@ -214,6 +222,97 @@ class TestGreedyBisection:
         book.face_of = dict.fromkeys(book.face_of, 0)
         with pytest.raises(PlanarizeError, match="stale face bookkeeping"):
             book.place(1, 3)
+
+
+def networkx_rotation(graph):
+    """Verdict and rotation of networkx's LR test, as (node, ring) pairs in
+    dict order; None if not planar."""
+    is_planar, embedding = nx.check_planarity(graph)
+    return list(embedding.get_data().items()) if is_planar else None
+
+
+def kernel_rotation(graph):
+    rotation = planar_rotation(graph)
+    return None if rotation is None else list(rotation.items())
+
+
+def random_labelled_graph(rng):
+    """Random graph on 0-30 nodes, some named by strings, with nodes and
+    edges inserted in shuffled order and random orientation: often
+    disconnected, with isolated nodes, sometimes a self-loop, and edge
+    counts on both sides of 3n - 6."""
+    names = [f"v{k}" if rng.random() < 0.3 else k for k in range(rng.randint(0, 30))]
+    rng.shuffle(names)
+    graph = nx.Graph()
+    graph.add_nodes_from(names[: rng.randint(0, len(names))])  # the rest enter with edges
+    pairs = []
+    if len(names) > 1:
+        pairs = [tuple(rng.sample(names, 2)) for _ in range(rng.randint(0, 3 * len(names)))]
+    pairs += [(v, v) for v in names if rng.random() < 0.02]
+    rng.shuffle(pairs)
+    graph.add_edges_from(pairs)
+    graph.add_nodes_from(names)
+    return graph
+
+
+class TestLRPlanarity:
+    """`planar_rotation` against networkx's LR test: the same verdict and
+    the same rotation, neighbour order and dict order included."""
+
+    def test_matches_networkx_on_random_graphs(self):
+        rng = random.Random(1011)
+        stats = dict.fromkeys(
+            ("non_planar", "rejected_by_lr", "disconnected", "isolated", "string_named"), 0
+        )
+        for _ in range(3000):
+            graph = random_labelled_graph(rng)
+            expected = networkx_rotation(graph)
+            assert kernel_rotation(graph) == expected
+            n = graph.number_of_nodes()
+            stats["non_planar"] += expected is None
+            stats["rejected_by_lr"] += expected is None and graph.number_of_edges() <= 3 * n - 6
+            stats["disconnected"] += n > 0 and not nx.is_connected(graph)
+            stats["isolated"] += any(not graph[v] for v in graph)
+            stats["string_named"] += any(isinstance(v, str) for v in graph)
+        assert stats["non_planar"] >= 1000 and min(stats.values()) >= 500, stats
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            nx.complete_graph(5),
+            nx.complete_bipartite_graph(3, 3),
+            nx.petersen_graph(),
+            nx.grid_2d_graph(20, 20),
+            nx.cycle_graph(5000),  # far deeper than the recursion limit: the DFS loops
+        ],
+        ids=["K5", "K3,3", "Petersen", "grid20x20", "cycle5000"],
+    )
+    def test_matches_networkx_on_classic_graphs(self, graph):
+        assert kernel_rotation(graph) == networkx_rotation(graph)
+
+    def test_matches_networkx_in_planarize(self, monkeypatch):
+        tested = []
+
+        def both(graph):
+            rotation = planar_rotation(graph)
+            got = None if rotation is None else list(rotation.items())
+            assert got == networkx_rotation(graph)
+            tested.append(rotation is None)
+            return rotation
+
+        monkeypatch.setattr(planar, "planar_rotation", both)
+        netlist = parse_qasm(LAYERED16.read_text())
+        pg = planarize(build_qfg(netlist, schedule_netlist(netlist)))
+        assert pg.crossings and len(tested) >= 30 and any(tested) and not all(tested)
+        netlist = generate_cat_circuit(80)
+        planarize(build_qfg(netlist, schedule_netlist(netlist)))
+        assert tested[-1] is False
+
+    def test_layered16_planarization_is_pinned(self):
+        netlist = parse_qasm(LAYERED16.read_text())
+        pg = planarize(build_qfg(netlist, schedule_netlist(netlist)))
+        pinned = repr((list(pg.adj.items()), list(pg.chains.items()), sorted(pg.crossings)))
+        assert hashlib.sha256(pinned.encode()).hexdigest() == LAYERED16_PLANARIZATION
 
 
 def decomposition_graphs():
