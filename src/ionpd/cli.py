@@ -124,7 +124,7 @@ def _pipeline(netlist: Netlist, args, emit: _Emitter, upto: str) -> int:
         return EXIT_OK
 
     plan = route(qfg, drawing, layout)
-    placement = place_qubits(netlist, qfg, layout)
+    placement = place_qubits(qfg, layout)
     report = simulate(netlist, schedule, layout, plan, placement, model, graph)
     emit.write("latency.json", report.to_json)
     print(f"total latency: {report.total} us over {schedule.stage_count} stages")

@@ -85,20 +85,6 @@ class DataflowGraph:
     def predecessors(self, node: int) -> list[int]:
         return self._preds[node]
 
-    def reachable(self, src: int, dst: int) -> bool:
-        """True iff dst depends (possibly transitively) on src."""
-        stack = [src]
-        seen = set()
-        while stack:
-            cur = stack.pop()
-            if cur == dst:
-                return True
-            for nxt in self._succs[cur]:
-                if nxt <= dst and nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
-
     def reduced_edges(self) -> tuple[tuple[int, int], ...]:
         """Transitive reduction in sorted order, computed once per graph."""
         return self._reduced

@@ -16,7 +16,6 @@ from operator import itemgetter
 
 from .artifact import render_json
 from .drawing import EdgeKey, OrthogonalDrawing, Point
-from .gates import Netlist
 from .qfg import QubitFlowGraph
 
 SCALE = 3
@@ -45,10 +44,6 @@ class Macroblock:
             raise LayoutError(
                 f"gate location requires a straight block, have ports {sorted(self.ports)}"
             )
-
-    @property
-    def has_gate_location(self) -> bool:
-        return bool(self.gate_of)
 
     @property
     def kind(self) -> str:
@@ -83,27 +78,19 @@ class MacroLayout:
     gate_location_of: dict[int, Point]
     node_cell: dict[int, Point]
 
-    def channel_graph(self) -> dict[Point, list[Point]]:
-        adjacency: dict[Point, list[Point]] = {cell: [] for cell in self.blocks}
-        for cell, block in self.blocks.items():
+    def check_ports(self) -> None:
+        """Every open port must face a matching open port; the error names
+        the first unmatched port by cell, then port name."""
+        unmatched = []
+        for (x, y), block in self.blocks.items():
             for port in block.ports:
                 dx, dy = DIRS[port]
-                other = (cell[0] + dx, cell[1] + dy)
-                if other in self.blocks and OPPOSITE[port] in self.blocks[other].ports:
-                    adjacency[cell].append(other)
-        return {cell: sorted(neigh) for cell, neigh in adjacency.items()}
-
-    def check_ports(self) -> None:
-        """Every open port must face a matching open port."""
-        for cell, block in sorted(self.blocks.items()):
-            for port in sorted(block.ports):
-                dx, dy = DIRS[port]
-                other = (cell[0] + dx, cell[1] + dy)
-                neighbour = self.blocks.get(other)
+                neighbour = self.blocks.get((x + dx, y + dy))
                 if neighbour is None or OPPOSITE[port] not in neighbour.ports:
-                    raise LayoutError(
-                        f"port {port} of block at {cell} faces no matching port"
-                    )
+                    unmatched.append(((x, y), port))
+        if unmatched:
+            cell, port = min(unmatched)
+            raise LayoutError(f"port {port} of block at {cell} faces no matching port")
 
     def to_json(self) -> str:
         payload = {
@@ -195,42 +182,39 @@ class MacroLayout:
         return "\n".join(parts) + "\n"
 
 
+_DIRECTION_OF: dict[Point, str] = {delta: name for name, delta in DIRS.items()}
+
+
 def _direction(a: Point, b: Point) -> str:
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    for name, (ux, uy) in DIRS.items():
-        if (dx > 0) - (dx < 0) == ux and (dy > 0) - (dy < 0) == uy:
-            return name
-    raise LayoutError(f"points {a} and {b} are not axis-aligned")
+    signs = ((b[0] > a[0]) - (b[0] < a[0]), (b[1] > a[1]) - (b[1] < a[1]))
+    name = _DIRECTION_OF.get(signs)
+    if name is None:
+        raise LayoutError(f"points {a} and {b} are not axis-aligned")
+    return name
 
 
-def _cells_between(a: Point, b: Point) -> list[Point]:
-    """Grid cells from a to b exclusive of a, inclusive of b."""
-    dx = (b[0] > a[0]) - (b[0] < a[0])
-    dy = (b[1] > a[1]) - (b[1] < a[1])
-    cells = []
-    cur = a
-    while cur != b:
-        cur = (cur[0] + dx, cur[1] + dy)
-        cells.append(cur)
-    return cells
-
-
-def polyline_cells(points: tuple[Point, ...]) -> list[Point]:
-    """Expand a scaled polyline into its full cell sequence."""
-    cells = [points[0]]
+def _polyline(points: tuple[Point, ...]) -> tuple[list[Point], list[str]]:
+    """Expand a scaled polyline into its full cell sequence and the
+    direction from each cell to the next, one direction per segment."""
+    cells, dirs = [points[0]], []
     for a, b in zip(points, points[1:]):
-        cells.extend(_cells_between(a, b))
-    return cells
+        if a == b:
+            continue  # a zero-length segment adds no cell
+        d = _direction(a, b)
+        dx, dy = DIRS[d]
+        x, y = a
+        length = abs(b[0] - x) + abs(b[1] - y)
+        cells.extend((x + k * dx, y + k * dy) for k in range(1, length + 1))
+        dirs.extend([d] * length)
+    return cells, dirs
 
 
 def tile(drawing: OrthogonalDrawing) -> MacroLayout:
     """Convert a drawing into a port-consistent macroblock grid."""
     demands: dict[Point, set[str]] = {}
     for key, pts in sorted(drawing.routes.items()):
-        scaled = tuple((x * SCALE, y * SCALE) for x, y in pts)
-        cells = polyline_cells(scaled)
-        for a, b in zip(cells, cells[1:]):
-            d = _direction(a, b)
+        cells, dirs = _polyline(tuple((x * SCALE, y * SCALE) for x, y in pts))
+        for a, b, d in zip(cells, cells[1:], dirs):
             demands.setdefault(a, set()).add(d)
             demands.setdefault(b, set()).add(OPPOSITE[d])
 
@@ -294,13 +278,11 @@ class RoutePlan:
         return 3 * (len(steps) - turns), turns
 
 
-def _tag_turns(path: list[Point]) -> tuple[RouteStep, ...]:
-    steps = []
-    for k in range(1, len(path)):
-        d_in = _direction(path[k - 1], path[k])
-        d_out = _direction(path[k], path[k + 1]) if k + 1 < len(path) else d_in
-        steps.append(RouteStep(path[k], d_in != d_out))
-    return tuple(steps)
+def _tag_turns(path: list[Point], dirs: list[str]) -> tuple[RouteStep, ...]:
+    """One step per cell after the first; `dirs[k]` leads from path[k] to
+    path[k + 1], and a step turns where it changes."""
+    turns = [d_in != d_out for d_in, d_out in zip(dirs, dirs[1:])] + [False]
+    return tuple(map(RouteStep, path[1:], turns))
 
 
 def route(
@@ -314,36 +296,31 @@ def route(
         i, j, qubit = key
         if key not in drawing.routes:
             raise LayoutError(f"edge {key} has no drawn route")
-        scaled = tuple(
-            (x * SCALE, y * SCALE) for x, y in drawing.routes[key]
-        )
-        cells = polyline_cells(scaled)
+        cells, dirs = _polyline(tuple((x * SCALE, y * SCALE) for x, y in drawing.routes[key]))
         start = layout.gate_location_of[i]
         end = layout.gate_location_of[j]
         # a displaced gate sits either on this route's first/last channel
         # block or one hop off it along another edge of the same node
         if cells[0] != start:
             if len(cells) > 1 and cells[1] == start:
-                cells = cells[1:]
+                cells, dirs = cells[1:], dirs[1:]
             elif abs(start[0] - cells[0][0]) + abs(start[1] - cells[0][1]) == 1:
-                cells = [start] + cells
+                cells, dirs = [start] + cells, [_direction(start, cells[0])] + dirs
             else:
                 raise LayoutError(f"gate of {i} disconnected from route {key}")
         if cells[-1] != end:
             if len(cells) > 1 and cells[-2] == end:
-                cells = cells[:-1]
+                cells, dirs = cells[:-1], dirs[:-1]
             elif abs(end[0] - cells[-1][0]) + abs(end[1] - cells[-1][1]) == 1:
-                cells = cells + [end]
+                cells, dirs = cells + [end], dirs + [_direction(cells[-1], end)]
             else:
                 raise LayoutError(f"gate of {j} disconnected from route {key}")
-        steps[(qubit, key)] = _tag_turns(cells) if len(cells) > 1 else ()
+        steps[(qubit, key)] = _tag_turns(cells, dirs)
 
     return RoutePlan(steps)
 
 
-def place_qubits(
-    netlist: Netlist, qfg: QubitFlowGraph, layout: MacroLayout
-) -> dict[int, Point]:
+def place_qubits(qfg: QubitFlowGraph, layout: MacroLayout) -> dict[int, Point]:
     """Initial placement: each qubit starts at its first-use gate location.
     Qubits the netlist never touches play no part in routing or timing and
     get no entry."""

@@ -4,9 +4,11 @@ Angles and bends are 90-degree units carried as flow: every vertex supplies
 four units, each vertex-face corner consumes at least one, and each face
 consumes 2*deg - 4 units (external: 2*deg + 4). Routing surplus units across
 an edge from one face to the other is one bend. An integral minimum-cost
-flow, found by network simplex, therefore encodes an orthogonal
-representation of the fixed embedding; feasibility is guaranteed for max
-degree four (Tamassia, SIAM J. Comput. 1987).
+flow therefore encodes an orthogonal representation of the fixed
+embedding; feasibility is guaranteed for max degree four (Tamassia, SIAM J.
+Comput. 1987). The flow comes from `min_cost_flow`, an in-tree port of
+networkx 3.6.1's network simplex over plain lists that makes the same
+pivots, so the bends do not depend on the installed networkx.
 
 Costs are lexicographic. Each bend costs more than all other arcs together
 can, so the bend count is exactly minimal. Among bend-minimal flows the
@@ -21,8 +23,8 @@ first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from itertools import chain
+from math import ceil, sqrt
 
 from .macrolayout import LayoutError
 from .planar import HalfEdge, Node, PlanarizedGraph
@@ -40,18 +42,187 @@ def min_cost_flow(
 ) -> list[int]:
     """Integral min-cost flow by network simplex; one flow value per arc.
 
-    Arcs may repeat a node pair (two faces sharing several edges), so the
-    network is a multigraph keyed by arc index.
+    A port of networkx 3.6.1's `network_simplex` on plain lists that pivots
+    exactly as networkx does on a `MultiDiGraph` with nodes 0..n-1 and arc k
+    added as edge key k, so it returns the same optimal flow among ties:
+
+    - arcs are ordered as networkx enumerates that graph: by source node,
+      then by the first appearance of each (from, to) pair, then by index;
+      zero-capacity arcs and self-loops are left out (a self-loop is
+      saturated if its cost is negative);
+    - every node is joined to the root by an artificial arc that starts out
+      carrying its demand, with cost and capacity 3 * max(total capacity,
+      total |cost|, total |demand|);
+    - the artificial root is index -1, the last entry of the n+1-long tree
+      lists; potentials are n long, so there -1 aliases node n-1, an entry
+      no pivot reads;
+    - entering arcs: the first minimum reduced cost of each block of
+      ceil(sqrt(real arcs)) arcs, blocks wrapping around the arc list;
+      leaving arc: the first minimum residual capacity walking the cycle
+      backwards.
     """
-    network = nx.MultiDiGraph()
-    network.add_nodes_from((node, {"demand": demand[node]}) for node in range(node_count))
-    for key, (u, v, cap, cost) in enumerate(arcs):
-        network.add_edge(u, v, key, capacity=cap, weight=cost)
-    try:
-        _, flow = nx.network_simplex(network)
-    except nx.NetworkXUnfeasible as exc:
-        raise LayoutError(f"flow network infeasible: {exc}") from exc
-    return [flow[u][v][key] for key, (u, v, _, _) in enumerate(arcs)]
+    if sum(demand) != 0:
+        raise LayoutError("flow network infeasible: total node demand is not zero")
+    if any(cap < 0 for _, _, cap, _ in arcs):
+        raise LayoutError("flow network infeasible: negative arc capacity")
+    first: dict[tuple[int, int], int] = {}
+    for k, (u, v, _, _) in enumerate(arcs):
+        first.setdefault((u, v), k)
+    real = sorted(
+        (k for k, (u, v, cap, _) in enumerate(arcs) if cap and u != v),
+        key=lambda k: (arcs[k][0], first[arcs[k][:2]], k),
+    )
+    n, edge_count = node_count, len(real)
+    source = [arcs[k][0] for k in real]
+    target = [arcs[k][1] for k in real]
+    capacity = [arcs[k][2] for k in real]
+    weight = [arcs[k][3] for k in real]
+    faux_inf = 3 * max(sum(capacity), sum(map(abs, weight)), sum(map(abs, demand))) or 1
+    for node, d in enumerate(demand):  # artificial arcs to and from the root
+        source.append(-1 if d > 0 else node)
+        target.append(node if d > 0 else -1)
+    capacity += [faux_inf] * n
+    weight += [faux_inf] * n
+    flow = [0] * edge_count + [abs(d) for d in demand]
+    potential = [faux_inf if d <= 0 else -faux_inf for d in demand]
+    # spanning tree rooted at -1 (index n), threaded in depth-first order
+    parent: list[int | None] = [-1] * n + [None]
+    parent_edge: list[int | None] = list(range(edge_count, edge_count + n))
+    size = [1] * n + [n + 1]
+    next_dft = list(range(1, n)) + [-1, 0]
+    prev_dft = list(range(-1, n))
+    last_dft = list(range(n)) + [n - 1]
+
+    block = ceil(sqrt(edge_count))
+    blocks = (edge_count + block - 1) // block if edge_count else 0
+    idle = 0  # consecutive blocks without an entering arc
+    f = 0  # first arc of the next block
+    while idle < blocks:
+        stop = f + block
+        if stop <= edge_count:
+            scan = range(f, stop)
+        else:
+            stop -= edge_count
+            scan = chain(range(f, edge_count), range(stop))
+        f = stop
+        i, best = -1, 0
+        for e in scan:
+            c = weight[e] - potential[source[e]] + potential[target[e]]
+            if flow[e]:
+                c = -c
+            if c < best:
+                i, best = e, c
+        if i < 0:
+            idle += 1
+            continue
+        idle = 0
+        p, q = (source[i], target[i]) if flow[i] == 0 else (target[i], source[i])
+
+        # the cycle the entering arc closes, oriented from p to q
+        a, b = p, q
+        while a != b:
+            if size[a] < size[b]:
+                a = parent[a]
+            elif size[a] > size[b]:
+                b = parent[b]
+            else:
+                a, b = parent[a], parent[b]
+        cycle_nodes, cycle_arcs = [p], []
+        x = p
+        while x != a:
+            cycle_arcs.append(parent_edge[x])
+            x = parent[x]
+            cycle_nodes.append(x)
+        cycle_nodes.reverse()
+        cycle_arcs.reverse()
+        if cycle_arcs != [i]:
+            cycle_arcs.append(i)
+        x = q
+        while x != a:
+            cycle_nodes.append(x)
+            cycle_arcs.append(parent_edge[x])
+            x = parent[x]
+
+        # leaving arc: the least residual capacity, last cycle arc first
+        j, s, least = -1, -1, None
+        for e, x in zip(reversed(cycle_arcs), reversed(cycle_nodes)):
+            residual = capacity[e] - flow[e] if source[e] == x else flow[e]
+            if least is None or residual < least:
+                j, s, least = e, x, residual
+        for e, x in zip(cycle_arcs, cycle_nodes):
+            flow[e] += least if source[e] == x else -least
+        if i == j:
+            continue
+        t = target[j] if source[j] == s else source[j]
+        if parent[t] != s:
+            s, t = t, s
+        if cycle_arcs.index(i) > cycle_arcs.index(j):
+            p, q = q, p
+
+        # cut the tree arc from s to its child t
+        size_t, prev_t, last_t = size[t], prev_dft[t], last_dft[t]
+        next_last_t = next_dft[last_t]
+        parent[t] = parent_edge[t] = None
+        next_dft[prev_t], prev_dft[next_last_t] = next_last_t, prev_t
+        next_dft[last_t], prev_dft[t] = t, last_t
+        x = s
+        while x is not None:
+            size[x] -= size_t
+            if last_dft[x] == last_t:
+                last_dft[x] = prev_t
+            x = parent[x]
+
+        # re-root the cut subtree at q
+        path = []
+        x = q
+        while x is not None:
+            path.append(x)
+            x = parent[x]
+        path.reverse()
+        for x, y in zip(path, path[1:]):
+            size_x, last_x = size[x], last_dft[x]
+            prev_y, last_y = prev_dft[y], last_dft[y]
+            next_last_y = next_dft[last_y]
+            parent[x], parent[y] = y, None
+            parent_edge[x], parent_edge[y] = parent_edge[y], None
+            size[x], size[y] = size_x - size[y], size_x
+            next_dft[prev_y], prev_dft[next_last_y] = next_last_y, prev_y
+            next_dft[last_y], prev_dft[y] = y, last_y
+            if last_x == last_y:
+                last_dft[x] = last_x = prev_y
+            prev_dft[x], next_dft[last_y] = last_y, x
+            next_dft[last_x], prev_dft[y] = y, last_x
+            last_dft[y] = last_x
+
+        # hang it from p through the entering arc
+        last_p, size_q, last_q = last_dft[p], size[q], last_dft[q]
+        next_last_p = next_dft[last_p]
+        parent[q], parent_edge[q] = p, i
+        next_dft[last_p], prev_dft[q] = q, last_p
+        prev_dft[next_last_p], next_dft[last_q] = last_q, next_last_p
+        x = p
+        while x is not None:
+            size[x] += size_q
+            if last_dft[x] == last_p:
+                last_dft[x] = last_q
+            x = parent[x]
+
+        # shift the potentials of q's new subtree
+        sign = -1 if q == target[i] else 1
+        shift = potential[p] + sign * weight[i] - potential[q]
+        x = q
+        while True:
+            potential[x] += shift
+            if x == last_q:
+                break
+            x = next_dft[x]
+
+    if any(flow[edge_count:]):
+        raise LayoutError("flow network infeasible: no flow satisfies all node demands")
+    out = [cap if u == v and cost < 0 else 0 for u, v, cap, cost in arcs]
+    for pos, k in enumerate(real):
+        out[k] = flow[pos]
+    return out
 
 
 @dataclass(frozen=True)
@@ -74,14 +245,6 @@ class OrthoRep:
 
     def edge_bends(self, u: Node, v: Node) -> int:
         return self.bends.get((u, v), 0) + self.bends.get((v, u), 0)
-
-    def angle_at(self, vertex: Node) -> list[int]:
-        out = []
-        for fi, walk in enumerate(self.faces):
-            for ci, (_, head) in enumerate(walk):
-                if head == vertex:
-                    out.append(self.angles[(fi, ci)])
-        return out
 
 
 def _wide_costs(pg: PlanarizedGraph, degree: dict[Node, int]) -> dict[Node, int]:

@@ -64,9 +64,6 @@ class PlanarizedGraph:
     def _faces(self) -> tuple[tuple[HalfEdge, ...], ...]:
         return _FaceBook(self.adj).walks()
 
-    def components(self) -> list[tuple[Node, ...]]:
-        return [comp for comp, _ in self.component_faces()]
-
     def component_faces(self) -> tuple[tuple[tuple[Node, ...], tuple[int, ...]], ...]:
         """Connected components, each with the indices of its faces (a face
         belongs to the tail of its first half-edge), computed once per graph.
@@ -283,6 +280,10 @@ def planarize(qfg: QubitFlowGraph) -> PlanarizedGraph:
         deferred = _add_planar_greedy(graph, simple_edges)
 
     crossings: list[str] = []
+    # the working graph is simple: each node pair is one step of one chain
+    step_key = {
+        frozenset(step): key for key, path in chains.items() for step in zip(path, path[1:])
+    }
     for a, b in deferred:
         book = _FaceBook(_embedding(planar_rotation(graph)))
         crossed = _route_through_faces(book, a, b)
@@ -294,12 +295,12 @@ def planarize(qfg: QubitFlowGraph) -> PlanarizedGraph:
             graph.remove_edge(x, y)
             graph.add_edge(x, dummy)
             graph.add_edge(dummy, y)
-            _splice_chain(chains, x, y, [x, dummy, y])
+            _splice_chain(chains, step_key, x, y, [x, dummy, y])
             graph.add_edge(prev, dummy)
             prev = dummy
         graph.add_edge(prev, b)
         inserted = crossings[len(crossings) - len(crossed):]
-        _splice_chain(chains, a, b, [a, *inserted, b])
+        _splice_chain(chains, step_key, a, b, [a, *inserted, b])
 
     if rotation is None:
         rotation = planar_rotation(graph)
@@ -314,13 +315,20 @@ def planarize(qfg: QubitFlowGraph) -> PlanarizedGraph:
     return pg
 
 
-def _splice_chain(chains: dict, a: Node, b: Node, new_path: list[Node]) -> None:
-    """Replace the first chain step between a and b, in either direction, by
-    `new_path` (which runs from a to b)."""
-    for key, path in chains.items():
-        for pos in range(len(path) - 1):
-            if {path[pos], path[pos + 1]} == {a, b}:
-                orientation = new_path if path[pos] == a else list(reversed(new_path))
-                chains[key] = path[:pos] + orientation + path[pos + 2:]
-                return
-    raise PlanarizeError(f"edge {a}-{b} not found in any chain")
+def _splice_chain(
+    chains: dict, step_key: dict[frozenset, tuple], a: Node, b: Node, new_path: list[Node]
+) -> None:
+    """Replace the chain step between a and b, in either direction, by
+    `new_path` (which runs from a to b). `step_key` maps the node pair of
+    every chain step to its chain and is kept up to date."""
+    key = step_key.pop(frozenset((a, b)), None)
+    if key is None:
+        raise PlanarizeError(f"edge {a}-{b} not found in any chain")
+    path = chains[key]
+    pos = path.index(a)
+    if pos + 1 < len(path) and path[pos + 1] == b:
+        chains[key] = path[:pos] + new_path + path[pos + 2:]
+    else:  # the step runs from b to a
+        chains[key] = path[:pos - 1] + new_path[::-1] + path[pos + 1:]
+    for step in zip(new_path, new_path[1:]):
+        step_key[frozenset(step)] = key

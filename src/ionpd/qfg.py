@@ -27,9 +27,6 @@ class QubitFlowGraph:
     def nodes(self) -> list[int]:
         return sorted(self.stage_of)
 
-    def degree(self, node: int) -> int:
-        return sum(1 for i, j, _ in self.edges if node in (i, j))
-
     def to_json(self) -> str:
         payload = {
             "nodes": [{"id": i, "stage": self.stage_of[i]} for i in self.nodes],

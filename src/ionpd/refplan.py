@@ -106,5 +106,5 @@ def build_reference_cat_plan(n: int) -> ReferencePlan:
         else:
             raise AssertionError(f"unplanned reference edge {(i, j, qubit)}")
 
-    placement = place_qubits(netlist, qfg, layout)
+    placement = place_qubits(qfg, layout)
     return ReferencePlan(netlist, schedule, layout, qfg, RoutePlan(steps), placement)

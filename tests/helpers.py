@@ -1,7 +1,10 @@
 """Shared test oracles: exact unitaries, bend-minimum MILP, brute-force and
-MILP stage schedules, the all-pairs dataflow rule and the set-based
+MILP stage schedules, networkx's network simplex, the all-pairs dataflow
+rule and the set-based
 exchangeability rule, the full-grid layout text, hand-rolled face walks,
-dual routing, component grouping and compaction, random inputs."""
+dual routing, component grouping and compaction, random inputs, and
+queries on pipeline results that only tests ask (reachability, flow-graph
+degree, corner angles, the channel graph)."""
 
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ import numpy as np
 from ionpd.compact import _EAST, _NORTH, _SOUTH, _WEST
 from ionpd.depgraph import DataflowGraph, exchangeable
 from ionpd.gates import GateKind, Instruction, Netlist, make_netlist
-from ionpd.macrolayout import DIRS, LayoutError, MacroLayout
+from ionpd.macrolayout import DIRS, OPPOSITE, LayoutError, MacroLayout
 from ionpd.planar import PlanarizeError, node_key
 from ionpd.qfg import QubitFlowGraph, build_qfg
 from ionpd.solver import Schedule
@@ -97,6 +100,10 @@ def synth_qfg(nodes: list[int], pairs: list[tuple[int, int]]) -> QubitFlowGraph:
     return QubitFlowGraph({n: n for n in nodes}, edges, first, last)
 
 
+def qfg_degree(qfg: QubitFlowGraph, node: int) -> int:
+    return sum(1 for i, j, _ in qfg.edges if node in (i, j))
+
+
 def random_degree4_graph(rng: random.Random, max_nodes: int = 12) -> QubitFlowGraph:
     n = rng.randint(1, max_nodes)
     nodes = list(range(1, n + 1))
@@ -170,13 +177,28 @@ def all_pairs_dataflow(netlist: Netlist) -> DataflowGraph:
     return DataflowGraph(tuple(i.id for i in instrs), frozenset(edges))
 
 
+def reachable(graph: DataflowGraph, src: int, dst: int) -> bool:
+    """True iff dst depends (possibly transitively) on src."""
+    stack = [src]
+    seen = set()
+    while stack:
+        cur = stack.pop()
+        if cur == dst:
+            return True
+        for nxt in graph.successors(cur):
+            if nxt <= dst and nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return False
+
+
 def bend_minimum_milp(pg, rep) -> int:
     """Exact per-embedding bend minimum (HiGHS MILP over the face equations)."""
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     total = 0
     faces = rep.faces
-    for comp in pg.components():
+    for comp, _ in pg.component_faces():
         comp_set = set(comp)
         fidx = [fi for fi, w in enumerate(faces) if w and w[0][0] in comp_set]
         if not fidx:
@@ -287,6 +309,43 @@ def stage_milp_status(netlist: Netlist, graph: DataflowGraph, horizon: int) -> i
         integrality=np.ones(len(col)),
     )
     return res.status
+
+
+def networkx_min_cost_flow(
+    node_count: int, arcs: list[tuple[int, int, int, int]], demand: list[int]
+) -> list[int]:
+    """`orthogonal.min_cost_flow` by networkx's network simplex on a
+    multigraph keyed by arc index; raises `nx.NetworkXUnfeasible`."""
+    import networkx as nx
+
+    network = nx.MultiDiGraph()
+    network.add_nodes_from((node, {"demand": demand[node]}) for node in range(node_count))
+    for key, (u, v, cap, cost) in enumerate(arcs):
+        network.add_edge(u, v, key, capacity=cap, weight=cost)
+    _, flow = nx.network_simplex(network)
+    return [flow[u][v][key] for key, (u, v, _, _) in enumerate(arcs)]
+
+
+def angle_at(rep, vertex) -> list[int]:
+    """Angles of `vertex` in every face corner it heads, in face order."""
+    out = []
+    for fi, walk in enumerate(rep.faces):
+        for ci, (_, head) in enumerate(walk):
+            if head == vertex:
+                out.append(rep.angles[(fi, ci)])
+    return out
+
+
+def channel_graph(layout: MacroLayout) -> dict:
+    """Blocks joined through matching open ports, neighbours sorted."""
+    adjacency: dict = {cell: [] for cell in layout.blocks}
+    for cell, block in layout.blocks.items():
+        for port in block.ports:
+            dx, dy = DIRS[port]
+            other = (cell[0] + dx, cell[1] + dy)
+            if other in layout.blocks and OPPOSITE[port] in layout.blocks[other].ports:
+                adjacency[cell].append(other)
+    return {cell: sorted(neigh) for cell, neigh in adjacency.items()}
 
 
 def reference_layout_text(layout: MacroLayout) -> str:

@@ -56,7 +56,7 @@ def full_pipeline(netlist, model=None):
     drawing = compact(pg, orthogonalize(pg))
     layout = tile(drawing)
     plan = route(qfg, drawing, layout)
-    placement = place_qubits(netlist, qfg, layout)
+    placement = place_qubits(qfg, layout)
     report = simulate(netlist, schedule, layout, plan, placement, model)
     return schedule, qfg, drawing, layout, report
 

@@ -208,12 +208,16 @@ def test_planarize_failure_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_infeasible_angle_flow_exit_code(tmp_path, capsys, monkeypatch):
-    import networkx as nx
+    import ionpd.orthogonal as orthogonal
 
-    def unfeasible(network):
-        raise nx.NetworkXUnfeasible("no flow satisfies all node demands")
+    kernel = orthogonal.min_cost_flow
 
-    monkeypatch.setattr("ionpd.orthogonal.nx.network_simplex", unfeasible)
+    def closed(node_count, arcs, demand):
+        # the flow kernel itself meets a network with every arc closed: no
+        # vertex can send its angles to a face
+        return kernel(node_count, [(u, v, 0, cost) for u, v, _, cost in arcs], demand)
+
+    monkeypatch.setattr(orthogonal, "min_cost_flow", closed)
     assert main(["layout", CODE932, "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

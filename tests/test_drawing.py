@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from helpers import (
+    angle_at,
     bend_minimum_milp,
     layered_flow_graph,
+    networkx_min_cost_flow,
     random_degree4_graph,
     reference_component_faces,
     reference_coordinates,
@@ -19,7 +21,7 @@ from helpers import (
     reference_route_through_faces,
     synth_qfg,
 )
-from ionpd import planar
+from ionpd import orthogonal, planar
 from ionpd.circuits import generate_cat_circuit
 from ionpd.compact import compact
 from ionpd.drawing import OrthogonalDrawing, validate_drawing
@@ -36,6 +38,9 @@ LAYERED16 = Path(__file__).resolve().parent / "fixtures" / "layered16.qasm"
 # sha256 of the fixture's planarization (embedding, chains, crossings): it
 # changes only if an embedding does
 LAYERED16_PLANARIZATION = "8036adbbcde5e6f73d5f26d8e305850adcadcb0fbdd26246f7c737452d36caa2"
+# sha256 of the fixture's orthogonal representation (angles and bends): it
+# changes only if a min-cost flow does
+LAYERED16_ORTHOREP = "ce7f71563404654b2602d34a1c2129309d60cc4ade1fda923695723df2ee1eda"
 
 
 def draw(qfg):
@@ -332,7 +337,6 @@ class TestDecomposition:
             pg = planarize(qfg)
             expected = reference_component_faces(pg)
             assert pg.component_faces() == expected
-            assert pg.components() == [comp for comp, _ in expected]
             multi_component += len(expected) > 1
         assert multi_component >= 40
 
@@ -447,7 +451,7 @@ class TestOrthogonalize:
         rep = orthogonalize(pg)
         assert rep.total_bends == 0
         for node in (1, 2, 3, 4):
-            assert sorted(rep.angle_at(node)) == [1, 3]
+            assert sorted(angle_at(rep, node)) == [1, 3]
 
     def test_path_is_straight(self):
         pg = planarize(synth_qfg([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4)]))
@@ -473,6 +477,7 @@ class TestOrthogonalize:
         from scipy.optimize import Bounds, LinearConstraint, milp
 
         rng = random.Random(5150)
+        zero_capacity = 0
         for _ in range(100):
             n = rng.randint(2, 7)
             arcs = []
@@ -489,6 +494,8 @@ class TestOrthogonalize:
                 demand[v] += sent
 
             flows = min_cost_flow(n, arcs, demand)
+            assert flows == networkx_min_cost_flow(n, arcs, demand)
+            zero_capacity += any(cap == 0 for _, _, cap, _ in arcs)
             net = [0] * n
             for (u, v, cap, _), sent in zip(arcs, flows):
                 assert 0 <= sent <= cap
@@ -508,10 +515,52 @@ class TestOrthogonalize:
             )
             assert best.success, best.message
             assert sum(sent * cost for sent, (*_, cost) in zip(flows, arcs)) == round(best.fun)
+        assert zero_capacity >= 50
+
+    def test_min_cost_flow_matches_networkx_on_self_loops(self):
+        arcs = [(0, 0, 3, -1), (0, 1, 2, 1), (1, 1, 2, 4), (0, 1, 0, -5), (1, 0, 1, -2)]
+        for demand in ([0, 0], [-2, 2], [1, -1]):
+            assert min_cost_flow(2, arcs, demand) == networkx_min_cost_flow(2, arcs, demand)
+        assert min_cost_flow(2, arcs, [0, 0]) == [3, 1, 0, 0, 1]
+
+    def test_min_cost_flow_matches_networkx_in_orthogonalize(self, monkeypatch):
+        kernel = orthogonal.min_cost_flow
+        networks = []
+
+        def both(node_count, arcs, demand):
+            got = kernel(node_count, arcs, demand)
+            assert got == networkx_min_cost_flow(node_count, arcs, demand)
+            networks.append(len(arcs))
+            return got
+
+        monkeypatch.setattr(orthogonal, "min_cost_flow", both)
+        for netlist in (parse_qasm(LAYERED16.read_text()), generate_cat_circuit(80)):
+            orthogonalize(planarize(build_qfg(netlist, schedule_netlist(netlist))))
+        assert len(networks) >= 2 and max(networks) >= 1000
+
+    def test_layered16_orthorep_is_pinned(self):
+        netlist = parse_qasm(LAYERED16.read_text())
+        rep = orthogonalize(planarize(build_qfg(netlist, schedule_netlist(netlist))))
+        pinned = repr((list(rep.angles.items()), list(rep.bends.items())))
+        assert hashlib.sha256(pinned.encode()).hexdigest() == LAYERED16_ORTHOREP
 
     def test_infeasible_flow_raises_layout_error(self):
         with pytest.raises(LayoutError, match="infeasible"):
             min_cost_flow(2, [(0, 1, 1, 0)], [-2, 2])
+
+    @pytest.mark.parametrize(
+        "arcs, demand, reason",
+        [
+            ([(0, 1, 1, 0)], [-1, 2], "total node demand"),
+            ([(0, 1, -1, 0)], [0, 0], "negative arc capacity"),
+        ],
+        ids=["demand-sum", "negative-capacity"],
+    )
+    def test_unbalanced_or_negative_network_is_infeasible(self, arcs, demand, reason):
+        with pytest.raises(LayoutError, match=f"infeasible: {reason}"):
+            min_cost_flow(2, arcs, demand)
+        with pytest.raises(nx.NetworkXUnfeasible):
+            networkx_min_cost_flow(2, arcs, demand)
 
 
 class TestCompact:

@@ -31,7 +31,7 @@ def full_pipeline(netlist, model=None):
     drawing = compact(pg, orthogonalize(pg))
     layout = tile(drawing)
     plan = route(qfg, drawing, layout)
-    placement = place_qubits(netlist, qfg, layout)
+    placement = place_qubits(qfg, layout)
     return simulate(netlist, schedule, layout, plan, placement, model)
 
 

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from helpers import layered_flow_graph, random_degree4_graph, reference_layout_text, synth_qfg
+from helpers import (
+    channel_graph,
+    layered_flow_graph,
+    qfg_degree,
+    random_degree4_graph,
+    reference_layout_text,
+    synth_qfg,
+)
 from ionpd.circuits import generate_cat_circuit
 from ionpd.compact import compact
 from ionpd.drawing import OrthogonalDrawing
@@ -38,7 +45,7 @@ def cat7_movers_into(gate):
     netlist = generate_cat_circuit(7)
     schedule, qfg, drawing, layout = pipeline(netlist)
     plan = route(qfg, drawing, layout)
-    report = simulate(netlist, schedule, layout, plan, place_qubits(netlist, qfg, layout))
+    report = simulate(netlist, schedule, layout, plan, place_qubits(qfg, layout))
     return sorted(m.qubit for m in report.movements if m.edge[1] == gate)
 
 
@@ -63,6 +70,13 @@ class TestMacroblock:
             lonely.check_ports()
         assert "(2, 5)" in str(err.value)
 
+    def test_first_dangling_port_by_cell_then_port(self):
+        from ionpd.macrolayout import MacroLayout
+
+        blocks = {(3, 0): Macroblock(frozenset("EW")), (1, 2): Macroblock(frozenset("NS"))}
+        with pytest.raises(LayoutError, match=r"port N of block at \(1, 2\)"):
+            MacroLayout(blocks, {}, {}).check_ports()
+
 
 class TestTile:
     def test_isolated_node_gets_caps(self):
@@ -84,10 +98,29 @@ class TestTile:
             "STRAIGHT_H", "GATE_STRAIGHT_H", "DEAD_END_W",
         ]
 
+    def test_zero_length_segments_add_nothing(self):
+        nodes = {1: (0, 0), 2: (2, 1)}
+        plain = OrthogonalDrawing(nodes, {(1, 2, 0): ((0, 0), (2, 0), (2, 1))})
+        padded = OrthogonalDrawing(
+            nodes, {(1, 2, 0): ((0, 0), (0, 0), (2, 0), (2, 0), (2, 1), (2, 1))}
+        )
+        assert tile(padded) == tile(plain)
+        qfg = synth_qfg([1, 2], [(1, 2)])
+        plan = route(qfg, padded, tile(padded))
+        assert plan == route(qfg, plain, tile(plain))
+        assert [step.turn for step in plan.steps[(0, (1, 2, 0))]] == [
+            False, False, False, False, False, True, False, False, False,
+        ]
+
+    def test_diagonal_segment_raises(self):
+        drawing = OrthogonalDrawing({1: (0, 0), 2: (1, 2)}, {(1, 2, 0): ((0, 0), (1, 2))})
+        with pytest.raises(LayoutError, match="not axis-aligned"):
+            tile(drawing)
+
     def test_cat4_has_six_gate_locations_and_connected_channels(self):
         _, _, _, layout = pipeline(generate_cat_circuit(4))
         assert len(layout.gate_location_of) == 6
-        adj = layout.channel_graph()
+        adj = channel_graph(layout)
         seen, stack = set(), [next(iter(adj))]
         while stack:
             cell = stack.pop()
@@ -106,7 +139,7 @@ class TestTile:
         assert layout.blocks[centre].kind.startswith("TEE")
         gate = layout.gate_location_of[1]
         assert abs(gate[0] - centre[0]) + abs(gate[1] - centre[1]) == 1
-        assert layout.blocks[gate].has_gate_location
+        assert layout.blocks[gate].gate_of
 
     def test_ports_always_pair(self):
         rng = random.Random(41)
@@ -122,9 +155,9 @@ class TestTile:
     def test_channel_graph_mirrors_drawing_topology(self):
         netlist = generate_cat_circuit(7)
         _, qfg, drawing, layout = pipeline(netlist)
-        adj = layout.channel_graph()
+        adj = channel_graph(layout)
         junctions = sum(1 for b in layout.blocks.values() if len(b.ports) >= 3)
-        drawn_junctions = sum(1 for n in qfg.nodes if qfg.degree(n) >= 3)
+        drawn_junctions = sum(1 for n in qfg.nodes if qfg_degree(qfg, n) >= 3)
         assert junctions == drawn_junctions
 
     def test_route_crossings_become_cross_blocks(self):
@@ -141,7 +174,7 @@ class TestPlaceQubits:
     def test_cat7_first_use_rule(self):
         netlist = generate_cat_circuit(7)
         _, qfg, _, layout = pipeline(netlist)
-        placement = place_qubits(netlist, qfg, layout)
+        placement = place_qubits(qfg, layout)
         assert placement[3] == layout.gate_location_of[1]   # H wire
         assert placement[4] == layout.gate_location_of[2]
         assert placement[0] == layout.gate_location_of[7]   # low chain end
@@ -150,7 +183,7 @@ class TestPlaceQubits:
     def test_single_use_qubit(self):
         netlist = parse_qasm("CX q0,q1")
         _, qfg, _, layout = pipeline(netlist)
-        placement = place_qubits(netlist, qfg, layout)
+        placement = place_qubits(qfg, layout)
         assert placement[0] == placement[1] == layout.gate_location_of[1]
 
 
@@ -183,13 +216,31 @@ class TestRoute:
             drawing = compact(pg, orthogonalize(pg))
             layout = tile(drawing)
             plan = route(qfg, drawing, layout)
-            adj = layout.channel_graph()
+            adj = channel_graph(layout)
             for (qubit, edge), steps in plan.steps.items():
                 i, j, _ = edge
                 cells = [layout.gate_location_of[i]] + [s.cell for s in steps]
                 assert cells[-1] == layout.gate_location_of[j]
                 for a, b in zip(cells, cells[1:]):
                     assert b in adj[a], f"{a}->{b} not a channel hop"
+
+    def test_turns_are_direction_changes_between_cells(self):
+        rng = random.Random(44)
+        graphs = [random_degree4_graph(rng, max_nodes=9) for _ in range(10)]
+        graphs += [layered_flow_graph(rng) for _ in range(2)]
+        turns = 0
+        for qfg in graphs:
+            pg = planarize(qfg)
+            drawing = compact(pg, orthogonalize(pg))
+            layout = tile(drawing)
+            for (_, (i, _, _)), steps in route(qfg, drawing, layout).steps.items():
+                cells = [layout.gate_location_of[i]] + [s.cell for s in steps]
+                moves = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(cells, cells[1:])]
+                assert [s.turn for s in steps] == [
+                    m_in != m_out for m_in, m_out in zip(moves, moves[1:])
+                ] + [False] * bool(steps)
+                turns += sum(s.turn for s in steps)
+        assert turns >= 50
 
     def test_turn_count_matches_direction_changes(self):
         netlist = generate_cat_circuit(7)
