@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from pathlib import Path
 
 from .circuits import generate_cat_circuit
@@ -53,6 +53,13 @@ class _Emitter:
             return
         self.dir.mkdir(parents=True, exist_ok=True)
         (self.dir / name).write_text(render(), encoding="utf-8")
+
+    def write_lines(self, name: str, lines: Iterable[str]) -> None:
+        """Write an artifact as its lines come, for text too large to hold
+        whole in memory twice."""
+        self.dir.mkdir(parents=True, exist_ok=True)
+        with open(self.dir / name, "w", encoding="utf-8") as handle:
+            handle.writelines(lines)
 
 
 def _read_netlist(path: str) -> Netlist:
@@ -117,7 +124,7 @@ def _pipeline(netlist: Netlist, args, emit: _Emitter, upto: str) -> int:
     emit.write("drawing.svg", drawing.to_svg, "svg")
     layout = tile(drawing)
     emit.write("layout.json", layout.to_json)
-    emit.write("layout.txt", layout.to_text)
+    emit.write_lines("layout.txt", layout.text_lines())
     emit.write("layout.svg", layout.to_svg, "svg")
     if upto == "layout":
         print(f"layout: {len(layout.blocks)} macroblocks, {len(layout.gate_location_of)} gate locations")

@@ -159,6 +159,7 @@ def simulate(
 ) -> LatencyReport:
     """Availability-time simulation of a placed, routed, scheduled circuit."""
     m = model or LatencyModel()
+    block_move = 3 * m.straight_move  # crossing one block in a straight line
     if graph is None:
         graph = build_dataflow(netlist)
     violations = validate(netlist, graph, schedule)
@@ -196,21 +197,26 @@ def simulate(
                 if leg is None:
                     raise ValueError(f"missing route for qubit q{qubit} into {instr.id}")
                 delay = 0.0
+                turns = 0
                 prev_cell = qubit_loc[qubit]
-                for k, step in enumerate(leg):
-                    final = k == len(leg) - 1
-                    if not final:  # partner ions meet inside the gate block
-                        ready = cell_free.get(step.cell, 0.0)
+                last = len(leg) - 1
+                for k, (cell, turn) in enumerate(leg):
+                    if k < last:  # partner ions meet inside the gate block
+                        ready = cell_free.get(cell, 0.0)
                         if ready > t:
                             delay += ready - t
                             t = ready
-                    t += m.turn if step.turn else 3 * m.straight_move
-                    # a cell frees once the ion has fully entered the next one
-                    cell_free[prev_cell] = max(cell_free.get(prev_cell, 0.0), t)
-                    if not final:
-                        cell_free[step.cell] = max(cell_free.get(step.cell, 0.0), t)
-                    prev_cell = step.cell
-                straights, turns = routes.straights_and_turns(qubit, edge)
+                    if turn:
+                        t += m.turn
+                        turns += 1
+                    else:
+                        t += block_move
+                    # a cell frees once the ion has fully entered the next
+                    # one; the step after this one frees `cell` itself
+                    if t > cell_free.get(prev_cell, 0.0):
+                        cell_free[prev_cell] = t
+                    prev_cell = cell
+                straights = 3 * (len(leg) - turns)
                 movements.append(Movement(qubit, edge, straights, turns, delay))
                 movement_time[qubit] = movement_time.get(qubit, 0.0) + (
                     straights * m.straight_move + turns * m.turn

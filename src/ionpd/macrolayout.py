@@ -6,15 +6,25 @@ on straight channel blocks, never at turns or junctions, so an instruction
 whose drawing node is a corner or junction gets its gate shifted into the
 first channel block of one of its incident edges. One drawing grid unit maps
 to three macroblocks, which leaves that channel block free by construction.
+
+While `tile` collects port demands, a cell's port set is a 4-bit mask (E=1,
+S=2, W=4, N=8). Every gate-free cell of a tiled layout holds one of 15
+shared `Macroblock` instances, one per port set; only gate blocks are built
+per cell. Constant per-port-set tables give the port check its neighbour
+offsets and `layout.json` its block members; `text_lines` builds one glyph
+table per layout for its cell width and yields `layout.txt` a line at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
-from operator import itemgetter
+from collections.abc import Iterator
+from dataclasses import dataclass
+from functools import partial
+from itertools import combinations, repeat
+from operator import itemgetter, ne
+from typing import NamedTuple
 
-from .artifact import render_json
+from .artifact import json_fragment
 from .drawing import EdgeKey, OrthogonalDrawing, Point
 from .qfg import QubitFlowGraph
 
@@ -24,6 +34,14 @@ SCALE = 3
 DIRS: dict[str, Point] = {"E": (1, 0), "S": (0, 1), "W": (-1, 0), "N": (0, -1)}
 OPPOSITE = {"E": "W", "W": "E", "N": "S", "S": "N"}
 _ORDER = ("E", "S", "W", "N")
+# port mask bit of each direction, in _ORDER: E=1, S=2, W=4, N=8
+_BIT = {d: 1 << k for k, d in enumerate(_ORDER)}
+# every port set, indexed by its mask
+_PORT_SETS: tuple[frozenset[str], ...] = tuple(
+    frozenset(d for d in _ORDER if mask & _BIT[d]) for mask in range(16)
+)
+_HORIZONTAL, _VERTICAL = _BIT["E"] | _BIT["W"], _BIT["S"] | _BIT["N"]
+_STRAIGHTS = (_PORT_SETS[_HORIZONTAL], _PORT_SETS[_VERTICAL])
 
 
 class LayoutError(ValueError):
@@ -37,10 +55,7 @@ class Macroblock:
     gate_of: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.gate_of and self.ports not in (
-            frozenset({"E", "W"}),
-            frozenset({"N", "S"}),
-        ):
+        if self.gate_of and self.ports not in _STRAIGHTS:
             raise LayoutError(
                 f"gate location requires a straight block, have ports {sorted(self.ports)}"
             )
@@ -71,6 +86,59 @@ _KIND_OF_PORTS: dict[frozenset[str], str] = {
     for ports in combinations(_ORDER, n)
 }
 
+# the gate-free block of each non-empty port mask, shared by every cell
+_SHARED: dict[int, Macroblock] = {
+    mask: Macroblock(ports) for mask, ports in enumerate(_PORT_SETS) if ports
+}
+
+# per port set: each port, by name, with the offset of the block it faces
+# and the port that block must open towards it
+_NEIGHBOURS: dict[frozenset[str], tuple[tuple[str, int, int, str], ...]] = {
+    ports: tuple((port, *DIRS[port], OPPOSITE[port]) for port in sorted(ports))
+    for ports in _PORT_SETS
+}
+
+# the block mask of a node cell whose demands let it host its own trap: no
+# port, one port or a straight; a loose end is opened into a straight
+_TRAP_MASK: dict[int, int] = {
+    0: _HORIZONTAL, _BIT["E"]: _HORIZONTAL, _BIT["W"]: _HORIZONTAL, _HORIZONTAL: _HORIZONTAL,
+    _BIT["S"]: _VERTICAL, _BIT["N"]: _VERTICAL, _VERTICAL: _VERTICAL,
+}
+
+
+def _block_members(ports: frozenset[str], kind: str) -> str:
+    """A block's `kind` and `ports` members as `render_json` writes them."""
+    return json_fragment({"kind": kind, "ports": sorted(ports)})[1:-1]
+
+
+# per port set, `layout.json` keys sort as gates, kind, ports, x, y: a
+# gate-free block up to its x, and a gate block from after its gates up to its x
+_JSON_FREE: dict[frozenset[str], str] = {
+    ports: '{"gates":[],' + _block_members(ports, kind) + ',"x":'
+    for ports, kind in _KIND_OF_PORTS.items()
+}
+_JSON_GATE: dict[frozenset[str], str] = {
+    ports: "," + _block_members(ports, "GATE_" + _KIND_OF_PORTS[ports]) + ',"x":'
+    for ports in _STRAIGHTS
+}
+
+
+def _glyph_table(width: int) -> dict[frozenset[str], tuple[str, str, str, str, str]]:
+    """Per port set, the glyphs of a block whose cells are `width` wide: its
+    top row, gate-free middle row, bottom row, and west and east middle cells."""
+    wall, channel = "#" * width, "." * width
+    table = {}
+    for ports in _PORT_SETS:
+        north, east, south, west = (channel if d in ports else wall for d in "NESW")
+        table[ports] = (
+            wall + north + wall,
+            west + channel + east,
+            wall + south + wall,
+            west,
+            east,
+        )
+    return table
+
 
 @dataclass(frozen=True)
 class MacroLayout:
@@ -81,72 +149,83 @@ class MacroLayout:
     def check_ports(self) -> None:
         """Every open port must face a matching open port; the error names
         the first unmatched port by cell, then port name."""
+        blocks = self.blocks
         unmatched = []
-        for (x, y), block in self.blocks.items():
-            for port in block.ports:
-                dx, dy = DIRS[port]
-                neighbour = self.blocks.get((x + dx, y + dy))
-                if neighbour is None or OPPOSITE[port] not in neighbour.ports:
+        for (x, y), block in blocks.items():
+            for port, dx, dy, facing in _NEIGHBOURS[block.ports]:
+                neighbour = blocks.get((x + dx, y + dy))
+                if neighbour is None or facing not in neighbour.ports:
                     unmatched.append(((x, y), port))
         if unmatched:
             cell, port = min(unmatched)
             raise LayoutError(f"port {port} of block at {cell} faces no matching port")
 
     def to_json(self) -> str:
-        payload = {
-            "blocks": [
-                {
-                    "x": x,
-                    "y": y,
-                    "kind": block.kind,
-                    "ports": sorted(block.ports),
-                    "gates": list(block.gate_of),
-                }
-                for (x, y), block in sorted(self.blocks.items())
-            ],
-            "gate_locations": [
-                {"instruction": i, "x": x, "y": y}
-                for i, (x, y) in sorted(self.gate_location_of.items())
-            ],
-        }
-        return render_json(payload)
+        """Blocks by cell, then gate locations by instruction, as
+        `render_json` writes them; each block's constant members come from
+        the per-port-set fragments."""
+        blocks = self.blocks
+        parts = []
+        for cell in sorted(blocks):
+            block = blocks[cell]
+            if block.gate_of:
+                head = '{"gates":' + json_fragment(list(block.gate_of)) + _JSON_GATE[block.ports]
+            else:
+                head = _JSON_FREE.get(block.ports)
+                if head is None:
+                    raise LayoutError("macroblock with no ports")
+            x, y = cell
+            parts.append(f'{head}{x},"y":{y}}}')
+        locations = json_fragment([
+            {"instruction": i, "x": x, "y": y}
+            for i, (x, y) in sorted(self.gate_location_of.items())
+        ])
+        return '{"blocks":[' + ",".join(parts) + '],"gate_locations":' + locations + "}\n"
 
     def to_text(self) -> str:
-        """Cell-level glyph grid: '#' electrode, '.' channel, digit gate trap.
+        """The whole of `text_lines`."""
+        return "".join(self.text_lines())
 
-        Each block is 3x3 cells of two characters; blank cells pad between
-        blocks and nothing pads a row's end. Rows are rendered one block row
-        at a time, so the bounding box itself is never allocated.
+    def text_lines(self) -> Iterator[str]:
+        """Cell-level glyph grid, one line at a time with its newline: '#'
+        electrode, '.' channel, the gate id at a gate trap.
+
+        Each block is 3x3 cells. Every cell is as wide as the longest gate
+        id and at least two characters, so gate ids of any length keep the
+        columns aligned. Blank cells pad between blocks and nothing pads a
+        row's end. A writer that takes the lines as they come never holds
+        the whole text (5.5 MB for Cat-320) nor the bounding box.
         """
-        if not self.blocks:
-            return "(empty layout)\n"
-        x0 = min(x for x, _ in self.blocks)
+        blocks = self.blocks
+        if not blocks:
+            yield "(empty layout)\n"
+            return
+        gate_ids = [str(block.gate_of[0]) for block in blocks.values() if block.gate_of]
+        width = max([2, *map(len, gate_ids)])
+        glyphs = _glyph_table(width)
+        pad = " " * (3 * width)
+        x0 = min(x for x, _ in blocks)
         rows: dict[int, list[tuple[int, Macroblock]]] = {}
-        for (x, y), block in self.blocks.items():
+        for (x, y), block in blocks.items():
             rows.setdefault(y, []).append((x, block))
-        lines = []
         for y in range(min(rows), max(rows) + 1):
             top, middle, bottom = [], [], []
             next_x = x0
             for x, block in sorted(rows.get(y, ()), key=itemgetter(0)):
-                pad = "      " * (x - next_x)
+                gap = pad * (x - next_x)
                 next_x = x + 1
-                ports = block.ports
-                centre = f"{block.gate_of[0]:2d}" if block.gate_of else ".."
-                top.append(pad + ("##..##" if "N" in ports else "######"))
-                middle.append(
-                    pad
-                    + (".." if "W" in ports else "##")
-                    + centre
-                    + (".." if "E" in ports else "##")
-                )
-                bottom.append(pad + ("##..##" if "S" in ports else "######"))
-            lines += ("".join(top), "".join(middle), "".join(bottom))
-        legend = [
-            f"gate {i} at block ({x},{y})"
-            for i, (x, y) in sorted(self.gate_location_of.items())
-        ]
-        return "\n".join(lines + legend) + "\n"
+                north, through, south, west, east = glyphs[block.ports]
+                top.append(gap + north)
+                if block.gate_of:
+                    middle.append(f"{gap}{west}{block.gate_of[0]:{width}d}{east}")
+                else:
+                    middle.append(gap + through)
+                bottom.append(gap + south)
+            for row in (top, middle, bottom):
+                row.append("\n")
+                yield "".join(row)
+        for i, (x, y) in sorted(self.gate_location_of.items()):
+            yield f"gate {i} at block ({x},{y})\n"
 
     def to_svg(self, cell: int = 10) -> str:
         if not self.blocks:
@@ -193,96 +272,88 @@ def _direction(a: Point, b: Point) -> str:
     return name
 
 
-def _polyline(points: tuple[Point, ...]) -> tuple[list[Point], list[str]]:
-    """Expand a scaled polyline into its full cell sequence and the
-    direction from each cell to the next, one direction per segment."""
-    cells, dirs = [points[0]], []
-    for a, b in zip(points, points[1:]):
+def _runs(points: tuple[Point, ...]) -> Iterator[tuple[Point, str, list[Point]]]:
+    """Each segment of a drawn polyline at block scale, zero-length ones
+    left out: its first cell, its direction and the cells it enters."""
+    scaled = [(x * SCALE, y * SCALE) for x, y in points]
+    for a, b in zip(scaled, scaled[1:]):
         if a == b:
             continue  # a zero-length segment adds no cell
         d = _direction(a, b)
-        dx, dy = DIRS[d]
-        x, y = a
-        length = abs(b[0] - x) + abs(b[1] - y)
-        cells.extend((x + k * dx, y + k * dy) for k in range(1, length + 1))
-        dirs.extend([d] * length)
-    return cells, dirs
+        (ax, ay), (bx, by) = a, b
+        if ay == by:
+            step = DIRS[d][0]
+            yield a, d, list(zip(range(ax + step, bx + step, step), repeat(ay)))
+        else:
+            step = DIRS[d][1]
+            yield a, d, list(zip(repeat(ax), range(ay + step, by + step, step)))
 
 
 def tile(drawing: OrthogonalDrawing) -> MacroLayout:
     """Convert a drawing into a port-consistent macroblock grid."""
-    demands: dict[Point, set[str]] = {}
-    for key, pts in sorted(drawing.routes.items()):
-        cells, dirs = _polyline(tuple((x * SCALE, y * SCALE) for x, y in pts))
-        for a, b, d in zip(cells, cells[1:], dirs):
-            demands.setdefault(a, set()).add(d)
-            demands.setdefault(b, set()).add(OPPOSITE[d])
+    demand: dict[Point, int] = {}  # cell -> port mask
+    get = demand.get
+    for _, points in sorted(drawing.routes.items()):
+        for start, d, cells in _runs(points):
+            out, back = _BIT[d], _BIT[OPPOSITE[d]]
+            demand[start] = get(start, 0) | out
+            for cell in cells[:-1]:
+                demand[cell] = get(cell, 0) | out | back
+            end = cells[-1]
+            demand[end] = get(end, 0) | back
 
     node_cell = {i: (x * SCALE, y * SCALE) for i, (x, y) in drawing.node_pos.items()}
-    blocks: dict[Point, set[str]] = {cell: set(ports) for cell, ports in demands.items()}
+    node_cells = set(node_cell.values())
     gate_cells: dict[int, Point] = {}
     gate_marks: dict[Point, list[int]] = {}
 
     for instr in sorted(node_cell):
         cell = node_cell[instr]
-        ports = blocks.get(cell, set())
-        straight = ports in ({"E", "W"}, {"N", "S"})
-        if len(ports) <= 1 or straight:
+        mask = demand.get(cell, 0)
+        trap = _TRAP_MASK.get(mask)
+        if trap is not None:
             # the node block itself can host the trap; cap any open ends
-            if not ports:
-                ports = {"E", "W"}
-            elif len(ports) == 1:
-                ports = ports | {OPPOSITE[next(iter(ports))]}
-            blocks[cell] = ports
+            demand[cell] = trap
             gate_cells[instr] = cell
             gate_marks.setdefault(cell, []).append(instr)
-            for port in sorted(ports):
-                dx, dy = DIRS[port]
+            for _, dx, dy, facing in _NEIGHBOURS[_PORT_SETS[trap]]:
                 neighbour = (cell[0] + dx, cell[1] + dy)
-                if neighbour not in blocks:
-                    blocks[neighbour] = {OPPOSITE[port]}
+                if neighbour not in demand:
+                    demand[neighbour] = _BIT[facing]
         else:
-            # corner or junction: shift the gate into an owned channel block
-            host_dir = next(d for d in _ORDER if d in ports)
-            dx, dy = DIRS[host_dir]
+            # corner or junction: shift the gate into an owned channel block,
+            # through its first port in _ORDER (the mask's lowest bit)
+            dx, dy = DIRS[_ORDER[(mask & -mask).bit_length() - 1]]
             host = (cell[0] + dx, cell[1] + dy)
-            if host in gate_marks or host in node_cell.values():
+            if host in gate_marks or host in node_cells:
                 raise LayoutError(f"no free gate block next to junction at {cell}")
             gate_cells[instr] = host
             gate_marks.setdefault(host, []).append(instr)
 
-    built = {
-        cell: Macroblock(frozenset(ports), tuple(gate_marks.get(cell, ())))
-        for cell, ports in blocks.items()
+    blocks = {
+        cell: Macroblock(_PORT_SETS[mask], tuple(gate_marks[cell]))
+        if cell in gate_marks
+        else _SHARED[mask]
+        for cell, mask in demand.items()
     }
-
-    layout = MacroLayout(built, gate_cells, node_cell)
+    layout = MacroLayout(blocks, gate_cells, node_cell)
     layout.check_ports()
     return layout
 
 
-@dataclass(frozen=True)
-class RouteStep:
+class RouteStep(NamedTuple):
     cell: Point
     turn: bool
+
+
+# builds a RouteStep from a (cell, turn) pair without the Python-level
+# __new__ that NamedTuple generates
+_route_step = partial(tuple.__new__, RouteStep)
 
 
 @dataclass(frozen=True)
 class RoutePlan:
     steps: dict[tuple[int, EdgeKey], tuple[RouteStep, ...]]  # keyed (qubit, edge)
-
-    def straights_and_turns(self, qubit: int, edge: EdgeKey) -> tuple[int, int]:
-        """Straight-move units (three per block) and turn count of one leg."""
-        steps = self.steps[(qubit, edge)]
-        turns = sum(1 for s in steps if s.turn)
-        return 3 * (len(steps) - turns), turns
-
-
-def _tag_turns(path: list[Point], dirs: list[str]) -> tuple[RouteStep, ...]:
-    """One step per cell after the first; `dirs[k]` leads from path[k] to
-    path[k + 1], and a step turns where it changes."""
-    turns = [d_in != d_out for d_in, d_out in zip(dirs, dirs[1:])] + [False]
-    return tuple(map(RouteStep, path[1:], turns))
 
 
 def route(
@@ -294,9 +365,15 @@ def route(
     steps: dict[tuple[int, EdgeKey], tuple[RouteStep, ...]] = {}
     for key in qfg.edges:
         i, j, qubit = key
-        if key not in drawing.routes:
+        points = drawing.routes.get(key)
+        if points is None:
             raise LayoutError(f"edge {key} has no drawn route")
-        cells, dirs = _polyline(tuple((x * SCALE, y * SCALE) for x, y in drawing.routes[key]))
+        x, y = points[0]
+        # dirs[k] leads from cells[k] to cells[k + 1]
+        cells, dirs = [(x * SCALE, y * SCALE)], []
+        for _, d, run in _runs(points):
+            cells += run
+            dirs += repeat(d, len(run))
         start = layout.gate_location_of[i]
         end = layout.gate_location_of[j]
         # a displaced gate sits either on this route's first/last channel
@@ -315,7 +392,10 @@ def route(
                 cells, dirs = cells + [end], dirs + [_direction(cells[-1], end)]
             else:
                 raise LayoutError(f"gate of {j} disconnected from route {key}")
-        steps[(qubit, key)] = _tag_turns(cells, dirs)
+        # one step per cell after the first; it turns where the direction changes
+        turns = list(map(ne, dirs, dirs[1:]))
+        turns.append(False)
+        steps[(qubit, key)] = tuple(map(_route_step, zip(cells[1:], turns)))
 
     return RoutePlan(steps)
 

@@ -2,25 +2,41 @@
 MILP stage schedules, networkx's network simplex, the all-pairs dataflow
 rule and the set-based
 exchangeability rule, the full-grid layout text, hand-rolled face walks,
-dual routing, component grouping and compaction, random inputs, and
-queries on pipeline results that only tests ask (reachability, flow-graph
-degree, corner angles, the channel graph)."""
+dual routing, component grouping and compaction, the macroblock layer with
+one object per cell (tile, route, simulate, `layout.json` and the row-wise
+`layout.txt`), random inputs, and queries on pipeline results that only
+tests ask (reachability, flow-graph degree, corner angles, the channel
+graph, a leg's straights and turns)."""
 
 from __future__ import annotations
 
 import heapq
 import itertools
 import random
+from operator import itemgetter
 
 import numpy as np
 
+from ionpd.artifact import render_json
 from ionpd.compact import _EAST, _NORTH, _SOUTH, _WEST
-from ionpd.depgraph import DataflowGraph, exchangeable
+from ionpd.depgraph import DataflowGraph, build_dataflow, exchangeable
+from ionpd.drawing import OrthogonalDrawing, Point
 from ionpd.gates import GateKind, Instruction, Netlist, make_netlist
-from ionpd.macrolayout import DIRS, OPPOSITE, LayoutError, MacroLayout
+from ionpd.latency import InstructionTiming, LatencyModel, LatencyReport, Movement
+from ionpd.macrolayout import (
+    DIRS,
+    OPPOSITE,
+    SCALE,
+    LayoutError,
+    MacroLayout,
+    Macroblock,
+    RoutePlan,
+    RouteStep,
+    _direction,
+)
 from ionpd.planar import PlanarizeError, node_key
 from ionpd.qfg import QubitFlowGraph, build_qfg
-from ionpd.solver import Schedule
+from ionpd.solver import Schedule, validate
 
 _SQ = {
     GateKind.H: np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
@@ -348,28 +364,36 @@ def channel_graph(layout: MacroLayout) -> dict:
     return {cell: sorted(neigh) for cell, neigh in adjacency.items()}
 
 
+def straights_and_turns(plan: RoutePlan, qubit: int, edge: tuple) -> tuple[int, int]:
+    """Straight-move units (three per block) and turn count of one leg."""
+    steps = plan.steps[(qubit, edge)]
+    turns = sum(1 for s in steps if s.turn)
+    return 3 * (len(steps) - turns), turns
+
+
 def reference_layout_text(layout: MacroLayout) -> str:
-    """`MacroLayout.to_text` by the full bounding-box grid of 2-character
-    cells, each row right-stripped."""
+    """`MacroLayout.to_text` by the full bounding-box grid of cells, each as
+    wide as the longest gate id and at least two characters, every row
+    right-stripped."""
     if not layout.blocks:
         return "(empty layout)\n"
+    ids = [str(block.gate_of[0]) for block in layout.blocks.values() if block.gate_of]
+    width = max(len(i) for i in ids + ["00"])
     xs = [x for x, _ in layout.blocks]
     ys = [y for _, y in layout.blocks]
     x0, y0 = min(xs), min(ys)
-    width = (max(xs) - x0 + 1) * 3
-    height = (max(ys) - y0 + 1) * 3
-    grid = [["  "] * width for _ in range(height)]
+    grid = [[" " * width] * ((max(xs) - x0 + 1) * 3) for _ in range((max(ys) - y0 + 1) * 3)]
     for (bx, by), block in layout.blocks.items():
         cx, cy = (bx - x0) * 3, (by - y0) * 3
         for dy in range(3):
             for dx in range(3):
-                grid[cy + dy][cx + dx] = "##"
-        grid[cy + 1][cx + 1] = ".."
+                grid[cy + dy][cx + dx] = "#" * width
+        grid[cy + 1][cx + 1] = "." * width
         for port in block.ports:
             dx, dy = DIRS[port]
-            grid[cy + 1 + dy][cx + 1 + dx] = ".."
+            grid[cy + 1 + dy][cx + 1 + dx] = "." * width
         if block.gate_of:
-            grid[cy + 1][cx + 1] = f"{block.gate_of[0]:2d}"
+            grid[cy + 1][cx + 1] = str(block.gate_of[0]).rjust(width)
     lines = ["".join(row).rstrip() for row in grid]
     legend = [
         f"gate {i} at block ({x},{y})"
@@ -551,3 +575,230 @@ def reference_coordinates(mesh) -> dict:
     xs = compact_axis((_NORTH, _SOUTH), _EAST)
     ys = compact_axis((_EAST, _WEST), _SOUTH)
     return {n: (xs[n], ys[n]) for n in nodes}
+
+
+def _reference_polyline(points: tuple[Point, ...]) -> tuple[list[Point], list[str]]:
+    """A scaled polyline's full cell sequence and the direction from each
+    cell to the next."""
+    cells, dirs = [points[0]], []
+    for a, b in zip(points, points[1:]):
+        if a == b:
+            continue  # a zero-length segment adds no cell
+        d = _direction(a, b)
+        dx, dy = DIRS[d]
+        x, y = a
+        length = abs(b[0] - x) + abs(b[1] - y)
+        cells.extend((x + k * dx, y + k * dy) for k in range(1, length + 1))
+        dirs.extend([d] * length)
+    return cells, dirs
+
+
+def reference_tile(drawing: OrthogonalDrawing) -> MacroLayout:
+    """`macrolayout.tile` with a `set` of port names per cell and one
+    `Macroblock` built per cell."""
+    demands: dict[Point, set[str]] = {}
+    for key, pts in sorted(drawing.routes.items()):
+        cells, dirs = _reference_polyline(tuple((x * SCALE, y * SCALE) for x, y in pts))
+        for a, b, d in zip(cells, cells[1:], dirs):
+            demands.setdefault(a, set()).add(d)
+            demands.setdefault(b, set()).add(OPPOSITE[d])
+
+    node_cell = {i: (x * SCALE, y * SCALE) for i, (x, y) in drawing.node_pos.items()}
+    blocks: dict[Point, set[str]] = {cell: set(ports) for cell, ports in demands.items()}
+    gate_cells: dict[int, Point] = {}
+    gate_marks: dict[Point, list[int]] = {}
+
+    for instr in sorted(node_cell):
+        cell = node_cell[instr]
+        ports = blocks.get(cell, set())
+        straight = ports in ({"E", "W"}, {"N", "S"})
+        if len(ports) <= 1 or straight:
+            if not ports:
+                ports = {"E", "W"}
+            elif len(ports) == 1:
+                ports = ports | {OPPOSITE[next(iter(ports))]}
+            blocks[cell] = ports
+            gate_cells[instr] = cell
+            gate_marks.setdefault(cell, []).append(instr)
+            for port in sorted(ports):
+                dx, dy = DIRS[port]
+                neighbour = (cell[0] + dx, cell[1] + dy)
+                if neighbour not in blocks:
+                    blocks[neighbour] = {OPPOSITE[port]}
+        else:
+            host_dir = next(d for d in ("E", "S", "W", "N") if d in ports)
+            dx, dy = DIRS[host_dir]
+            host = (cell[0] + dx, cell[1] + dy)
+            if host in gate_marks or host in node_cell.values():
+                raise LayoutError(f"no free gate block next to junction at {cell}")
+            gate_cells[instr] = host
+            gate_marks.setdefault(host, []).append(instr)
+
+    built = {
+        cell: Macroblock(frozenset(ports), tuple(gate_marks.get(cell, ())))
+        for cell, ports in blocks.items()
+    }
+    layout = MacroLayout(built, gate_cells, node_cell)
+    layout.check_ports()
+    return layout
+
+
+def reference_layout_json(layout: MacroLayout) -> str:
+    """`MacroLayout.to_json` as `render_json` of the whole payload, one dict
+    per block."""
+    payload = {
+        "blocks": [
+            {
+                "x": x,
+                "y": y,
+                "kind": block.kind,
+                "ports": sorted(block.ports),
+                "gates": list(block.gate_of),
+            }
+            for (x, y), block in sorted(layout.blocks.items())
+        ],
+        "gate_locations": [
+            {"instruction": i, "x": x, "y": y}
+            for i, (x, y) in sorted(layout.gate_location_of.items())
+        ],
+    }
+    return render_json(payload)
+
+
+def reference_layout_text_rows(layout: MacroLayout) -> str:
+    """`MacroLayout.to_text` one block row at a time with glyphs chosen per
+    port and a gate field two characters wide: the same text while every
+    gate id has at most two digits."""
+    if not layout.blocks:
+        return "(empty layout)\n"
+    x0 = min(x for x, _ in layout.blocks)
+    rows: dict[int, list[tuple[int, Macroblock]]] = {}
+    for (x, y), block in layout.blocks.items():
+        rows.setdefault(y, []).append((x, block))
+    lines = []
+    for y in range(min(rows), max(rows) + 1):
+        top, middle, bottom = [], [], []
+        next_x = x0
+        for x, block in sorted(rows.get(y, ()), key=itemgetter(0)):
+            pad = "      " * (x - next_x)
+            next_x = x + 1
+            ports = block.ports
+            centre = f"{block.gate_of[0]:2d}" if block.gate_of else ".."
+            top.append(pad + ("##..##" if "N" in ports else "######"))
+            middle.append(
+                pad
+                + (".." if "W" in ports else "##")
+                + centre
+                + (".." if "E" in ports else "##")
+            )
+            bottom.append(pad + ("##..##" if "S" in ports else "######"))
+        lines += ("".join(top), "".join(middle), "".join(bottom))
+    legend = [
+        f"gate {i} at block ({x},{y})"
+        for i, (x, y) in sorted(layout.gate_location_of.items())
+    ]
+    return "\n".join(lines + legend) + "\n"
+
+
+def reference_route(qfg: QubitFlowGraph, drawing: OrthogonalDrawing, layout: MacroLayout) -> RoutePlan:
+    """`macrolayout.route` with a full cell and direction list per edge and
+    turn tags from one comparison per step."""
+    steps: dict = {}
+    for key in qfg.edges:
+        i, j, qubit = key
+        if key not in drawing.routes:
+            raise LayoutError(f"edge {key} has no drawn route")
+        cells, dirs = _reference_polyline(
+            tuple((x * SCALE, y * SCALE) for x, y in drawing.routes[key])
+        )
+        start = layout.gate_location_of[i]
+        end = layout.gate_location_of[j]
+        if cells[0] != start:
+            if len(cells) > 1 and cells[1] == start:
+                cells, dirs = cells[1:], dirs[1:]
+            elif abs(start[0] - cells[0][0]) + abs(start[1] - cells[0][1]) == 1:
+                cells, dirs = [start] + cells, [_direction(start, cells[0])] + dirs
+            else:
+                raise LayoutError(f"gate of {i} disconnected from route {key}")
+        if cells[-1] != end:
+            if len(cells) > 1 and cells[-2] == end:
+                cells, dirs = cells[:-1], dirs[:-1]
+            elif abs(end[0] - cells[-1][0]) + abs(end[1] - cells[-1][1]) == 1:
+                cells, dirs = cells + [end], dirs + [_direction(cells[-1], end)]
+            else:
+                raise LayoutError(f"gate of {j} disconnected from route {key}")
+        turns = [d_in != d_out for d_in, d_out in zip(dirs, dirs[1:])] + [False]
+        steps[(qubit, key)] = tuple(RouteStep(c, t) for c, t in zip(cells[1:], turns))
+    return RoutePlan(steps)
+
+
+def reference_simulate(netlist, schedule, layout, routes, placement, model=None):
+    """`latency.simulate` writing both cells of every step into the free
+    times and counting straights and turns in a second pass per leg."""
+    m = model or LatencyModel()
+    graph = build_dataflow(netlist)
+    violations = validate(netlist, graph, schedule)
+    if violations:
+        raise ValueError(f"invalid schedule: {violations[0].message}")
+
+    qubit_free: dict = {}
+    qubit_loc: dict = {}
+    cell_free: dict = {}
+    gate_free: dict = {}
+    last_use: dict = {}
+    timings = []
+    movements = []
+    movement_time: dict = {}
+    congestion = 0.0
+
+    order = sorted(netlist.instructions, key=lambda i: (schedule.stage_of[i.id], i.id))
+    for instr in order:
+        target_cell = layout.gate_location_of.get(instr.id)
+        if target_cell is None:
+            raise ValueError(f"instruction {instr.id} has no gate location")
+        arrivals = []
+        for qubit in instr.qubits:
+            if qubit not in qubit_loc:
+                if qubit not in placement:
+                    raise ValueError(f"qubit q{qubit} has no initial placement")
+                qubit_loc[qubit] = placement[qubit]
+                qubit_free[qubit] = 0.0
+            t = qubit_free[qubit]
+            if qubit_loc[qubit] != target_cell:
+                edge = (last_use.get(qubit, 0), instr.id, qubit)
+                leg = routes.steps.get((qubit, edge))
+                if leg is None:
+                    raise ValueError(f"missing route for qubit q{qubit} into {instr.id}")
+                delay = 0.0
+                prev_cell = qubit_loc[qubit]
+                for k, step in enumerate(leg):
+                    final = k == len(leg) - 1
+                    if not final:
+                        ready = cell_free.get(step.cell, 0.0)
+                        if ready > t:
+                            delay += ready - t
+                            t = ready
+                    t += m.turn if step.turn else 3 * m.straight_move
+                    cell_free[prev_cell] = max(cell_free.get(prev_cell, 0.0), t)
+                    if not final:
+                        cell_free[step.cell] = max(cell_free.get(step.cell, 0.0), t)
+                    prev_cell = step.cell
+                straights, turns = straights_and_turns(routes, qubit, edge)
+                movements.append(Movement(qubit, edge, straights, turns, delay))
+                movement_time[qubit] = movement_time.get(qubit, 0.0) + (
+                    straights * m.straight_move + turns * m.turn
+                )
+                congestion += delay
+                qubit_loc[qubit] = target_cell
+            arrivals.append(t)
+        start = max([*arrivals, gate_free.get(target_cell, 0.0)])
+        finish = start + m.gate_cost(instr.kind)
+        gate_free[target_cell] = finish
+        cell_free[target_cell] = max(cell_free.get(target_cell, 0.0), finish)
+        for qubit in instr.qubits:
+            qubit_free[qubit] = finish
+            last_use[qubit] = instr.id
+        timings.append(InstructionTiming(instr.id, start, finish))
+
+    total = max((t.finish for t in timings), default=0.0)
+    return LatencyReport(total, tuple(timings), tuple(movements), movement_time, congestion)

@@ -35,6 +35,17 @@ def test_full_pipeline_artifacts(tmp_path, capsys):
     assert latency["total_us"] > 0
 
 
+def test_layout_text_written_line_by_line(tmp_path, monkeypatch):
+    import ionpd.cli as cli
+
+    layouts = []
+    real_tile = cli.tile
+    monkeypatch.setattr(cli, "tile", lambda drawing: layouts.append(real_tile(drawing)) or layouts[-1])
+    out = tmp_path / "cat7"
+    assert main(["cat-gen", "7", "--out", str(out)]) == 0
+    assert read(out, "layout.txt") == layouts[0].to_text()
+
+
 def test_emit_filters_extras(tmp_path):
     out = tmp_path / "plain"
     assert main(["latency", CODE932, "--out", str(out)]) == 0
@@ -221,6 +232,43 @@ def test_infeasible_angle_flow_exit_code(tmp_path, capsys, monkeypatch):
     assert main(["layout", CODE932, "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_missing_drawn_route_exit_code(tmp_path, capsys, monkeypatch):
+    from dataclasses import replace
+
+    import ionpd.cli as cli
+
+    real_compact = cli.compact
+
+    def drop_first_route(pg, rep):
+        drawing = real_compact(pg, rep)
+        routes = dict(drawing.routes)
+        del routes[min(routes)]
+        return replace(drawing, routes=routes)
+
+    monkeypatch.setattr(cli, "compact", drop_first_route)
+    assert main(["latency", CODE932, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: edge (") and err.endswith("has no drawn route\n")
+
+
+def test_gate_off_its_route_exit_code(tmp_path, capsys, monkeypatch):
+    import ionpd.cli as cli
+    from ionpd.macrolayout import MacroLayout
+
+    real_tile = cli.tile
+
+    def move_gate_one(drawing):
+        layout = real_tile(drawing)
+        x, y = layout.gate_location_of[1]
+        gates = {**layout.gate_location_of, 1: (x - 10, y - 10)}
+        return MacroLayout(layout.blocks, gates, layout.node_cell)
+
+    monkeypatch.setattr(cli, "tile", move_gate_one)
+    assert main(["latency", CODE932, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: gate of 1 disconnected from route (1, ")
 
 
 def test_invalid_schedule_exit_code(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -7,10 +9,18 @@ from helpers import (
     layered_flow_graph,
     qfg_degree,
     random_degree4_graph,
+    random_netlist,
+    reference_layout_json,
     reference_layout_text,
+    reference_layout_text_rows,
+    reference_route,
+    reference_simulate,
+    reference_tile,
+    straights_and_turns,
     synth_qfg,
 )
 from ionpd.circuits import generate_cat_circuit
+from ionpd.cli import main
 from ionpd.compact import compact
 from ionpd.drawing import OrthogonalDrawing
 from ionpd.latency import simulate
@@ -29,6 +39,21 @@ from ionpd.planar import planarize
 from ionpd.qasm import parse_qasm
 from ionpd.qfg import build_qfg
 from ionpd.solver import schedule_netlist
+
+LAYERED16 = Path(__file__).resolve().parent / "fixtures" / "layered16.qasm"
+# sha256 of `layout.json` and `latency.json` written by `ionpd latency` on the
+# layered16 fixture and by `ionpd cat-gen 32`: they change only if a layout
+# or its simulation does
+ARTIFACT_PINS = {
+    "layered16": {
+        "layout.json": "2e1df4c32076c86f9a3ff28b01c76c66e1b73b892b8a9bc72c594e46228bc896",
+        "latency.json": "0140a56df2b998ab42782c201dff2ac178533c113dfba412f00f8b4f70f2ba28",
+    },
+    "cat32": {
+        "layout.json": "f4836e11ee5785c3f00aeee91dbbeea1c237c9e84602d55ddd48027937b1f2b3",
+        "latency.json": "6830e2becad14fed8e78bd630e724dd5d23356d6e3beed1b87da2d1d45b9ff71",
+    },
+}
 
 
 def pipeline(netlist):
@@ -194,12 +219,33 @@ class TestRoute:
         plan = route(qfg, drawing, layout)
         steps = plan.steps[(0, (1, 2, 0))]
         assert steps and all(not s.turn for s in steps)
-        straights, turns = plan.straights_and_turns(0, (1, 2, 0))
+        straights, turns = straights_and_turns(plan, 0, (1, 2, 0))
         assert straights == 3 * len(steps) and turns == 0
+
+    def test_edge_without_drawn_route_raises(self):
+        qfg = synth_qfg([1, 2], [(1, 2)])
+        drawing = OrthogonalDrawing({1: (0, 0), 2: (1, 0)}, {})
+        for router in (route, reference_route):
+            with pytest.raises(LayoutError, match=r"edge \(1, 2, 0\) has no drawn route"):
+                router(qfg, drawing, tile(drawing))
+
+    @pytest.mark.parametrize("gate", [1, 2])
+    def test_gate_off_its_route_raises(self, gate):
+        qfg = synth_qfg([1, 2], [(1, 2)])
+        drawing = OrthogonalDrawing({1: (0, 0), 2: (1, 0)}, {(1, 2, 0): ((0, 0), (1, 0))})
+        layout = tile(drawing)
+        moved = MacroLayout(
+            layout.blocks, {**layout.gate_location_of, gate: (1, 5)}, layout.node_cell
+        )
+        for router in (route, reference_route):
+            with pytest.raises(
+                LayoutError, match=rf"gate of {gate} disconnected from route \(1, 2, 0\)"
+            ):
+                router(qfg, drawing, moved)
 
     def test_already_resident_gives_empty_path(self):
         plan = RoutePlan({(0, (1, 2, 0)): ()})
-        assert plan.straights_and_turns(0, (1, 2, 0)) == (0, 0)
+        assert straights_and_turns(plan, 0, (1, 2, 0)) == (0, 0)
 
     def test_cat7_gate2_mover_comes_from_gate1(self):
         # qubit 4 starts at gate 2's own location, so the H-wire qubit moves
@@ -274,8 +320,10 @@ class TestText:
     def test_cat(self, n):
         _, _, _, layout = pipeline(generate_cat_circuit(n))
         assert_text_matches_reference(layout)
-        if n == 320:  # a gate id of three digits widens its row by one character
+        if n == 320:  # gate ids of three digits widen every cell to three characters
             assert max(layout.gate_location_of) >= 100
+            grid = layout.to_text().split("\n")[: -len(layout.gate_location_of) - 1]
+            assert all(len(line) % 9 == 0 for line in grid)
 
     def test_code932(self, code932):
         _, _, _, layout = pipeline(code932)
@@ -297,6 +345,111 @@ class TestText:
         assert_text_matches_reference(layout)
         assert "\n\n\n\n" in layout.to_text()  # rows 1 and 2 hold no block
 
+    def test_cell_width_follows_the_longest_gate_id(self):
+        blocks = {
+            (0, 0): Macroblock(frozenset("EW"), (1234,)),
+            (1, 0): Macroblock(frozenset("EW"), (7,)),
+            (2, 0): Macroblock(frozenset("W")),
+        }
+        layout = MacroLayout(blocks, {1234: (0, 0), 7: (1, 0)}, {})
+        assert layout.to_text().split("\n")[:3] == [
+            "#" * 12 + "#" * 12 + "#" * 12,
+            "....1234...." + "....   7...." + "........####",
+            "#" * 12 + "#" * 12 + "#" * 12,
+        ]
+        assert_text_matches_reference(layout)
+
     def test_empty(self):
         layout = MacroLayout({}, {}, {})
         assert layout.to_text() == reference_layout_text(layout) == "(empty layout)\n"
+
+
+@pytest.fixture(scope="module")
+def macroblock_cases(code932):
+    """(name, netlist, schedule, qfg, drawing) for layered16, Cat-80,
+    code_9_3_2 and 12 seeded random netlists."""
+    rng = random.Random(47)
+    netlists = [
+        ("layered16", parse_qasm(LAYERED16.read_text())),
+        ("cat80", generate_cat_circuit(80)),
+        ("code_9_3_2", code932),
+    ] + [(f"random{k}", random_netlist(rng, max_instr=40, max_qubits=8)) for k in range(12)]
+    cases = []
+    for name, netlist in netlists:
+        schedule, qfg, drawing, _ = pipeline(netlist)
+        cases.append((name, netlist, schedule, qfg, drawing))
+    return cases
+
+
+class TestAgainstReference:
+    """The macroblock layer against its implementation with one object per
+    cell, kept in helpers: block for block, byte for byte, report for report."""
+
+    def test_tile(self, macroblock_cases):
+        for name, _, _, _, drawing in macroblock_cases:
+            layout, expected = tile(drawing), reference_tile(drawing)
+            assert list(layout.blocks.items()) == list(expected.blocks.items()), name
+            assert layout.gate_location_of == expected.gate_location_of, name
+            assert layout.node_cell == expected.node_cell, name
+            gate_free = {id(b) for b in layout.blocks.values() if not b.gate_of}
+            assert len(gate_free) <= 15, name
+
+    def test_layout_json(self, macroblock_cases):
+        for name, _, _, _, drawing in macroblock_cases:
+            layout = tile(drawing)
+            assert layout.to_json() == reference_layout_json(layout), name
+
+    def test_layout_json_of_hand_built_blocks(self):
+        blocks = {
+            (-4, 2): Macroblock(frozenset("NS"), (12, 3)),
+            (0, -1): Macroblock(frozenset("ESWN")),
+            (5, 5): Macroblock(frozenset("S")),
+        }
+        layout = MacroLayout(blocks, {12: (-4, 2), 3: (-4, 2)}, {})
+        assert layout.to_json() == reference_layout_json(layout)
+        empty = MacroLayout({}, {}, {})
+        assert empty.to_json() == reference_layout_json(empty)
+        portless = MacroLayout({(0, 0): Macroblock(frozenset())}, {}, {})
+        for render in (MacroLayout.to_json, reference_layout_json):
+            with pytest.raises(LayoutError, match="no ports"):
+                render(portless)
+
+    def test_layout_text(self, macroblock_cases):
+        narrow = 0
+        for name, _, _, _, drawing in macroblock_cases:
+            layout = tile(drawing)
+            text = layout.to_text()
+            assert text.split("\n") == reference_layout_text(layout).split("\n"), name
+            if max(layout.gate_location_of) < 100:
+                narrow += 1
+                assert text == reference_layout_text_rows(layout), name
+        assert narrow >= 10
+
+    def test_route(self, macroblock_cases):
+        for name, _, _, qfg, drawing in macroblock_cases:
+            layout = tile(drawing)
+            assert route(qfg, drawing, layout) == reference_route(qfg, drawing, layout), name
+
+    def test_simulate(self, macroblock_cases):
+        moved = 0
+        for name, netlist, schedule, qfg, drawing in macroblock_cases:
+            layout = tile(drawing)
+            plan = route(qfg, drawing, layout)
+            placement = place_qubits(qfg, layout)
+            report = simulate(netlist, schedule, layout, plan, placement)
+            expected = reference_simulate(netlist, schedule, layout, plan, placement)
+            assert report == expected, name
+            assert report.to_json() == expected.to_json(), name
+            moved += bool(report.congestion_delay)
+        assert moved >= 2  # some runs wait for a busy channel
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("layered16", ["latency", str(LAYERED16)]),
+    ("cat32", ["cat-gen", "32"]),
+])
+def test_artifacts_are_pinned(tmp_path, capsys, name, argv):
+    out = tmp_path / name
+    assert main([*argv, "--out", str(out)]) == 0
+    for artifact, digest in ARTIFACT_PINS[name].items():
+        assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == digest, artifact
