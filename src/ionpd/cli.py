@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Callable, Iterable
+from functools import cache
 from pathlib import Path
 
 from .circuits import generate_cat_circuit
@@ -46,19 +47,25 @@ class _Emitter:
     def __init__(self, out_dir: str, formats: set[str]):
         self.dir = Path(out_dir)
         self.formats = formats
+        self.made = False
+
+    def _path(self, name: str) -> Path:
+        """Where artifact `name` goes; the directory is made at the first write."""
+        if not self.made:
+            self.dir.mkdir(parents=True, exist_ok=True)
+            self.made = True
+        return self.dir / name
 
     def write(self, name: str, render: Callable[[], str], fmt: str = "json") -> None:
         """Render and write one artifact, only if its format is requested."""
         if fmt != "json" and fmt not in self.formats:
             return
-        self.dir.mkdir(parents=True, exist_ok=True)
-        (self.dir / name).write_text(render(), encoding="utf-8")
+        self._path(name).write_text(render(), encoding="utf-8")
 
     def write_lines(self, name: str, lines: Iterable[str]) -> None:
         """Write an artifact as its lines come, for text too large to hold
         whole in memory twice."""
-        self.dir.mkdir(parents=True, exist_ok=True)
-        with open(self.dir / name, "w", encoding="utf-8") as handle:
+        with open(self._path(name), "w", encoding="utf-8") as handle:
             handle.writelines(lines)
 
 
@@ -170,7 +177,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="out", metavar="DIR")
 
 
-def main(argv: list[str] | None = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so no option carries over from one `main` call to the next."""
     parser = argparse.ArgumentParser(
         prog="ionpd",
         description="Ion-trap physical design: ILP scheduling, layout generation and latency simulation",
@@ -193,8 +203,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("schedule")
     p = sub.add_parser("oracle", help="exhaustive minimal stage count (small netlists)")
     p.add_argument("netlist")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "verify":
             return _cmd_verify(args)

@@ -3,14 +3,22 @@
 Bends become subdivision vertices, every half-edge gets an absolute
 direction, each connected component is wrapped in a border rectangle and
 all faces are refined to rectangles by projecting reflex corners onto the
-side facing them. With rectangular faces the two axis constraint graphs
-are acyclic and a longest-path pass per axis yields overlap-free integer
-coordinates with heuristically short edges.
+side facing them. With rectangular faces every maximal run of vertical
+half-edges is one x line and every run of horizontal ones one y line, the
+constraint arcs between lines are acyclic, and one longest-path pass per
+axis yields overlap-free integer coordinates with heuristically short edges.
+
+Each component's mesh lives on integer ids. Vertices are the component's
+nodes in `node_key` order (gates, crossings and splits), then bend, border
+and refinement vertices as they are created; twin half-edges are the pairs
+(h, h ^ 1). Each half-edge stores its turn into the next one. Wherever the
+order of vertices decides a result (the seed direction, the external face,
+the refinement order), vertices rank by the `node_key` of their labels:
+created vertices are named `_b1`, `_c2`, `_B3`, `_r4`, ... from one counter
+per drawing and sort as strings, so `_b10` precedes `_b2`.
 """
 
 from __future__ import annotations
-
-import networkx as nx
 
 from .drawing import OrthogonalDrawing, Point
 from .macrolayout import LayoutError
@@ -18,40 +26,81 @@ from .orthogonal import OrthoRep
 from .planar import Node, PlanarizedGraph, node_key
 
 _EAST, _SOUTH, _WEST, _NORTH = 0, 1, 2, 3
+# turn from a half-edge into the next, by (next direction - direction) % 4:
+# left turns are negative in the y-down grid
+_TURN = (0, 1, -2, -1)
 
 
 class _Mesh:
-    """Doubly linked face walks with absolute directions per half-edge."""
+    """Doubly linked face walks of one component on integer ids.
 
-    def __init__(self) -> None:
-        self.nxt: dict[tuple, tuple] = {}
-        self.prv: dict[tuple, tuple] = {}
-        self.dirs: dict[tuple, int] = {}
+    Vertex k is named `label[k]`. Half-edge h runs from `head[h ^ 1]` to
+    `head[h]`; `nxt`/`prv` link the face walks (-1 once an edge is split
+    away), `dir` holds absolute directions (-1 until assigned) and
+    `turn[h]` the turn from h into `nxt[h]`."""
 
-    def link(self, a: tuple, b: tuple) -> None:
+    def __init__(self, labels: list[Node]) -> None:
+        self.label: list[Node] = labels
+        self.head: list[int] = []
+        self.nxt: list[int] = []
+        self.prv: list[int] = []
+        self.dir: list[int] = []
+        self.turn: list[int] = []
+
+    def vertex(self, name: str) -> int:
+        self.label.append(name)
+        return len(self.label) - 1
+
+    def pair(self, a: int, b: int, d: int = -1) -> int:
+        """New half-edges a->b (returned) and b->a; a->b points along d."""
+        h = len(self.head)
+        self.head += (b, a)
+        self.nxt += (-1, -1)
+        self.prv += (-1, -1)
+        self.dir += (d, -1) if d < 0 else (d, (d + 2) % 4)
+        self.turn += (0, 0)
+        return h
+
+    def link(self, a: int, b: int) -> None:
         self.nxt[a] = b
         self.prv[b] = a
+        self.turn[a] = _TURN[(self.dir[b] - self.dir[a]) % 4]
 
-    def turn(self, he: tuple) -> int:
-        rot = (self.dirs[self.nxt[he]] - self.dirs[he]) % 4
-        return rot if rot <= 1 else rot - 4
+    def name(self, h: int) -> tuple[Node, Node]:
+        """A half-edge as its (tail, head) labels, for messages."""
+        return self.label[self.head[h ^ 1]], self.label[self.head[h]]
 
-    def face_of(self, he: tuple) -> list[tuple]:
-        walk = [he]
-        cur = self.nxt[he]
-        while cur != he:
+    def face_of(self, h: int) -> list[int]:
+        nxt = self.nxt
+        walk = [h]
+        cur = nxt[h]
+        while cur != h:
             walk.append(cur)
-            cur = self.nxt[cur]
+            cur = nxt[cur]
         return walk
 
-    def all_faces(self) -> list[list[tuple]]:
-        seen: set[tuple] = set()
+    def by_label(self) -> list[int]:
+        """The live half-edges by (tail, head) in `node_key` order."""
+        labels = self.label
+        order = sorted(range(len(labels)), key=lambda v: node_key(labels[v]))
+        rank = [0] * len(order)
+        for r, v in enumerate(order):
+            rank[v] = r
+        head, n = self.head, len(order)
+        live = [h for h, after in enumerate(self.nxt) if after >= 0]
+        live.sort(key=lambda h: rank[head[h ^ 1]] * n + rank[head[h]])
+        return live
+
+    def all_faces(self) -> list[list[int]]:
+        """Every face walk, each from its first half-edge in `by_label` order."""
+        seen = bytearray(len(self.head))
         faces = []
-        for he in sorted(self.nxt, key=lambda e: (node_key(e[0]), node_key(e[1]))):
-            if he in seen:
+        for h in self.by_label():
+            if seen[h]:
                 continue
-            walk = self.face_of(he)
-            seen.update(walk)
+            walk = self.face_of(h)
+            for e in walk:
+                seen[e] = 1
             faces.append(walk)
         return faces
 
@@ -66,61 +115,85 @@ def _bend_values(rep: OrthoRep, u: Node, v: Node) -> list[int]:
 
 
 def _build_mesh(
-    rep: OrthoRep, face_idx: tuple[int, ...], names: "_NameSource"
-) -> tuple[_Mesh, dict[tuple[Node, Node], list[str]], dict[tuple, int]]:
-    """Subdivide bends and link the refined face walks of one component."""
-    mesh = _Mesh()
-    bend_nodes: dict[tuple[Node, Node], list[str]] = {}
-    angles_after: dict[tuple, int] = {}
+    rep: OrthoRep, comp: tuple[Node, ...], face_idx: tuple[int, ...], names: "_NameSource"
+) -> tuple[_Mesh, dict[tuple[Node, Node], list[int]], list[int]]:
+    """Subdivide bends and link the refined face walks of one component.
 
+    Returns the mesh, the bend vertices of every bent edge from its
+    `node_key` smaller end, and the angle after every half-edge. `comp` is in
+    `node_key` order, so vertex ids order each edge's ends the same way."""
+    mesh = _Mesh(list(comp))
+    ident = {v: k for k, v in enumerate(comp)}
+    faces, angles = rep.faces, rep.angles
+    # (u, v) with u < v -> (first u->v half-edge of its segments, bend angles)
+    segments: dict[tuple[int, int], tuple[int, list[int]]] = {}
+    bend_nodes: dict[tuple[Node, Node], list[int]] = {}
     for fi in face_idx:
-        walk = rep.faces[fi]
-        for u, v in walk:
-            canon = (u, v) if node_key(u) <= node_key(v) else (v, u)
-            if canon not in bend_nodes:
-                count = rep.edge_bends(u, v)
-                bend_nodes[canon] = [names.fresh("b") for _ in range(count)]
+        for u, v in faces[fi]:
+            iu, iv = ident[u], ident[v]
+            if iu > iv:
+                u, v, iu, iv = v, u, iv, iu
+            if (iu, iv) in segments:
+                continue
+            values = _bend_values(rep, u, v)
+            if values:
+                bends = [mesh.vertex(names.fresh("b")) for _ in values]
+                bend_nodes[(u, v)] = bends
+                first = mesh.pair(iu, bends[0])
+                for a, b in zip(bends, [*bends[1:], iv]):
+                    mesh.pair(a, b)
+            else:
+                first = mesh.pair(iu, iv)
+            segments[(iu, iv)] = (first, values)
 
+    angles_after = [0] * len(mesh.head)
+    nxt, prv = mesh.nxt, mesh.prv
     for fi in face_idx:
-        walk = rep.faces[fi]
-        refined: list[tuple] = []
-        for ci, (u, v) in enumerate(walk):
-            canon = (u, v) if node_key(u) <= node_key(v) else (v, u)
-            seq = bend_nodes[canon]
-            values = _bend_values(rep, *canon)
-            if (u, v) != canon:
-                seq = list(reversed(seq))
-                values = [4 - a for a in reversed(values)]
-            pts = [u, *seq, v]
-            for k in range(len(pts) - 1):
-                he = (pts[k], pts[k + 1])
-                refined.append(he)
-                angles_after[he] = values[k] if k < len(seq) else rep.angles[(fi, ci)]
-        for k, he in enumerate(refined):
-            mesh.link(he, refined[(k + 1) % len(refined)])
+        refined: list[int] = []
+        for ci, (u, v) in enumerate(faces[fi]):
+            iu, iv = ident[u], ident[v]
+            first, values = segments[(iu, iv) if iu < iv else (iv, iu)]
+            if values:  # the segments' half-edges from u to v
+                if iu < iv:
+                    hs = range(first, first + 2 * len(values) + 1, 2)
+                else:
+                    hs = range(first + 2 * len(values) + 1, first, -2)
+                    values = [4 - a for a in reversed(values)]
+                for h, a in zip(hs, values):
+                    angles_after[h] = a
+                refined.extend(hs[:-1])
+                last = hs[-1]
+            else:
+                last = first if iu < iv else first + 1
+            angles_after[last] = angles[(fi, ci)]
+            refined.append(last)
+        for a, b in zip(refined, refined[1:] + refined[:1]):
+            nxt[a] = b
+            prv[b] = a
 
     return mesh, bend_nodes, angles_after
 
 
-def _assign_directions(mesh: _Mesh, angles_after: dict[tuple, int]) -> None:
-    pending = sorted(mesh.nxt, key=lambda e: (node_key(e[0]), node_key(e[1])))
-    seed = pending[0]
-    mesh.dirs[seed] = _EAST
+def _assign_directions(mesh: _Mesh, angles_after: list[int]) -> None:
+    head, nxt, dirs = mesh.head, mesh.nxt, mesh.dir
+    seed = mesh.by_label()[0]
+    dirs[seed] = _EAST
+    assigned = 1
     stack = [seed]
     while stack:
-        he = stack.pop()
-        d = mesh.dirs[he]
-        twin = (he[1], he[0])
-        rot = (2 - angles_after[he]) % 4
-        for other, value in ((twin, (d + 2) % 4), (mesh.nxt[he], (d + rot) % 4)):
-            if other in mesh.dirs:
-                if mesh.dirs[other] != value:
-                    raise LayoutError(f"direction clash at {other}")
+        h = stack.pop()
+        d = dirs[h]
+        for other, value in ((h ^ 1, (d + 2) % 4), (nxt[h], (d + 2 - angles_after[h]) % 4)):
+            if dirs[other] >= 0:
+                if dirs[other] != value:
+                    raise LayoutError(f"direction clash at {mesh.name(other)}")
             else:
-                mesh.dirs[other] = value
+                dirs[other] = value
+                assigned += 1
                 stack.append(other)
-    if len(mesh.dirs) != len(mesh.nxt):
+    if assigned != len(head):
         raise LayoutError("disconnected mesh")
+    mesh.turn = [_TURN[(dirs[nxt[h]] - d) % 4] for h, d in enumerate(dirs)]
 
 
 class _NameSource:
@@ -134,196 +207,200 @@ class _NameSource:
 
 def _add_border(mesh: _Mesh, names: _NameSource) -> None:
     """Wrap the component: turns the annulus around it into a disk face."""
+    turn = mesh.turn
     external = None
     for walk in mesh.all_faces():
-        if sum(mesh.turn(he) for he in walk) == -4:
+        if sum(turn[h] for h in walk) == -4:
             external = walk
             break
     if external is None:
         raise LayoutError("no external face found")
 
-    he0 = next(he for he in external if mesh.turn(he) <= 0)
+    he0 = next(h for h in external if turn[h] <= 0)
     he1 = mesh.nxt[he0]
-    v = he0[1]
-    d = (mesh.dirs[he0] + 1) % 4
+    v = mesh.head[he0]
+    d = (mesh.dir[he0] + 1) % 4
 
-    c = names.fresh("c")
-    corners = [names.fresh("B") for _ in range(4)]
-    ring = [c, *corners]
-    inner = [(ring[k], ring[(k + 1) % 5]) for k in range(5)]
+    c = mesh.vertex(names.fresh("c"))
+    ring = [c, *(mesh.vertex(names.fresh("B")) for _ in range(4))]
+    spoke = mesh.pair(v, c, d)
+    # border sides rotate once per corner
+    inner = [mesh.pair(ring[k], ring[(k + 1) % 5], (d + 1 + k) % 4) for k in range(5)]
 
-    mesh.dirs[(v, c)] = d
-    mesh.dirs[(c, v)] = (d + 2) % 4
-    for k, he in enumerate(inner):  # border sides rotate once per corner
-        side = (d + 1 + k) % 4
-        mesh.dirs[he] = side
-        mesh.dirs[(he[1], he[0])] = (side + 2) % 4
-
-    mesh.link(he0, (v, c))
-    mesh.link((v, c), inner[0])
+    mesh.link(he0, spoke)
+    mesh.link(spoke, inner[0])
     for k in range(4):
         mesh.link(inner[k], inner[k + 1])
-    mesh.link(inner[4], (c, v))
-    mesh.link((c, v), he1)
-    outer = [(b, a) for a, b in reversed(inner)]
+    mesh.link(inner[4], spoke ^ 1)
+    mesh.link(spoke ^ 1, he1)
+    outer = [h ^ 1 for h in reversed(inner)]
     for k in range(5):
         mesh.link(outer[k], outer[(k + 1) % 5])
 
 
-def _split_edge(mesh: _Mesh, front: tuple, m: str) -> None:
-    """Subdivide `front` with vertex m; correct even when it is a bridge."""
-    x, y = front
-    twin = (y, x)
-    old = {
-        "in1": mesh.prv[front], "out1": mesh.nxt[front],
-        "in2": mesh.prv[twin], "out2": mesh.nxt[twin],
-    }
-
-    def as_source(he: tuple) -> tuple:
-        return (m, y) if he == front else (m, x) if he == twin else he
-
-    def as_target(he: tuple) -> tuple:
-        return (x, m) if he == front else (y, m) if he == twin else he
-
-    d = mesh.dirs[front]
-    mesh.dirs[(x, m)] = mesh.dirs[(m, y)] = d
-    mesh.dirs[(y, m)] = mesh.dirs[(m, x)] = (d + 2) % 4
-    for he in (front, twin):
-        del mesh.dirs[he]
-        mesh.nxt.pop(he, None)
-        mesh.prv.pop(he, None)
-    mesh.link((x, m), (m, y))
-    mesh.link((y, m), (m, x))
-    mesh.link(as_source(old["in1"]), (x, m))
-    mesh.link((m, y), as_target(old["out1"]))
-    mesh.link(as_source(old["in2"]), (y, m))
-    mesh.link((m, x), as_target(old["out2"]))
+def _split_edge(mesh: _Mesh, front: int, m: int) -> tuple[int, int]:
+    """Subdivide `front` (x->y) with vertex m; correct even when it is a
+    bridge. Returns the new half-edges x->m and m->y; their twins are y->m
+    and m->x, and `front` and its twin are gone."""
+    twin = front ^ 1
+    head, nxt, prv = mesh.head, mesh.nxt, mesh.prv
+    x, y = head[twin], head[front]
+    in1, out1, in2, out2 = prv[front], nxt[front], prv[twin], nxt[twin]
+    d = mesh.dir[front]
+    xm = mesh.pair(x, m, d)
+    my = mesh.pair(m, y, d)
+    as_source = {front: my, twin: xm ^ 1}
+    as_target = {front: xm, twin: my ^ 1}
+    for h in (front, twin):
+        nxt[h] = prv[h] = -1
+    mesh.link(xm, my)
+    mesh.link(my ^ 1, xm ^ 1)
+    mesh.link(as_source.get(in1, in1), xm)
+    mesh.link(my, as_target.get(out1, out1))
+    mesh.link(as_source.get(in2, in2), my ^ 1)
+    mesh.link(xm ^ 1, as_target.get(out2, out2))
+    return xm, my
 
 
 def _refine(mesh: _Mesh, names: _NameSource) -> None:
     """Split every internal face until all of them are rectangles."""
+    head, nxt, dirs, turn = mesh.head, mesh.nxt, mesh.dir, mesh.turn
     work = [walk[0] for walk in mesh.all_faces()]
     while work:
         start = work.pop()
-        if start not in mesh.nxt:
+        if nxt[start] < 0:
             continue
         walk = mesh.face_of(start)
-        total = sum(mesh.turn(he) for he in walk)
+        total = sum(turn[h] for h in walk)
         if total == -4:
             continue  # the single external face stays
         if total != 4:
             raise LayoutError(f"face turn sum {total}")
-        he0 = next((he for he in walk if mesh.turn(he) <= -1), None)
+        he0 = next((h for h in walk if turn[h] <= -1), None)
         if he0 is None:
             continue  # rectangle already
-        v = he0[1]
+        v = head[he0]
         cnt = 0
         cur = he0
         while True:
-            cnt += mesh.turn(cur)
+            cnt += turn[cur]
             if cnt == 1:
-                front = mesh.nxt[cur]
+                front = nxt[cur]
                 break
-            cur = mesh.nxt[cur]
+            cur = nxt[cur]
             if cur == he0:
                 raise LayoutError("no front side found")
-        x, y = front
-        if v in front:
+        if v == head[front] or v == head[front ^ 1]:
             raise LayoutError("projection hit its own corner")
-        if (mesh.dirs[front] - mesh.dirs[he0]) % 2 != 1:
+        if (dirs[front] - dirs[he0]) % 2 != 1:
             raise LayoutError("front not perpendicular")
 
-        m = names.fresh("r")
-        _split_edge(mesh, front, m)
-        he1 = mesh.nxt[he0]
-        d0 = mesh.dirs[he0]
-        mesh.dirs[(v, m)] = d0
-        mesh.dirs[(m, v)] = (d0 + 2) % 4
-        mesh.link(he0, (v, m))
-        mesh.link((v, m), (m, y))
-        mesh.link((x, m), (m, v))
-        mesh.link((m, v), he1)
+        m = mesh.vertex(names.fresh("r"))
+        xm, my = _split_edge(mesh, front, m)
+        he1 = nxt[he0]
+        vm = mesh.pair(v, m, dirs[he0])
+        mesh.link(he0, vm)
+        mesh.link(vm, my)
+        mesh.link(xm, vm ^ 1)
+        mesh.link(vm ^ 1, he1)
 
         work.append(he0)
-        work.append((m, v))
-        work.append((y, m))
+        work.append(vm ^ 1)
+        work.append(my ^ 1)
 
 
-def _coordinates(mesh: _Mesh) -> dict[Node, Point]:
-    nodes = sorted({n for he in mesh.nxt for n in he}, key=node_key)
+def _axis(mesh: _Mesh, forward: int) -> list[int]:
+    """One coordinate per vertex along `forward` (east or south).
 
-    def compact_axis(line_dirs: tuple[int, int], forward: int) -> dict[Node, int]:
-        """One coordinate per line (a component of `line_dirs` edges): the
-        longest path to it along `forward` edges, i.e. its topological
-        generation."""
-        lines = nx.Graph()
-        lines.add_nodes_from(nodes)
-        lines.add_edges_from(he for he, d in mesh.dirs.items() if d in line_dirs)
-        line_of = {n: k for k, line in enumerate(nx.connected_components(lines)) for n in line}
-        order = nx.DiGraph()
-        order.add_nodes_from(line_of.values())
-        order.add_edges_from(
-            (line_of[a], line_of[b]) for (a, b), d in mesh.dirs.items() if d == forward
-        )
-        try:
-            coord = {
-                line: depth
-                for depth, generation in enumerate(nx.topological_generations(order))
-                for line in generation
-            }
-        except nx.NetworkXUnfeasible as exc:
-            raise LayoutError("cyclic compaction constraints") from exc
-        return {n: coord[line_of[n]] for n in nodes}
+    A line is a maximal run of half-edges perpendicular to `forward`; its
+    coordinate is the longest path to it along `forward` half-edges, found
+    by one Kahn pass over the lines."""
+    n = len(mesh.label)
+    head, dirs = mesh.head, mesh.dir
+    along = (forward + 1) % 4  # south for x lines, west for y lines
+    live = [h for h, after in enumerate(mesh.nxt) if after >= 0]
+    step = [-1] * n
+    entered = bytearray(n)
+    for h in live:
+        if dirs[h] == along:
+            tail, tip = head[h ^ 1], head[h]
+            if step[tail] >= 0 or entered[tip]:
+                raise LayoutError(f"direction clash at {mesh.name(h)}")
+            step[tail] = tip
+            entered[tip] = 1
+    line = [-1] * n
+    lines = 0
+    for v in range(n):
+        if not entered[v]:
+            while v >= 0:
+                line[v] = lines
+                v = step[v]
+            lines += 1
+    if -1 in line:  # a closed run: a cycle of constraints along `along`
+        raise LayoutError("cyclic compaction constraints")
 
-    xs = compact_axis((_NORTH, _SOUTH), _EAST)
-    ys = compact_axis((_EAST, _WEST), _SOUTH)
-    return {n: (xs[n], ys[n]) for n in nodes}
+    succ: list[list[int]] = [[] for _ in range(lines)]
+    indeg = [0] * lines
+    for h in live:
+        if dirs[h] == forward:
+            b = line[head[h]]
+            succ[line[head[h ^ 1]]].append(b)
+            indeg[b] += 1
+    coord = [0] * lines
+    queue = [k for k in range(lines) if not indeg[k]]
+    for a in queue:  # grows while it is walked
+        depth = coord[a] + 1
+        for b in succ[a]:
+            if coord[b] < depth:
+                coord[b] = depth
+            indeg[b] -= 1
+            if not indeg[b]:
+                queue.append(b)
+    if len(queue) != lines:
+        raise LayoutError("cyclic compaction constraints")
+    return [coord[k] for k in line]
 
 
-def _component_positions(
-    rep: OrthoRep, comp: tuple[Node, ...], face_idx: tuple[int, ...], names: _NameSource
-) -> tuple[dict[Node, Point], dict[tuple[Node, Node], list[str]]]:
-    if not face_idx:
-        return {comp[0]: (0, 0)}, {}
-    mesh, bend_nodes, angles_after = _build_mesh(rep, face_idx, names)
-    _assign_directions(mesh, angles_after)
-    _add_border(mesh, names)
-    _refine(mesh, names)
-    coords = _coordinates(mesh)
-    keep = {
-        n: coords[n]
-        for n in coords
-        if not (isinstance(n, str) and n.startswith(("_c", "_B", "_r")))
-    }
-    return keep, bend_nodes
+def _coordinates(mesh: _Mesh) -> tuple[list[int], list[int]]:
+    """x and y of every vertex, by id."""
+    return _axis(mesh, _EAST), _axis(mesh, _SOUTH)
 
 
 def compact(pg: PlanarizedGraph, rep: OrthoRep) -> OrthogonalDrawing:
     """Integer grid drawing of the planarized graph's representation."""
     names = _NameSource()
     positions: dict[Node, Point] = {}
-    bend_map: dict[tuple[Node, Node], list[str]] = {}
+    # (u, v) -> the points of the bends from u to v, for both orientations
+    bend_pts: dict[tuple[Node, Node], list[Point]] = {}
     offset = 0
     for comp, face_idx in pg.component_faces():
-        local, bends = _component_positions(rep, comp, face_idx, names)
-        xs = [p[0] for p in local.values()]
-        ys = [p[1] for p in local.values()]
+        if not face_idx:
+            positions[comp[0]] = (offset, 0)
+            offset += 2
+            continue
+        mesh, bend_nodes, angles_after = _build_mesh(rep, comp, face_idx, names)
+        kept = len(mesh.label)  # nodes and bends; border and refinement follow
+        _assign_directions(mesh, angles_after)
+        _add_border(mesh, names)
+        _refine(mesh, names)
+        xs, ys = _coordinates(mesh)
+        xs, ys = xs[:kept], ys[:kept]
         dx, dy = offset - min(xs), -min(ys)
-        for node, (x, y) in local.items():
-            positions[node] = (x + dx, y + dy)
-        bend_map.update(bends)
-        offset = max(p[0] for p in positions.values()) + 2
+        for k, node in enumerate(comp):
+            positions[node] = (xs[k] + dx, ys[k] + dy)
+        for (u, v), bends in bend_nodes.items():
+            pts = [(xs[b] + dx, ys[b] + dy) for b in bends]
+            bend_pts[(u, v)] = pts
+            bend_pts[(v, u)] = pts[::-1]
+        offset = max(xs) + dx + 2
 
     routes: dict[tuple[int, int, int], tuple[Point, ...]] = {}
     bend_count: dict[tuple[int, int, int], int] = {}
     for key, chain in sorted(pg.chains.items()):
         pts: list[Point] = [positions[chain[0]]]
         for a, b in zip(chain, chain[1:]):
-            canon = (a, b) if node_key(a) <= node_key(b) else (b, a)
-            seq = bend_map.get(canon, [])
-            ordered = seq if (a, b) == canon else list(reversed(seq))
-            for node in [*ordered, b]:
-                pts.append(positions[node])
+            pts += bend_pts.get((a, b), ())
+            pts.append(positions[b])
         corners = [pts[0]]
         for k in range(1, len(pts) - 1):
             (x0, y0), (x1, y1), (x2, y2) = pts[k - 1], pts[k], pts[k + 1]
@@ -334,7 +411,7 @@ def compact(pg: PlanarizedGraph, rep: OrthoRep) -> OrthogonalDrawing:
         routes[key] = tuple(corners)
         bend_count[key] = len(corners) - 2
 
-    node_pos = {n: positions[n] for n in positions if isinstance(n, int)}
+    node_pos = {n: p for n, p in positions.items() if isinstance(n, int)}
     crossing_pts = tuple(
         positions[c] for c in sorted(pg.crossings) if c in positions
     )

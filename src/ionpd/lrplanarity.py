@@ -23,11 +23,14 @@ A port of the non-recursive `LRPlanarity.lr_planarity` of networkx 3.6.1
 `planar_rotation(graph)` therefore returns exactly
 `nx.check_planarity(graph)[1].get_data()`, neighbour and dict order
 included, so every embedding ionpd draws depends on this module alone.
+`planar_rings(adjacency)` is the same test on a graph already numbered
+0..n-1, given as neighbour lists in adjacency order; `planarize` keeps its
+working graph that way and calls it directly.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable
+from collections.abc import Hashable, Iterable, Sequence
 
 import networkx as nx
 
@@ -41,13 +44,22 @@ def planar_rotation(graph: nx.Graph) -> dict[Hashable, list[Hashable]] | None:
     a planar embedding; None if the graph is not planar. Self-loops are
     ignored."""
     labels = list(graph)
-    n = len(labels)
     index = {v: k for k, v in enumerate(labels)}
+    rings = planar_rings([[index[w] for w in graph[v]] for v in labels])
+    if rings is None:
+        return None
+    return {labels[v]: [labels[w] for w in ring] for v, ring in enumerate(rings)}
+
+
+def planar_rings(adjacency: Sequence[Iterable[int]]) -> list[list[int]] | None:
+    """`planar_rotation` of the graph on nodes 0..n-1 whose node v has the
+    neighbours `adjacency[v]`, in that order (each edge listed at both
+    ends): the clockwise ring of every node, or None if not planar."""
+    n = len(adjacency)
     adjs: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (neighbour, edge id)
     size = 0
-    for i, (_, nbrs) in enumerate(graph.adjacency()):
-        for w in nbrs:
-            j = index[w]
+    for i, nbrs in enumerate(adjacency):
+        for j in nbrs:
             if j > i:
                 adjs[i].append((j, size))
                 adjs[j].append((i, size))
@@ -59,7 +71,7 @@ def planar_rotation(graph: nx.Graph) -> dict[Hashable, list[Hashable]] | None:
     lr.orient(adjs)
     if not lr.test():
         return None
-    return lr.embed(labels)
+    return lr.embed()
 
 
 class _LeftRight:
@@ -288,7 +300,7 @@ class _LeftRight:
         for e, sign in enumerate(side):
             depth[e] *= sign
 
-    def embed(self, labels: list[Hashable]) -> dict[Hashable, list[Hashable]]:
+    def embed(self) -> list[list[int]]:
         """Clockwise rotation of every node, each ring starting at the
         leftmost neighbour, as `PlanarEmbedding.get_data` reads it."""
         ordered = self._by_nesting_depth()
@@ -319,4 +331,4 @@ class _LeftRight:
                     else:  # right before the left reference: leftmost if that was
                         ring.insert(ring.index(left_ref[w]), v)
                         left_ref[w] = v
-        return {labels[v]: [labels[w] for w in ring] for v, ring in enumerate(rings)}
+        return rings

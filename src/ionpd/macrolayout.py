@@ -12,7 +12,8 @@ S=2, W=4, N=8). Every gate-free cell of a tiled layout holds one of 15
 shared `Macroblock` instances, one per port set; only gate blocks are built
 per cell. Constant per-port-set tables give the port check its neighbour
 offsets and `layout.json` its block members; `text_lines` builds one glyph
-table per layout for its cell width and yields `layout.txt` a line at a time.
+table per layout for its cell width and yields `layout.txt` a line at a time,
+and `to_svg` fills one nine-rectangle template per port set.
 """
 
 from __future__ import annotations
@@ -228,6 +229,9 @@ class MacroLayout:
             yield f"gate {i} at block ({x},{y})\n"
 
     def to_svg(self, cell: int = 10) -> str:
+        """Every block as nine cell rectangles (channel cells white, the gate
+        trap black, electrodes grey) and a gate block's id, blocks by cell;
+        each block's rectangles come from a per-port-set template."""
         if not self.blocks:
             return '<svg xmlns="http://www.w3.org/2000/svg" width="10" height="10"/>\n'
         xs = [x for x, _ in self.blocks]
@@ -238,27 +242,42 @@ class MacroLayout:
         parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
         ]
+        templates = _svg_templates(cell)
+        span = 3 * cell
         for (bx, by), block in sorted(self.blocks.items()):
-            cx, cy = (bx - x0) * 3, (by - y0) * 3
-            cells = {(1, 1)}
-            cells.update((1 + DIRS[p][0], 1 + DIRS[p][1]) for p in block.ports)
-            for dy in range(3):
-                for dx in range(3):
-                    if (dx, dy) in cells:
-                        colour = "black" if block.gate_of and (dx, dy) == (1, 1) else "white"
-                    else:
-                        colour = "#aaaaaa"
-                    parts.append(
-                        f'<rect x="{(cx + dx) * cell}" y="{(cy + dy) * cell}" '
-                        f'width="{cell}" height="{cell}" fill="{colour}" stroke="#666" stroke-width="0.5"/>'
-                    )
+            x, y = (bx - x0) * span, (by - y0) * span
+            offsets = (x, x + cell, x + 2 * cell, y, y + cell, y + 2 * cell)
+            parts.append(templates[block.ports, bool(block.gate_of)].format(*offsets))
             if block.gate_of:
                 parts.append(
-                    f'<text x="{(cx + 1) * cell + cell // 2}" y="{(cy + 1) * cell + cell - 2}" '
+                    f'<text x="{x + cell + cell // 2}" y="{y + 2 * cell - 2}" '
                     f'font-size="{cell - 2}" text-anchor="middle" fill="white">{block.gate_of[0]}</text>'
                 )
         parts.append("</svg>")
         return "\n".join(parts) + "\n"
+
+
+def _svg_templates(cell: int) -> dict[tuple[frozenset[str], bool], str]:
+    """Per port set and gate flag, the nine `<rect>` lines of a block whose
+    cells are `cell` wide, with `str.format` fields 0-2 for its column and
+    3-5 for its row offsets."""
+    table = {}
+    for ports in _PORT_SETS:
+        open_cells = {(1, 1), *((1 + DIRS[p][0], 1 + DIRS[p][1]) for p in ports)}
+        for gate in (False, True):
+            rects = []
+            for dy in range(3):
+                for dx in range(3):
+                    if (dx, dy) not in open_cells:
+                        colour = "#aaaaaa"
+                    else:
+                        colour = "black" if gate and (dx, dy) == (1, 1) else "white"
+                    rects.append(
+                        f'<rect x="{{{dx}}}" y="{{{3 + dy}}}" width="{cell}" height="{cell}" '
+                        f'fill="{colour}" stroke="#666" stroke-width="0.5"/>'
+                    )
+            table[ports, gate] = "\n".join(rects)
+    return table
 
 
 _DIRECTION_OF: dict[Point, str] = {delta: name for name, delta in DIRS.items()}

@@ -8,8 +8,8 @@ degree-4 dummy vertex. `_FaceBook` traces the faces of every embedding.
 Parallel edges are split with a routing dummy first so the working graph
 stays simple.
 
-Planarity tests and embeddings come from `lrplanarity.planar_rotation`.
-The graph with all edges is tested first: a planar input is taken whole,
+Planarity tests and embeddings come from `lrplanarity.planar_rings`. The
+graph with all edges is tested first: a planar input is taken whole,
 and that test's rotation is the final embedding. Otherwise the greedy
 choice tests planarity only where it must: the edges are walked in order
 against a rotation system of the kept graph that knows the face of every
@@ -21,17 +21,28 @@ embedding replaces the rotation; if not, it is removed without trace and
 deferred. The kept set is therefore exactly that of the one-by-one loop,
 and kept edges enter the graph in input order, so the adjacency order that
 feeds every later embedding is the same too.
+
+The working graph lives on integer ids: flow-graph nodes in `node_key`
+order, then split and crossing dummies as they are made, each with a
+neighbour dict that keeps `nx.Graph`'s insertion order. The LR kernel,
+the face books and the chain splicing run on these ids. Where order
+decides a result (face numbering, the final embedding) ids go by the
+`node_key` of their labels, kept sorted as dummies come: `x10` sorts before
+`x2`. Labels return only when the `PlanarizedGraph` is built, with its
+faces and components computed on the ids.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter, deque
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import networkx as nx
 
-from .lrplanarity import planar_rotation
+from .lrplanarity import planar_rings
 from .qfg import QubitFlowGraph
 
 Node = object  # int for instructions, str for dummies ("x0" crossing, "s0" split)
@@ -55,33 +66,22 @@ class PlanarizedGraph:
     crossings: frozenset[str]
     splits: frozenset[str]
     chains: dict[tuple[int, int, int], list[Node]]  # QFG edge -> node path
+    # derived from `adj` once, where it is built: see faces(), component_faces()
+    _faces: tuple[tuple[HalfEdge, ...], ...] = field(repr=False, compare=False)
+    _component_faces: tuple[tuple[tuple[Node, ...], tuple[int, ...]], ...] = field(
+        repr=False, compare=False
+    )
 
     def faces(self) -> tuple[tuple[HalfEdge, ...], ...]:
-        """Face walks of the embedding, traced once per graph."""
+        """Face walks of the embedding, numbered in `node_key` order of each
+        face's first tail, each walk in trace order."""
         return self._faces
-
-    @cached_property
-    def _faces(self) -> tuple[tuple[HalfEdge, ...], ...]:
-        return _FaceBook(self.adj).walks()
 
     def component_faces(self) -> tuple[tuple[tuple[Node, ...], tuple[int, ...]], ...]:
         """Connected components, each with the indices of its faces (a face
-        belongs to the tail of its first half-edge), computed once per graph.
-        Nodes are sorted by `node_key` and components by their first node."""
+        belongs to the tail of its first half-edge). Nodes are sorted by
+        `node_key` and components by their first node."""
         return self._component_faces
-
-    @cached_property
-    def _component_faces(self) -> tuple[tuple[tuple[Node, ...], tuple[int, ...]], ...]:
-        graph = nx.from_dict_of_lists(self.adj)
-        comps = sorted(
-            (tuple(sorted(comp, key=node_key)) for comp in nx.connected_components(graph)),
-            key=lambda comp: node_key(comp[0]),
-        )
-        comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
-        face_idx: list[list[int]] = [[] for _ in comps]
-        for fi, walk in enumerate(self.faces()):
-            face_idx[comp_of[walk[0][0]]].append(fi)
-        return tuple(zip(comps, map(tuple, face_idx)))
 
     def check_euler(self) -> None:
         """V - E + F = 2 within every connected component."""
@@ -95,32 +95,44 @@ class PlanarizedGraph:
                 )
 
 
-def _embedding(rotation: dict[Node, list[Node]] | None) -> dict[Node, list[Node]]:
-    """A planarity test's rotation with nodes in `node_key` order."""
-    if rotation is None:
+def _rings(adj: list[dict[int, None]]) -> list[list[int]]:
+    """The rotation of the planar working graph."""
+    rings = planar_rings(adj)
+    if rings is None:
         raise PlanarizeError("working graph lost planarity")
-    return {v: rotation[v] for v in sorted(rotation, key=node_key)}
+    return rings
 
 
 class _FaceBook:
     """Rotation system of a planar graph (clockwise neighbour lists) and the
     face id of every half-edge. The face walk leaves half-edge (tail, head)
     along the half-edge that follows tail in head's ring. `place` inserts
-    edges, keeping a union-find of the components."""
+    edges, keeping a union-find of the components.
 
-    def __init__(self, rotation: dict[Node, list[Node]]):
+    `rotation` maps each node to its ring: a list over `planarize`'s node
+    ids, or any mapping. Faces are numbered in `order` of their first tail;
+    `labels`, if given, name the ids in messages."""
+
+    def __init__(
+        self, rotation, order: Iterable[Node], labels: list[Node] | None = None
+    ) -> None:
+        self.order = order
+        self.labels = labels
         self.adopt(rotation)
 
-    def adopt(self, rotation: dict[Node, list[Node]]) -> None:
+    def adopt(self, rotation) -> None:
         """Replace the rotation (same components) and retrace every face,
-        numbered in `node_key` order of each face's first tail."""
+        numbered in `order` of each face's first tail."""
         self.rotation = rotation
         self.face_of: dict[HalfEdge, int] = {}
         self.next_face = 0
-        for u in sorted(rotation, key=node_key):
+        for u in self.order:
             for v in rotation[u]:
                 if (u, v) not in self.face_of:
                     self._trace((u, v))
+
+    def name(self, v) -> Node:
+        return v if self.labels is None else self.labels[v]
 
     def walks(self) -> tuple[tuple[HalfEdge, ...], ...]:
         """Face walks by face id, each in trace order. Only `adopt` keeps
@@ -133,9 +145,9 @@ class _FaceBook:
     @cached_property
     def components(self) -> nx.utils.UnionFind:
         """Connected components, built from the rotation on first use."""
-        components = nx.utils.UnionFind(self.rotation)
-        for u, ring in self.rotation.items():
-            components.union(u, *ring)
+        components = nx.utils.UnionFind(self.order)
+        for u in self.order:
+            components.union(u, *self.rotation[u])
         return components
 
     def _trace(self, start: HalfEdge) -> int:
@@ -178,38 +190,44 @@ class _FaceBook:
         face = self._trace((a, b))
         if (self.face_of.get((b, a)) == face) == split:
             raise PlanarizeError(
-                f"edge {a}-{b} did not {'split' if split else 'merge'} its faces: "
-                "stale face bookkeeping"
+                f"edge {self.name(a)}-{self.name(b)} did not {'split' if split else 'merge'} "
+                "its faces: stale face bookkeeping"
             )
         if split:
             self._trace((b, a))
 
 
+def _add_edge(adj: list[dict[int, None]], a: int, b: int) -> None:
+    """Add edge a-b at the end of both neighbour dicts, as `nx.Graph` does."""
+    adj[a][b] = None
+    adj[b][a] = None
+
+
 def _add_planar_greedy(
-    graph: nx.Graph, edges: list[tuple[Node, Node]]
-) -> list[tuple[Node, Node]]:
+    adj: list[dict[int, None]], edges: list[tuple[int, int]], labels: list[Node]
+) -> list[tuple[int, int]]:
     """Add each edge in order unless it breaks planarity; return the rest.
 
     Same result as testing edges one at a time, with a test only for an
-    edge whose endpoints share no face (see the module docstring). `graph`
-    holds every endpoint as a node and no edges yet.
+    edge whose endpoints share no face (see the module docstring). `adj` is
+    the edgeless working graph over every endpoint.
     """
-    book = _FaceBook({v: [] for v in graph.nodes})
-    deferred: list[tuple[Node, Node]] = []
+    book = _FaceBook([[] for _ in adj], range(len(adj)), labels)
+    deferred: list[tuple[int, int]] = []
     for a, b in edges:
-        graph.add_edge(a, b)
+        _add_edge(adj, a, b)
         if book.place(a, b):
             continue
-        rotation = planar_rotation(graph)
-        if rotation is not None:
-            book.adopt(rotation)
-        else:
-            graph.remove_edge(a, b)
+        rings = planar_rings(adj)
+        if rings is not None:
+            book.adopt(rings)
+        else:  # deleting the keys leaves no trace in adjacency order
+            del adj[a][b], adj[b][a]
             deferred.append((a, b))
     return deferred
 
 
-def _route_through_faces(book: _FaceBook, u: Node, v: Node) -> list[frozenset]:
+def _route_through_faces(book: _FaceBook, u, v) -> list[frozenset]:
     """Edges to cross when inserting (u, v): a fewest-crossings path through
     the dual of the book's embedding, searched breadth first from u's faces
     in ascending id. The face across half-edge (a, b) is that of (b, a)."""
@@ -230,13 +248,43 @@ def _route_through_faces(book: _FaceBook, u: Node, v: Node) -> list[frozenset]:
                 back[across] = (face, frozenset((a, b)))
                 queue.append(across)
     else:
-        raise PlanarizeError(f"no dual route between {u} and {v}")
+        raise PlanarizeError(f"no dual route between {book.name(u)} and {book.name(v)}")
     crossed: list[frozenset] = []
     while back[face] is not None:
         face, edge = back[face]
         crossed.append(edge)
     crossed.reverse()
     return crossed
+
+
+def _component_faces(
+    rotation: list[list[int]], order: list[int], walks: tuple[tuple[HalfEdge, ...], ...]
+) -> list[tuple[list[int], tuple[int, ...]]]:
+    """Connected components of the working graph, found from each unseen
+    node in `order`, so ordered by their first node; each with its nodes in
+    `order` and the indices of its face walks."""
+    rank = [0] * len(order)
+    for r, v in enumerate(order):
+        rank[v] = r
+    comp_of = [-1] * len(order)
+    comps: list[list[int]] = []
+    for start in order:
+        if comp_of[start] >= 0:
+            continue
+        comp_of[start] = len(comps)
+        members, stack = [], [start]
+        while stack:
+            v = stack.pop()
+            members.append(v)
+            for w in rotation[v]:
+                if comp_of[w] < 0:
+                    comp_of[w] = len(comps)
+                    stack.append(w)
+        comps.append(sorted(members, key=rank.__getitem__))
+    face_idx: list[list[int]] = [[] for _ in comps]
+    for fi, walk in enumerate(walks):
+        face_idx[comp_of[walk[0][0]]].append(fi)
+    return list(zip(comps, map(tuple, face_idx)))
 
 
 def planarize(qfg: QubitFlowGraph) -> PlanarizedGraph:
@@ -248,82 +296,100 @@ def planarize(qfg: QubitFlowGraph) -> PlanarizedGraph:
                 f"node {node} has degree {count}; orthogonal drawing needs <= 4"
             )
 
-    chains: dict[tuple[int, int, int], list[Node]] = {}
-    simple_edges: list[tuple[Node, Node]] = []
+    # the working graph: nodes are ids in `nx.Graph` insertion order (flow
+    # graph nodes by `node_key`, then split and crossing dummies as they
+    # come), `adj` their neighbour dicts in `nx.Graph` adjacency order
+    labels: list[Node] = sorted(qfg.nodes, key=node_key)
+    ident = {v: k for k, v in enumerate(labels)}
+    chains: dict[tuple[int, int, int], list[int]] = {}  # chain paths by id
+    edges: list[tuple[int, int]] = []
     seen_pairs: set[frozenset] = set()
-    splits: list[str] = []
     for key in sorted(qfg.edges):
-        i, j, _ = key
+        i, j = ident[key[0]], ident[key[1]]
         pair = frozenset((i, j))
         if pair in seen_pairs:
-            dummy = f"s{len(splits)}"
-            splits.append(dummy)
+            dummy = len(labels)
+            labels.append(f"s{dummy - len(ident)}")
             chains[key] = [i, dummy, j]
-            simple_edges.append((i, dummy))
-            simple_edges.append((dummy, j))
+            edges += ((i, dummy), (dummy, j))
         else:
             seen_pairs.add(pair)
             chains[key] = [i, j]
-            simple_edges.append((i, j))
+            edges.append((i, j))
+    splits = labels[len(ident):]
 
-    graph = nx.Graph()
-    for node in sorted(qfg.nodes, key=node_key):
-        graph.add_node(node)
-    for dummy in splits:
-        graph.add_node(dummy)
-
-    graph.add_edges_from(simple_edges)
-    rotation = planar_rotation(graph)  # if planar, the final embedding
-    deferred: list[tuple[Node, Node]] = []
+    keys = [node_key(v) for v in labels]
+    order = sorted(range(len(labels)), key=keys.__getitem__)  # ids by node_key
+    adj: list[dict[int, None]] = [{} for _ in labels]
+    for a, b in edges:
+        _add_edge(adj, a, b)
+    rotation = planar_rings(adj)  # if planar, the final embedding
+    deferred: list[tuple[int, int]] = []
     if rotation is None:
-        graph.remove_edges_from(simple_edges)  # deletes the keys: no trace in adjacency order
-        deferred = _add_planar_greedy(graph, simple_edges)
+        for nbrs in adj:
+            nbrs.clear()
+        deferred = _add_planar_greedy(adj, edges, labels)
 
-    crossings: list[str] = []
+    crossings: list[int] = []
     # the working graph is simple: each node pair is one step of one chain
     step_key = {
         frozenset(step): key for key, path in chains.items() for step in zip(path, path[1:])
     }
     for a, b in deferred:
-        book = _FaceBook(_embedding(planar_rotation(graph)))
+        book = _FaceBook(_rings(adj), order, labels)
         crossed = _route_through_faces(book, a, b)
         prev = a
         for edge in crossed:
-            x, y = sorted(edge, key=node_key)
-            dummy = f"x{len(crossings)}"
+            x, y = sorted(edge, key=keys.__getitem__)
+            dummy = len(labels)
+            labels.append(f"x{len(crossings)}")
+            keys.append(node_key(labels[dummy]))
+            insort(order, dummy, key=keys.__getitem__)
+            adj.append({})
             crossings.append(dummy)
-            graph.remove_edge(x, y)
-            graph.add_edge(x, dummy)
-            graph.add_edge(dummy, y)
-            _splice_chain(chains, step_key, x, y, [x, dummy, y])
-            graph.add_edge(prev, dummy)
+            del adj[x][y], adj[y][x]
+            _add_edge(adj, x, dummy)
+            _add_edge(adj, dummy, y)
+            _splice_chain(chains, step_key, x, y, [x, dummy, y], labels)
+            _add_edge(adj, prev, dummy)
             prev = dummy
-        graph.add_edge(prev, b)
+        _add_edge(adj, prev, b)
         inserted = crossings[len(crossings) - len(crossed):]
-        _splice_chain(chains, step_key, a, b, [a, *inserted, b])
+        _splice_chain(chains, step_key, a, b, [a, *inserted, b], labels)
 
     if rotation is None:
-        rotation = planar_rotation(graph)
+        rotation = _rings(adj)
+    walks = _FaceBook(rotation, order, labels).walks()
+    name = labels.__getitem__
     pg = PlanarizedGraph(
-        nodes=tuple(sorted(graph.nodes, key=node_key)),
-        adj=_embedding(rotation),
-        crossings=frozenset(crossings),
+        nodes=tuple(map(name, order)),
+        adj={labels[v]: list(map(name, rotation[v])) for v in order},
+        crossings=frozenset(map(name, crossings)),
         splits=frozenset(splits),
-        chains=chains,
+        chains={key: list(map(name, path)) for key, path in chains.items()},
+        _faces=tuple(tuple((labels[a], labels[b]) for a, b in walk) for walk in walks),
+        _component_faces=tuple(
+            (tuple(map(name, comp)), idx) for comp, idx in _component_faces(rotation, order, walks)
+        ),
     )
     pg.check_euler()
     return pg
 
 
 def _splice_chain(
-    chains: dict, step_key: dict[frozenset, tuple], a: Node, b: Node, new_path: list[Node]
+    chains: dict,
+    step_key: dict[frozenset, tuple],
+    a: int,
+    b: int,
+    new_path: list[int],
+    labels: list[Node],
 ) -> None:
     """Replace the chain step between a and b, in either direction, by
     `new_path` (which runs from a to b). `step_key` maps the node pair of
     every chain step to its chain and is kept up to date."""
     key = step_key.pop(frozenset((a, b)), None)
     if key is None:
-        raise PlanarizeError(f"edge {a}-{b} not found in any chain")
+        raise PlanarizeError(f"edge {labels[a]}-{labels[b]} not found in any chain")
     path = chains[key]
     pos = path.index(a)
     if pos + 1 < len(path) and path[pos + 1] == b:

@@ -1,12 +1,12 @@
 """Shared test oracles: exact unitaries, bend-minimum MILP, brute-force and
 MILP stage schedules, networkx's network simplex, the all-pairs dataflow
-rule and the set-based
-exchangeability rule, the full-grid layout text, hand-rolled face walks,
-dual routing, component grouping and compaction, the macroblock layer with
-one object per cell (tile, route, simulate, `layout.json` and the row-wise
-`layout.txt`), random inputs, and queries on pipeline results that only
-tests ask (reachability, flow-graph degree, corner angles, the channel
-graph, a leg's straights and turns)."""
+rule and the set-based exchangeability rule, the full-grid layout text,
+hand-rolled face walks, dual routing, component grouping, compaction on a
+label-keyed mesh with networkx lines and longest paths, the macroblock
+layer with one object per cell (tile, route, simulate, `layout.json`, the
+row-wise `layout.txt` and `layout.svg`), random inputs, and queries on
+pipeline results that only tests ask (reachability, flow-graph degree,
+corner angles, the channel graph, a leg's straights and turns)."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import itertools
 import random
 from operator import itemgetter
 
+import networkx as nx
 import numpy as np
 
 from ionpd.artifact import render_json
@@ -34,7 +35,8 @@ from ionpd.macrolayout import (
     RouteStep,
     _direction,
 )
-from ionpd.planar import PlanarizeError, node_key
+from ionpd.orthogonal import OrthoRep
+from ionpd.planar import Node, PlanarizeError, node_key
 from ionpd.qfg import QubitFlowGraph, build_qfg
 from ionpd.solver import Schedule, validate
 
@@ -332,8 +334,6 @@ def networkx_min_cost_flow(
 ) -> list[int]:
     """`orthogonal.min_cost_flow` by networkx's network simplex on a
     multigraph keyed by arc index; raises `nx.NetworkXUnfeasible`."""
-    import networkx as nx
-
     network = nx.MultiDiGraph()
     network.add_nodes_from((node, {"demand": demand[node]}) for node in range(node_count))
     for key, (u, v, cap, cost) in enumerate(arcs):
@@ -577,6 +577,339 @@ def reference_coordinates(mesh) -> dict:
     return {n: (xs[n], ys[n]) for n in nodes}
 
 
+class _ReferenceMesh:
+    """Doubly linked face walks with absolute directions per half-edge."""
+
+    def __init__(self) -> None:
+        self.nxt: dict[tuple, tuple] = {}
+        self.prv: dict[tuple, tuple] = {}
+        self.dirs: dict[tuple, int] = {}
+
+    def link(self, a: tuple, b: tuple) -> None:
+        self.nxt[a] = b
+        self.prv[b] = a
+
+    def turn(self, he: tuple) -> int:
+        rot = (self.dirs[self.nxt[he]] - self.dirs[he]) % 4
+        return rot if rot <= 1 else rot - 4
+
+    def face_of(self, he: tuple) -> list[tuple]:
+        walk = [he]
+        cur = self.nxt[he]
+        while cur != he:
+            walk.append(cur)
+            cur = self.nxt[cur]
+        return walk
+
+    def all_faces(self) -> list[list[tuple]]:
+        seen: set[tuple] = set()
+        faces = []
+        for he in sorted(self.nxt, key=lambda e: (node_key(e[0]), node_key(e[1]))):
+            if he in seen:
+                continue
+            walk = self.face_of(he)
+            seen.update(walk)
+            faces.append(walk)
+        return faces
+
+
+def _reference_bend_values(rep: OrthoRep, u: Node, v: Node) -> list[int]:
+    """Bend angles along (u, v) as seen from the (u, v) walk side."""
+    convex = rep.bends.get((u, v), 0)
+    reflex = rep.bends.get((v, u), 0)
+    if convex and reflex:
+        raise LayoutError(f"bends on {u}-{v} are not one-sided after cancellation")
+    return [1] * convex + [3] * reflex
+
+
+def _reference_build_mesh(
+    rep: OrthoRep, face_idx: tuple[int, ...], names: "_ReferenceNames"
+) -> tuple[_ReferenceMesh, dict[tuple[Node, Node], list[str]], dict[tuple, int]]:
+    """Subdivide bends and link the refined face walks of one component."""
+    mesh = _ReferenceMesh()
+    bend_nodes: dict[tuple[Node, Node], list[str]] = {}
+    angles_after: dict[tuple, int] = {}
+
+    for fi in face_idx:
+        walk = rep.faces[fi]
+        for u, v in walk:
+            canon = (u, v) if node_key(u) <= node_key(v) else (v, u)
+            if canon not in bend_nodes:
+                count = rep.edge_bends(u, v)
+                bend_nodes[canon] = [names.fresh("b") for _ in range(count)]
+
+    for fi in face_idx:
+        walk = rep.faces[fi]
+        refined: list[tuple] = []
+        for ci, (u, v) in enumerate(walk):
+            canon = (u, v) if node_key(u) <= node_key(v) else (v, u)
+            seq = bend_nodes[canon]
+            values = _reference_bend_values(rep, *canon)
+            if (u, v) != canon:
+                seq = list(reversed(seq))
+                values = [4 - a for a in reversed(values)]
+            pts = [u, *seq, v]
+            for k in range(len(pts) - 1):
+                he = (pts[k], pts[k + 1])
+                refined.append(he)
+                angles_after[he] = values[k] if k < len(seq) else rep.angles[(fi, ci)]
+        for k, he in enumerate(refined):
+            mesh.link(he, refined[(k + 1) % len(refined)])
+
+    return mesh, bend_nodes, angles_after
+
+
+def _reference_assign_directions(mesh: _ReferenceMesh, angles_after: dict[tuple, int]) -> None:
+    pending = sorted(mesh.nxt, key=lambda e: (node_key(e[0]), node_key(e[1])))
+    seed = pending[0]
+    mesh.dirs[seed] = _EAST
+    stack = [seed]
+    while stack:
+        he = stack.pop()
+        d = mesh.dirs[he]
+        twin = (he[1], he[0])
+        rot = (2 - angles_after[he]) % 4
+        for other, value in ((twin, (d + 2) % 4), (mesh.nxt[he], (d + rot) % 4)):
+            if other in mesh.dirs:
+                if mesh.dirs[other] != value:
+                    raise LayoutError(f"direction clash at {other}")
+            else:
+                mesh.dirs[other] = value
+                stack.append(other)
+    if len(mesh.dirs) != len(mesh.nxt):
+        raise LayoutError("disconnected mesh")
+
+
+class _ReferenceNames:
+    def __init__(self) -> None:
+        self.counter = 0
+
+    def fresh(self, prefix: str) -> str:
+        self.counter += 1
+        return f"_{prefix}{self.counter}"
+
+
+def _reference_add_border(mesh: _ReferenceMesh, names: _ReferenceNames) -> None:
+    """Wrap the component: turns the annulus around it into a disk face."""
+    external = None
+    for walk in mesh.all_faces():
+        if sum(mesh.turn(he) for he in walk) == -4:
+            external = walk
+            break
+    if external is None:
+        raise LayoutError("no external face found")
+
+    he0 = next(he for he in external if mesh.turn(he) <= 0)
+    he1 = mesh.nxt[he0]
+    v = he0[1]
+    d = (mesh.dirs[he0] + 1) % 4
+
+    c = names.fresh("c")
+    corners = [names.fresh("B") for _ in range(4)]
+    ring = [c, *corners]
+    inner = [(ring[k], ring[(k + 1) % 5]) for k in range(5)]
+
+    mesh.dirs[(v, c)] = d
+    mesh.dirs[(c, v)] = (d + 2) % 4
+    for k, he in enumerate(inner):  # border sides rotate once per corner
+        side = (d + 1 + k) % 4
+        mesh.dirs[he] = side
+        mesh.dirs[(he[1], he[0])] = (side + 2) % 4
+
+    mesh.link(he0, (v, c))
+    mesh.link((v, c), inner[0])
+    for k in range(4):
+        mesh.link(inner[k], inner[k + 1])
+    mesh.link(inner[4], (c, v))
+    mesh.link((c, v), he1)
+    outer = [(b, a) for a, b in reversed(inner)]
+    for k in range(5):
+        mesh.link(outer[k], outer[(k + 1) % 5])
+
+
+def _reference_split_edge(mesh: _ReferenceMesh, front: tuple, m: str) -> None:
+    """Subdivide `front` with vertex m; correct even when it is a bridge."""
+    x, y = front
+    twin = (y, x)
+    old = {
+        "in1": mesh.prv[front], "out1": mesh.nxt[front],
+        "in2": mesh.prv[twin], "out2": mesh.nxt[twin],
+    }
+
+    def as_source(he: tuple) -> tuple:
+        return (m, y) if he == front else (m, x) if he == twin else he
+
+    def as_target(he: tuple) -> tuple:
+        return (x, m) if he == front else (y, m) if he == twin else he
+
+    d = mesh.dirs[front]
+    mesh.dirs[(x, m)] = mesh.dirs[(m, y)] = d
+    mesh.dirs[(y, m)] = mesh.dirs[(m, x)] = (d + 2) % 4
+    for he in (front, twin):
+        del mesh.dirs[he]
+        mesh.nxt.pop(he, None)
+        mesh.prv.pop(he, None)
+    mesh.link((x, m), (m, y))
+    mesh.link((y, m), (m, x))
+    mesh.link(as_source(old["in1"]), (x, m))
+    mesh.link((m, y), as_target(old["out1"]))
+    mesh.link(as_source(old["in2"]), (y, m))
+    mesh.link((m, x), as_target(old["out2"]))
+
+
+def _reference_refine(mesh: _ReferenceMesh, names: _ReferenceNames) -> None:
+    """Split every internal face until all of them are rectangles."""
+    work = [walk[0] for walk in mesh.all_faces()]
+    while work:
+        start = work.pop()
+        if start not in mesh.nxt:
+            continue
+        walk = mesh.face_of(start)
+        total = sum(mesh.turn(he) for he in walk)
+        if total == -4:
+            continue  # the single external face stays
+        if total != 4:
+            raise LayoutError(f"face turn sum {total}")
+        he0 = next((he for he in walk if mesh.turn(he) <= -1), None)
+        if he0 is None:
+            continue  # rectangle already
+        v = he0[1]
+        cnt = 0
+        cur = he0
+        while True:
+            cnt += mesh.turn(cur)
+            if cnt == 1:
+                front = mesh.nxt[cur]
+                break
+            cur = mesh.nxt[cur]
+            if cur == he0:
+                raise LayoutError("no front side found")
+        x, y = front
+        if v in front:
+            raise LayoutError("projection hit its own corner")
+        if (mesh.dirs[front] - mesh.dirs[he0]) % 2 != 1:
+            raise LayoutError("front not perpendicular")
+
+        m = names.fresh("r")
+        _reference_split_edge(mesh, front, m)
+        he1 = mesh.nxt[he0]
+        d0 = mesh.dirs[he0]
+        mesh.dirs[(v, m)] = d0
+        mesh.dirs[(m, v)] = (d0 + 2) % 4
+        mesh.link(he0, (v, m))
+        mesh.link((v, m), (m, y))
+        mesh.link((x, m), (m, v))
+        mesh.link((m, v), he1)
+
+        work.append(he0)
+        work.append((m, v))
+        work.append((y, m))
+
+
+def networkx_coordinates(mesh: _ReferenceMesh) -> dict[Node, Point]:
+    nodes = sorted({n for he in mesh.nxt for n in he}, key=node_key)
+
+    def compact_axis(line_dirs: tuple[int, int], forward: int) -> dict[Node, int]:
+        """One coordinate per line (a component of `line_dirs` edges): the
+        longest path to it along `forward` edges, i.e. its topological
+        generation."""
+        lines = nx.Graph()
+        lines.add_nodes_from(nodes)
+        lines.add_edges_from(he for he, d in mesh.dirs.items() if d in line_dirs)
+        line_of = {n: k for k, line in enumerate(nx.connected_components(lines)) for n in line}
+        order = nx.DiGraph()
+        order.add_nodes_from(line_of.values())
+        order.add_edges_from(
+            (line_of[a], line_of[b]) for (a, b), d in mesh.dirs.items() if d == forward
+        )
+        try:
+            coord = {
+                line: depth
+                for depth, generation in enumerate(nx.topological_generations(order))
+                for line in generation
+            }
+        except nx.NetworkXUnfeasible as exc:
+            raise LayoutError("cyclic compaction constraints") from exc
+        return {n: coord[line_of[n]] for n in nodes}
+
+    xs = compact_axis((_NORTH, _SOUTH), _EAST)
+    ys = compact_axis((_EAST, _WEST), _SOUTH)
+    return {n: (xs[n], ys[n]) for n in nodes}
+
+
+def _reference_component_positions(
+    rep: OrthoRep, comp: tuple[Node, ...], face_idx: tuple[int, ...], names: _ReferenceNames
+) -> tuple[dict[Node, Point], dict[tuple[Node, Node], list[str]]]:
+    if not face_idx:
+        return {comp[0]: (0, 0)}, {}
+    mesh, bend_nodes, angles_after = _reference_build_mesh(rep, face_idx, names)
+    _reference_assign_directions(mesh, angles_after)
+    _reference_add_border(mesh, names)
+    _reference_refine(mesh, names)
+    coords = networkx_coordinates(mesh)
+    keep = {
+        n: coords[n]
+        for n in coords
+        if not (isinstance(n, str) and n.startswith(("_c", "_B", "_r")))
+    }
+    return keep, bend_nodes
+
+
+def reference_compact(pg, rep) -> OrthogonalDrawing:
+    """`compact.compact` on a mesh keyed by label tuples, sorted through
+    `node_key` wherever order matters, with networkx lines and longest paths."""
+    names = _ReferenceNames()
+    positions: dict[Node, Point] = {}
+    bend_map: dict[tuple[Node, Node], list[str]] = {}
+    offset = 0
+    for comp, face_idx in pg.component_faces():
+        local, bends = _reference_component_positions(rep, comp, face_idx, names)
+        xs = [p[0] for p in local.values()]
+        ys = [p[1] for p in local.values()]
+        dx, dy = offset - min(xs), -min(ys)
+        for node, (x, y) in local.items():
+            positions[node] = (x + dx, y + dy)
+        bend_map.update(bends)
+        offset = max(p[0] for p in positions.values()) + 2
+
+    routes: dict[tuple[int, int, int], tuple[Point, ...]] = {}
+    bend_count: dict[tuple[int, int, int], int] = {}
+    for key, chain in sorted(pg.chains.items()):
+        pts: list[Point] = [positions[chain[0]]]
+        for a, b in zip(chain, chain[1:]):
+            canon = (a, b) if node_key(a) <= node_key(b) else (b, a)
+            seq = bend_map.get(canon, [])
+            ordered = seq if (a, b) == canon else list(reversed(seq))
+            for node in [*ordered, b]:
+                pts.append(positions[node])
+        corners = [pts[0]]
+        for k in range(1, len(pts) - 1):
+            (x0, y0), (x1, y1), (x2, y2) = pts[k - 1], pts[k], pts[k + 1]
+            straight = (x0 == x1 == x2) or (y0 == y1 == y2)
+            if not straight:
+                corners.append(pts[k])
+        corners.append(pts[-1])
+        routes[key] = tuple(corners)
+        bend_count[key] = len(corners) - 2
+
+    node_pos = {n: positions[n] for n in positions if isinstance(n, int)}
+    crossing_pts = tuple(
+        positions[c] for c in sorted(pg.crossings) if c in positions
+    )
+    return OrthogonalDrawing(node_pos, routes, crossing_pts, bend_count)
+
+
+def label_mesh(mesh) -> "_ReferenceMesh":
+    """A `compact._Mesh` as the label-keyed mesh of `reference_compact`: its
+    live half-edges as (tail, head) labels, with their links and directions."""
+    ref = _ReferenceMesh()
+    for h, after in enumerate(mesh.nxt):
+        if after >= 0:
+            ref.link(mesh.name(h), mesh.name(after))
+            ref.dirs[mesh.name(h)] = mesh.dir[h]
+    return ref
+
+
 def _reference_polyline(points: tuple[Point, ...]) -> tuple[list[Point], list[str]]:
     """A scaled polyline's full cell sequence and the direction from each
     cell to the next."""
@@ -663,6 +996,42 @@ def reference_layout_json(layout: MacroLayout) -> str:
         ],
     }
     return render_json(payload)
+
+
+def reference_layout_svg(layout: MacroLayout, cell: int = 10) -> str:
+    """`MacroLayout.to_svg` with a set of open cells and nine `<rect>`
+    strings built per block."""
+    if not layout.blocks:
+        return '<svg xmlns="http://www.w3.org/2000/svg" width="10" height="10"/>\n'
+    xs = [x for x, _ in layout.blocks]
+    ys = [y for _, y in layout.blocks]
+    x0, y0 = min(xs), min(ys)
+    width = (max(xs) - x0 + 1) * 3 * cell
+    height = (max(ys) - y0 + 1) * 3 * cell
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
+    ]
+    for (bx, by), block in sorted(layout.blocks.items()):
+        cx, cy = (bx - x0) * 3, (by - y0) * 3
+        cells = {(1, 1)}
+        cells.update((1 + DIRS[p][0], 1 + DIRS[p][1]) for p in block.ports)
+        for dy in range(3):
+            for dx in range(3):
+                if (dx, dy) in cells:
+                    colour = "black" if block.gate_of and (dx, dy) == (1, 1) else "white"
+                else:
+                    colour = "#aaaaaa"
+                parts.append(
+                    f'<rect x="{(cx + dx) * cell}" y="{(cy + dy) * cell}" '
+                    f'width="{cell}" height="{cell}" fill="{colour}" stroke="#666" stroke-width="0.5"/>'
+                )
+        if block.gate_of:
+            parts.append(
+                f'<text x="{(cx + 1) * cell + cell // 2}" y="{(cy + 1) * cell + cell - 2}" '
+                f'font-size="{cell - 2}" text-anchor="middle" fill="white">{block.gate_of[0]}</text>'
+            )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 def reference_layout_text_rows(layout: MacroLayout) -> str:

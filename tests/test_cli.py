@@ -173,6 +173,25 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["parse", str(tmp_path / "nope.qasm"), "--out", str(tmp_path / "o")]) == 5
 
 
+def test_out_naming_a_file_exit_code(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert main(["latency", CODE932, "--out", str(taken)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_options_do_not_carry_over_between_calls(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    first = tmp_path / "A"
+    assert main(["latency", CODE932, "--emit", "svg", "--out", str(first)]) == 0
+    assert main(["latency", CODE932]) == 0
+    assert sorted(p.name for p in first.glob("*.svg")) == ["drawing.svg", "layout.svg"]
+    second = tmp_path / "out"  # the default --out
+    assert (second / "latency.json").exists() and not list(second.glob("*.svg"))
+
+
 def test_library_flag_decomposes(tmp_path):
     out = tmp_path / "tof"
     source = str(ROOT / "circuits" / "toffoli_pair.qasm")
@@ -212,7 +231,7 @@ def test_undecomposed_toffoli_rejected_before_work(tmp_path, capsys):
 
 def test_planarize_failure_exit_code(tmp_path, capsys, monkeypatch):
     # a planarity test that always fails breaks the final embedding
-    monkeypatch.setattr("ionpd.planar.planar_rotation", lambda graph: None)
+    monkeypatch.setattr("ionpd.planar.planar_rings", lambda adjacency: None)
     assert main(["layout", CODE932, "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

@@ -12,9 +12,12 @@ import pytest
 from helpers import (
     angle_at,
     bend_minimum_milp,
+    label_mesh,
     layered_flow_graph,
+    networkx_coordinates,
     networkx_min_cost_flow,
     random_degree4_graph,
+    reference_compact,
     reference_component_faces,
     reference_coordinates,
     reference_faces,
@@ -24,23 +27,28 @@ from helpers import (
 from ionpd import orthogonal, planar
 from ionpd.circuits import generate_cat_circuit
 from ionpd.compact import compact
+from ionpd.decompose import Library, decompose
 from ionpd.drawing import OrthogonalDrawing, validate_drawing
-from ionpd.lrplanarity import planar_rotation
+from ionpd.lrplanarity import planar_rings, planar_rotation
 from ionpd.macrolayout import LayoutError
 from ionpd.orthogonal import min_cost_flow, orthogonalize
-from ionpd.planar import PlanarizeError, planarize
+from ionpd.planar import PlanarizeError, node_key, planarize
 from ionpd.qasm import parse_qasm
 from ionpd.qfg import build_qfg
 from ionpd.solver import schedule_netlist
 
 compact_module = importlib.import_module("ionpd.compact")  # `ionpd.compact` is the function
-LAYERED16 = Path(__file__).resolve().parent / "fixtures" / "layered16.qasm"
+ROOT = Path(__file__).resolve().parent.parent
+LAYERED16 = ROOT / "tests" / "fixtures" / "layered16.qasm"
 # sha256 of the fixture's planarization (embedding, chains, crossings): it
 # changes only if an embedding does
 LAYERED16_PLANARIZATION = "8036adbbcde5e6f73d5f26d8e305850adcadcb0fbdd26246f7c737452d36caa2"
 # sha256 of the fixture's orthogonal representation (angles and bends): it
 # changes only if a min-cost flow does
 LAYERED16_ORTHOREP = "ce7f71563404654b2602d34a1c2129309d60cc4ade1fda923695723df2ee1eda"
+# sha256 of the fixture's drawing.json: it changes only if a coordinate or
+# route does
+LAYERED16_DRAWING = "1cd8927da2f72d64a8a7c4ff4e4dfcf6076be4c01f3cea1789d73c80006b0877"
 
 
 def draw(qfg):
@@ -100,13 +108,25 @@ class TestPlanarize:
             planarize(random_degree4_graph(rng)).check_euler()  # raises on failure
 
 
-def sequential_greedy(graph, edges):
-    """Reference planar subgraph: one planarity test per edge, in order."""
+def networkx_graph(adjacency):
+    """The working graph of `planarize` (neighbour dicts over ids) as an
+    `nx.Graph` with the same node and neighbour order."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(len(adjacency)))
+    for u, nbrs in enumerate(adjacency):
+        for v in nbrs:
+            graph._adj[u][v] = {}  # the neighbour order as given, not as edges add it
+    return graph
+
+
+def sequential_greedy(adj, edges, labels):
+    """Reference planar subgraph: one networkx planarity test per edge, in
+    order."""
     deferred = []
     for a, b in edges:
-        graph.add_edge(a, b)
-        if not nx.check_planarity(graph)[0]:
-            graph.remove_edge(a, b)
+        adj[a][b] = adj[b][a] = None
+        if not nx.check_planarity(networkx_graph(adj))[0]:
+            del adj[a][b], adj[b][a]
             deferred.append((a, b))
     return deferred
 
@@ -116,8 +136,8 @@ def planarize_with(qfg, greedy):
     `greedy`; returns that step's deferred edges and the result."""
     deferred = []
 
-    def spy(graph, edges):
-        deferred.extend(greedy(graph, edges))
+    def spy(adj, edges, labels):
+        deferred.extend(greedy(adj, edges, labels))
         return deferred
 
     with pytest.MonkeyPatch.context() as patch:
@@ -162,13 +182,13 @@ class TestGreedyBisection:
         netlist = generate_cat_circuit(80)
         qfg = build_qfg(netlist, schedule_netlist(netlist))
         calls = []
-        check = planar.planar_rotation
+        check = planar.planar_rings
 
         def counted(*args, **kwargs):
             calls.append(1)
             return check(*args, **kwargs)
 
-        monkeypatch.setattr(planar, "planar_rotation", counted)
+        monkeypatch.setattr(planar, "planar_rings", counted)
         pg = planarize(qfg)
         assert pg.crossings == frozenset()
         assert len(calls) == 1  # the whole-graph test's rotation is the final embedding
@@ -187,11 +207,11 @@ class TestGreedyBisection:
             adopted.append(1)
             adopt(book, rotation)
 
-        def greedy(graph, edges):
+        def greedy(adj, edges, labels):
             # routing books adopt their embedding too; count the greedy's only
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(planar._FaceBook, "adopt", counted)
-                return add_planar_greedy(graph, edges)
+                return add_planar_greedy(adj, edges, labels)
 
         graphs_readopting = 0
         for qfg in graphs:
@@ -209,19 +229,19 @@ class TestGreedyBisection:
         rng = random.Random(5)
         graphs = [layered_flow_graph(rng, qubits=16, layers=6) for _ in range(6)]
         calls = []
-        check = planar.planar_rotation
+        check = planar.planar_rings
 
         def counted(*args, **kwargs):
             calls.append(1)
             return check(*args, **kwargs)
 
-        monkeypatch.setattr(planar, "planar_rotation", counted)
+        monkeypatch.setattr(planar, "planar_rings", counted)
         for qfg in graphs:
             planarize(qfg)
         assert len(calls) <= 260  # 630 with a bisection per rejected edge
 
     def test_stale_face_ids_raise(self):
-        book = planar._FaceBook({v: [] for v in (1, 2, 3, 4)})
+        book = planar._FaceBook({v: [] for v in (1, 2, 3, 4)}, (1, 2, 3, 4))
         assert all(book.place(a, b) for a, b in [(1, 2), (2, 3), (3, 4), (4, 1)])
         assert len(set(book.face_of.values())) == 2  # a 4-cycle: inner and outer face
         book.face_of = dict.fromkeys(book.face_of, 0)
@@ -298,14 +318,14 @@ class TestLRPlanarity:
     def test_matches_networkx_in_planarize(self, monkeypatch):
         tested = []
 
-        def both(graph):
-            rotation = planar_rotation(graph)
-            got = None if rotation is None else list(rotation.items())
-            assert got == networkx_rotation(graph)
-            tested.append(rotation is None)
-            return rotation
+        def both(adjacency):
+            rings = planar_rings(adjacency)
+            got = None if rings is None else list(enumerate(rings))
+            assert got == networkx_rotation(networkx_graph(adjacency))
+            tested.append(rings is None)
+            return rings
 
-        monkeypatch.setattr(planar, "planar_rotation", both)
+        monkeypatch.setattr(planar, "planar_rings", both)
         netlist = parse_qasm(LAYERED16.read_text())
         pg = planarize(build_qfg(netlist, schedule_netlist(netlist)))
         assert pg.crossings and len(tested) >= 30 and any(tested) and not all(tested)
@@ -337,6 +357,7 @@ class TestDecomposition:
             pg = planarize(qfg)
             expected = reference_component_faces(pg)
             assert pg.component_faces() == expected
+            assert pg.faces() == tuple(map(tuple, reference_faces(pg.adj)))
             multi_component += len(expected) > 1
         assert multi_component >= 40
 
@@ -345,10 +366,12 @@ class TestDecomposition:
         meshes = []
 
         def both(mesh):
-            got = coordinates(mesh)
-            assert got == reference_coordinates(mesh)
+            xs, ys = coordinates(mesh)
+            got = {label: (x, y) for label, x, y in zip(mesh.label, xs, ys)}
+            labelled = label_mesh(mesh)
+            assert got == networkx_coordinates(labelled) == reference_coordinates(labelled)
             meshes.append(len(got))
-            return got
+            return xs, ys
 
         monkeypatch.setattr(compact_module, "_coordinates", both)
         for qfg in decomposition_graphs():
@@ -357,11 +380,29 @@ class TestDecomposition:
         assert max(meshes) >= 300  # the 16-qubit layered drawing
 
     def test_cyclic_constraints_raise_layout_error(self):
-        mesh = compact_module._Mesh()
-        mesh.link((1, 2), (2, 1))
-        mesh.link((2, 1), (1, 2))
-        mesh.dirs = {(1, 2): compact_module._EAST, (2, 1): compact_module._EAST}
-        with pytest.raises(LayoutError, match="cyclic"):
+        # both half-edges of one edge point east: a cycle of constraint arcs
+        # between two lines; pointing south, they close one line on itself
+        for d in (compact_module._EAST, compact_module._SOUTH):
+            mesh = compact_module._Mesh([1, 2])
+            h = mesh.pair(0, 1, d)
+            mesh.dir[h ^ 1] = d
+            mesh.link(h, h ^ 1)
+            mesh.link(h ^ 1, h)
+            with pytest.raises(LayoutError, match="cyclic"):
+                compact_module._coordinates(mesh)
+            with pytest.raises(LayoutError, match="cyclic"):
+                networkx_coordinates(label_mesh(mesh))
+
+    def test_two_half_edges_one_way_raise_layout_error(self):
+        # a vertex with two half-edges pointing south: no maximal run of
+        # collinear half-edges is well defined
+        mesh = compact_module._Mesh([1, 2, 3])
+        down = [mesh.pair(0, v, compact_module._SOUTH) for v in (1, 2)]
+        mesh.link(down[0], down[0] ^ 1)
+        mesh.link(down[0] ^ 1, down[1])
+        mesh.link(down[1], down[1] ^ 1)
+        mesh.link(down[1] ^ 1, down[0])
+        with pytest.raises(LayoutError, match="direction clash"):
             compact_module._coordinates(mesh)
 
     def test_faces_are_traced_once_per_graph(self, monkeypatch):
@@ -369,7 +410,9 @@ class TestDecomposition:
         adopt = planar._FaceBook.adopt
 
         def counted(book, rotation):
-            traced.append(rotation)
+            # the books trace the working graph's ids: keep each as labels
+            name = book.labels.__getitem__
+            traced.append([(name(v), [name(w) for w in rotation[v]]) for v in book.order])
             adopt(book, rotation)
 
         monkeypatch.setattr(planar._FaceBook, "adopt", counted)
@@ -379,9 +422,59 @@ class TestDecomposition:
         rep = orthogonalize(pg)
         compact(pg, rep)
         assert len(traced) == after_planarize
-        assert sum(adj is pg.adj for adj in traced) == 1
+        assert traced.count(list(pg.adj.items())) == 1
         assert pg.faces() is pg.faces()
         assert pg.component_faces() is pg.component_faces()
+
+
+def drawing_items(drawing):
+    """A drawing with the order of every dict and tuple in it."""
+    return (
+        list(drawing.node_pos.items()),
+        list(drawing.routes.items()),
+        drawing.crossings,
+        list(drawing.bends.items()),
+    )
+
+
+def bundled_flow_graphs():
+    """code_9_3_2, toffoli_pair under both libraries and Cat-80."""
+    circuits = ROOT / "circuits"
+    netlists = [
+        parse_qasm((circuits / "code_9_3_2.qasm").read_text()),
+        *(
+            decompose(parse_qasm((circuits / "toffoli_pair.qasm").read_text()), lib)
+            for lib in (Library.CV_LIBRARY, Library.FT_LIBRARY)
+        ),
+        generate_cat_circuit(80),
+    ]
+    return [build_qfg(netlist, schedule_netlist(netlist)) for netlist in netlists]
+
+
+class TestCompactOracle:
+    """`compact` against the label-keyed `reference_compact`: the same
+    drawing, dict order included."""
+
+    def test_matches_reference_on_decomposition_graphs(self):
+        multi_component = 0
+        for qfg in decomposition_graphs():
+            pg = planarize(qfg)
+            rep = orthogonalize(pg)
+            assert drawing_items(compact(pg, rep)) == drawing_items(reference_compact(pg, rep))
+            multi_component += len(pg.component_faces()) > 1
+        assert multi_component >= 40
+
+    def test_matches_reference_on_bundled_circuits(self):
+        for qfg in bundled_flow_graphs():
+            pg = planarize(qfg)
+            rep = orthogonalize(pg)
+            assert drawing_items(compact(pg, rep)) == drawing_items(reference_compact(pg, rep))
+
+    def test_layered16_drawing_is_pinned(self):
+        netlist = parse_qasm(LAYERED16.read_text())
+        _, _, drawing = draw(build_qfg(netlist, schedule_netlist(netlist)))
+        digest = hashlib.sha256(drawing.to_json().encode()).hexdigest()
+        assert digest == LAYERED16_DRAWING
 
 
 def random_embedding(rng):
@@ -408,7 +501,7 @@ class TestDualRouting:
         routes = crossing_routes = unroutable = bridged = isolated = string_named = 0
         while routes < 5000:
             adj = random_embedding(rng)
-            book = planar._FaceBook(adj)
+            book = planar._FaceBook(adj, sorted(adj, key=node_key))
             assert book.walks() == tuple(map(tuple, reference_faces(adj)))
             bridged += any(book.face_of[(a, b)] == book.face_of[(b, a)] for a, b in book.face_of)
             isolated += any(not ring for ring in adj.values())
@@ -435,7 +528,11 @@ class TestDualRouting:
 
         def both(book, u, v):
             got = route(book, u, v)
-            assert got == reference_route_through_faces(book.rotation, u, v)
+            # the working graph's ids as their labels
+            name = book.labels.__getitem__
+            adj = {name(w): [name(x) for x in book.rotation[w]] for w in book.order}
+            labelled = [frozenset(map(name, edge)) for edge in got]
+            assert labelled == reference_route_through_faces(adj, name(u), name(v))
             routed.append(len(got))
             return got
 

@@ -11,6 +11,7 @@ from helpers import (
     random_degree4_graph,
     random_netlist,
     reference_layout_json,
+    reference_layout_svg,
     reference_layout_text,
     reference_layout_text_rows,
     reference_route,
@@ -413,6 +414,26 @@ class TestAgainstReference:
         for render in (MacroLayout.to_json, reference_layout_json):
             with pytest.raises(LayoutError, match="no ports"):
                 render(portless)
+
+    def test_layout_svg(self, macroblock_cases):
+        for name, _, _, _, drawing in macroblock_cases:
+            layout = tile(drawing)
+            assert layout.to_svg() == reference_layout_svg(layout), name
+            assert layout.to_svg(cell=7) == reference_layout_svg(layout, cell=7), name
+
+    def test_layout_svg_of_hand_built_blocks(self):
+        blocks = {
+            (-4, 2): Macroblock(frozenset("NS"), (12, 3)),
+            (-3, 2): Macroblock(frozenset("EW"), (105,)),
+            (0, -1): Macroblock(frozenset("ESWN")),
+            (5, 5): Macroblock(frozenset("S")),
+            (6, 5): Macroblock(frozenset()),
+        }
+        layout = MacroLayout(blocks, {12: (-4, 2), 3: (-4, 2), 105: (-3, 2)}, {})
+        for cell in (10, 3):
+            assert layout.to_svg(cell) == reference_layout_svg(layout, cell)
+        empty = MacroLayout({}, {}, {})
+        assert empty.to_svg() == reference_layout_svg(empty)
 
     def test_layout_text(self, macroblock_cases):
         narrow = 0
