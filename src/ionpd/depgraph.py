@@ -108,13 +108,30 @@ class DataflowGraph:
         return tuple(sorted(kept))
 
     def critical_path_length(self) -> int:
-        """Longest dependency chain, counted in instructions."""
-        best = 0
-        chain: dict[int, int] = {}
+        """Longest dependency chain, counted in instructions, computed once
+        per graph."""
+        return self._critical_path
+
+    @cached_property
+    def _critical_path(self) -> int:
+        return max(self._depths.values(), default=0)
+
+    # longest chain ending (_depths) and starting (_heights, in descending
+    # node order) at each node, counted in instructions; `asap_alap` copies
+    # them for every horizon
+    @cached_property
+    def _depths(self) -> dict[int, int]:
+        depth: dict[int, int] = {}
         for node in self.nodes:  # node ids ascend, so predecessors are done
-            chain[node] = 1 + max((chain[p] for p in self._preds[node]), default=0)
-            best = max(best, chain[node])
-        return best
+            depth[node] = 1 + max((depth[p] for p in self._preds[node]), default=0)
+        return depth
+
+    @cached_property
+    def _heights(self) -> dict[int, int]:
+        height: dict[int, int] = {}
+        for node in reversed(self.nodes):
+            height[node] = 1 + max((height[s] for s in self._succs[node]), default=0)
+        return height
 
     def to_json(self) -> str:
         return render_json({"nodes": list(self.nodes), "edges": self.sorted_edges()})
@@ -170,21 +187,16 @@ class ScheduleWindow:
 
 
 def asap_alap(graph: DataflowGraph, horizon: int) -> ScheduleWindow:
-    """Earliest/latest stages by longest-path DP over the dependency DAG."""
+    """Earliest/latest stages from the graph's longest chains: a node can
+    start no earlier than its depth and must leave room for its height."""
     cp = graph.critical_path_length()
     if horizon < cp:
         raise InfeasibleHorizon(
             f"horizon {horizon} below critical path length {cp}"
         )
-    asap: dict[int, int] = {}
-    for node in graph.nodes:
-        asap[node] = 1 + max((asap[p] for p in graph.predecessors(node)), default=0)
-    alap: dict[int, int] = {}
-    for node in reversed(graph.nodes):
-        alap[node] = min(
-            (alap[s] - 1 for s in graph.successors(node)), default=horizon
-        )
-    return ScheduleWindow(horizon, asap, alap)
+    last = horizon + 1
+    alap = {node: last - height for node, height in graph._heights.items()}
+    return ScheduleWindow(horizon, dict(graph._depths), alap)
 
 
 def stage_lower_bound(netlist: Netlist, graph: DataflowGraph) -> int:

@@ -30,19 +30,19 @@ working graph that way and calls it directly.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Sequence
-
-import networkx as nx
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 
 # [left_low, left_high, right_low, right_high]: two intervals of return
 # edges (edge ids), each empty when both of its ends are None
 ConflictPair = list
 
 
-def planar_rotation(graph: nx.Graph) -> dict[Hashable, list[Hashable]] | None:
+def planar_rotation(
+    graph: Mapping[Hashable, Iterable[Hashable]],
+) -> dict[Hashable, list[Hashable]] | None:
     """Clockwise neighbour list of every node, in the graph's node order, of
-    a planar embedding; None if the graph is not planar. Self-loops are
-    ignored."""
+    a planar embedding; None if the graph is not planar. `graph` maps each
+    node to its neighbours, as an `nx.Graph` does. Self-loops are ignored."""
     labels = list(graph)
     index = {v: k for k, v in enumerate(labels)}
     rings = planar_rings([[index[w] for w in graph[v]] for v in labels])

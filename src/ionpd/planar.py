@@ -13,14 +13,15 @@ graph with all edges is tested first: a planar input is taken whole,
 and that test's rotation is the final embedding. Otherwise the greedy
 choice tests planarity only where it must: the edges are walked in order
 against a rotation system of the kept graph that knows the face of every
-half-edge. An edge whose endpoints lie in different components, or on a
-common face, can always be drawn without a crossing, so it joins untested
-at that face's corners. Any other edge costs one planarity test of the
-kept graph plus that edge: if planar, the edge stays and the test's
-embedding replaces the rotation; if not, it is removed without trace and
-deferred. The kept set is therefore exactly that of the one-by-one loop,
-and kept edges enter the graph in input order, so the adjacency order that
-feeds every later embedding is the same too.
+half-edge and a union-find of the components keyed by node. An edge
+whose endpoints lie in different components, or on a common face, can
+always be drawn without a crossing, so it joins untested at that face's
+corners. Any other edge costs one planarity test of the kept graph plus
+that edge: if planar, the edge stays and the test's embedding replaces the
+rotation; if not, it is removed without trace and deferred. The kept set
+is therefore exactly that of the one-by-one loop, and kept edges enter the
+graph in input order, so the adjacency order that feeds every later
+embedding is the same too.
 
 The working graph lives on integer ids: flow-graph nodes in `node_key`
 order, then split and crossing dummies as they are made, each with a
@@ -39,8 +40,6 @@ from collections import Counter, deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
-
-import networkx as nx
 
 from .lrplanarity import planar_rings
 from .qfg import QubitFlowGraph
@@ -103,11 +102,33 @@ def _rings(adj: list[dict[int, None]]) -> list[list[int]]:
     return rings
 
 
+class _UnionFind:
+    """Disjoint sets of nodes, keyed by the node itself, with path halving."""
+
+    def __init__(self, nodes: Iterable[Node]) -> None:
+        self.parent = {v: v for v in nodes}
+
+    def find(self, v: Node) -> Node:
+        """The root of v's set."""
+        parent = self.parent
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    def union(self, a: Node, b: Node) -> bool:
+        """Merge the sets of a and b; False if they were one set already."""
+        root_a, root_b = self.find(a), self.find(b)
+        if root_a == root_b:
+            return False
+        self.parent[root_b] = root_a
+        return True
+
+
 class _FaceBook:
     """Rotation system of a planar graph (clockwise neighbour lists) and the
     face id of every half-edge. The face walk leaves half-edge (tail, head)
     along the half-edge that follows tail in head's ring. `place` inserts
-    edges, keeping a union-find of the components.
+    edges, keeping the components in a `_UnionFind` keyed by node.
 
     `rotation` maps each node to its ring: a list over `planarize`'s node
     ids, or any mapping. Faces are numbered in `order` of their first tail;
@@ -143,11 +164,12 @@ class _FaceBook:
         return tuple(map(tuple, walks))
 
     @cached_property
-    def components(self) -> nx.utils.UnionFind:
+    def components(self) -> _UnionFind:
         """Connected components, built from the rotation on first use."""
-        components = nx.utils.UnionFind(self.order)
+        components = _UnionFind(self.order)
         for u in self.order:
-            components.union(u, *self.rotation[u])
+            for v in self.rotation[u]:
+                components.union(u, v)
         return components
 
     def _trace(self, start: HalfEdge) -> int:
@@ -167,8 +189,7 @@ class _FaceBook:
         """Insert edge a-b if it joins two components or two corners of one
         face; False (rotation unchanged) if neither holds."""
         rotation = self.rotation
-        if self.components[a] != self.components[b]:
-            self.components.union(a, b)
+        if self.components.union(a, b):
             at_a = rotation[a][0] if rotation[a] else None
             at_b = rotation[b][0] if rotation[b] else None
             self._insert(a, at_a, b, at_b, split=False)

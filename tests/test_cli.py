@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ from ionpd.solver import Schedule
 ROOT = Path(__file__).resolve().parent.parent
 CODE932 = str(ROOT / "circuits" / "code_9_3_2.qasm")
 TABLE3 = str(Path(__file__).resolve().parent / "fixtures" / "table3_schedule.json")
+LAYERED16 = str(ROOT / "tests" / "fixtures" / "layered16.qasm")
 
 
 def read(out_dir, name):
@@ -60,6 +64,63 @@ def test_byte_identical_reruns(tmp_path):
         assert main(["latency", CODE932, "--out", str(out), "--emit", "dot,svg,lp,json"]) == 0
     for path in sorted(out1.iterdir()):
         assert path.read_bytes() == (out2 / path.name).read_bytes(), path.name
+
+
+# runs each argv of the JSON list in sys.argv[1] through `main` with every
+# networkx import refused; prints the exit codes and whether networkx loaded
+WITHOUT_NETWORKX = """
+import contextlib, json, sys
+from importlib.abc import MetaPathFinder
+
+class RefuseNetworkx(MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "networkx" or name.startswith("networkx."):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+sys.meta_path.insert(0, RefuseNetworkx())
+try:
+    import networkx
+except ModuleNotFoundError:
+    pass
+else:
+    raise SystemExit("networkx imported despite the finder")
+from ionpd.cli import main
+with contextlib.redirect_stdout(sys.stderr):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "networkx": "networkx" in sys.modules}))
+"""
+
+
+def test_pipeline_runs_without_networkx(tmp_path):
+    calls = {
+        "code_9_3_2": ["latency", CODE932],
+        "layered16": ["latency", LAYERED16],
+        "cat32": ["cat-gen", "32"],
+    }
+
+    def argvs(side):
+        return [
+            argv + ["--emit", "dot,svg,lp,json", "--out", str(tmp_path / side / name)]
+            for name, argv in calls.items()
+        ]
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", WITHOUT_NETWORKX, json.dumps(argvs("child"))],
+        env=env, capture_output=True, text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == {"codes": [0, 0, 0], "networkx": False}
+    assert [main(argv) for argv in argvs("parent")] == [0, 0, 0]
+    for name in calls:
+        parent = sorted(p.name for p in (tmp_path / "parent" / name).iterdir())
+        assert sorted(p.name for p in (tmp_path / "child" / name).iterdir()) == parent
+        for artifact in parent:
+            assert (tmp_path / "child" / name / artifact).read_bytes() == (
+                tmp_path / "parent" / name / artifact
+            ).read_bytes(), (name, artifact)
 
 
 def test_json_artifacts_are_compact_sorted_lines(tmp_path):

@@ -248,6 +248,33 @@ class TestGreedyBisection:
         with pytest.raises(PlanarizeError, match="stale face bookkeeping"):
             book.place(1, 3)
 
+    def test_components_match_networkx_after_random_places(self):
+        # random_embedding (below) mixes int and string nodes; the book's
+        # union-find is keyed by node, so tuple labels work too
+        rng = random.Random(14)
+        joined = refused = 0
+        for trial in range(300):
+            adj = random_embedding(rng)
+            if trial % 3 == 0:
+                adj = {(v, "t"): [(w, "t") for w in ring] for v, ring in adj.items()}
+            book = planar._FaceBook(adj, sorted(adj, key=str))
+            nodes = list(adj)
+            for _ in range(rng.randint(0, 2 * len(nodes)) if len(nodes) > 1 else 0):
+                a, b = rng.sample(nodes, 2)
+                if b in book.rotation[a]:
+                    continue
+                joined += book.components.find(a) != book.components.find(b)
+                refused += not book.place(a, b)
+            graph = nx.Graph()
+            graph.add_nodes_from(nodes)
+            graph.add_edges_from((u, v) for u in nodes for v in book.rotation[u])
+            groups: dict = {}
+            for v in nodes:
+                groups.setdefault(book.components.find(v), set()).add(v)
+            expected = {frozenset(c) for c in nx.connected_components(graph)}
+            assert {frozenset(g) for g in groups.values()} == expected
+        assert joined >= 100 and refused >= 1000  # 149 and 2,180 with this seed
+
 
 def networkx_rotation(graph):
     """Verdict and rotation of networkx's LR test, as (node, ring) pairs in

@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from helpers import lexmin_stages, random_netlist, stage_milp_status
+from helpers import (
+    equal_up_to_phase,
+    lexmin_stages,
+    netlist_unitary,
+    random_netlist,
+    stage_milp_status,
+)
 from ionpd.circuits import generate_cat_circuit
 from ionpd.depgraph import asap_alap, build_dataflow, stage_lower_bound
 from ionpd.gates import GateKind, make_netlist
@@ -162,6 +168,20 @@ class TestScheduleNetlist:
             schedule = schedule_netlist(netlist, graph=graph)
             assert schedule.stage_count >= stage_lower_bound(netlist, graph)
             assert validate(netlist, graph, schedule) == []
+
+    def test_stage_order_keeps_the_unitary(self):
+        # random_netlist draws unitary gates only, on at most 6 qubits
+        rng = random.Random(14)
+        reordered = 0
+        for _ in range(200):
+            netlist = random_netlist(rng, max_instr=14)
+            schedule = schedule_netlist(netlist)
+            staged = sorted(netlist.instructions, key=lambda i: (schedule.stage_of[i.id], i.id))
+            reordered += staged != list(netlist.instructions)
+            sorted_netlist = make_netlist([(i.kind, i.controls, i.target) for i in staged])
+            nq = netlist.qubit_count
+            assert equal_up_to_phase(netlist_unitary(sorted_netlist, nq), netlist_unitary(netlist, nq))
+        assert reordered >= 100
 
 
 def sched_netlist(k):
