@@ -42,11 +42,19 @@ EXIT_SOLVER = 3
 EXIT_LAYOUT = 4
 EXIT_IO = 5
 
+EMIT_FORMATS = ("dot", "svg", "lp", "json")
+
 
 class _Emitter:
-    def __init__(self, out_dir: str, formats: set[str]):
+    def __init__(self, out_dir: str, emit: str):
+        """`emit` is the comma list of `--emit`; an unknown name is an input error."""
+        self.formats = set(emit.split(","))
+        unknown = sorted(self.formats.difference(EMIT_FORMATS, ("",)))
+        if unknown:
+            raise ValueError(
+                f"unknown --emit format {', '.join(unknown)}; choose from {', '.join(EMIT_FORMATS)}"
+            )
         self.dir = Path(out_dir)
-        self.formats = formats
         self.made = False
 
     def _path(self, name: str) -> Path:
@@ -171,7 +179,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="decompose Toffoli gates into this gate library")
     parser.add_argument("--latency-config", default=None, metavar="PATH")
     parser.add_argument("--emit", default="json", metavar="FMTS",
-                        help="comma list of extra outputs: dot,svg,lp,json")
+                        help=f"comma list of extra outputs: {','.join(EMIT_FORMATS)}")
     parser.add_argument("--node-budget", type=int, default=None, metavar="N")
     parser.add_argument("--time-budget", type=float, default=None, metavar="SECS")
     parser.add_argument("--out", default="out", metavar="DIR")
@@ -213,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_verify(args)
         if args.command == "oracle":
             return _cmd_oracle(args)
-        emit = _Emitter(args.out, set(args.emit.split(",")))
+        emit = _Emitter(args.out, args.emit)
         if args.command == "cat-gen":
             if args.n < 2:
                 print("error: cat circuit needs n >= 2", file=sys.stderr)

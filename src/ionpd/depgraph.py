@@ -60,6 +60,8 @@ class DataflowGraph:
     edges: frozenset[tuple[int, int]]
     _succs: dict[int, list[int]] = field(repr=False, hash=False, compare=False, default_factory=dict)
     _preds: dict[int, list[int]] = field(repr=False, hash=False, compare=False, default_factory=dict)
+    # [netlist, its common-qubit table] once `qubit_table` was asked
+    _qubit_table: list = field(repr=False, hash=False, compare=False, default_factory=list)
 
     def __post_init__(self) -> None:
         for node in self.nodes:
@@ -78,6 +80,14 @@ class DataflowGraph:
     @cached_property
     def _sorted(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edges))
+
+    def qubit_table(self, netlist: Netlist) -> dict[int, list[int]]:
+        """`common_qubit_table(netlist)`, computed once per graph for the
+        netlist it was built from (`build_dataflow` hands its table over)."""
+        held = self._qubit_table
+        if not held or held[0] is not netlist:
+            held[:] = (netlist, common_qubit_table(netlist))
+        return held[1]
 
     def successors(self, node: int) -> list[int]:
         return self._succs[node]
@@ -165,7 +175,9 @@ def build_dataflow(netlist: Netlist) -> DataflowGraph:
         if len(b.qubits) > 1:  # a pair sharing two qubits is in both rows
             earlier = set(earlier)
         edges += [(j, b.id) for j in earlier if not _exchangeable_sharing(instrs[j - 1], b)]
-    return DataflowGraph(tuple(i.id for i in instrs), frozenset(edges))
+    return DataflowGraph(
+        tuple(i.id for i in instrs), frozenset(edges), _qubit_table=[netlist, table]
+    )
 
 
 @dataclass(frozen=True)
@@ -201,5 +213,5 @@ def asap_alap(graph: DataflowGraph, horizon: int) -> ScheduleWindow:
 
 def stage_lower_bound(netlist: Netlist, graph: DataflowGraph) -> int:
     """Stages needed at least: busiest qubit vs. longest dependency chain."""
-    busiest = max((len(ids) for ids in common_qubit_table(netlist).values()), default=0)
+    busiest = max((len(ids) for ids in graph.qubit_table(netlist).values()), default=0)
     return max(busiest, graph.critical_path_length())

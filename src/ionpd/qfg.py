@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .artifact import render_json
-from .depgraph import DataflowGraph, build_dataflow, common_qubit_table
+from .depgraph import DataflowGraph, build_dataflow
 from .gates import Netlist
 from .solver import Schedule, validate
 
@@ -64,7 +64,7 @@ def build_qfg(
     edges: list[tuple[int, int, int]] = []
     first_use: dict[int, int] = {}
     last_use: dict[int, int] = {}
-    for qubit, ids in common_qubit_table(netlist).items():
+    for qubit, ids in graph.qubit_table(netlist).items():
         timeline = sorted(ids, key=lambda i: stage_of[i])
         first_use[qubit] = timeline[0]
         last_use[qubit] = timeline[-1]

@@ -13,31 +13,45 @@ depth-first search with bounds propagation:
 - Occupancy: a per-qubit set of occupied stages tells in one lookup per
   qubit whether a stage is free. The bounds of unplaced instructions on the
   qubit step past occupied stages.
-- Hall check (Puget, AAAI 1998): on each qubit whose bounds moved, no
-  interval [a, b] may hold the bounds of more unplaced instructions than it
-  has free stages.
+- Hall check (Puget, AAAI 1998): on each qubit whose bounds moved, the
+  unplaced instructions must fit distinct free stages inside their bounds.
+  Their bounds are intervals, so this is a convex bipartite matching, which
+  a greedy pass decides exactly (Glover 1967): in order of (hi, lo), each
+  takes the lowest free stage at or above its lo that no earlier one took.
 
 A node fails as soon as some bounds cross or a Hall check fails. Every value
 tried is one node.
 
 `solve` makes two passes. The first branches on the tightest windows first
-and only decides feasibility, which it refutes fast. The second branches in
-ascending instruction id with ascending stage values, so it meets the
-feasible stage vectors in lexicographic order. Propagation removes only
-values that no solution extending the current placements uses, so it skips
-none of them, and the first solution found is the lexicographically smallest.
-That makes the output canonical and runs independent of each other.
+and only decides feasibility, which it refutes fast. The second, the
+canonical pass, branches in ascending instruction id with ascending stage
+values, so it meets the feasible stage vectors in lexicographic order.
+Propagation removes only values that no solution extending the current
+placements uses, so it skips none of them, and the first solution found is
+the lexicographically smallest. That makes the output canonical and runs
+independent of each other.
+
+Once the canonical pass has backtracked into a depth, it accepts a further
+value there only if a tightest-window-first search from the current bounds
+completes it. That prunes only values without a completion, so the first
+solution is still the lex-min one, but a wrong early value is refuted by a
+search that fails fast instead of by id-order thrashing beneath it. The
+check's nodes count against the same budget; a pass that never backtracks
+runs none.
+
+`schedule_netlist` grows the horizon from a lower bound. An id-order list
+schedule (each instruction in the first stage after its predecessors that
+is free on all its qubits) fits every horizon of at least its length L. So
+below L each horizon is refuted or solved by `solve`, and once the horizon
+reaches L, all lower ones are refuted and only the canonical pass runs.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections.abc import Collection
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 
 from .artifact import render_json
 from .depgraph import (
@@ -45,7 +59,6 @@ from .depgraph import (
     ScheduleWindow,
     asap_alap,
     build_dataflow,
-    common_qubit_table,
     stage_lower_bound,
 )
 from .gates import Netlist
@@ -116,12 +129,46 @@ class _Budget:
         self.explored = 0
 
 
+def _hall(ws: Collection[int], lo: list[int], hi: list[int], taken: set[int]) -> bool:
+    """Hall's condition for the unplaced variables `ws` on one qubit with
+    occupied stages `taken`: they fit distinct free stages within their
+    bounds. In order of (hi, lo), each takes the lowest free stage at or
+    above its lo that no earlier one took, which finds such a matching
+    whenever one exists (Glover 1967)."""
+    if len(ws) < 3:
+        # bounds never rest on an occupied stage, so with one or two
+        # variables only two fixed to the same stage break the condition
+        if len(ws) < 2:
+            return True
+        v, w = ws
+        return not lo[v] == hi[v] == lo[w] == hi[w]
+    skip: dict[int, int] = {}  # taken or matched stage -> a higher stage to try
+    for b, a in sorted(zip(map(hi.__getitem__, ws), map(lo.__getitem__, ws))):
+        passed = []
+        while True:
+            if a in skip:
+                passed.append(a)
+                a = skip[a]
+            elif a in taken:
+                passed.append(a)
+                a += 1
+            else:
+                break
+        if a > b:
+            return False
+        skip[a] = a + 1
+        for s in passed:  # path compression: all of them lie below a + 1
+            skip[s] = a + 1
+    return True
+
+
 def _search(
     order: list[int],
     netlist: Netlist,
     graph: DataflowGraph,
     windows: ScheduleWindow,
     budget: _Budget,
+    canonical: bool = False,
 ) -> dict[int, int] | None:
     """DFS with bounds propagation; `order` fixes both branch and value order.
 
@@ -130,7 +177,9 @@ def _search(
     narrows the stage bounds of the others (`place`); the changes are logged
     on a trail and undone on backtrack. Iterative, with one value iterator
     per depth, so the search depth is not bounded by the recursion limit.
-    Every value tried is one node.
+    Every value tried is one node. A `canonical` search, once it has
+    backtracked into a depth, keeps a further value there only if a
+    tightest-window-first search from the current bounds completes it.
     """
     if not order:
         return {}
@@ -153,45 +202,9 @@ def _search(
     occupied = [tuple(taken[q] for q in qs) for qs in qubits]  # variable -> its qubits' sets
     trail: list[int] = []  # (variable, old lo, old hi) triples, flattened
 
-    def hall(q: int) -> bool:
-        """Hall's condition for the unplaced variables on qubit q: no
-        interval [a, b] holds the bounds of more of them than it has free
-        stages. A variable whose bounds met counts as a blocked stage
-        instead, which is the same condition with fewer intervals to test."""
-        ws = unplaced[q]
-        if len(ws) < 3:
-            # bounds never rest on an occupied stage, so with one or two
-            # variables only two fixed to the same stage break the condition
-            if len(ws) < 2:
-                return True
-            v, w = ws
-            return not lo[v] == hi[v] == lo[w] == hi[w]
-        spans = Counter(zip(map(lo.__getitem__, ws), map(hi.__getitem__, ws)))
-        fixed = [a for a, b in spans if a == b]
-        for a in fixed:
-            if spans.pop((a, a)) > 1:
-                return False  # two variables fixed to one stage
-        if not spans:
-            return True
-        blocked = sorted(taken[q].union(fixed))
-        ends = sorted({b for _, b in spans})
-        end_index = {b: j for j, b in enumerate(ends)}
-        inside = [0] * len(ends)  # variables with lo >= a, by their hi
-        for a, group in groupby(sorted(spans, reverse=True), key=itemgetter(0)):
-            for span in group:
-                inside[end_index[span[1]]] += spans[span]
-            count = 0
-            before = bisect_left(blocked, a)
-            for j in range(bisect_left(ends, a), len(ends)):
-                count += inside[j]
-                b = ends[j]
-                if count > b - a + 1 - (bisect_right(blocked, b) - before):
-                    return False
-        return True
-
     def place(k: int, stage: int) -> bool:
         """Put variable k in `stage` and narrow what that implies; False as
-        soon as some bounds cross or a qubit fails `hall`. The caller undoes
+        soon as some bounds cross or a qubit fails `_hall`. The caller undoes
         the changes either way through `undo`."""
         # placing a variable whose bounds already met changes no Hall count
         moved = set() if lo[k] == hi[k] else set(qubits[k])
@@ -199,10 +212,23 @@ def _search(
 
         def tighten(w: int, a: int, b: int) -> bool:
             sets = occupied[w]
-            while any(a in t for t in sets):
-                a += 1
-            while any(b in t for t in sets):
-                b -= 1
+            if len(sets) == 1:
+                t = sets[0]
+                while a in t:
+                    a += 1
+                while b in t:
+                    b -= 1
+            elif len(sets) == 2:
+                t, u = sets
+                while a in t or a in u:
+                    a += 1
+                while b in t or b in u:
+                    b -= 1
+            else:
+                while any(a in t for t in sets):
+                    a += 1
+                while any(b in t for t in sets):
+                    b -= 1
             if a > b:
                 return False
             trail.extend((w, lo[w], hi[w]))
@@ -258,7 +284,7 @@ def _search(
             for w in preds[v]:
                 if hi[w] > b and (w <= k or not tighten(w, lo[w], b)):
                     return False
-        return all(hall(q) for q in moved)
+        return all(_hall(unplaced[q], lo, hi, taken[q]) for q in moved)
 
     def undo(k: int, mark: int) -> None:
         """Take variable k out of its stage and restore the bounds of `mark`."""
@@ -269,11 +295,22 @@ def _search(
             hi_w, lo_w, w = trail.pop(), trail.pop(), trail.pop()
             lo[w], hi[w] = lo_w, hi_w
 
-    explored, limit, deadline = budget.explored, budget.node_budget, budget.deadline
+    def completes() -> bool:
+        """Whether the placements so far extend to a solution, decided by a
+        tightest-window-first search from the current bounds."""
+        asap = {instr: lo[k] for k, instr in enumerate(order)}
+        alap = {instr: hi[k] for k, instr in enumerate(order)}
+        bounds = ScheduleWindow(windows.horizon, asap, alap)
+        return _tightest_first(netlist, graph, bounds, budget) is not None
+
+    limit, deadline = budget.node_budget, budget.deadline
+    explored = budget.explored
     pending: list = []  # value iterators of the shallower depths, resumed on backtrack
     marks: list[int] = []  # trail length before each shallower depth's placement
     depth, last = 0, len(order) - 1
     values = iter(range(lo[0], hi[0] + 1))
+    sets = occupied[0]
+    checked = False  # this depth was backtracked into: values must pass `completes`
     try:
         while True:
             for stage in values:
@@ -282,7 +319,13 @@ def _search(
                     raise SolverBudgetExceeded(explored, "node budget")
                 if deadline is not None and time.monotonic() > deadline:
                     raise SolverBudgetExceeded(explored, "time budget")
-                if any(stage in taken[q] for q in qubits[depth]):
+                if len(sets) == 1:
+                    if stage in sets[0]:
+                        continue
+                elif len(sets) == 2:
+                    if stage in sets[0] or stage in sets[1]:
+                        continue
+                elif any(stage in t for t in sets):
                     continue
                 mark = len(trail)
                 if not place(depth, stage):
@@ -290,10 +333,21 @@ def _search(
                     continue
                 if depth == last:
                     return {instr: lo[k] for k, instr in enumerate(order)}
+                if checked:
+                    budget.explored = explored
+                    try:
+                        complete = completes()
+                    finally:
+                        explored = budget.explored
+                    if not complete:
+                        undo(depth, mark)
+                        continue
                 pending.append(values)
                 marks.append(mark)
                 depth += 1
                 values = iter(range(lo[depth], hi[depth] + 1))
+                sets = occupied[depth]
+                checked = False
                 break
             else:  # every value at this depth failed: backtrack
                 if depth == 0:
@@ -301,8 +355,30 @@ def _search(
                 depth -= 1
                 values = pending.pop()
                 undo(depth, marks.pop())
+                sets = occupied[depth]
+                checked = canonical
     finally:
         budget.explored = explored
+
+
+def _tightest_first(
+    netlist: Netlist, graph: DataflowGraph, windows: ScheduleWindow, budget: _Budget
+) -> dict[int, int] | None:
+    """The refutation pass: a complete search that branches on the tightest
+    windows first, so an infeasible problem fails fast."""
+    order = sorted(windows.asap, key=lambda i: (windows.slack(i), i))
+    return _search(order, netlist, graph, windows, budget)
+
+
+def _canonical(
+    netlist: Netlist, graph: DataflowGraph, windows: ScheduleWindow, budget: _Budget
+) -> Schedule:
+    """The canonical pass at windows known to admit a solution."""
+    assignment = _search(sorted(graph.nodes), netlist, graph, windows, budget, canonical=True)
+    if assignment is None:
+        raise SolverError("canonical pass found no assignment at a feasible horizon")
+    stage_count = max(assignment.values(), default=0)
+    return Schedule(assignment, stage_count, windows.horizon)
 
 
 def solve(
@@ -314,7 +390,9 @@ def solve(
     *,
     budget: _Budget | None = None,
 ) -> Schedule | None:
-    """Deterministic assignment within `windows`, or INFEASIBLE (None).
+    """Deterministic assignment within `windows`, or INFEASIBLE (None):
+    the refutation pass decides feasibility, then the canonical pass finds
+    the lex-min assignment.
 
     The search spends `budget` when given (`schedule_netlist` shares one
     over all its horizons), else a fresh one of `node_budget` nodes and
@@ -322,18 +400,33 @@ def solve(
     """
     if budget is None:
         budget = _Budget(node_budget, time_budget)
-    ids = sorted(graph.nodes)
-
-    # Refutation pass branching on tight windows first, then the canonical
-    # id-ordered pass; both are complete, the first merely fails faster.
-    by_slack = sorted(ids, key=lambda i: (windows.slack(i), i))
-    if _search(by_slack, netlist, graph, windows, budget) is None:
+    if _tightest_first(netlist, graph, windows, budget) is None:
         return INFEASIBLE
-    assignment = _search(ids, netlist, graph, windows, budget)
-    if assignment is None:
-        raise SolverError("canonical pass found no assignment the refutation pass found")
-    stage_count = max(assignment.values(), default=0)
-    return Schedule(assignment, stage_count, windows.horizon)
+    return _canonical(netlist, graph, windows, budget)
+
+
+def list_schedule_length(netlist: Netlist, graph: DataflowGraph) -> int:
+    """Stages of the id-order list schedule: each instruction goes to the
+    first stage after its predecessors that is free on all its qubits. The
+    schedule is valid, so every horizon from its length on is feasible."""
+    reach = dict.fromkeys(graph.nodes, 1)  # first stage after the predecessors placed so far
+    busy: dict[int, set[int]] = {}  # qubit -> occupied stages
+    edges = iter(graph.reduced_edges())  # (j, i) ascending, so j is placed first
+    edge = next(edges, None)
+    length = 0
+    for instr in netlist.instructions:
+        stage = reach[instr.id]
+        sets = [busy.setdefault(q, set()) for q in instr.qubits]
+        while any(stage in t for t in sets):
+            stage += 1
+        for t in sets:
+            t.add(stage)
+        while edge is not None and edge[0] == instr.id:
+            if reach[edge[1]] <= stage:
+                reach[edge[1]] = stage + 1
+            edge = next(edges, None)
+        length = max(length, stage)
+    return length
 
 
 def schedule_netlist(
@@ -344,20 +437,22 @@ def schedule_netlist(
 ) -> Schedule:
     """Minimal-stage schedule: grow the horizon from the lower bound.
 
-    `node_budget` and `time_budget` bound the whole run, every horizon
-    tried included.
+    Below the list schedule's length each horizon is refuted or solved by
+    `solve`; at that length, where every lower horizon is refuted and the
+    list schedule fits, only the canonical pass runs. `node_budget` and
+    `time_budget` bound the whole run, every horizon tried included.
     """
     if graph is None:
         graph = build_dataflow(netlist)
     if not netlist.instructions:
         return Schedule({}, 0, 0)
     budget = _Budget(node_budget, time_budget)
-    horizon = max(1, stage_lower_bound(netlist, graph))
-    while True:
+    feasible = list_schedule_length(netlist, graph)
+    for horizon in range(max(1, stage_lower_bound(netlist, graph)), feasible):
         schedule = solve(netlist, graph, asap_alap(graph, horizon), budget=budget)
         if schedule is not None:
             return schedule
-        horizon += 1  # horizon = n is always feasible, so this terminates
+    return _canonical(netlist, graph, asap_alap(graph, feasible), budget)
 
 
 def validate(netlist: Netlist, graph: DataflowGraph, schedule: Schedule) -> list[Violation]:
@@ -376,7 +471,7 @@ def validate(netlist: Netlist, graph: DataflowGraph, schedule: Schedule) -> list
         violations.append(
             Violation(1, (instr_id,), f"stage assigned to unknown instruction {instr_id}")
         )
-    for qubit, ids in common_qubit_table(netlist).items():
+    for qubit, ids in graph.qubit_table(netlist).items():
         staged = [(stage_of[i], i) for i in ids if i in stage_of]
         by_stage: dict[int, list[int]] = {}
         for stage, i in staged:

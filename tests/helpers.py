@@ -1,5 +1,5 @@
 """Shared test oracles: exact unitaries, bend-minimum MILP, brute-force and
-MILP stage schedules, networkx's network simplex, the all-pairs dataflow
+MILP stage schedules, the interval-count Hall check, networkx's network simplex, the all-pairs dataflow
 rule and the set-based exchangeability rule, the full-grid layout text,
 hand-rolled face walks, dual routing, component grouping, compaction on a
 label-keyed mesh with networkx lines and longest paths, the macroblock
@@ -13,6 +13,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from operator import itemgetter
 
 import networkx as nx
@@ -288,11 +290,11 @@ def lexmin_stages(netlist: Netlist, graph: DataflowGraph, horizon: int) -> dict[
     return dict(stage_of) if place(0) else None
 
 
-def stage_milp_status(netlist: Netlist, graph: DataflowGraph, horizon: int) -> int:
-    """HiGHS status of the stage assignment at `horizon`: 0 feasible,
-    2 infeasible. Built from the netlist and the full edge set, not from the
-    solver's windows or the ILP export."""
-    from scipy.optimize import Bounds, LinearConstraint, milp
+def _stage_milp_rows(netlist: Netlist, graph: DataflowGraph, horizon: int):
+    """Variables x[i, l] (instruction i in stage l) and the rows of the stage
+    assignment at `horizon`, built from the netlist and the full edge set,
+    not from the solver's windows or the ILP export."""
+    from scipy.optimize import LinearConstraint
 
     ids = [i.id for i in netlist.instructions]
     col = {(i, l): k for k, (i, l) in enumerate(itertools.product(ids, range(1, horizon + 1)))}
@@ -320,13 +322,81 @@ def stage_milp_status(netlist: Netlist, graph: DataflowGraph, horizon: int) -> i
         for l in range(1, horizon + 1):
             coeffs[col[j, l]] = -l
         row(coeffs, 1, np.inf)
+    return col, LinearConstraint(np.array(rows), lower, upper)
+
+
+def stage_milp_status(netlist: Netlist, graph: DataflowGraph, horizon: int) -> int:
+    """HiGHS status of the stage assignment at `horizon`: 0 feasible,
+    2 infeasible."""
+    from scipy.optimize import Bounds, milp
+
+    col, constraints = _stage_milp_rows(netlist, graph, horizon)
     res = milp(
         c=np.zeros(len(col)),
-        constraints=LinearConstraint(np.array(rows), lower, upper),
+        constraints=constraints,
         bounds=Bounds(0, 1),
         integrality=np.ones(len(col)),
     )
     return res.status
+
+
+def lexmin_stages_milp(netlist: Netlist, graph: DataflowGraph, horizon: int) -> dict[int, int]:
+    """The lexicographically smallest stage vector at `horizon` by HiGHS: in
+    id order, minimise each instruction's stage with the earlier ones fixed."""
+    from scipy.optimize import Bounds, milp
+
+    col, constraints = _stage_milp_rows(netlist, graph, horizon)
+    lower = np.zeros(len(col))
+    stage_of: dict[int, int] = {}
+    for instr in netlist.instructions:
+        cost = np.zeros(len(col))
+        for l in range(1, horizon + 1):
+            cost[col[instr.id, l]] = l
+        res = milp(
+            c=cost,
+            constraints=constraints,
+            bounds=Bounds(lower, 1),
+            integrality=np.ones(len(col)),
+        )
+        assert res.status == 0, res.message
+        stage_of[instr.id] = round(res.fun)
+        lower[col[instr.id, stage_of[instr.id]]] = 1
+    return stage_of
+
+
+def reference_hall(ws, lo: list[int], hi: list[int], taken: set[int]) -> bool:
+    """Hall's condition for the variables `ws` on one qubit by counting: no
+    interval [a, b] holds the bounds of more of them than it has free
+    stages. A variable whose bounds met counts as a blocked stage instead,
+    which is the same condition with fewer intervals to test. Bounds must
+    not rest on a taken stage."""
+    if len(ws) < 3:
+        if len(ws) < 2:
+            return True
+        v, w = ws
+        return not lo[v] == hi[v] == lo[w] == hi[w]
+    spans = Counter(zip(map(lo.__getitem__, ws), map(hi.__getitem__, ws)))
+    fixed = [a for a, b in spans if a == b]
+    for a in fixed:
+        if spans.pop((a, a)) > 1:
+            return False  # two variables fixed to one stage
+    if not spans:
+        return True
+    blocked = sorted(taken.union(fixed))
+    ends = sorted({b for _, b in spans})
+    end_index = {b: j for j, b in enumerate(ends)}
+    inside = [0] * len(ends)  # variables with lo >= a, by their hi
+    for a, group in itertools.groupby(sorted(spans, reverse=True), key=itemgetter(0)):
+        for span in group:
+            inside[end_index[span[1]]] += spans[span]
+        count = 0
+        before = bisect_left(blocked, a)
+        for j in range(bisect_left(ends, a), len(ends)):
+            count += inside[j]
+            b = ends[j]
+            if count > b - a + 1 - (bisect_right(blocked, b) - before):
+                return False
+    return True
 
 
 def networkx_min_cost_flow(

@@ -362,14 +362,36 @@ def test_invalid_schedule_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_solver_pass_disagreement_exit_code(tmp_path, capsys, monkeypatch):
-    import ionpd.solver as solver
-
-    # the refutation pass finds an assignment, the canonical pass none
-    passes = iter([solver._search])
-    monkeypatch.setattr(solver, "_search", lambda *args: next(passes, lambda *a: None)(*args))
+    # the list schedule proves code_9_3_2's lower bound of 6 stages
+    # feasible, so only the canonical pass runs; here it finds no assignment
+    passes = []
+    monkeypatch.setattr(
+        "ionpd.solver._search", lambda *args, **kwargs: passes.append(kwargs) and None
+    )
     assert main(["schedule", CODE932, "--out", str(tmp_path / "o")]) == 3
+    assert passes == [{"canonical": True}]
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "canonical pass" in err
+    assert err.startswith("error: ") and "canonical pass found no assignment" in err
+
+
+@pytest.mark.parametrize("emit", ["svgg,dott", "json,png", "SVG"])
+def test_unknown_emit_format_exit_code(tmp_path, capsys, emit):
+    out = tmp_path / "o"
+    assert main(["schedule", CODE932, "--emit", emit, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown --emit format")
+    assert err.rstrip().endswith("choose from dot, svg, lp, json")
+    assert not out.exists()
+
+
+def test_qubit_table_built_once_per_run(tmp_path, monkeypatch):
+    import ionpd.depgraph as depgraph
+
+    calls = []
+    real = depgraph.common_qubit_table
+    monkeypatch.setattr(depgraph, "common_qubit_table", lambda n: calls.append(n) or real(n))
+    assert main(["latency", CODE932, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
 
 
 def test_default_emit_renders_no_extras(tmp_path, monkeypatch):

@@ -23,7 +23,7 @@ from ionpd.depgraph import (
     exchangeable,
     stage_lower_bound,
 )
-from ionpd.gates import GateKind, Instruction, make_netlist
+from ionpd.gates import GateKind, Instruction, Netlist, make_netlist
 from ionpd.qasm import parse_qasm
 
 TOFFOLI_PAIR = Path(__file__).resolve().parent.parent / "circuits" / "toffoli_pair.qasm"
@@ -119,6 +119,20 @@ class TestCommonQubits:
 
     def test_empty(self):
         assert common_qubit_table(make_netlist([])) == {}
+
+    def test_graph_holds_its_netlists_table(self, code932):
+        graph = build_dataflow(code932)
+        table = graph.qubit_table(code932)
+        assert table == common_qubit_table(code932)
+        assert graph.qubit_table(code932) is table
+
+    def test_graph_answers_for_another_netlist(self, code932):
+        graph = build_dataflow(code932)
+        other = Netlist(code932.instructions, code932.qubit_count)
+        assert graph.qubit_table(other) == common_qubit_table(code932)
+        assert graph.qubit_table(other) is graph.qubit_table(other)
+        direct = all_pairs_dataflow(code932)  # built without a table
+        assert direct.qubit_table(code932) == common_qubit_table(code932)
 
 
 class TestDataflow:

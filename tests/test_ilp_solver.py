@@ -1,13 +1,16 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from helpers import (
     equal_up_to_phase,
     lexmin_stages,
+    lexmin_stages_milp,
     netlist_unitary,
     random_netlist,
+    reference_hall,
     stage_milp_status,
 )
 from ionpd.circuits import generate_cat_circuit
@@ -19,11 +22,15 @@ from ionpd.solver import (
     INFEASIBLE,
     Schedule,
     SolverBudgetExceeded,
+    _hall,
+    list_schedule_length,
     oracle_min_stages,
     schedule_netlist,
     solve,
     validate,
 )
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def model_for(netlist, horizon):
@@ -153,12 +160,28 @@ class TestScheduleNetlist:
 
     def test_node_budget_bounds_the_whole_run(self):
         netlist = random_netlist(random.Random(155))
-        # two horizons: 6 nodes prove the first infeasible, 20 solve the
-        # second; a budget of 20 covers either horizon but not both
-        assert schedule_netlist(netlist, node_budget=26).stage_count == 5
+        # two horizons: 6 nodes prove the first infeasible, 10 solve the
+        # second, where the list schedule fits and only the canonical pass
+        # runs; a budget of 10 covers either horizon but not both
+        graph = build_dataflow(netlist)
+        assert stage_lower_bound(netlist, graph) == 4
+        assert list_schedule_length(netlist, graph) == 5
+        assert schedule_netlist(netlist, node_budget=16).stage_count == 5
         with pytest.raises(SolverBudgetExceeded) as err:
-            schedule_netlist(netlist, node_budget=20)
-        assert err.value.explored == 21
+            schedule_netlist(netlist, node_budget=10)
+        assert err.value.explored == 11
+
+    def test_list_schedule_bounds_the_minimal_horizon(self):
+        rng = random.Random(8)
+        certified = 0
+        for _ in range(200):
+            netlist = random_netlist(rng)
+            graph = build_dataflow(netlist)
+            length = list_schedule_length(netlist, graph)
+            stages = schedule_netlist(netlist, graph=graph).stage_count
+            assert stage_lower_bound(netlist, graph) <= stages <= length
+            certified += stages == length
+        assert 0 < certified < 200
 
     def test_stage_count_never_below_lower_bound(self):
         rng = random.Random(5)
@@ -218,6 +241,42 @@ def test_hard_sched_netlist_is_minimal_within_budget(k):
     assert schedule.stage_count == schedule.horizon == stages
     assert stage_milp_status(netlist, graph, stages) == 0
     assert stage_milp_status(netlist, graph, stages - 1) == 2  # infeasible
+
+
+# netlists on which the id-order pass without its completion check thrashes
+# (10^6 nodes on extra:4, 123,753 on extra:8), with their minimal horizon
+HARD_EXTRA = {"extra4": 19, "extra8": 18}
+
+
+@pytest.mark.parametrize("name", sorted(HARD_EXTRA))
+def test_hard_extra_netlist_is_lexmin_within_budget(name):
+    netlist = parse_qasm((FIXTURES / f"{name}.qasm").read_text())
+    graph = build_dataflow(netlist)
+    schedule = schedule_netlist(netlist, node_budget=20_000, graph=graph)
+    assert validate(netlist, graph, schedule) == []
+    stages = HARD_EXTRA[name]
+    assert schedule.stage_count == schedule.horizon == stages
+    assert stage_milp_status(netlist, graph, stages - 1) == 2  # infeasible
+    assert schedule.stage_of == lexmin_stages_milp(netlist, graph, stages)
+
+
+def test_hall_matching_agrees_with_interval_count():
+    rng = random.Random(1998)
+    verdicts = [0, 0]
+    for _ in range(3000):
+        horizon = rng.randint(3, 14)
+        taken = set(rng.sample(range(1, horizon + 1), rng.randint(0, horizon - 2)))
+        free = [s for s in range(1, horizon + 1) if s not in taken]
+        lo, hi = [], []
+        for _ in range(rng.randint(3, len(free) + 2)):
+            a, b = sorted(rng.choices(free, k=2))  # bounds never on a taken stage
+            lo.append(a)
+            hi.append(b)
+        ws = set(range(len(lo)))
+        expected = reference_hall(ws, lo, hi, taken)
+        assert _hall(ws, lo, hi, taken) == expected, (lo, hi, taken)
+        verdicts[expected] += 1
+    assert min(verdicts) >= 500, verdicts
 
 
 class TestValidate:
