@@ -8,6 +8,10 @@ encoder; `python -m json.tool` prints a file indented for reading.
 table of `json_fragment` strings holds each block's constant members, so its
 tens of thousands of blocks need no dict each. Tests check it byte for byte
 against `render_json` of the full payload.
+
+`json_field` and `json_ints` read members of a parsed JSON input back,
+raising a `ValueError` that names the field when one is missing or of the
+wrong type.
 """
 
 from __future__ import annotations
@@ -23,3 +27,21 @@ def json_fragment(payload: Any) -> str:
 
 def render_json(payload: Any) -> str:
     return json_fragment(payload) + "\n"
+
+
+def json_field(obj: Any, name: str, kind: type, error: type[ValueError] = ValueError) -> Any:
+    """Member `name` of the JSON object `obj`, which must be a `kind`."""
+    if not isinstance(obj, dict) or name not in obj:
+        raise error(f"expected a JSON object with field {name!r}")
+    value = obj[name]
+    if not isinstance(value, kind):
+        raise error(f"field {name!r} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
+def json_ints(obj: Any, name: str, error: type[ValueError] = ValueError) -> list[int]:
+    """Member `name` of the JSON object `obj`, which must be a list of integers."""
+    values = json_field(obj, name, list, error)
+    if not all(isinstance(v, int) for v in values):
+        raise error(f"field {name!r} must hold integers, got {values!r}")
+    return values

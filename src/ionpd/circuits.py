@@ -26,5 +26,6 @@ def generate_cat_circuit(n: int) -> Netlist:
             lo -= 1
     gates.append((GateKind.CX, (0,), n))
     netlist = make_netlist(gates)
-    assert len(netlist) == n + 2
+    if len(netlist) != n + 2:
+        raise RuntimeError(f"cat circuit for n={n} has {len(netlist)} gates, expected {n + 2}")
     return netlist

@@ -119,7 +119,7 @@ def _pipeline(netlist: Netlist, args, emit: _Emitter, upto: str) -> int:
     )
     emit.write("schedule.json", schedule.to_json)
     h = schedule.horizon
-    emit.write("model.lp", lambda: to_lp_text(emit_ilp(netlist, graph, asap_alap(graph, h), h)), "lp")
+    emit.write("model.lp", lambda: to_lp_text(emit_ilp(netlist, graph, asap_alap(graph, h))), "lp")
     violations = validate(netlist, graph, schedule)
     if violations:
         raise SolverError(f"scheduler produced an invalid schedule: {violations[0].message}")

@@ -110,7 +110,7 @@ def _bend_values(rep: OrthoRep, u: Node, v: Node) -> list[int]:
     convex = rep.bends.get((u, v), 0)
     reflex = rep.bends.get((v, u), 0)
     if convex and reflex:
-        raise LayoutError(f"bends on {u}-{v} are not one-sided after cancellation")
+        raise LayoutError(f"bends on {u}-{v} are not one-sided")
     return [1] * convex + [3] * reflex
 
 
@@ -395,7 +395,6 @@ def compact(pg: PlanarizedGraph, rep: OrthoRep) -> OrthogonalDrawing:
         offset = max(xs) + dx + 2
 
     routes: dict[tuple[int, int, int], tuple[Point, ...]] = {}
-    bend_count: dict[tuple[int, int, int], int] = {}
     for key, chain in sorted(pg.chains.items()):
         pts: list[Point] = [positions[chain[0]]]
         for a, b in zip(chain, chain[1:]):
@@ -409,10 +408,9 @@ def compact(pg: PlanarizedGraph, rep: OrthoRep) -> OrthogonalDrawing:
                 corners.append(pts[k])
         corners.append(pts[-1])
         routes[key] = tuple(corners)
-        bend_count[key] = len(corners) - 2
 
     node_pos = {n: p for n, p in positions.items() if isinstance(n, int)}
     crossing_pts = tuple(
         positions[c] for c in sorted(pg.crossings) if c in positions
     )
-    return OrthogonalDrawing(node_pos, routes, crossing_pts, bend_count)
+    return OrthogonalDrawing(node_pos, routes, crossing_pts)

@@ -7,7 +7,7 @@ shared endpoints or at registered crossing points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .artifact import render_json
 
@@ -20,11 +20,6 @@ class OrthogonalDrawing:
     node_pos: dict[int, Point]
     routes: dict[EdgeKey, tuple[Point, ...]]
     crossings: tuple[Point, ...] = ()
-    bends: dict[EdgeKey, int] = field(default_factory=dict)
-
-    @property
-    def total_bends(self) -> int:
-        return sum(self.bends.values())
 
     def to_json(self) -> str:
         payload = {
@@ -76,30 +71,12 @@ class OrthogonalDrawing:
         return "\n".join(parts) + "\n"
 
 
-def _segments(points: tuple[Point, ...]) -> list[tuple[Point, Point]]:
-    return list(zip(points, points[1:]))
-
-
-def _unit_steps(a: Point, b: Point) -> list[tuple[Point, Point]]:
-    """Split a segment into its unit-length grid steps (endpoints ordered)."""
-    (x1, y1), (x2, y2) = a, b
-    steps = []
-    if x1 == x2:
-        lo, hi = sorted((y1, y2))
-        steps = [((x1, y), (x1, y + 1)) for y in range(lo, hi)]
-    else:
-        lo, hi = sorted((x1, x2))
-        steps = [((x, y1), (x + 1, y1)) for x in range(lo, hi)]
-    return steps
-
-
-def _interior_points(a: Point, b: Point) -> list[Point]:
+def _grid_points(a: Point, b: Point) -> list[Point]:
+    """Every grid point of the axis-aligned segment a-b, in ascending order."""
     (x1, y1), (x2, y2) = a, b
     if x1 == x2:
-        lo, hi = sorted((y1, y2))
-        return [(x1, y) for y in range(lo + 1, hi)]
-    lo, hi = sorted((x1, x2))
-    return [(x, y1) for x in range(lo + 1, hi)]
+        return [(x1, y) for y in range(min(y1, y2), max(y1, y2) + 1)]
+    return [(x, y1) for x in range(min(x1, x2), max(x1, x2) + 1)]
 
 
 def validate_drawing(drawing: OrthogonalDrawing) -> list[str]:
@@ -121,20 +98,21 @@ def validate_drawing(drawing: OrthogonalDrawing) -> list[str]:
             continue
         if pts[0] != positions.get(i) or pts[-1] != positions.get(j):
             problems.append(f"edge {key} does not join its endpoints")
-        for a, b in _segments(pts):
+        for a, b in zip(pts, pts[1:]):
             if a == b:
                 problems.append(f"edge {key} has a zero-length segment")
                 continue
             if a[0] != b[0] and a[1] != b[1]:
                 problems.append(f"edge {key} has a non-axis-aligned segment {a}-{b}")
                 continue
-            for step in _unit_steps(a, b):
+            points = _grid_points(a, b)
+            for step in zip(points, points[1:]):
                 if step in step_owner:
                     other = step_owner[step]
                     what = "overlaps itself" if other == key else f"overlaps {other}"
                     problems.append(f"edge {key} {what} along {step}")
                 step_owner[step] = key
-            for p in _interior_points(a, b):
+            for p in points[1:-1]:
                 point_owner.setdefault(p, []).append(key)
                 if p in node_points:
                     problems.append(f"edge {key} runs through node point {p}")

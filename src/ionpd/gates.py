@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .artifact import render_json
+from .artifact import json_field, json_ints, render_json
 
 
 class GateKind(Enum):
@@ -120,17 +120,21 @@ class Netlist:
 
     @staticmethod
     def from_json(text: str) -> "Netlist":
+        """The netlist `to_json` wrote; `NetlistError` names a missing,
+        mistyped or unknown field."""
         payload = json.loads(text)
-        instrs = tuple(
-            Instruction(
-                id=entry["id"],
-                kind=GATE_ALIASES[entry["kind"].upper()],
-                controls=tuple(entry["controls"]),
-                target=entry["target"],
-            )
-            for entry in payload["instructions"]
-        )
-        return Netlist(instrs, payload["qubit_count"])
+        instrs = []
+        for entry in json_field(payload, "instructions", list, NetlistError):
+            label = json_field(entry, "kind", str, NetlistError)
+            if label.upper() not in GATE_ALIASES:
+                raise NetlistError(f"field 'kind' names no gate: {label!r}")
+            instrs.append(Instruction(
+                id=json_field(entry, "id", int, NetlistError),
+                kind=GATE_ALIASES[label.upper()],
+                controls=tuple(json_ints(entry, "controls", NetlistError)),
+                target=json_field(entry, "target", int, NetlistError),
+            ))
+        return Netlist(tuple(instrs), json_field(payload, "qubit_count", int, NetlistError))
 
 
 def make_netlist(gates: list[tuple[GateKind, tuple[int, ...], int]]) -> Netlist:

@@ -1,13 +1,17 @@
-"""0/1 ILP formulation of the stage-assignment problem.
+"""0/1 ILP formulation of the stage-assignment problem, as an LP export.
 
-Binary variable x_i(l) is 1 when instruction i runs in stage l. Three
-constraint series are emitted:
+Binary variable x_i(l) is 1 when instruction i runs in stage l of its
+ASAP/ALAP window. Three constraint series are emitted:
 
   series 1 - each instruction executes in exactly one stage of its window,
   series 2 - two instructions sharing a qubit never occupy the same stage,
   series 3 - for each (transitively reduced) dependency j -> i, the stage
              of j is strictly below the stage of i, written as
              sum(l * x_j(l)) + 1 <= sum(l * x_i(l)).
+
+The solver does not read this model; it is written out so that external
+solvers can cross-check the schedule. Series 1, the objective and the
+`Binary` list come from the windows alone.
 """
 
 from __future__ import annotations
@@ -19,108 +23,56 @@ from .gates import Netlist
 
 
 @dataclass(frozen=True)
-class OnceConstraint:
-    instr: int
-    stages: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ExclusionConstraint:
-    a: int
-    b: int
-    stage: int
-    qubits: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class OrderConstraint:
-    before: int
-    after: int
-
-
-@dataclass(frozen=True)
 class IlpModel:
-    horizon: int
-    variables: tuple[tuple[int, int], ...]  # (instruction id, stage)
-    once: tuple[OnceConstraint, ...]
-    exclusions: tuple[ExclusionConstraint, ...]
-    orders: tuple[OrderConstraint, ...]
     windows: ScheduleWindow
-
-    def domain(self, instr_id: int) -> range:
-        return self.windows.stages(instr_id)
-
-
-def emit_ilp(
-    netlist: Netlist,
-    graph: DataflowGraph,
-    windows: ScheduleWindow,
-    horizon: int,
-) -> IlpModel:
-    if windows.horizon != horizon:
-        raise ValueError("windows were computed for a different horizon")
-    variables: list[tuple[int, int]] = []
-    once: list[OnceConstraint] = []
-    for instr in netlist.instructions:
-        lo, hi = windows.window(instr.id)
-        if lo > hi:
-            raise ValueError(f"instruction {instr.id} has an empty window")
-        stages = tuple(range(lo, hi + 1))
-        variables.extend((instr.id, l) for l in stages)
-        once.append(OnceConstraint(instr.id, stages))
-
-    exclusions: list[ExclusionConstraint] = []
-    instrs = netlist.instructions
-    for bi, b in enumerate(instrs):
-        for a in instrs[:bi]:
-            shared = sorted(set(a.qubits) & set(b.qubits))
-            if not shared:
-                continue
-            lo = max(windows.asap[a.id], windows.asap[b.id])
-            hi = min(windows.alap[a.id], windows.alap[b.id])
-            for l in range(lo, hi + 1):
-                exclusions.append(ExclusionConstraint(a.id, b.id, l, tuple(shared)))
-
-    orders = tuple(OrderConstraint(j, i) for j, i in graph.reduced_edges())
-    return IlpModel(horizon, tuple(variables), tuple(once), tuple(exclusions), orders, windows)
+    exclusions: tuple[tuple[int, int, int], ...]  # (a, b, stage) with a < b
+    orders: tuple[tuple[int, int], ...]  # reduced dependency edges (j, i)
 
 
-def _weighted_terms(instr: int, stages: range | tuple[int, ...], sign: int) -> list[str]:
-    terms = []
-    for l in stages:
-        coeff = sign * l
-        if coeff == 1:
-            terms.append(f"+ x_{instr}_{l}")
-        elif coeff == -1:
-            terms.append(f"- x_{instr}_{l}")
-        elif coeff > 0:
-            terms.append(f"+ {coeff} x_{instr}_{l}")
-        else:
-            terms.append(f"- {-coeff} x_{instr}_{l}")
-    return terms
+def emit_ilp(netlist: Netlist, graph: DataflowGraph, windows: ScheduleWindow) -> IlpModel:
+    """The model at `windows.horizon`. Exclusion rows go by b, then a, then
+    stage; each qubit-sharing pair is one pair even when it shares two qubits."""
+    pairs = {
+        (b, a)
+        for row in graph.qubit_table(netlist).values()
+        for k, b in enumerate(row)
+        for a in row[:k]
+    }
+    asap, alap = windows.asap, windows.alap
+    exclusions = tuple(
+        (a, b, l)
+        for b, a in sorted(pairs)
+        for l in range(max(asap[a], asap[b]), min(alap[a], alap[b]) + 1)
+    )
+    return IlpModel(windows, exclusions, graph.reduced_edges())
+
+
+def _weighted_terms(instr: int, stages: range, sign: str) -> list[str]:
+    """`sign` l x_instr_l for every stage l (stages count from 1)."""
+    return [f"{sign} x_{instr}_{l}" if l == 1 else f"{sign} {l} x_{instr}_{l}" for l in stages]
 
 
 def to_lp_text(model: IlpModel) -> str:
     """Render in LP format so external solvers can cross-check the model."""
-    lines = [f"\\ stage assignment at horizon {model.horizon}", "Minimize"]
-    obj = " ".join(_weighted_terms(i, (l,), 1)[0] for i, l in model.variables)
+    windows = model.windows
+    domains = {i: windows.stages(i) for i in sorted(windows.asap)}
+    lines = [f"\\ stage assignment at horizon {windows.horizon}", "Minimize"]
+    obj = " ".join(t for i, stages in domains.items() for t in _weighted_terms(i, stages, "+"))
     lines.append(f" obj: {obj.lstrip('+ ')}")
     lines.append("Subject To")
     lines.append("\\ series 1: each instruction executes exactly once")
-    for c in model.once:
-        expr = " + ".join(f"x_{c.instr}_{l}" for l in c.stages)
-        lines.append(f" s1_{c.instr}: {expr} = 1")
+    for i, stages in domains.items():
+        expr = " + ".join(f"x_{i}_{l}" for l in stages)
+        lines.append(f" s1_{i}: {expr} = 1")
     lines.append("\\ series 2: instructions sharing a qubit are exclusive per stage")
-    for c in model.exclusions:
-        lines.append(f" s2_{c.a}_{c.b}_{c.stage}: x_{c.a}_{c.stage} + x_{c.b}_{c.stage} <= 1")
+    for a, b, l in model.exclusions:
+        lines.append(f" s2_{a}_{b}_{l}: x_{a}_{l} + x_{b}_{l} <= 1")
     lines.append("\\ series 3: dependency order")
-    for c in model.orders:
-        terms = _weighted_terms(c.before, model.domain(c.before), 1)
-        terms += _weighted_terms(c.after, model.domain(c.after), -1)
+    for j, i in model.orders:
+        terms = _weighted_terms(j, domains[j], "+") + _weighted_terms(i, domains[i], "-")
         expr = " ".join(terms).lstrip("+ ")
-        lines.append(f" s3_{c.before}_{c.after}: {expr} <= -1")
+        lines.append(f" s3_{j}_{i}: {expr} <= -1")
     lines.append("Binary")
-    for i, l in model.variables:
-        lines.append(f" x_{i}_{l}")
+    lines.extend(f" x_{i}_{l}" for i, stages in domains.items() for l in stages)
     lines.append("End")
     return "\n".join(lines) + "\n"

@@ -20,41 +20,27 @@ A port of the non-recursive `LRPlanarity.lr_planarity` of networkx 3.6.1
   reference neighbour costs a scan of the ring, at most four long in the
   graphs ionpd draws.
 
-`planar_rotation(graph)` therefore returns exactly
+`planar_rings(adjacency)` takes a graph numbered 0..n-1 in its node order,
+given as neighbour lists in adjacency order, as `planarize` keeps its
+working graph. Its rings, named back by node, are exactly
 `nx.check_planarity(graph)[1].get_data()`, neighbour and dict order
 included, so every embedding ionpd draws depends on this module alone.
-`planar_rings(adjacency)` is the same test on a graph already numbered
-0..n-1, given as neighbour lists in adjacency order; `planarize` keeps its
-working graph that way and calls it directly.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 
 # [left_low, left_high, right_low, right_high]: two intervals of return
 # edges (edge ids), each empty when both of its ends are None
 ConflictPair = list
 
 
-def planar_rotation(
-    graph: Mapping[Hashable, Iterable[Hashable]],
-) -> dict[Hashable, list[Hashable]] | None:
-    """Clockwise neighbour list of every node, in the graph's node order, of
-    a planar embedding; None if the graph is not planar. `graph` maps each
-    node to its neighbours, as an `nx.Graph` does. Self-loops are ignored."""
-    labels = list(graph)
-    index = {v: k for k, v in enumerate(labels)}
-    rings = planar_rings([[index[w] for w in graph[v]] for v in labels])
-    if rings is None:
-        return None
-    return {labels[v]: [labels[w] for w in ring] for v, ring in enumerate(rings)}
-
-
 def planar_rings(adjacency: Sequence[Iterable[int]]) -> list[list[int]] | None:
-    """`planar_rotation` of the graph on nodes 0..n-1 whose node v has the
-    neighbours `adjacency[v]`, in that order (each edge listed at both
-    ends): the clockwise ring of every node, or None if not planar."""
+    """Clockwise neighbour ring of every node of a planar embedding of the
+    graph on nodes 0..n-1 whose node v has the neighbours `adjacency[v]`, in
+    that order (each edge listed at both ends; self-loops are ignored), or
+    None if the graph is not planar."""
     n = len(adjacency)
     adjs: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (neighbour, edge id)
     size = 0

@@ -183,10 +183,6 @@ class MacroLayout:
         ])
         return '{"blocks":[' + ",".join(parts) + '],"gate_locations":' + locations + "}\n"
 
-    def to_text(self) -> str:
-        """The whole of `text_lines`."""
-        return "".join(self.text_lines())
-
     def text_lines(self) -> Iterator[str]:
         """Cell-level glyph grid, one line at a time with its newline: '#'
         electrode, '.' channel, the gate id at a gate trap.

@@ -231,7 +231,10 @@ class OrthoRep:
 
     `angles[(face, corner)]` is the 90-degree units at the head vertex of
     `faces[face][corner]` inside that face; `bends[(u, v)]` counts bends
-    drawn convex on the walk side of half-edge (u, v).
+    drawn convex on the walk side of half-edge (u, v). At most one of
+    `bends[(u, v)]` and `bends[(v, u)]` is nonzero: a flow bending one edge
+    both ways stays balanced with both arcs lowered by one, two bends
+    cheaper, so a minimum-cost flow never does.
     """
 
     faces: tuple[tuple[HalfEdge, ...], ...]
@@ -242,9 +245,6 @@ class OrthoRep:
     @property
     def total_bends(self) -> int:
         return sum(self.bends.values())
-
-    def edge_bends(self, u: Node, v: Node) -> int:
-        return self.bends.get((u, v), 0) + self.bends.get((v, u), 0)
 
 
 def _wide_costs(pg: PlanarizedGraph, degree: dict[Node, int]) -> dict[Node, int]:
@@ -324,15 +324,6 @@ def orthogonalize(pg: PlanarizedGraph) -> OrthoRep:
         pos = 2 * len(corner_arcs)
         for k, he in enumerate(bend_arcs):
             bends[he] = flows[pos + k]
-
-    # cancel opposite-direction bends on one edge: a convex/reflex pair is
-    # never optimal and a one-sided string keeps downstream bookkeeping simple
-    for he in list(bends):
-        twin = (he[1], he[0])
-        common = min(bends.get(he, 0), bends.get(twin, 0))
-        if common:
-            bends[he] -= common
-            bends[twin] -= common
 
     around: dict[Node, int] = {}
     for fi, walk in enumerate(faces):

@@ -278,36 +278,6 @@ def _route_through_faces(book: _FaceBook, u, v) -> list[frozenset]:
     return crossed
 
 
-def _component_faces(
-    rotation: list[list[int]], order: list[int], walks: tuple[tuple[HalfEdge, ...], ...]
-) -> list[tuple[list[int], tuple[int, ...]]]:
-    """Connected components of the working graph, found from each unseen
-    node in `order`, so ordered by their first node; each with its nodes in
-    `order` and the indices of its face walks."""
-    rank = [0] * len(order)
-    for r, v in enumerate(order):
-        rank[v] = r
-    comp_of = [-1] * len(order)
-    comps: list[list[int]] = []
-    for start in order:
-        if comp_of[start] >= 0:
-            continue
-        comp_of[start] = len(comps)
-        members, stack = [], [start]
-        while stack:
-            v = stack.pop()
-            members.append(v)
-            for w in rotation[v]:
-                if comp_of[w] < 0:
-                    comp_of[w] = len(comps)
-                    stack.append(w)
-        comps.append(sorted(members, key=rank.__getitem__))
-    face_idx: list[list[int]] = [[] for _ in comps]
-    for fi, walk in enumerate(walks):
-        face_idx[comp_of[walk[0][0]]].append(fi)
-    return list(zip(comps, map(tuple, face_idx)))
-
-
 def planarize(qfg: QubitFlowGraph) -> PlanarizedGraph:
     """Planar embedding of the flow graph with crossings as dummy vertices."""
     degree = Counter(v for i, j, _ in qfg.edges for v in (i, j))
@@ -380,7 +350,16 @@ def planarize(qfg: QubitFlowGraph) -> PlanarizedGraph:
 
     if rotation is None:
         rotation = _rings(adj)
-    walks = _FaceBook(rotation, order, labels).walks()
+    book = _FaceBook(rotation, order, labels)
+    walks = book.walks()
+    # components by their first node in `order`, each with its nodes in
+    # `order` and the faces whose first tail it holds
+    find = book.components.find
+    comps: dict[int, tuple[list[int], list[int]]] = {}
+    for v in order:
+        comps.setdefault(find(v), ([], []))[0].append(v)
+    for fi, walk in enumerate(walks):
+        comps[find(walk[0][0])][1].append(fi)
     name = labels.__getitem__
     pg = PlanarizedGraph(
         nodes=tuple(map(name, order)),
@@ -390,7 +369,7 @@ def planarize(qfg: QubitFlowGraph) -> PlanarizedGraph:
         chains={key: list(map(name, path)) for key, path in chains.items()},
         _faces=tuple(tuple((labels[a], labels[b]) for a, b in walk) for walk in walks),
         _component_faces=tuple(
-            (tuple(map(name, comp)), idx) for comp, idx in _component_faces(rotation, order, walks)
+            (tuple(map(name, members)), tuple(faces)) for members, faces in comps.values()
         ),
     )
     pg.check_euler()

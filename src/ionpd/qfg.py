@@ -21,7 +21,6 @@ class QubitFlowGraph:
     stage_of: dict[int, int]
     edges: tuple[tuple[int, int, int], ...]  # (from id, to id, qubit)
     first_use: dict[int, int]  # qubit -> instruction id
-    last_use: dict[int, int]
 
     @property
     def nodes(self) -> list[int]:
@@ -63,13 +62,11 @@ def build_qfg(
     stage_of = {i.id: schedule.stage_of[i.id] for i in netlist.instructions}
     edges: list[tuple[int, int, int]] = []
     first_use: dict[int, int] = {}
-    last_use: dict[int, int] = {}
     for qubit, ids in graph.qubit_table(netlist).items():
         timeline = sorted(ids, key=lambda i: stage_of[i])
         first_use[qubit] = timeline[0]
-        last_use[qubit] = timeline[-1]
         edges.extend(
             (i, j, qubit) for i, j in zip(timeline, timeline[1:])
         )
     edges.sort()
-    return QubitFlowGraph(stage_of, tuple(edges), first_use, last_use)
+    return QubitFlowGraph(stage_of, tuple(edges), first_use)

@@ -53,7 +53,7 @@ import time
 from collections.abc import Collection
 from dataclasses import dataclass
 
-from .artifact import render_json
+from .artifact import json_field, json_ints, render_json
 from .depgraph import (
     DataflowGraph,
     ScheduleWindow,
@@ -102,14 +102,22 @@ class Schedule:
 
     @staticmethod
     def from_json(text: str) -> "Schedule":
+        """The schedule `to_json` wrote; `ValueError` names a missing or
+        mistyped field, or an instruction listed twice."""
         payload = json.loads(text)
-        stage_of = {
-            instr_id: entry["stage"]
-            for entry in payload["stages"]
-            for instr_id in entry["instruction_ids"]
-        }
+        stage_of: dict[int, int] = {}
+        for entry in json_field(payload, "stages", list):
+            stage = json_field(entry, "stage", int)
+            for instr_id in json_ints(entry, "instruction_ids"):
+                if instr_id in stage_of:
+                    raise ValueError(
+                        f"instruction {instr_id} is scheduled twice, in stages "
+                        f"{stage_of[instr_id]} and {stage}"
+                    )
+                stage_of[instr_id] = stage
         stage_count = max(stage_of.values(), default=0)
-        return Schedule(stage_of, stage_count, payload.get("horizon", stage_count))
+        horizon = json_field(payload, "horizon", int) if "horizon" in payload else stage_count
+        return Schedule(stage_of, stage_count, horizon)
 
 
 @dataclass(frozen=True)

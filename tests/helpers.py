@@ -26,6 +26,7 @@ from ionpd.depgraph import DataflowGraph, build_dataflow, exchangeable
 from ionpd.drawing import OrthogonalDrawing, Point
 from ionpd.gates import GateKind, Instruction, Netlist, make_netlist
 from ionpd.latency import InstructionTiming, LatencyModel, LatencyReport, Movement
+from ionpd.lrplanarity import planar_rings
 from ionpd.macrolayout import (
     DIRS,
     OPPOSITE,
@@ -116,8 +117,7 @@ def synth_qfg(nodes: list[int], pairs: list[tuple[int, int]]) -> QubitFlowGraph:
         (min(a, b), max(a, b), q) for q, (a, b) in enumerate(pairs)
     )
     first = {q: i for i, _, q in edges}
-    last = {q: j for _, j, q in edges}
-    return QubitFlowGraph({n: n for n in nodes}, edges, first, last)
+    return QubitFlowGraph({n: n for n in nodes}, edges, first)
 
 
 def qfg_degree(qfg: QubitFlowGraph, node: int) -> int:
@@ -412,6 +412,25 @@ def networkx_min_cost_flow(
     return [flow[u][v][key] for key, (u, v, _, _) in enumerate(arcs)]
 
 
+def planar_rotation(graph) -> dict | None:
+    """`lrplanarity.planar_rings` on a graph given as a mapping from each
+    node to its neighbours, as an `nx.Graph` is: the clockwise neighbour
+    list of every node, in the graph's node order, or None if not planar.
+    Self-loops are ignored."""
+    labels = list(graph)
+    index = {v: k for k, v in enumerate(labels)}
+    rings = planar_rings([[index[w] for w in graph[v]] for v in labels])
+    if rings is None:
+        return None
+    return {labels[v]: [labels[w] for w in ring] for v, ring in enumerate(rings)}
+
+
+def one_sided_bends(rep: OrthoRep) -> bool:
+    """No edge bends both ways: of every half-edge and its twin, at most one
+    carries bends."""
+    return all(min(n, rep.bends.get((v, u), 0)) == 0 for (u, v), n in rep.bends.items())
+
+
 def angle_at(rep, vertex) -> list[int]:
     """Angles of `vertex` in every face corner it heads, in face order."""
     out = []
@@ -442,9 +461,9 @@ def straights_and_turns(plan: RoutePlan, qubit: int, edge: tuple) -> tuple[int, 
 
 
 def reference_layout_text(layout: MacroLayout) -> str:
-    """`MacroLayout.to_text` by the full bounding-box grid of cells, each as
-    wide as the longest gate id and at least two characters, every row
-    right-stripped."""
+    """The joined `MacroLayout.text_lines` by the full bounding-box grid of
+    cells, each as wide as the longest gate id and at least two characters,
+    every row right-stripped."""
     if not layout.blocks:
         return "(empty layout)\n"
     ids = [str(block.gate_of[0]) for block in layout.blocks.values() if block.gate_of]
@@ -688,7 +707,7 @@ def _reference_bend_values(rep: OrthoRep, u: Node, v: Node) -> list[int]:
     convex = rep.bends.get((u, v), 0)
     reflex = rep.bends.get((v, u), 0)
     if convex and reflex:
-        raise LayoutError(f"bends on {u}-{v} are not one-sided after cancellation")
+        raise LayoutError(f"bends on {u}-{v} are not one-sided")
     return [1] * convex + [3] * reflex
 
 
@@ -705,7 +724,7 @@ def _reference_build_mesh(
         for u, v in walk:
             canon = (u, v) if node_key(u) <= node_key(v) else (v, u)
             if canon not in bend_nodes:
-                count = rep.edge_bends(u, v)
+                count = rep.bends.get((u, v), 0) + rep.bends.get((v, u), 0)
                 bend_nodes[canon] = [names.fresh("b") for _ in range(count)]
 
     for fi in face_idx:
@@ -943,7 +962,6 @@ def reference_compact(pg, rep) -> OrthogonalDrawing:
         offset = max(p[0] for p in positions.values()) + 2
 
     routes: dict[tuple[int, int, int], tuple[Point, ...]] = {}
-    bend_count: dict[tuple[int, int, int], int] = {}
     for key, chain in sorted(pg.chains.items()):
         pts: list[Point] = [positions[chain[0]]]
         for a, b in zip(chain, chain[1:]):
@@ -960,13 +978,12 @@ def reference_compact(pg, rep) -> OrthogonalDrawing:
                 corners.append(pts[k])
         corners.append(pts[-1])
         routes[key] = tuple(corners)
-        bend_count[key] = len(corners) - 2
 
     node_pos = {n: positions[n] for n in positions if isinstance(n, int)}
     crossing_pts = tuple(
         positions[c] for c in sorted(pg.crossings) if c in positions
     )
-    return OrthogonalDrawing(node_pos, routes, crossing_pts, bend_count)
+    return OrthogonalDrawing(node_pos, routes, crossing_pts)
 
 
 def label_mesh(mesh) -> "_ReferenceMesh":
@@ -1105,9 +1122,9 @@ def reference_layout_svg(layout: MacroLayout, cell: int = 10) -> str:
 
 
 def reference_layout_text_rows(layout: MacroLayout) -> str:
-    """`MacroLayout.to_text` one block row at a time with glyphs chosen per
-    port and a gate field two characters wide: the same text while every
-    gate id has at most two digits."""
+    """The joined `MacroLayout.text_lines` one block row at a time with
+    glyphs chosen per port and a gate field two characters wide: the same
+    text while every gate id has at most two digits."""
     if not layout.blocks:
         return "(empty layout)\n"
     x0 = min(x for x, _ in layout.blocks)

@@ -21,6 +21,7 @@ from helpers import (
     bend_minimum_milp,
     equal_up_to_phase,
     netlist_unitary,
+    one_sided_bends,
     random_degree4_graph,
     random_netlist,
     synth_qfg,
@@ -84,7 +85,7 @@ def test_criterion_3_windows_and_lp_line(code932):
     graph = build_dataflow(code932)
     windows = asap_alap(graph, 6)
     assert windows.window(6) == (1, 5)
-    text = to_lp_text(emit_ilp(code932, graph, windows, 6))
+    text = to_lp_text(emit_ilp(code932, graph, windows))
     assert "x_6_1 + x_6_2 + x_6_3 + x_6_4 + x_6_5 = 1" in text
     _ok("3", "window [1,5] and its series-1 row in the LP file")
 
@@ -159,6 +160,7 @@ def test_criterion_7_drawing_validity_and_bend_quality():
         rep = orthogonalize(pg)
         drawing = compact(pg, rep)
         assert validate_drawing(drawing) == []
+        assert one_sided_bends(rep)
         if len(qfg.nodes) <= 8:
             assert rep.total_bends == bend_minimum_milp(pg, rep)
             checked_optimal += 1

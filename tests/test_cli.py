@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CODE932 = str(ROOT / "circuits" / "code_9_3_2.qasm")
 TABLE3 = str(Path(__file__).resolve().parent / "fixtures" / "table3_schedule.json")
 LAYERED16 = str(ROOT / "tests" / "fixtures" / "layered16.qasm")
+MANIFEST = ROOT / "tests" / "fixtures" / "artifacts.sha256"
 
 
 def read(out_dir, name):
@@ -47,7 +49,7 @@ def test_layout_text_written_line_by_line(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "tile", lambda drawing: layouts.append(real_tile(drawing)) or layouts[-1])
     out = tmp_path / "cat7"
     assert main(["cat-gen", "7", "--out", str(out)]) == 0
-    assert read(out, "layout.txt") == layouts[0].to_text()
+    assert read(out, "layout.txt") == "".join(layouts[0].text_lines())
 
 
 def test_emit_filters_extras(tmp_path):
@@ -64,6 +66,27 @@ def test_byte_identical_reruns(tmp_path):
         assert main(["latency", CODE932, "--out", str(out), "--emit", "dot,svg,lp,json"]) == 0
     for path in sorted(out1.iterdir()):
         assert path.read_bytes() == (out2 / path.name).read_bytes(), path.name
+
+
+def test_artifacts_match_committed_manifest(tmp_path, capsys):
+    # the runs CI checks with `sha256sum -c`; layered16 and two_registers
+    # hold gate pairs that share two qubits, so `model.lp` lists each such
+    # pair once
+    calls = {
+        "code_9_3_2": ["latency", CODE932],
+        "layered16": ["latency", LAYERED16],
+        "two_registers": ["latency", str(ROOT / "tests" / "fixtures" / "two_registers.qasm")],
+        "cat32": ["cat-gen", "32"],
+    }
+    for name, argv in calls.items():
+        assert main([*argv, "--emit", "dot,svg,lp,json", "--out", str(tmp_path / name)]) == 0
+    written = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.glob("*/*")
+    }
+    manifest = dict(line.split()[::-1] for line in MANIFEST.read_text().splitlines())
+    assert len(manifest) == 52
+    assert written == manifest
 
 
 # runs each argv of the JSON list in sys.argv[1] through `main` with every
@@ -172,6 +195,46 @@ def test_verify_reports_violations(tmp_path, capsys):
     path.write_text(json.dumps(broken))
     assert main(["verify", CODE932, str(path)]) == 3
     assert "series-2" in capsys.readouterr().out
+
+
+def test_verify_rejects_an_instruction_scheduled_twice(tmp_path, capsys):
+    netlist, schedule = tmp_path / "h.qasm", tmp_path / "twice.json"
+    netlist.write_text("H q0\n")
+    schedule.write_text(
+        '{"horizon":2,"stages":[{"stage":1,"instruction_ids":[1]},'
+        '{"stage":2,"instruction_ids":[1]}]}'
+    )
+    assert main(["verify", str(netlist), str(schedule)]) == 2
+    assert "error: instruction 1 is scheduled twice" in capsys.readouterr().err
+
+
+H_ENTRY = '{"id":1,"kind":"H","controls":[],"target":0}'
+
+
+@pytest.mark.parametrize(
+    "netlist, schedule, field",
+    [
+        ('{"qubit_count":1,"instructions":[' + H_ENTRY.replace('"H"', '"FOO"') + "]}", None, "kind"),
+        ('{"qubit_count":1,"instructions":[{"id":1,"kind":"H","target":0}]}', None, "controls"),
+        ("[" + H_ENTRY + "]", None, "instructions"),
+        (
+            '{"qubit_count":1,"instructions":[' + H_ENTRY + "]}",
+            '{"horizon":1,"stages":[{"stage":1}]}',
+            "instruction_ids",
+        ),
+    ],
+    ids=["unknown-kind", "no-controls", "top-level-array", "schedule-without-ids"],
+)
+def test_malformed_json_input_exit_code(tmp_path, capsys, netlist, schedule, field):
+    (tmp_path / "netlist.json").write_text(netlist)
+    if schedule is None:
+        argv = ["latency", str(tmp_path / "netlist.json"), "--out", str(tmp_path / "o")]
+    else:
+        (tmp_path / "schedule.json").write_text(schedule)
+        argv = ["verify", str(tmp_path / "netlist.json"), str(tmp_path / "schedule.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{field}'" in err
 
 
 def test_oracle_cat4(tmp_path, capsys):

@@ -35,25 +35,23 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 def model_for(netlist, horizon):
     graph = build_dataflow(netlist)
-    return emit_ilp(netlist, graph, asap_alap(graph, horizon), horizon), graph
+    return emit_ilp(netlist, graph, asap_alap(graph, horizon)), graph
 
 
 class TestModel:
     def test_series1_for_instruction_six(self, code932):
         model, _ = model_for(code932, 6)
-        once = next(c for c in model.once if c.instr == 6)
-        assert once.stages == (1, 2, 3, 4, 5)
+        assert model.windows.stages(6) == range(1, 6)
 
     def test_series2_emitted_on_window_overlap(self, code932):
         model, _ = model_for(code932, 6)
-        pairs = {(c.a, c.b, c.stage) for c in model.exclusions}
-        assert (6, 7, 2) in pairs  # both windows contain stage 2, share q6
+        assert (6, 7, 2) in model.exclusions  # both windows contain stage 2, share q6
 
     def test_single_instruction_model(self):
         model, _ = model_for(parse_qasm("H q0"), 1)
-        assert model.variables == ((1, 1),)
-        assert len(model.once) == 1
+        assert model.windows.stages(1) == range(1, 2)
         assert not model.exclusions and not model.orders
+        assert " s1_1: x_1_1 = 1" in to_lp_text(model)
 
     def test_lp_text_sections(self, code932):
         model, _ = model_for(code932, 6)
@@ -76,22 +74,22 @@ class TestLpExport:
             netlist = random_netlist(rng)
             graph = build_dataflow(netlist)
             schedule = schedule_netlist(netlist, graph=graph)
-            h = schedule.horizon
-            model = emit_ilp(netlist, graph, asap_alap(graph, h), h)
+            model = emit_ilp(netlist, graph, asap_alap(graph, schedule.horizon))
+            domain = model.windows.stages
 
             def x(instr, stage):
                 return int(schedule.stage_of[instr] == stage)
 
             def weighted(instr):
-                return sum(l * x(instr, l) for l in model.domain(instr))
+                return sum(l * x(instr, l) for l in domain(instr))
 
-            for c in model.once:
-                assert sum(x(c.instr, l) for l in c.stages) == 1, c
-            for c in model.exclusions:
-                assert x(c.a, c.stage) + x(c.b, c.stage) <= 1, c
-            for c in model.orders:
-                assert weighted(c.before) + 1 <= weighted(c.after), c
-            rows[0] += len(model.once)
+            for instr in netlist.instructions:
+                assert sum(x(instr.id, l) for l in domain(instr.id)) == 1, instr
+            for a, b, stage in model.exclusions:
+                assert x(a, stage) + x(b, stage) <= 1, (a, b, stage)
+            for j, i in model.orders:
+                assert weighted(j) + 1 <= weighted(i), (j, i)
+            rows[0] += len(netlist)
             rows[1] += len(model.exclusions)
             rows[2] += len(model.orders)
         assert all(rows), rows

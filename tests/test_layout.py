@@ -302,7 +302,7 @@ class TestRoute:
 
 def test_layout_renders(code932):
     _, _, _, layout = pipeline(code932)
-    text = layout.to_text()
+    text = "".join(layout.text_lines())
     assert "gate 1 at block" in text
     assert layout.to_svg().startswith("<svg")
     assert '"blocks"' in layout.to_json()
@@ -311,11 +311,11 @@ def test_layout_renders(code932):
 def assert_text_matches_reference(layout):
     # compared line by line: pytest's diff of two multi-megabyte strings
     # takes minutes, of two lists it names the first differing line
-    assert layout.to_text().split("\n") == reference_layout_text(layout).split("\n")
+    assert "".join(layout.text_lines()).split("\n") == reference_layout_text(layout).split("\n")
 
 
 class TestText:
-    """`to_text` renders row by row; the full-grid renderer is the reference."""
+    """`text_lines` renders row by row; the full-grid renderer is the reference."""
 
     @pytest.mark.parametrize("n", [7, 32, 320])
     def test_cat(self, n):
@@ -323,7 +323,7 @@ class TestText:
         assert_text_matches_reference(layout)
         if n == 320:  # gate ids of three digits widen every cell to three characters
             assert max(layout.gate_location_of) >= 100
-            grid = layout.to_text().split("\n")[: -len(layout.gate_location_of) - 1]
+            grid = "".join(layout.text_lines()).split("\n")[: -len(layout.gate_location_of) - 1]
             assert all(len(line) % 9 == 0 for line in grid)
 
     def test_code932(self, code932):
@@ -344,7 +344,7 @@ class TestText:
         }
         layout = MacroLayout(blocks, {123: (0, 0), 7: (3, 0)}, {})
         assert_text_matches_reference(layout)
-        assert "\n\n\n\n" in layout.to_text()  # rows 1 and 2 hold no block
+        assert "\n\n\n\n" in "".join(layout.text_lines())  # rows 1 and 2 hold no block
 
     def test_cell_width_follows_the_longest_gate_id(self):
         blocks = {
@@ -353,7 +353,7 @@ class TestText:
             (2, 0): Macroblock(frozenset("W")),
         }
         layout = MacroLayout(blocks, {1234: (0, 0), 7: (1, 0)}, {})
-        assert layout.to_text().split("\n")[:3] == [
+        assert "".join(layout.text_lines()).split("\n")[:3] == [
             "#" * 12 + "#" * 12 + "#" * 12,
             "....1234...." + "....   7...." + "........####",
             "#" * 12 + "#" * 12 + "#" * 12,
@@ -362,7 +362,7 @@ class TestText:
 
     def test_empty(self):
         layout = MacroLayout({}, {}, {})
-        assert layout.to_text() == reference_layout_text(layout) == "(empty layout)\n"
+        assert "".join(layout.text_lines()) == reference_layout_text(layout) == "(empty layout)\n"
 
 
 @pytest.fixture(scope="module")
@@ -439,7 +439,7 @@ class TestAgainstReference:
         narrow = 0
         for name, _, _, _, drawing in macroblock_cases:
             layout = tile(drawing)
-            text = layout.to_text()
+            text = "".join(layout.text_lines())
             assert text.split("\n") == reference_layout_text(layout).split("\n"), name
             if max(layout.gate_location_of) < 100:
                 narrow += 1

@@ -20,7 +20,7 @@ def test_cat4_edges_trace_each_qubit():
         (4, 5, 3),
         (5, 6, 4),
     }
-    assert qfg.first_use[1] == 1 and qfg.last_use[4] == 6
+    assert qfg.first_use[1] == 1 and qfg.first_use[4] == 5
 
 
 def test_single_instruction():
