@@ -223,11 +223,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_oracle(args)
         emit = _Emitter(args.out, args.emit)
         if args.command == "cat-gen":
-            if args.n < 2:
-                print("error: cat circuit needs n >= 2", file=sys.stderr)
-                return EXIT_PARSE
-            netlist = generate_cat_circuit(args.n)
-            return _pipeline(netlist, args, emit, "latency")
+            return _pipeline(generate_cat_circuit(args.n), args, emit, "latency")
         netlist = _read_netlist(args.input)
         return _pipeline(netlist, args, emit, args.command)
     except (PlanarizeError, LayoutError) as exc:  # both are ValueErrors, so catch them first

@@ -89,9 +89,6 @@ class DataflowGraph:
             held[:] = (netlist, common_qubit_table(netlist))
         return held[1]
 
-    def successors(self, node: int) -> list[int]:
-        return self._succs[node]
-
     def predecessors(self, node: int) -> list[int]:
         return self._preds[node]
 
@@ -187,9 +184,6 @@ class ScheduleWindow:
     horizon: int
     asap: dict[int, int]
     alap: dict[int, int]
-
-    def window(self, instr_id: int) -> tuple[int, int]:
-        return self.asap[instr_id], self.alap[instr_id]
 
     def slack(self, instr_id: int) -> int:
         return self.alap[instr_id] - self.asap[instr_id]

@@ -3,9 +3,19 @@
 Every macroblock occupies a 3x3 footprint of trap cells and electrodes and
 connects to neighbours through up to four ports. Gate locations exist only
 on straight channel blocks, never at turns or junctions, so an instruction
-whose drawing node is a corner or junction gets its gate shifted into the
-first channel block of one of its incident edges. One drawing grid unit maps
-to three macroblocks, which leaves that channel block free by construction.
+whose drawing node is a corner or junction gets its gate shifted into a
+neighbouring block: through the first port, in E, S, W, N order, whose
+neighbour is a free straight block (a straight channel, not a node cell,
+and no gate there yet).
+
+A `GridMap` takes each drawing grid line to a block coordinate, one map per
+axis, with grid line 0 at block 0. The gap between two neighbouring grid
+lines is 2 blocks wide, so each gap holds one channel block. Where a corner
+or junction finds no free host (two of them joined by a one-unit edge both
+want the block between them), the gaps on that node's ported sides widen to
+3 blocks and `tile` starts again. Widths only grow, and with every gap at 3
+the first port's neighbour is always free, so the loop ends; `LayoutError`
+reports a node that stays without a host on a drawing that breaks this.
 
 While `tile` collects port demands, a cell's port set is a 4-bit mask (E=1,
 S=2, W=4, N=8). Every gate-free cell of a tiled layout holds one of 15
@@ -18,18 +28,16 @@ and `to_svg` fills one nine-rectangle template per port set.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from operator import itemgetter, ne
 from typing import NamedTuple
 
 from .artifact import json_fragment
 from .drawing import EdgeKey, OrthogonalDrawing, Point
 from .qfg import QubitFlowGraph
-
-SCALE = 3
 
 # direction name -> grid delta (y grows downward)
 DIRS: dict[str, Point] = {"E": (1, 0), "S": (0, 1), "W": (-1, 0), "N": (0, -1)}
@@ -142,10 +150,43 @@ def _glyph_table(width: int) -> dict[frozenset[str], tuple[str, str, str, str, s
 
 
 @dataclass(frozen=True)
+class GridMap:
+    """Block coordinate of each drawing grid line: `xs` for x, `ys` for y."""
+
+    xs: dict[int, int] = field(default_factory=dict)
+    ys: dict[int, int] = field(default_factory=dict)
+
+    def cells(self, points: Iterable[Point]) -> list[Point]:
+        """The block cell of each drawing point."""
+        xs, ys = self.xs, self.ys
+        try:
+            return [(xs[x], ys[y]) for x, y in points]
+        except KeyError:
+            raise LayoutError(f"points {points} leave the layout's grid") from None
+
+
+def _axis(lines: set[int], wide: set[int]) -> dict[int, int]:
+    """Block coordinate of every grid line from the lowest of `lines` (or 0)
+    to the highest: line 0 sits at block 0, and the gap from line g to g + 1
+    is 3 blocks wide if g is in `wide`, else 2."""
+    if not lines:
+        return {}
+    start = min(0, min(lines))
+    c = -sum(3 if g in wide else 2 for g in range(start, 0))
+    coord = {}
+    for g in range(start, max(lines) + 1):
+        coord[g] = c
+        c += 3 if g in wide else 2
+    return coord
+
+
+@dataclass(frozen=True)
 class MacroLayout:
     blocks: dict[Point, Macroblock]
     gate_location_of: dict[int, Point]
     node_cell: dict[int, Point]
+    # the map `tile` drew the layout on; empty for a layout built by hand
+    grid: GridMap = field(default_factory=GridMap)
 
     def check_ports(self) -> None:
         """Every open port must face a matching open port; the error names
@@ -287,11 +328,10 @@ def _direction(a: Point, b: Point) -> str:
     return name
 
 
-def _runs(points: tuple[Point, ...]) -> Iterator[tuple[Point, str, list[Point]]]:
-    """Each segment of a drawn polyline at block scale, zero-length ones
-    left out: its first cell, its direction and the cells it enters."""
-    scaled = [(x * SCALE, y * SCALE) for x, y in points]
-    for a, b in zip(scaled, scaled[1:]):
+def _runs(cells: list[Point]) -> Iterator[tuple[Point, str, list[Point]]]:
+    """Each segment of a drawn polyline mapped to block cells, zero-length
+    ones left out: its first cell, its direction and the cells it enters."""
+    for a, b in zip(cells, cells[1:]):
         if a == b:
             continue  # a zero-length segment adds no cell
         d = _direction(a, b)
@@ -304,12 +344,48 @@ def _runs(points: tuple[Point, ...]) -> Iterator[tuple[Point, str, list[Point]]]
             yield a, d, list(zip(repeat(ax), range(ay + step, by + step, step)))
 
 
+class _NoFreeHost(Exception):
+    """Raised with (instruction, port mask) for a corner or junction that
+    finds no free straight block next to it."""
+
+
+# per port direction: the axis (0 for x, 1 for y) of the gap a port opens
+# into and that gap's offset from the node's grid line
+_GAP_OF_PORT = {"E": (0, 0), "W": (0, -1), "S": (1, 0), "N": (1, -1)}
+
+
 def tile(drawing: OrthogonalDrawing) -> MacroLayout:
-    """Convert a drawing into a port-consistent macroblock grid."""
+    """Convert a drawing into a port-consistent macroblock grid: every gap 2
+    blocks wide, 3 on the ported sides of each node that finds no free host."""
+    points = [*drawing.node_pos.values(), *chain.from_iterable(drawing.routes.values())]
+    lines = ({x for x, _ in points}, {y for _, y in points})
+    wide: tuple[set[int], set[int]] = (set(), set())
+    while True:
+        grid = GridMap(_axis(lines[0], wide[0]), _axis(lines[1], wide[1]))
+        try:
+            return _tile_on(drawing, grid)
+        except _NoFreeHost as stuck:
+            instr, mask = stuck.args
+            position = drawing.node_pos[instr]
+            grown = False
+            for d in _ORDER:
+                if mask & _BIT[d]:
+                    axis, offset = _GAP_OF_PORT[d]
+                    gap = position[axis] + offset
+                    grown |= gap not in wide[axis]
+                    wide[axis].add(gap)
+            if not grown:
+                cell = grid.cells((position,))[0]
+                raise LayoutError(f"no free gate block next to junction at {cell}") from None
+
+
+def _tile_on(drawing: OrthogonalDrawing, grid: GridMap) -> MacroLayout:
+    """`tile` at the gap widths of `grid`; raises `_NoFreeHost` for the first
+    corner or junction, by instruction id, that finds no free host."""
     demand: dict[Point, int] = {}  # cell -> port mask
     get = demand.get
     for _, points in sorted(drawing.routes.items()):
-        for start, d, cells in _runs(points):
+        for start, d, cells in _runs(grid.cells(points)):
             out, back = _BIT[d], _BIT[OPPOSITE[d]]
             demand[start] = get(start, 0) | out
             for cell in cells[:-1]:
@@ -317,7 +393,7 @@ def tile(drawing: OrthogonalDrawing) -> MacroLayout:
             end = cells[-1]
             demand[end] = get(end, 0) | back
 
-    node_cell = {i: (x * SCALE, y * SCALE) for i, (x, y) in drawing.node_pos.items()}
+    node_cell = dict(zip(drawing.node_pos, grid.cells(drawing.node_pos.values())))
     node_cells = set(node_cell.values())
     gate_cells: dict[int, Point] = {}
     gate_marks: dict[Point, list[int]] = {}
@@ -335,15 +411,23 @@ def tile(drawing: OrthogonalDrawing) -> MacroLayout:
                 neighbour = (cell[0] + dx, cell[1] + dy)
                 if neighbour not in demand:
                     demand[neighbour] = _BIT[facing]
+            continue
+        # corner or junction: shift the gate through the first port, in
+        # _ORDER, whose neighbour is a free straight block
+        for d in _ORDER:
+            if mask & _BIT[d]:
+                dx, dy = DIRS[d]
+                host = (cell[0] + dx, cell[1] + dy)
+                if (
+                    get(host) in (_HORIZONTAL, _VERTICAL)
+                    and host not in gate_marks
+                    and host not in node_cells
+                ):
+                    gate_cells[instr] = host
+                    gate_marks[host] = [instr]
+                    break
         else:
-            # corner or junction: shift the gate into an owned channel block,
-            # through its first port in _ORDER (the mask's lowest bit)
-            dx, dy = DIRS[_ORDER[(mask & -mask).bit_length() - 1]]
-            host = (cell[0] + dx, cell[1] + dy)
-            if host in gate_marks or host in node_cells:
-                raise LayoutError(f"no free gate block next to junction at {cell}")
-            gate_cells[instr] = host
-            gate_marks.setdefault(host, []).append(instr)
+            raise _NoFreeHost(instr, mask)
 
     blocks = {
         cell: Macroblock(_PORT_SETS[mask], tuple(gate_marks[cell]))
@@ -351,7 +435,7 @@ def tile(drawing: OrthogonalDrawing) -> MacroLayout:
         else _SHARED[mask]
         for cell, mask in demand.items()
     }
-    layout = MacroLayout(blocks, gate_cells, node_cell)
+    layout = MacroLayout(blocks, gate_cells, node_cell, grid)
     layout.check_ports()
     return layout
 
@@ -376,17 +460,19 @@ def route(
     drawing: OrthogonalDrawing,
     layout: MacroLayout,
 ) -> RoutePlan:
-    """Per-edge cell paths between gate locations, following the drawing."""
+    """Per-edge cell paths between gate locations, following the drawing
+    through the layout's grid map."""
+    grid = layout.grid
     steps: dict[tuple[int, EdgeKey], tuple[RouteStep, ...]] = {}
     for key in qfg.edges:
         i, j, qubit = key
         points = drawing.routes.get(key)
         if points is None:
             raise LayoutError(f"edge {key} has no drawn route")
-        x, y = points[0]
+        mapped = grid.cells(points)
         # dirs[k] leads from cells[k] to cells[k + 1]
-        cells, dirs = [(x * SCALE, y * SCALE)], []
-        for _, d, run in _runs(points):
+        cells, dirs = mapped[:1], []
+        for _, d, run in _runs(mapped):
             cells += run
             dirs += repeat(d, len(run))
         start = layout.gate_location_of[i]

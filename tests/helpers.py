@@ -30,7 +30,7 @@ from ionpd.lrplanarity import planar_rings
 from ionpd.macrolayout import (
     DIRS,
     OPPOSITE,
-    SCALE,
+    GridMap,
     LayoutError,
     MacroLayout,
     Macroblock,
@@ -199,13 +199,16 @@ def all_pairs_dataflow(netlist: Netlist) -> DataflowGraph:
 
 def reachable(graph: DataflowGraph, src: int, dst: int) -> bool:
     """True iff dst depends (possibly transitively) on src."""
+    successors: dict[int, list[int]] = {}
+    for j, i in graph.edges:
+        successors.setdefault(j, []).append(i)
     stack = [src]
     seen = set()
     while stack:
         cur = stack.pop()
         if cur == dst:
             return True
-        for nxt in graph.successors(cur):
+        for nxt in successors.get(cur, ()):
             if nxt <= dst and nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
@@ -1013,17 +1016,59 @@ def _reference_polyline(points: tuple[Point, ...]) -> tuple[list[Point], list[st
     return cells, dirs
 
 
+def _reference_grid(drawing: OrthogonalDrawing, wide: tuple[set[int], set[int]]) -> GridMap:
+    """Line g at 2 * g blocks, plus one block for each wide gap between line
+    0 and line g, on every line from min(0, lowest used) to the highest."""
+    maps = []
+    for axis in (0, 1):
+        used = [p[axis] for p in drawing.node_pos.values()]
+        used += [p[axis] for pts in drawing.routes.values() for p in pts]
+        if not used:
+            maps.append({})
+            continue
+        extra = sorted(wide[axis])
+        maps.append({
+            g: 2 * g + bisect_left(extra, g) - bisect_left(extra, 0)
+            for g in range(min(0, *used), max(used) + 1)
+        })
+    return GridMap(*maps)
+
+
 def reference_tile(drawing: OrthogonalDrawing) -> MacroLayout:
-    """`macrolayout.tile` with a `set` of port names per cell and one
-    `Macroblock` built per cell."""
+    """`macrolayout.tile` with a `set` of port names per cell, one
+    `Macroblock` built per cell, and each grid line's block coordinate
+    counted from its wide gaps."""
+    wide: tuple[set[int], set[int]] = (set(), set())
+    while True:
+        grid = _reference_grid(drawing, wide)
+        layout = _reference_tile_on(drawing, grid)
+        if isinstance(layout, MacroLayout):
+            return layout
+        instr, ports = layout
+        x, y = drawing.node_pos[instr]
+        gaps = {"E": (0, x), "W": (0, x - 1), "S": (1, y), "N": (1, y - 1)}
+        new = [(axis, gap) for axis, gap in map(gaps.get, ports) if gap not in wide[axis]]
+        if not new:
+            cell = (grid.xs[x], grid.ys[y])
+            raise LayoutError(f"no free gate block next to junction at {cell}")
+        for axis, gap in new:
+            wide[axis].add(gap)
+
+
+def _reference_tile_on(drawing: OrthogonalDrawing, grid: GridMap):
+    """The layout at `grid`'s gap widths, or (instruction, ports) of the
+    first corner or junction without a free straight block beside it."""
+    def at(p: Point) -> Point:
+        return grid.xs[p[0]], grid.ys[p[1]]
+
     demands: dict[Point, set[str]] = {}
     for key, pts in sorted(drawing.routes.items()):
-        cells, dirs = _reference_polyline(tuple((x * SCALE, y * SCALE) for x, y in pts))
+        cells, dirs = _reference_polyline(tuple(at(p) for p in pts))
         for a, b, d in zip(cells, cells[1:], dirs):
             demands.setdefault(a, set()).add(d)
             demands.setdefault(b, set()).add(OPPOSITE[d])
 
-    node_cell = {i: (x * SCALE, y * SCALE) for i, (x, y) in drawing.node_pos.items()}
+    node_cell = {i: at(p) for i, p in drawing.node_pos.items()}
     blocks: dict[Point, set[str]] = {cell: set(ports) for cell, ports in demands.items()}
     gate_cells: dict[int, Point] = {}
     gate_marks: dict[Point, list[int]] = {}
@@ -1045,20 +1090,28 @@ def reference_tile(drawing: OrthogonalDrawing) -> MacroLayout:
                 neighbour = (cell[0] + dx, cell[1] + dy)
                 if neighbour not in blocks:
                     blocks[neighbour] = {OPPOSITE[port]}
-        else:
-            host_dir = next(d for d in ("E", "S", "W", "N") if d in ports)
-            dx, dy = DIRS[host_dir]
-            host = (cell[0] + dx, cell[1] + dy)
-            if host in gate_marks or host in node_cell.values():
-                raise LayoutError(f"no free gate block next to junction at {cell}")
-            gate_cells[instr] = host
-            gate_marks.setdefault(host, []).append(instr)
+            continue
+        hosts = [
+            (cell[0] + DIRS[d][0], cell[1] + DIRS[d][1])
+            for d in ("E", "S", "W", "N")
+            if d in ports
+        ]
+        free = [
+            host for host in hosts
+            if blocks.get(host) in ({"E", "W"}, {"N", "S"})
+            and host not in gate_marks
+            and host not in node_cell.values()
+        ]
+        if not free:
+            return instr, ports
+        gate_cells[instr] = free[0]
+        gate_marks.setdefault(free[0], []).append(instr)
 
     built = {
         cell: Macroblock(frozenset(ports), tuple(gate_marks.get(cell, ())))
         for cell, ports in blocks.items()
     }
-    layout = MacroLayout(built, gate_cells, node_cell)
+    layout = MacroLayout(built, gate_cells, node_cell, grid)
     layout.check_ports()
     return layout
 
@@ -1164,9 +1217,8 @@ def reference_route(qfg: QubitFlowGraph, drawing: OrthogonalDrawing, layout: Mac
         i, j, qubit = key
         if key not in drawing.routes:
             raise LayoutError(f"edge {key} has no drawn route")
-        cells, dirs = _reference_polyline(
-            tuple((x * SCALE, y * SCALE) for x, y in drawing.routes[key])
-        )
+        xs, ys = layout.grid.xs, layout.grid.ys
+        cells, dirs = _reference_polyline(tuple((xs[x], ys[y]) for x, y in drawing.routes[key]))
         start = layout.gate_location_of[i]
         end = layout.gate_location_of[j]
         if cells[0] != start:

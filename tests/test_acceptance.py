@@ -84,7 +84,7 @@ def test_criterion_2_table3_witness(code932, table3_schedule_path):
 def test_criterion_3_windows_and_lp_line(code932):
     graph = build_dataflow(code932)
     windows = asap_alap(graph, 6)
-    assert windows.window(6) == (1, 5)
+    assert (windows.asap[6], windows.alap[6]) == (1, 5)
     text = to_lp_text(emit_ilp(code932, graph, windows))
     assert "x_6_1 + x_6_2 + x_6_3 + x_6_4 + x_6_5 = 1" in text
     _ok("3", "window [1,5] and its series-1 row in the LP file")
@@ -154,6 +154,7 @@ def test_criterion_7_drawing_validity_and_bend_quality():
     rng = random.Random(424242)
     checked_optimal = 0
     forests = 0
+    widened = 0
     for _ in range(500):
         qfg = random_degree4_graph(rng)
         pg = planarize(qfg)
@@ -161,6 +162,14 @@ def test_criterion_7_drawing_validity_and_bend_quality():
         drawing = compact(pg, rep)
         assert validate_drawing(drawing) == []
         assert one_sided_bends(rep)
+        # every drawing tiles and routes; a gap of three blocks is a widened one
+        layout = tile(drawing)
+        route(qfg, drawing, layout)
+        widened += any(
+            b - a == 3
+            for axis in (layout.grid.xs, layout.grid.ys)
+            for a, b in itertools.pairwise(sorted(axis.values()))
+        )
         if len(qfg.nodes) <= 8:
             assert rep.total_bends == bend_minimum_milp(pg, rep)
             checked_optimal += 1
@@ -174,9 +183,11 @@ def test_criterion_7_drawing_validity_and_bend_quality():
         tree = planarize(synth_qfg(list(range(1, 2 + leaves)), star))
         assert tree.crossings == frozenset()
     assert checked_optimal > 100
+    assert widened >= 1
     _ok(
         "7",
-        f"500 drawings valid, {checked_optimal} bend-optimal vs MILP, trees crossing-free",
+        f"500 drawings valid, tiled and routed ({widened} with a widened gap), "
+        f"{checked_optimal} bend-optimal vs MILP, trees crossing-free",
     )
 
 

@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CODE932 = str(ROOT / "circuits" / "code_9_3_2.qasm")
 TABLE3 = str(Path(__file__).resolve().parent / "fixtures" / "table3_schedule.json")
 LAYERED16 = str(ROOT / "tests" / "fixtures" / "layered16.qasm")
+LAYERED5 = str(ROOT / "tests" / "fixtures" / "layered5.qasm")
 MANIFEST = ROOT / "tests" / "fixtures" / "artifacts.sha256"
 
 
@@ -71,10 +72,11 @@ def test_byte_identical_reruns(tmp_path):
 def test_artifacts_match_committed_manifest(tmp_path, capsys):
     # the runs CI checks with `sha256sum -c`; layered16 and two_registers
     # hold gate pairs that share two qubits, so `model.lp` lists each such
-    # pair once
+    # pair once, and layered5's layout widens a gap to three blocks
     calls = {
         "code_9_3_2": ["latency", CODE932],
         "layered16": ["latency", LAYERED16],
+        "layered5": ["latency", LAYERED5],
         "two_registers": ["latency", str(ROOT / "tests" / "fixtures" / "two_registers.qasm")],
         "cat32": ["cat-gen", "32"],
     }
@@ -85,7 +87,7 @@ def test_artifacts_match_committed_manifest(tmp_path, capsys):
         for path in tmp_path.glob("*/*")
     }
     manifest = dict(line.split()[::-1] for line in MANIFEST.read_text().splitlines())
-    assert len(manifest) == 52
+    assert len(manifest) == 65
     assert written == manifest
 
 
@@ -171,6 +173,11 @@ def test_parse_subcommand(tmp_path, capsys):
     assert "parsed 20 instructions on 9 qubits" in capsys.readouterr().out
     payload = json.loads(read(out, "netlist.json"))
     assert payload["qubit_count"] == 9
+
+
+def test_cat_gen_rejects_one_qubit(tmp_path, capsys):
+    assert main(["cat-gen", "1", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: cat circuit needs n >= 2, got 1\n"
 
 
 def test_cat_gen_runs_full_pipeline(tmp_path, capsys):
@@ -397,16 +404,16 @@ def test_missing_drawn_route_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_gate_off_its_route_exit_code(tmp_path, capsys, monkeypatch):
+    from dataclasses import replace
+
     import ionpd.cli as cli
-    from ionpd.macrolayout import MacroLayout
 
     real_tile = cli.tile
 
     def move_gate_one(drawing):
         layout = real_tile(drawing)
         x, y = layout.gate_location_of[1]
-        gates = {**layout.gate_location_of, 1: (x - 10, y - 10)}
-        return MacroLayout(layout.blocks, gates, layout.node_cell)
+        return replace(layout, gate_location_of={**layout.gate_location_of, 1: (x - 10, y - 10)})
 
     monkeypatch.setattr(cli, "tile", move_gate_one)
     assert main(["latency", CODE932, "--out", str(tmp_path / "o")]) == 4

@@ -208,7 +208,7 @@ class TestWindows:
     def test_worked_example_window(self, code932):
         graph = build_dataflow(code932)
         windows = asap_alap(graph, 6)
-        assert windows.window(6) == (1, 5)
+        assert (windows.asap[6], windows.alap[6]) == (1, 5)
 
     def test_source_gets_stage_one(self, code932):
         windows = asap_alap(build_dataflow(code932), 6)
@@ -218,7 +218,7 @@ class TestWindows:
         chain = parse_qasm("H q0\nCX q0,q1\nH q1")
         graph = build_dataflow(chain)
         windows = asap_alap(graph, 3)
-        assert [windows.window(i) for i in (1, 2, 3)] == [(1, 1), (2, 2), (3, 3)]
+        assert [(windows.asap[i], windows.alap[i]) for i in (1, 2, 3)] == [(1, 1), (2, 2), (3, 3)]
         assert all(windows.slack(i) == 0 for i in (1, 2, 3))
 
     def test_horizon_below_critical_path(self):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -41,18 +42,22 @@ from ionpd.qasm import parse_qasm
 from ionpd.qfg import build_qfg
 from ionpd.solver import schedule_netlist
 
-LAYERED16 = Path(__file__).resolve().parent / "fixtures" / "layered16.qasm"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+LAYERED16 = FIXTURES / "layered16.qasm"
+# the bench's layered:5 netlist: its gate 141 sits on a corner whose two
+# one-unit edges lead to corners that took the blocks between them first
+LAYERED5 = FIXTURES / "layered5.qasm"
 # sha256 of `layout.json` and `latency.json` written by `ionpd latency` on the
 # layered16 fixture and by `ionpd cat-gen 32`: they change only if a layout
 # or its simulation does
 ARTIFACT_PINS = {
     "layered16": {
-        "layout.json": "2e1df4c32076c86f9a3ff28b01c76c66e1b73b892b8a9bc72c594e46228bc896",
-        "latency.json": "0140a56df2b998ab42782c201dff2ac178533c113dfba412f00f8b4f70f2ba28",
+        "layout.json": "cc3106a9abe3341145fe091335f9c19ab853569a300bd1d24b0bd9e167c8fcde",
+        "latency.json": "44cb21a7e7c860ec6462ef6d3d1d48314c8cbcc398609674393872e23e60b702",
     },
     "cat32": {
-        "layout.json": "f4836e11ee5785c3f00aeee91dbbeea1c237c9e84602d55ddd48027937b1f2b3",
-        "latency.json": "6830e2becad14fed8e78bd630e724dd5d23356d6e3beed1b87da2d1d45b9ff71",
+        "layout.json": "ee3efd7898e3c0c7fbe9b582c28cb04d8e84df011bb7396bea1dc8181fbae361",
+        "latency.json": "b451d610f7fd8fd7652d6960f7ced005ddabccf69ef7de65ba2e7664e81c6dc7",
     },
 }
 
@@ -117,11 +122,14 @@ class TestTile:
             {1: (0, 0), 2: (1, 0)}, {(1, 2, 0): ((0, 0), (1, 0))}
         )
         layout = tile(drawing)
-        assert layout.gate_location_of == {1: (0, 0), 2: (3, 0)}
-        row = [layout.blocks[(x, 0)].kind for x in range(-1, 5)]
+        xs = layout.grid.xs
+        assert xs == {0: 0, 1: 2}  # a gap nothing widens is two blocks
+        assert layout.gate_location_of == {1: (xs[0], 0), 2: (xs[1], 0)}
+        row = [layout.blocks[(x, 0)].kind for x in range(xs[0] - 1, xs[1] + 2)]
         assert row == [
-            "DEAD_END_E", "GATE_STRAIGHT_H", "STRAIGHT_H",
-            "STRAIGHT_H", "GATE_STRAIGHT_H", "DEAD_END_W",
+            "DEAD_END_E", "GATE_STRAIGHT_H",
+            *["STRAIGHT_H"] * (xs[1] - xs[0] - 1),
+            "GATE_STRAIGHT_H", "DEAD_END_W",
         ]
 
     def test_zero_length_segments_add_nothing(self):
@@ -132,11 +140,15 @@ class TestTile:
         )
         assert tile(padded) == tile(plain)
         qfg = synth_qfg([1, 2], [(1, 2)])
-        plan = route(qfg, padded, tile(padded))
+        layout = tile(padded)
+        plan = route(qfg, padded, layout)
         assert plan == route(qfg, plain, tile(plain))
-        assert [step.turn for step in plan.steps[(0, (1, 2, 0))]] == [
-            False, False, False, False, False, True, False, False, False,
-        ]
+        # east to the corner, which the last east step enters as a turn, then south
+        east = layout.grid.xs[2] - layout.grid.xs[0]
+        south = layout.grid.ys[1] - layout.grid.ys[0]
+        assert [step.turn for step in plan.steps[(0, (1, 2, 0))]] == (
+            [False] * (east - 1) + [True] + [False] * south
+        )
 
     def test_diagonal_segment_raises(self):
         drawing = OrthogonalDrawing({1: (0, 0), 2: (1, 2)}, {(1, 2, 0): ((0, 0), (1, 2))})
@@ -193,7 +205,64 @@ class TestTile:
             crossings=((1, 1),),
         )
         layout = tile(crossing)
-        assert layout.blocks[(3, 3)].kind == "CROSS"
+        assert layout.blocks[layout.grid.xs[1], layout.grid.ys[1]].kind == "CROSS"
+
+
+# corners 1 at (0, 1) and 2 at (1, 0) take the blocks between them and
+# corner 3 at (1, 1) first; 3 opens W and N only, so at two blocks per gap it
+# finds no free host. Nodes 4 and 5 end the corners' other edges
+CORNERS = OrthogonalDrawing(
+    {1: (0, 1), 2: (1, 0), 3: (1, 1), 4: (0, 0), 5: (0, 2)},
+    {
+        (1, 3, 0): ((0, 1), (1, 1)),
+        (2, 3, 1): ((1, 0), (1, 1)),
+        (2, 4, 2): ((1, 0), (0, 0)),
+        (1, 5, 3): ((0, 1), (0, 2)),
+    },
+)
+
+
+def gap_widths(axis: dict[int, int]) -> list[int]:
+    """Blocks between consecutive grid lines of one axis of a grid map."""
+    coords = [axis[g] for g in sorted(axis)]
+    return [b - a for a, b in zip(coords, coords[1:])]
+
+
+class TestWidening:
+    """Every gap is two blocks wide; a corner or junction without a free
+    host widens the gaps on its ported sides to three and tiles again."""
+
+    def test_corner_without_free_host_widens_its_gaps_only(self):
+        layout = tile(CORNERS)
+        # corner 3's W and N sides widen; the gap from y = 1 to 2 stays at two
+        assert layout.grid.xs == {0: 0, 1: 3}
+        assert layout.grid.ys == {0: 0, 1: 3, 2: 5}
+        assert layout.gate_location_of == {1: (1, 3), 2: (3, 1), 3: (2, 3), 4: (0, 0), 5: (0, 5)}
+        assert layout == reference_tile(CORNERS)
+        qfg = synth_qfg([1, 2, 3, 4, 5], [(1, 3), (2, 3), (2, 4), (1, 5)])
+        assert route(qfg, CORNERS, layout) == reference_route(qfg, CORNERS, layout)
+
+    def test_host_that_widening_cannot_free_raises(self):
+        # three corners drawn on one point: the third finds both of the
+        # point's ports taken however wide the gaps are
+        stacked = OrthogonalDrawing(
+            {1: (0, 0), 2: (0, 0), 3: (0, 0), 4: (1, 0), 5: (0, 1)},
+            {(1, 4, 0): ((0, 0), (1, 0)), (1, 5, 1): ((0, 0), (0, 1))},
+        )
+        for tiler in (tile, reference_tile):
+            with pytest.raises(LayoutError, match=r"no free gate block next to junction at \(0, 0\)"):
+                tiler(stacked)
+
+    def test_layered5_widens_a_gap_and_beats_every_gap_at_three(self, macroblock_cases):
+        name, netlist, schedule, qfg, drawing = macroblock_cases[-1]
+        assert name == "layered5"
+        layout = tile(drawing)
+        widths = gap_widths(layout.grid.xs) + gap_widths(layout.grid.ys)
+        assert 3 in widths and set(widths) == {2, 3}
+        layout.check_ports()
+        plan = route(qfg, drawing, layout)
+        report = simulate(netlist, schedule, layout, plan, place_qubits(qfg, layout))
+        assert report.total < 2434  # its latency with every gap three blocks wide
 
 
 class TestPlaceQubits:
@@ -225,19 +294,18 @@ class TestRoute:
 
     def test_edge_without_drawn_route_raises(self):
         qfg = synth_qfg([1, 2], [(1, 2)])
-        drawing = OrthogonalDrawing({1: (0, 0), 2: (1, 0)}, {})
+        drawn = OrthogonalDrawing({1: (0, 0), 2: (1, 0)}, {(1, 2, 0): ((0, 0), (1, 0))})
+        layout = tile(drawn)
         for router in (route, reference_route):
             with pytest.raises(LayoutError, match=r"edge \(1, 2, 0\) has no drawn route"):
-                router(qfg, drawing, tile(drawing))
+                router(qfg, replace(drawn, routes={}), layout)
 
     @pytest.mark.parametrize("gate", [1, 2])
     def test_gate_off_its_route_raises(self, gate):
         qfg = synth_qfg([1, 2], [(1, 2)])
         drawing = OrthogonalDrawing({1: (0, 0), 2: (1, 0)}, {(1, 2, 0): ((0, 0), (1, 0))})
         layout = tile(drawing)
-        moved = MacroLayout(
-            layout.blocks, {**layout.gate_location_of, gate: (1, 5)}, layout.node_cell
-        )
+        moved = replace(layout, gate_location_of={**layout.gate_location_of, gate: (1, 5)})
         for router in (route, reference_route):
             with pytest.raises(
                 LayoutError, match=rf"gate of {gate} disconnected from route \(1, 2, 0\)"
@@ -368,13 +436,15 @@ class TestText:
 @pytest.fixture(scope="module")
 def macroblock_cases(code932):
     """(name, netlist, schedule, qfg, drawing) for layered16, Cat-80,
-    code_9_3_2 and 12 seeded random netlists."""
+    code_9_3_2, 12 seeded random netlists and, last, layered5, which widens
+    a gap."""
     rng = random.Random(47)
     netlists = [
         ("layered16", parse_qasm(LAYERED16.read_text())),
         ("cat80", generate_cat_circuit(80)),
         ("code_9_3_2", code932),
     ] + [(f"random{k}", random_netlist(rng, max_instr=40, max_qubits=8)) for k in range(12)]
+    netlists.append(("layered5", parse_qasm(LAYERED5.read_text())))
     cases = []
     for name, netlist in netlists:
         schedule, qfg, drawing, _ = pipeline(netlist)
