@@ -101,8 +101,7 @@ def _require_gate_costs(netlist: Netlist, model: LatencyModel) -> None:
 
 def _pipeline(netlist: Netlist, args, emit: _Emitter, upto: str) -> int:
     if args.library != "none":
-        lib = Library.CV_LIBRARY if args.library == "cv" else Library.FT_LIBRARY
-        netlist = decompose(netlist, lib)
+        netlist = decompose(netlist, Library(args.library))
     if upto == "latency":
         model = load_latency_model(args.latency_config)
         _require_gate_costs(netlist, model)
@@ -147,7 +146,7 @@ def _pipeline(netlist: Netlist, args, emit: _Emitter, upto: str) -> int:
 
     plan = route(qfg, drawing, layout)
     placement = place_qubits(qfg, layout)
-    report = simulate(netlist, schedule, layout, plan, placement, model, graph)
+    report = simulate(netlist, qfg, layout, plan, placement, model)
     emit.write("latency.json", report.to_json)
     print(f"total latency: {report.total} us over {schedule.stage_count} stages")
     return EXIT_OK

@@ -373,7 +373,7 @@ def compact(pg: PlanarizedGraph, rep: OrthoRep) -> OrthogonalDrawing:
     # (u, v) -> the points of the bends from u to v, for both orientations
     bend_pts: dict[tuple[Node, Node], list[Point]] = {}
     offset = 0
-    for comp, face_idx in pg.component_faces():
+    for comp, face_idx in pg.components:
         if not face_idx:
             positions[comp[0]] = (offset, 0)
             offset += 2

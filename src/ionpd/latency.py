@@ -15,22 +15,12 @@ instruction id through the deterministic processing order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .artifact import render_json
-from .depgraph import DataflowGraph, build_dataflow
 from .gates import GateKind, Netlist
 from .macrolayout import MacroLayout, Point, RoutePlan
-from .solver import Schedule, validate
-
-_FIELDS = (
-    "one_qubit_gate",
-    "two_qubit_gate",
-    "measurement",
-    "zero_prepare",
-    "straight_move",
-    "turn",
-)
+from .qfg import QubitFlowGraph
 
 
 class LatencyConfigError(ValueError):
@@ -47,10 +37,10 @@ class LatencyModel:
     turn: float = 10.0
 
     def __post_init__(self) -> None:
-        for name in _FIELDS:
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise LatencyConfigError(f"{name} must be a positive number, got {value!r}")
+                raise LatencyConfigError(f"{f.name} must be a positive number, got {value!r}")
 
     def gate_cost(self, kind: GateKind) -> float:
         if kind is GateKind.Measure:
@@ -70,6 +60,7 @@ def load_latency_model(path: str | None) -> LatencyModel:
     """Read `key = value` lines; unset keys keep their defaults."""
     if path is None:
         return LatencyModel()
+    keys = {f.name for f in fields(LatencyModel)}
     overrides: dict[str, float] = {}
     with open(path, encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
@@ -79,7 +70,7 @@ def load_latency_model(path: str | None) -> LatencyModel:
             if "=" not in line:
                 raise LatencyConfigError(f"line {line_no}: expected 'key = value'")
             key, _, value = (part.strip() for part in line.partition("="))
-            if key not in _FIELDS:
+            if key not in keys:
                 raise LatencyConfigError(f"line {line_no}: unknown key {key!r}")
             try:
                 overrides[key] = float(value)
@@ -150,21 +141,17 @@ class LatencyReport:
 
 def simulate(
     netlist: Netlist,
-    schedule: Schedule,
+    qfg: QubitFlowGraph,
     layout: MacroLayout,
     routes: RoutePlan,
     placement: dict[int, Point],
     model: LatencyModel | None = None,
-    graph: DataflowGraph | None = None,
 ) -> LatencyReport:
-    """Availability-time simulation of a placed, routed, scheduled circuit."""
+    """Availability-time simulation of a placed and routed circuit, its
+    instructions taken in the order of the flow graph's stages (`build_qfg`
+    checked the schedule they come from)."""
     m = model or LatencyModel()
     block_move = 3 * m.straight_move  # crossing one block in a straight line
-    if graph is None:
-        graph = build_dataflow(netlist)
-    violations = validate(netlist, graph, schedule)
-    if violations:
-        raise ValueError(f"invalid schedule: {violations[0].message}")
 
     qubit_free: dict[int, float] = {}
     qubit_loc: dict[int, Point] = {}
@@ -177,7 +164,7 @@ def simulate(
     movement_time: dict[int, float] = {}
     congestion = 0.0
 
-    order = sorted(netlist.instructions, key=lambda i: (schedule.stage_of[i.id], i.id))
+    order = sorted(netlist.instructions, key=lambda i: (qfg.stage_of[i.id], i.id))
     for instr in order:
         target_cell = layout.gate_location_of.get(instr.id)
         if target_cell is None:
@@ -193,7 +180,7 @@ def simulate(
             if qubit_loc[qubit] != target_cell:
                 # an initial leg (qubit placed off its first gate) is keyed from 0
                 edge = (last_use.get(qubit, 0), instr.id, qubit)
-                leg = routes.steps.get((qubit, edge))
+                leg = routes.steps.get(edge)
                 if leg is None:
                     raise ValueError(f"missing route for qubit q{qubit} into {instr.id}")
                 delay = 0.0

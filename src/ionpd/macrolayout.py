@@ -403,14 +403,16 @@ def _tile_on(drawing: OrthogonalDrawing, grid: GridMap) -> MacroLayout:
         mask = demand.get(cell, 0)
         trap = _TRAP_MASK.get(mask)
         if trap is not None:
-            # the node block itself can host the trap; cap any open ends
+            # the node block itself can host the trap; cap any open ends. A
+            # cap lies inside a gap, where only a route into this trap (which
+            # opens it already) or the cap of a facing trap can meet it; two
+            # caps join the traps by a straight block
             demand[cell] = trap
             gate_cells[instr] = cell
             gate_marks.setdefault(cell, []).append(instr)
             for _, dx, dy, facing in _NEIGHBOURS[_PORT_SETS[trap]]:
                 neighbour = (cell[0] + dx, cell[1] + dy)
-                if neighbour not in demand:
-                    demand[neighbour] = _BIT[facing]
+                demand[neighbour] = get(neighbour, 0) | _BIT[facing]
             continue
         # corner or junction: shift the gate through the first port, in
         # _ORDER, whose neighbour is a free straight block
@@ -452,7 +454,8 @@ _route_step = partial(tuple.__new__, RouteStep)
 
 @dataclass(frozen=True)
 class RoutePlan:
-    steps: dict[tuple[int, EdgeKey], tuple[RouteStep, ...]]  # keyed (qubit, edge)
+    # keyed by flow-graph edge (i, j, q); (0, j, q) is the initial leg of q
+    steps: dict[EdgeKey, tuple[RouteStep, ...]]
 
 
 def route(
@@ -463,9 +466,9 @@ def route(
     """Per-edge cell paths between gate locations, following the drawing
     through the layout's grid map."""
     grid = layout.grid
-    steps: dict[tuple[int, EdgeKey], tuple[RouteStep, ...]] = {}
+    steps: dict[EdgeKey, tuple[RouteStep, ...]] = {}
     for key in qfg.edges:
-        i, j, qubit = key
+        i, j, _ = key
         points = drawing.routes.get(key)
         if points is None:
             raise LayoutError(f"edge {key} has no drawn route")
@@ -496,7 +499,7 @@ def route(
         # one step per cell after the first; it turns where the direction changes
         turns = list(map(ne, dirs, dirs[1:]))
         turns.append(False)
-        steps[(qubit, key)] = tuple(map(_route_step, zip(cells[1:], turns)))
+        steps[key] = tuple(map(_route_step, zip(cells[1:], turns)))
 
     return RoutePlan(steps)
 

@@ -263,61 +263,47 @@ def _wide_costs(pg: PlanarizedGraph, degree: dict[Node, int]) -> dict[Node, int]
 
 def orthogonalize(pg: PlanarizedGraph) -> OrthoRep:
     """Minimum-bend representation of the embedding, per component."""
-    faces = pg.faces()
+    faces = pg.faces
     degree = {v: len(pg.adj.get(v, [])) for v in pg.nodes}
     wide_cost = _wide_costs(pg, degree)
     angles: dict[tuple[int, int], int] = {}
     bends: dict[HalfEdge, int] = {}
     ext_faces: set[int] = set()
 
-    for comp, face_idx in pg.component_faces():
+    for comp, face_idx in pg.components:
         if not face_idx:
             continue  # isolated node: no angles to assign
         # the external face is the longest walk (ties: smallest index)
         ext = max(face_idx, key=lambda fi: (len(faces[fi]), -fi))
         ext_faces.add(ext)
 
-        ids: dict[object, int] = {}
-
-        def nid(key: object) -> int:
-            if key not in ids:
-                ids[key] = len(ids)
-            return ids[key]
-
+        # flow nodes: the component's vertices (each has an edge, since the
+        # component has faces), then its faces
+        vid = {v: k for k, v in enumerate(comp)}
+        fid = {fi: len(comp) + k for k, fi in enumerate(face_idx)}
+        demand = [degree[v] - 4 for v in comp]
+        demand += [len(faces[fi]) + (4 if fi == ext else -4) for fi in face_idx]
         arcs: list[tuple[int, int, int, int]] = []
         corner_arcs: list[tuple[int, int]] = []
         bend_arcs: list[HalfEdge] = []
-        demand_map: dict[int, int] = {}
-
-        for v in comp:
-            if degree[v]:
-                demand_map[nid(("v", v))] = degree[v] - 4
         half_edge_face = {}
         for fi in face_idx:
-            walk = faces[fi]
-            d = len(walk)
-            demand_map[nid(("f", fi))] = (d + 4) if fi == ext else (d - 4)
-            for ci, he in enumerate(walk):
+            for ci, he in enumerate(faces[fi]):
                 half_edge_face[he] = fi
                 corner_arcs.append((fi, ci))
-                v, f = nid(("v", he[1])), nid(("f", fi))
+                v, f = vid[he[1]], fid[fi]
                 arcs.append((v, f, 1, 0))
                 arcs.append((v, f, 2, wide_cost[he[1]]))
         # one bend outweighs every corner cost of the component together
         bend_cost = 4 * len(corner_arcs) + 1
         for fi in face_idx:
             for he in faces[fi]:
-                twin = (he[1], he[0])
-                gi = half_edge_face[twin]
+                gi = half_edge_face[(he[1], he[0])]
                 if gi == fi:
                     continue  # bridge: bends cancel inside one face
                 bend_arcs.append(he)
-                arcs.append((nid(("f", fi)), nid(("f", gi)), 1 << 20, bend_cost))
-
-        demand = [0] * len(ids)
-        for node, d in demand_map.items():
-            demand[node] = d
-        flows = min_cost_flow(len(ids), arcs, demand)
+                arcs.append((fid[fi], fid[gi], 1 << 20, bend_cost))
+        flows = min_cost_flow(len(demand), arcs, demand)
 
         for k, corner in enumerate(corner_arcs):
             angles[corner] = 1 + flows[2 * k] + flows[2 * k + 1]

@@ -65,26 +65,19 @@ class PlanarizedGraph:
     crossings: frozenset[str]
     splits: frozenset[str]
     chains: dict[tuple[int, int, int], list[Node]]  # QFG edge -> node path
-    # derived from `adj` once, where it is built: see faces(), component_faces()
-    _faces: tuple[tuple[HalfEdge, ...], ...] = field(repr=False, compare=False)
-    _component_faces: tuple[tuple[tuple[Node, ...], tuple[int, ...]], ...] = field(
+    # derived from `adj` once, where it is built. Face walks are numbered in
+    # `node_key` order of each face's first tail, each walk in trace order
+    faces: tuple[tuple[HalfEdge, ...], ...] = field(repr=False, compare=False)
+    # connected components, each with the indices of its faces (a face
+    # belongs to the tail of its first half-edge); nodes are sorted by
+    # `node_key` and components by their first node
+    components: tuple[tuple[tuple[Node, ...], tuple[int, ...]], ...] = field(
         repr=False, compare=False
     )
 
-    def faces(self) -> tuple[tuple[HalfEdge, ...], ...]:
-        """Face walks of the embedding, numbered in `node_key` order of each
-        face's first tail, each walk in trace order."""
-        return self._faces
-
-    def component_faces(self) -> tuple[tuple[tuple[Node, ...], tuple[int, ...]], ...]:
-        """Connected components, each with the indices of its faces (a face
-        belongs to the tail of its first half-edge). Nodes are sorted by
-        `node_key` and components by their first node."""
-        return self._component_faces
-
     def check_euler(self) -> None:
         """V - E + F = 2 within every connected component."""
-        for comp, face_idx in self.component_faces():
+        for comp, face_idx in self.components:
             edge_count = sum(len(self.adj.get(v, [])) for v in comp) // 2
             if edge_count == 0:
                 continue
@@ -367,8 +360,8 @@ def planarize(qfg: QubitFlowGraph) -> PlanarizedGraph:
         crossings=frozenset(map(name, crossings)),
         splits=frozenset(splits),
         chains={key: list(map(name, path)) for key, path in chains.items()},
-        _faces=tuple(tuple((labels[a], labels[b]) for a, b in walk) for walk in walks),
-        _component_faces=tuple(
+        faces=tuple(tuple((labels[a], labels[b]) for a, b in walk) for walk in walks),
+        components=tuple(
             (tuple(map(name, members)), tuple(faces)) for members, faces in comps.values()
         ),
     )

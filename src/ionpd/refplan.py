@@ -79,21 +79,22 @@ def build_reference_cat_plan(n: int) -> ReferencePlan:
     def straight(cells: list[Point]) -> tuple[RouteStep, ...]:
         return tuple(RouteStep(c, False) for c in cells)
 
-    steps: dict[tuple[int, tuple[int, int, int]], tuple[RouteStep, ...]] = {}
+    steps: dict[tuple[int, int, int], tuple[RouteStep, ...]] = {}
     top_hop = (
         RouteStep((2, 0), False),
         RouteStep((2, -1), True),
         RouteStep((1, -1), False),
         RouteStep((0, -1), True),
     )
-    for i, j, qubit in qfg.edges:
+    for key in qfg.edges:
+        i, j, _ = key
         src, dst = gate_cell[i], gate_cell[j]
         if src == dst:
-            steps[(qubit, (i, j, qubit))] = ()
+            steps[key] = ()
         elif src[0] == dst[0] and abs(src[1] - dst[1]) == 1:
-            steps[(qubit, (i, j, qubit))] = straight([dst])
+            steps[key] = straight([dst])
         elif i == highs[-1] and j == closing:
-            steps[(qubit, (i, j, qubit))] = (
+            steps[key] = (
                 RouteStep((2, k + 2), True),
                 RouteStep((1, k + 2), False),
                 RouteStep((0, k + 2), True),
@@ -102,9 +103,9 @@ def build_reference_cat_plan(n: int) -> ReferencePlan:
             )
         elif src == (2, 1):  # down from the high column via the top connector
             descent = tuple(RouteStep((0, y), False) for y in range(0, dst[1] + 1))
-            steps[(qubit, (i, j, qubit))] = top_hop + descent
+            steps[key] = top_hop + descent
         else:
-            raise AssertionError(f"unplanned reference edge {(i, j, qubit)}")
+            raise AssertionError(f"unplanned reference edge {key}")
 
     placement = place_qubits(qfg, layout)
     return ReferencePlan(netlist, schedule, layout, qfg, RoutePlan(steps), placement)

@@ -41,9 +41,13 @@ runs none.
 
 `schedule_netlist` grows the horizon from a lower bound. An id-order list
 schedule (each instruction in the first stage after its predecessors that
-is free on all its qubits) fits every horizon of at least its length L. So
-below L each horizon is refuted or solved by `solve`, and once the horizon
-reaches L, all lower ones are refuted and only the canonical pass runs.
+is free on all its qubits) fits every horizon of at least its length L, so
+below L each horizon is refuted or solved by `solve`. Once every horizon
+below L is refuted, the list schedule itself is returned, because it is the
+lex-min vector at L: every predecessor of an instruction has a smaller id,
+so with the earlier instructions at their lex-min stages the lowest stage
+left to it is the list schedule's choice, and the list schedule's own
+continuation completes that choice within L.
 """
 
 from __future__ import annotations
@@ -378,17 +382,6 @@ def _tightest_first(
     return _search(order, netlist, graph, windows, budget)
 
 
-def _canonical(
-    netlist: Netlist, graph: DataflowGraph, windows: ScheduleWindow, budget: _Budget
-) -> Schedule:
-    """The canonical pass at windows known to admit a solution."""
-    assignment = _search(sorted(graph.nodes), netlist, graph, windows, budget, canonical=True)
-    if assignment is None:
-        raise SolverError("canonical pass found no assignment at a feasible horizon")
-    stage_count = max(assignment.values(), default=0)
-    return Schedule(assignment, stage_count, windows.horizon)
-
-
 def solve(
     netlist: Netlist,
     graph: DataflowGraph,
@@ -410,18 +403,21 @@ def solve(
         budget = _Budget(node_budget, time_budget)
     if _tightest_first(netlist, graph, windows, budget) is None:
         return INFEASIBLE
-    return _canonical(netlist, graph, windows, budget)
+    assignment = _search(sorted(graph.nodes), netlist, graph, windows, budget, canonical=True)
+    if assignment is None:
+        raise SolverError("canonical pass found no assignment at a feasible horizon")
+    return Schedule(assignment, max(assignment.values(), default=0), windows.horizon)
 
 
-def list_schedule_length(netlist: Netlist, graph: DataflowGraph) -> int:
-    """Stages of the id-order list schedule: each instruction goes to the
-    first stage after its predecessors that is free on all its qubits. The
-    schedule is valid, so every horizon from its length on is feasible."""
+def list_schedule(netlist: Netlist, graph: DataflowGraph) -> dict[int, int]:
+    """The id-order list schedule: each instruction goes to the first stage
+    after its predecessors that is free on all its qubits. The schedule is
+    valid, so every horizon from its length on is feasible."""
     reach = dict.fromkeys(graph.nodes, 1)  # first stage after the predecessors placed so far
     busy: dict[int, set[int]] = {}  # qubit -> occupied stages
     edges = iter(graph.reduced_edges())  # (j, i) ascending, so j is placed first
     edge = next(edges, None)
-    length = 0
+    stage_of: dict[int, int] = {}
     for instr in netlist.instructions:
         stage = reach[instr.id]
         sets = [busy.setdefault(q, set()) for q in instr.qubits]
@@ -433,8 +429,8 @@ def list_schedule_length(netlist: Netlist, graph: DataflowGraph) -> int:
             if reach[edge[1]] <= stage:
                 reach[edge[1]] = stage + 1
             edge = next(edges, None)
-        length = max(length, stage)
-    return length
+        stage_of[instr.id] = stage
+    return stage_of
 
 
 def schedule_netlist(
@@ -446,21 +442,23 @@ def schedule_netlist(
     """Minimal-stage schedule: grow the horizon from the lower bound.
 
     Below the list schedule's length each horizon is refuted or solved by
-    `solve`; at that length, where every lower horizon is refuted and the
-    list schedule fits, only the canonical pass runs. `node_budget` and
-    `time_budget` bound the whole run, every horizon tried included.
+    `solve`; once all of them are refuted, the list schedule is the lex-min
+    schedule at its own length and is returned without a search.
+    `node_budget` and `time_budget` bound the whole run, every horizon
+    tried included.
     """
     if graph is None:
         graph = build_dataflow(netlist)
     if not netlist.instructions:
         return Schedule({}, 0, 0)
     budget = _Budget(node_budget, time_budget)
-    feasible = list_schedule_length(netlist, graph)
-    for horizon in range(max(1, stage_lower_bound(netlist, graph)), feasible):
+    greedy = list_schedule(netlist, graph)
+    length = max(greedy.values())
+    for horizon in range(max(1, stage_lower_bound(netlist, graph)), length):
         schedule = solve(netlist, graph, asap_alap(graph, horizon), budget=budget)
         if schedule is not None:
             return schedule
-    return _canonical(netlist, graph, asap_alap(graph, feasible), budget)
+    return Schedule(greedy, length, length)
 
 
 def validate(netlist: Netlist, graph: DataflowGraph, schedule: Schedule) -> list[Violation]:

@@ -22,7 +22,7 @@ import numpy as np
 
 from ionpd.artifact import render_json
 from ionpd.compact import _EAST, _NORTH, _SOUTH, _WEST
-from ionpd.depgraph import DataflowGraph, build_dataflow, exchangeable
+from ionpd.depgraph import DataflowGraph, exchangeable
 from ionpd.drawing import OrthogonalDrawing, Point
 from ionpd.gates import GateKind, Instruction, Netlist, make_netlist
 from ionpd.latency import InstructionTiming, LatencyModel, LatencyReport, Movement
@@ -41,7 +41,7 @@ from ionpd.macrolayout import (
 from ionpd.orthogonal import OrthoRep
 from ionpd.planar import Node, PlanarizeError, node_key
 from ionpd.qfg import QubitFlowGraph, build_qfg
-from ionpd.solver import Schedule, validate
+from ionpd.solver import Schedule
 
 _SQ = {
     GateKind.H: np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
@@ -184,6 +184,19 @@ def random_netlist(rng: random.Random, max_instr: int = 10, max_qubits: int = 6)
     return make_netlist(gates)
 
 
+def random_mixed_netlist(rng: random.Random, max_instr: int = 10, max_qubits: int = 6) -> Netlist:
+    """`random_netlist` over every gate kind, Toffoli, Measure and PrepZ
+    included, on at least three qubits."""
+    kinds = list(GateKind)
+    qubits = rng.randint(3, max_qubits)
+    gates = []
+    for _ in range(rng.randint(1, max_instr)):
+        kind = kinds[rng.randrange(len(kinds))]
+        *controls, target = rng.sample(range(qubits), kind.arity)
+        gates.append((kind, tuple(controls), target))
+    return make_netlist(gates)
+
+
 def all_pairs_dataflow(netlist: Netlist) -> DataflowGraph:
     """`build_dataflow` by its definition: every earlier instruction is a
     candidate, kept if it shares a qubit and is not exchangeable."""
@@ -221,7 +234,7 @@ def bend_minimum_milp(pg, rep) -> int:
 
     total = 0
     faces = rep.faces
-    for comp, _ in pg.component_faces():
+    for comp, _ in pg.components:
         comp_set = set(comp)
         fidx = [fi for fi, w in enumerate(faces) if w and w[0][0] in comp_set]
         if not fidx:
@@ -263,7 +276,8 @@ def bend_minimum_milp(pg, rep) -> int:
             bounds=Bounds(lb, ub),
             integrality=np.ones(nvar),
         )
-        assert res.success, res.message
+        if not res.success:
+            raise RuntimeError(f"bend MILP failed: {res.message}")
         total += round(res.fun)
     return total
 
@@ -361,7 +375,8 @@ def lexmin_stages_milp(netlist: Netlist, graph: DataflowGraph, horizon: int) -> 
             bounds=Bounds(lower, 1),
             integrality=np.ones(len(col)),
         )
-        assert res.status == 0, res.message
+        if res.status != 0:
+            raise RuntimeError(f"lex-min stage MILP failed: {res.message}")
         stage_of[instr.id] = round(res.fun)
         lower[col[instr.id, stage_of[instr.id]]] = 1
     return stage_of
@@ -456,9 +471,9 @@ def channel_graph(layout: MacroLayout) -> dict:
     return {cell: sorted(neigh) for cell, neigh in adjacency.items()}
 
 
-def straights_and_turns(plan: RoutePlan, qubit: int, edge: tuple) -> tuple[int, int]:
+def straights_and_turns(plan: RoutePlan, edge: tuple) -> tuple[int, int]:
     """Straight-move units (three per block) and turn count of one leg."""
-    steps = plan.steps[(qubit, edge)]
+    steps = plan.steps[edge]
     turns = sum(1 for s in steps if s.turn)
     return 3 * (len(steps) - turns), turns
 
@@ -591,7 +606,7 @@ def reference_route_through_faces(adj: dict, u, v) -> list[frozenset]:
 
 
 def reference_component_faces(pg) -> tuple[tuple[tuple, tuple[int, ...]], ...]:
-    """`PlanarizedGraph.component_faces` by a depth-first search from each
+    """`PlanarizedGraph.components` by a depth-first search from each
     unvisited node in `node_key` order, then one scan of every face walk per
     component."""
     remaining = set(pg.nodes)
@@ -954,7 +969,7 @@ def reference_compact(pg, rep) -> OrthogonalDrawing:
     positions: dict[Node, Point] = {}
     bend_map: dict[tuple[Node, Node], list[str]] = {}
     offset = 0
-    for comp, face_idx in pg.component_faces():
+    for comp, face_idx in pg.components:
         local, bends = _reference_component_positions(rep, comp, face_idx, names)
         xs = [p[0] for p in local.values()]
         ys = [p[1] for p in local.values()]
@@ -1087,9 +1102,7 @@ def _reference_tile_on(drawing: OrthogonalDrawing, grid: GridMap):
             gate_marks.setdefault(cell, []).append(instr)
             for port in sorted(ports):
                 dx, dy = DIRS[port]
-                neighbour = (cell[0] + dx, cell[1] + dy)
-                if neighbour not in blocks:
-                    blocks[neighbour] = {OPPOSITE[port]}
+                blocks.setdefault((cell[0] + dx, cell[1] + dy), set()).add(OPPOSITE[port])
             continue
         hosts = [
             (cell[0] + DIRS[d][0], cell[1] + DIRS[d][1])
@@ -1214,7 +1227,7 @@ def reference_route(qfg: QubitFlowGraph, drawing: OrthogonalDrawing, layout: Mac
     turn tags from one comparison per step."""
     steps: dict = {}
     for key in qfg.edges:
-        i, j, qubit = key
+        i, j, _ = key
         if key not in drawing.routes:
             raise LayoutError(f"edge {key} has no drawn route")
         xs, ys = layout.grid.xs, layout.grid.ys
@@ -1236,18 +1249,14 @@ def reference_route(qfg: QubitFlowGraph, drawing: OrthogonalDrawing, layout: Mac
             else:
                 raise LayoutError(f"gate of {j} disconnected from route {key}")
         turns = [d_in != d_out for d_in, d_out in zip(dirs, dirs[1:])] + [False]
-        steps[(qubit, key)] = tuple(RouteStep(c, t) for c, t in zip(cells[1:], turns))
+        steps[key] = tuple(RouteStep(c, t) for c, t in zip(cells[1:], turns))
     return RoutePlan(steps)
 
 
-def reference_simulate(netlist, schedule, layout, routes, placement, model=None):
+def reference_simulate(netlist, qfg, layout, routes, placement, model=None):
     """`latency.simulate` writing both cells of every step into the free
     times and counting straights and turns in a second pass per leg."""
     m = model or LatencyModel()
-    graph = build_dataflow(netlist)
-    violations = validate(netlist, graph, schedule)
-    if violations:
-        raise ValueError(f"invalid schedule: {violations[0].message}")
 
     qubit_free: dict = {}
     qubit_loc: dict = {}
@@ -1259,7 +1268,7 @@ def reference_simulate(netlist, schedule, layout, routes, placement, model=None)
     movement_time: dict = {}
     congestion = 0.0
 
-    order = sorted(netlist.instructions, key=lambda i: (schedule.stage_of[i.id], i.id))
+    order = sorted(netlist.instructions, key=lambda i: (qfg.stage_of[i.id], i.id))
     for instr in order:
         target_cell = layout.gate_location_of.get(instr.id)
         if target_cell is None:
@@ -1274,7 +1283,7 @@ def reference_simulate(netlist, schedule, layout, routes, placement, model=None)
             t = qubit_free[qubit]
             if qubit_loc[qubit] != target_cell:
                 edge = (last_use.get(qubit, 0), instr.id, qubit)
-                leg = routes.steps.get((qubit, edge))
+                leg = routes.steps.get(edge)
                 if leg is None:
                     raise ValueError(f"missing route for qubit q{qubit} into {instr.id}")
                 delay = 0.0
@@ -1291,7 +1300,7 @@ def reference_simulate(netlist, schedule, layout, routes, placement, model=None)
                     if not final:
                         cell_free[step.cell] = max(cell_free.get(step.cell, 0.0), t)
                     prev_cell = step.cell
-                straights, turns = straights_and_turns(routes, qubit, edge)
+                straights, turns = straights_and_turns(routes, edge)
                 movements.append(Movement(qubit, edge, straights, turns, delay))
                 movement_time[qubit] = movement_time.get(qubit, 0.0) + (
                     straights * m.straight_move + turns * m.turn

@@ -23,6 +23,7 @@ from helpers import (
     netlist_unitary,
     one_sided_bends,
     random_degree4_graph,
+    random_mixed_netlist,
     random_netlist,
     synth_qfg,
     toffoli_unitary,
@@ -38,7 +39,7 @@ from ionpd.latency import LatencyModel, cat_latency_formula, simulate
 from ionpd.macrolayout import place_qubits, route, tile
 from ionpd.orthogonal import orthogonalize
 from ionpd.planar import planarize
-from ionpd.qasm import parse_qasm
+from ionpd.qasm import parse_qasm, render_qasm
 from ionpd.qfg import build_qfg
 from ionpd.refplan import build_reference_cat_plan
 from ionpd.solver import Schedule, oracle_min_stages, schedule_netlist, validate
@@ -58,7 +59,7 @@ def full_pipeline(netlist, model=None):
     layout = tile(drawing)
     plan = route(qfg, drawing, layout)
     placement = place_qubits(qfg, layout)
-    report = simulate(netlist, schedule, layout, plan, placement, model)
+    report = simulate(netlist, qfg, layout, plan, placement, model)
     return schedule, qfg, drawing, layout, report
 
 
@@ -126,9 +127,7 @@ def test_criterion_6_latency_formula_and_reference_simulation():
     assert cat_latency_formula(4) == 79.0
     for n in range(3, 10):
         plan = build_reference_cat_plan(n)
-        report = simulate(
-            plan.netlist, plan.schedule, plan.layout, plan.routes, plan.placement
-        )
+        report = simulate(plan.netlist, plan.qfg, plan.layout, plan.routes, plan.placement)
         assert report.total == cat_latency_formula(n)  # zero tolerance
     _ok("6", "92/79 us and exact simulate==formula for n=3..9")
 
@@ -236,3 +235,54 @@ def test_criterion_9_property_suite_on_bundled_circuits(code932):
         "bundled circuits: clean schedules, valid layouts, report invariants, "
         "monotone under each cost constant (absolute benchmark tables stay out of scope)",
     )
+
+
+def free_movement_bound(netlist, graph, model) -> float:
+    """Latency if every move were free: the longest chain of dependent gate
+    costs, or the busiest qubit's total gate cost, whichever is larger."""
+    finish: dict[int, float] = {}
+    busy: Counter = Counter()
+    for instr in netlist.instructions:
+        cost = model.gate_cost(instr.kind)
+        finish[instr.id] = cost + max((finish[p] for p in graph.predecessors(instr.id)), default=0.0)
+        for q in instr.qubits:
+            busy[q] += cost
+    return max(max(finish.values()), max(busy.values()))
+
+
+def test_end_to_end_fuzz_through_every_validator():
+    # random netlists over every gate kind, Toffoli gates decomposed by
+    # either library, from QASM text to the simulated latency
+    rng = random.Random(18)
+    model = LatencyModel()
+    libraries: Counter = Counter()
+    kinds: Counter = Counter()
+    legs = 0
+    for _ in range(200):
+        netlist = parse_qasm(render_qasm(random_mixed_netlist(rng, max_instr=8, max_qubits=5)))
+        if any(instr.kind is GateKind.Toffoli for instr in netlist.instructions):
+            library = rng.choice(list(Library))
+            libraries[library] += 1
+            netlist = decompose(netlist, library)
+        kinds.update(instr.kind for instr in netlist.instructions)
+        graph = build_dataflow(netlist)
+        schedule = schedule_netlist(netlist, graph=graph)
+        assert validate(netlist, graph, schedule) == []
+        qfg = build_qfg(netlist, schedule, graph)
+        pg = planarize(qfg)
+        drawing = compact(pg, orthogonalize(pg))
+        assert validate_drawing(drawing) == []
+        layout = tile(drawing)
+        layout.check_ports()
+        plan = route(qfg, drawing, layout)
+        for (i, j, _), steps in plan.steps.items():
+            cells = [layout.gate_location_of[i], *(step.cell for step in steps)]
+            assert cells[-1] == layout.gate_location_of[j]
+            for (ax, ay), (bx, by) in itertools.pairwise(cells):
+                assert abs(ax - bx) + abs(ay - by) == 1
+            legs += bool(steps)
+        report = simulate(netlist, qfg, layout, plan, place_qubits(qfg, layout), model)
+        assert report.total >= free_movement_bound(netlist, graph, model)
+    assert set(libraries) == set(Library)
+    assert {GateKind.Measure, GateKind.PrepZ, GateKind.CV} <= set(kinds)
+    assert legs > 200

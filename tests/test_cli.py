@@ -14,6 +14,7 @@ from ionpd.solver import Schedule
 
 ROOT = Path(__file__).resolve().parent.parent
 CODE932 = str(ROOT / "circuits" / "code_9_3_2.qasm")
+TOFFOLI_PAIR = str(ROOT / "circuits" / "toffoli_pair.qasm")
 TABLE3 = str(Path(__file__).resolve().parent / "fixtures" / "table3_schedule.json")
 LAYERED16 = str(ROOT / "tests" / "fixtures" / "layered16.qasm")
 LAYERED5 = str(ROOT / "tests" / "fixtures" / "layered5.qasm")
@@ -254,9 +255,19 @@ def test_oracle_cat4(tmp_path, capsys):
 
 
 def test_node_budget_exit_code(tmp_path, capsys):
-    code = main(["schedule", CODE932, "--node-budget", "1", "--out", str(tmp_path / "x")])
-    assert code == 3
+    # toffoli_pair under cv needs 9 stages, one below its list schedule's
+    # 10, so the search runs and one node is not enough
+    argv = ["schedule", TOFFOLI_PAIR, "--library", "cv", "--node-budget", "1"]
+    assert main([*argv, "--out", str(tmp_path / "x")]) == 3
     assert "budget" in capsys.readouterr().err
+
+
+def test_no_search_at_the_list_schedule_length(tmp_path, capsys):
+    # code_9_3_2's list schedule has its lower bound of 6 stages, so the
+    # run explores no node and any budget suffices
+    argv = ["schedule", CODE932, "--node-budget", "1", "--out", str(tmp_path / "x")]
+    assert main(argv) == 0
+    assert "scheduled in 6 stages" in capsys.readouterr().out
 
 
 def test_schedule_1200_instructions(tmp_path, capsys):
@@ -432,14 +443,24 @@ def test_invalid_schedule_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_solver_pass_disagreement_exit_code(tmp_path, capsys, monkeypatch):
-    # the list schedule proves code_9_3_2's lower bound of 6 stages
-    # feasible, so only the canonical pass runs; here it finds no assignment
-    passes = []
-    monkeypatch.setattr(
-        "ionpd.solver._search", lambda *args, **kwargs: passes.append(kwargs) and None
-    )
-    assert main(["schedule", CODE932, "--out", str(tmp_path / "o")]) == 3
-    assert passes == [{"canonical": True}]
+    # toffoli_pair under cv: the refutation pass finds 9 stages feasible,
+    # below the list schedule's 10; here the canonical pass then finds no
+    # assignment
+    import ionpd.solver as solver
+
+    search = solver._search
+    canonical = []
+
+    def disagree(*args, **kwargs):
+        if kwargs.get("canonical"):
+            canonical.append(args[3].horizon)
+            return None
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_search", disagree)
+    argv = ["schedule", TOFFOLI_PAIR, "--library", "cv", "--out", str(tmp_path / "o")]
+    assert main(argv) == 3
+    assert canonical == [9]
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "canonical pass found no assignment" in err
 

@@ -9,6 +9,7 @@ from helpers import (
     lexmin_stages,
     lexmin_stages_milp,
     netlist_unitary,
+    random_mixed_netlist,
     random_netlist,
     reference_hall,
     stage_milp_status,
@@ -23,7 +24,7 @@ from ionpd.solver import (
     Schedule,
     SolverBudgetExceeded,
     _hall,
-    list_schedule_length,
+    list_schedule,
     oracle_min_stages,
     schedule_netlist,
     solve,
@@ -157,17 +158,17 @@ class TestScheduleNetlist:
         assert schedule.stage_count == 0 and schedule.stage_of == {}
 
     def test_node_budget_bounds_the_whole_run(self):
-        netlist = random_netlist(random.Random(155))
-        # two horizons: 6 nodes prove the first infeasible, 10 solve the
-        # second, where the list schedule fits and only the canonical pass
-        # runs; a budget of 10 covers either horizon but not both
+        netlist = random_netlist(random.Random(680))
+        # two horizons below the list schedule's length of 8: 7 nodes prove
+        # 6 infeasible, 21 solve 7; a budget of 21 covers either horizon but
+        # not both
         graph = build_dataflow(netlist)
-        assert stage_lower_bound(netlist, graph) == 4
-        assert list_schedule_length(netlist, graph) == 5
-        assert schedule_netlist(netlist, node_budget=16).stage_count == 5
+        assert stage_lower_bound(netlist, graph) == 6
+        assert max(list_schedule(netlist, graph).values()) == 8
+        assert schedule_netlist(netlist, node_budget=28).stage_count == 7
         with pytest.raises(SolverBudgetExceeded) as err:
-            schedule_netlist(netlist, node_budget=10)
-        assert err.value.explored == 11
+            schedule_netlist(netlist, node_budget=21)
+        assert err.value.explored == 22
 
     def test_list_schedule_bounds_the_minimal_horizon(self):
         rng = random.Random(8)
@@ -175,11 +176,26 @@ class TestScheduleNetlist:
         for _ in range(200):
             netlist = random_netlist(rng)
             graph = build_dataflow(netlist)
-            length = list_schedule_length(netlist, graph)
+            length = max(list_schedule(netlist, graph).values())
             stages = schedule_netlist(netlist, graph=graph).stage_count
             assert stage_lower_bound(netlist, graph) <= stages <= length
             certified += stages == length
         assert 0 < certified < 200
+
+    def test_list_schedule_is_the_canonical_schedule_at_its_length(self):
+        # where no shorter horizon is feasible, the list schedule is returned
+        # without a search; the canonical pass at that horizon agrees
+        rng = random.Random(23)
+        checked = 0
+        while checked < 300:
+            netlist = random_mixed_netlist(rng)
+            graph = build_dataflow(netlist)
+            greedy = list_schedule(netlist, graph)
+            length = max(greedy.values())
+            if schedule_netlist(netlist, graph=graph).horizon < length:
+                continue
+            assert solve(netlist, graph, asap_alap(graph, length)).stage_of == greedy
+            checked += 1
 
     def test_stage_count_never_below_lower_bound(self):
         rng = random.Random(5)

@@ -32,7 +32,7 @@ def full_pipeline(netlist, model=None):
     layout = tile(drawing)
     plan = route(qfg, drawing, layout)
     placement = place_qubits(qfg, layout)
-    return simulate(netlist, schedule, layout, plan, placement, model)
+    return simulate(netlist, qfg, layout, plan, placement, model)
 
 
 class TestModel:
@@ -107,11 +107,11 @@ class TestSimulate:
         }
         layout = MacroLayout(row, {1: (2, 0)}, {1: (2, 0)})
         layout.check_ports()
-        plan = RoutePlan(
-            {(0, (0, 1, 0)): (RouteStep((1, 0), False), RouteStep((2, 0), False))}
-        )
+        # q0 starts off its first gate: an initial leg, keyed from 0
+        plan = RoutePlan({(0, 1, 0): (RouteStep((1, 0), False), RouteStep((2, 0), False))})
         placement = {0: (0, 0), 1: (2, 0)}
-        report = simulate(netlist, Schedule({1: 1}, 1, 1), layout, plan, placement)
+        qfg = build_qfg(netlist, Schedule({1: 1}, 1, 1))
+        report = simulate(netlist, qfg, layout, plan, placement)
         move = report.movements[0]
         assert (move.straights, move.turns) == (6, 0)
         assert report.total == 6 * 1 + 10
@@ -119,9 +119,7 @@ class TestSimulate:
     def test_reference_plan_matches_formula_exactly(self):
         for n in range(2, 10):
             plan = build_reference_cat_plan(n)
-            report = simulate(
-                plan.netlist, plan.schedule, plan.layout, plan.routes, plan.placement
-            )
+            report = simulate(plan.netlist, plan.qfg, plan.layout, plan.routes, plan.placement)
             assert report.total == cat_latency_formula(n)
             assert report.congestion_delay == 0.0
 
@@ -137,7 +135,7 @@ class TestSimulate:
         for n in range(2, 10):
             plan = build_reference_cat_plan(n)
             report = simulate(
-                plan.netlist, plan.schedule, plan.layout, plan.routes, plan.placement, model
+                plan.netlist, plan.qfg, plan.layout, plan.routes, plan.placement, model
             )
             assert report.total == cat_latency_formula(n, model)
 
@@ -147,7 +145,7 @@ class TestSimulate:
         assert validate(plan.netlist, graph, plan.schedule) == []
         plan.layout.check_ports()
         # the closing route carries the plan's two turns
-        closing = plan.routes.steps[(7, (8, 9, 7))]
+        closing = plan.routes.steps[(8, 9, 7)]
         assert sum(1 for s in closing if s.turn) == 2
 
     def test_report_invariants(self, code932):
@@ -180,9 +178,9 @@ class TestSimulate:
         }
         gate_cells = {1: (0, 0), 2: (0, 0), 3: (0, 0), 4: (0, 2)}
         layout = MacroLayout(blocks, gate_cells, gate_cells)
-        schedule = Schedule({1: 1, 2: 2, 3: 3, 4: 1}, 3, 3)
+        qfg = build_qfg(netlist, Schedule({1: 1, 2: 2, 3: 3, 4: 1}, 3, 3))
         placement = {0: (0, 0), 1: (0, 2), 2: (0, 2)}
-        report = simulate(netlist, schedule, layout, RoutePlan({}), placement)
+        report = simulate(netlist, qfg, layout, RoutePlan({}), placement)
         assert report.total == 10.0  # max(1+1+1 on q0, 10 on q1/q2)
         assert not report.movements
 
@@ -215,7 +213,7 @@ class TestSimulate:
         with pytest.raises(ValueError, match="missing route"):
             simulate(
                 plan.netlist,
-                plan.schedule,
+                plan.qfg,
                 plan.layout,
                 RoutePlan(broken_steps),
                 plan.placement,

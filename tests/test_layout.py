@@ -24,7 +24,7 @@ from helpers import (
 from ionpd.circuits import generate_cat_circuit
 from ionpd.cli import main
 from ionpd.compact import compact
-from ionpd.drawing import OrthogonalDrawing
+from ionpd.drawing import OrthogonalDrawing, validate_drawing
 from ionpd.latency import simulate
 from ionpd.macrolayout import (
     LayoutError,
@@ -76,7 +76,7 @@ def cat7_movers_into(gate):
     netlist = generate_cat_circuit(7)
     schedule, qfg, drawing, layout = pipeline(netlist)
     plan = route(qfg, drawing, layout)
-    report = simulate(netlist, schedule, layout, plan, place_qubits(qfg, layout))
+    report = simulate(netlist, qfg, layout, plan, place_qubits(qfg, layout))
     return sorted(m.qubit for m in report.movements if m.edge[1] == gate)
 
 
@@ -146,9 +146,29 @@ class TestTile:
         # east to the corner, which the last east step enters as a turn, then south
         east = layout.grid.xs[2] - layout.grid.xs[0]
         south = layout.grid.ys[1] - layout.grid.ys[0]
-        assert [step.turn for step in plan.steps[(0, (1, 2, 0))]] == (
+        assert [step.turn for step in plan.steps[(1, 2, 0)]] == (
             [False] * (east - 1) + [True] + [False] * south
         )
+
+    @pytest.mark.parametrize("drawing", [
+        OrthogonalDrawing({1: (0, 0), 2: (1, 0)}, {}),
+        # the vertical mirror, each trap with one edge leading away
+        OrthogonalDrawing(
+            {1: (0, 0), 2: (0, 1), 3: (0, -1), 4: (0, 2)},
+            {(1, 3, 0): ((0, 0), (0, -1)), (2, 4, 1): ((0, 1), (0, 2))},
+        ),
+    ], ids=["row", "column"])
+    def test_facing_trap_caps_join_into_a_straight_block(self, drawing):
+        # one grid unit apart, both traps cap their open ends on the one
+        # block between them, which opens towards both
+        assert validate_drawing(drawing) == []
+        layout = tile(drawing)
+        layout.check_ports()
+        first, second = layout.gate_location_of[1], layout.gate_location_of[2]
+        between = ((first[0] + second[0]) // 2, (first[1] + second[1]) // 2)
+        assert layout.blocks[between].kind in ("STRAIGHT_H", "STRAIGHT_V")
+        assert not layout.blocks[between].gate_of
+        assert layout == reference_tile(drawing)
 
     def test_diagonal_segment_raises(self):
         drawing = OrthogonalDrawing({1: (0, 0), 2: (1, 2)}, {(1, 2, 0): ((0, 0), (1, 2))})
@@ -254,14 +274,14 @@ class TestWidening:
                 tiler(stacked)
 
     def test_layered5_widens_a_gap_and_beats_every_gap_at_three(self, macroblock_cases):
-        name, netlist, schedule, qfg, drawing = macroblock_cases[-1]
+        name, netlist, qfg, drawing = macroblock_cases[-1]
         assert name == "layered5"
         layout = tile(drawing)
         widths = gap_widths(layout.grid.xs) + gap_widths(layout.grid.ys)
         assert 3 in widths and set(widths) == {2, 3}
         layout.check_ports()
         plan = route(qfg, drawing, layout)
-        report = simulate(netlist, schedule, layout, plan, place_qubits(qfg, layout))
+        report = simulate(netlist, qfg, layout, plan, place_qubits(qfg, layout))
         assert report.total < 2434  # its latency with every gap three blocks wide
 
 
@@ -287,9 +307,9 @@ class TestRoute:
         netlist = parse_qasm("H q0\nX q0")
         schedule, qfg, drawing, layout = pipeline(netlist)
         plan = route(qfg, drawing, layout)
-        steps = plan.steps[(0, (1, 2, 0))]
+        steps = plan.steps[(1, 2, 0)]
         assert steps and all(not s.turn for s in steps)
-        straights, turns = straights_and_turns(plan, 0, (1, 2, 0))
+        straights, turns = straights_and_turns(plan, (1, 2, 0))
         assert straights == 3 * len(steps) and turns == 0
 
     def test_edge_without_drawn_route_raises(self):
@@ -313,8 +333,8 @@ class TestRoute:
                 router(qfg, drawing, moved)
 
     def test_already_resident_gives_empty_path(self):
-        plan = RoutePlan({(0, (1, 2, 0)): ()})
-        assert straights_and_turns(plan, 0, (1, 2, 0)) == (0, 0)
+        plan = RoutePlan({(1, 2, 0): ()})
+        assert straights_and_turns(plan, (1, 2, 0)) == (0, 0)
 
     def test_cat7_gate2_mover_comes_from_gate1(self):
         # qubit 4 starts at gate 2's own location, so the H-wire qubit moves
@@ -332,8 +352,7 @@ class TestRoute:
             layout = tile(drawing)
             plan = route(qfg, drawing, layout)
             adj = channel_graph(layout)
-            for (qubit, edge), steps in plan.steps.items():
-                i, j, _ = edge
+            for (i, j, _), steps in plan.steps.items():
                 cells = [layout.gate_location_of[i]] + [s.cell for s in steps]
                 assert cells[-1] == layout.gate_location_of[j]
                 for a, b in zip(cells, cells[1:]):
@@ -348,7 +367,7 @@ class TestRoute:
             pg = planarize(qfg)
             drawing = compact(pg, orthogonalize(pg))
             layout = tile(drawing)
-            for (_, (i, _, _)), steps in route(qfg, drawing, layout).steps.items():
+            for (i, _, _), steps in route(qfg, drawing, layout).steps.items():
                 cells = [layout.gate_location_of[i]] + [s.cell for s in steps]
                 moves = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(cells, cells[1:])]
                 assert [s.turn for s in steps] == [
@@ -361,7 +380,7 @@ class TestRoute:
         netlist = generate_cat_circuit(7)
         schedule, qfg, drawing, layout = pipeline(netlist)
         plan = route(qfg, drawing, layout)
-        for (qubit, edge), steps in plan.steps.items():
+        for steps in plan.steps.values():
             turn_blocks = sum(
                 1 for s in steps if layout.blocks[s.cell].kind.startswith("TURN")
             )
@@ -435,7 +454,7 @@ class TestText:
 
 @pytest.fixture(scope="module")
 def macroblock_cases(code932):
-    """(name, netlist, schedule, qfg, drawing) for layered16, Cat-80,
+    """(name, netlist, qfg, drawing) for layered16, Cat-80,
     code_9_3_2, 12 seeded random netlists and, last, layered5, which widens
     a gap."""
     rng = random.Random(47)
@@ -447,8 +466,8 @@ def macroblock_cases(code932):
     netlists.append(("layered5", parse_qasm(LAYERED5.read_text())))
     cases = []
     for name, netlist in netlists:
-        schedule, qfg, drawing, _ = pipeline(netlist)
-        cases.append((name, netlist, schedule, qfg, drawing))
+        _, qfg, drawing, _ = pipeline(netlist)
+        cases.append((name, netlist, qfg, drawing))
     return cases
 
 
@@ -457,7 +476,7 @@ class TestAgainstReference:
     cell, kept in helpers: block for block, byte for byte, report for report."""
 
     def test_tile(self, macroblock_cases):
-        for name, _, _, _, drawing in macroblock_cases:
+        for name, _, _, drawing in macroblock_cases:
             layout, expected = tile(drawing), reference_tile(drawing)
             assert list(layout.blocks.items()) == list(expected.blocks.items()), name
             assert layout.gate_location_of == expected.gate_location_of, name
@@ -466,7 +485,7 @@ class TestAgainstReference:
             assert len(gate_free) <= 15, name
 
     def test_layout_json(self, macroblock_cases):
-        for name, _, _, _, drawing in macroblock_cases:
+        for name, _, _, drawing in macroblock_cases:
             layout = tile(drawing)
             assert layout.to_json() == reference_layout_json(layout), name
 
@@ -486,7 +505,7 @@ class TestAgainstReference:
                 render(portless)
 
     def test_layout_svg(self, macroblock_cases):
-        for name, _, _, _, drawing in macroblock_cases:
+        for name, _, _, drawing in macroblock_cases:
             layout = tile(drawing)
             assert layout.to_svg() == reference_layout_svg(layout), name
             assert layout.to_svg(cell=7) == reference_layout_svg(layout, cell=7), name
@@ -507,7 +526,7 @@ class TestAgainstReference:
 
     def test_layout_text(self, macroblock_cases):
         narrow = 0
-        for name, _, _, _, drawing in macroblock_cases:
+        for name, _, _, drawing in macroblock_cases:
             layout = tile(drawing)
             text = "".join(layout.text_lines())
             assert text.split("\n") == reference_layout_text(layout).split("\n"), name
@@ -517,18 +536,18 @@ class TestAgainstReference:
         assert narrow >= 10
 
     def test_route(self, macroblock_cases):
-        for name, _, _, qfg, drawing in macroblock_cases:
+        for name, _, qfg, drawing in macroblock_cases:
             layout = tile(drawing)
             assert route(qfg, drawing, layout) == reference_route(qfg, drawing, layout), name
 
     def test_simulate(self, macroblock_cases):
         moved = 0
-        for name, netlist, schedule, qfg, drawing in macroblock_cases:
+        for name, netlist, qfg, drawing in macroblock_cases:
             layout = tile(drawing)
             plan = route(qfg, drawing, layout)
             placement = place_qubits(qfg, layout)
-            report = simulate(netlist, schedule, layout, plan, placement)
-            expected = reference_simulate(netlist, schedule, layout, plan, placement)
+            report = simulate(netlist, qfg, layout, plan, placement)
+            expected = reference_simulate(netlist, qfg, layout, plan, placement)
             assert report == expected, name
             assert report.to_json() == expected.to_json(), name
             moved += bool(report.congestion_delay)
