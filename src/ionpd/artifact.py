@@ -11,7 +11,8 @@ against `render_json` of the full payload.
 
 `json_field` and `json_ints` read members of a parsed JSON input back,
 raising a `ValueError` that names the field when one is missing or of the
-wrong type.
+wrong type. No input field is a boolean, so `true` and `false` are
+rejected even where an integer is expected (`bool` subclasses `int`).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def json_field(obj: Any, name: str, kind: type, error: type[ValueError] = ValueE
     if not isinstance(obj, dict) or name not in obj:
         raise error(f"expected a JSON object with field {name!r}")
     value = obj[name]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise error(f"field {name!r} must be of type {kind.__name__}, got {value!r}")
     return value
 
@@ -42,6 +43,6 @@ def json_field(obj: Any, name: str, kind: type, error: type[ValueError] = ValueE
 def json_ints(obj: Any, name: str, error: type[ValueError] = ValueError) -> list[int]:
     """Member `name` of the JSON object `obj`, which must be a list of integers."""
     values = json_field(obj, name, list, error)
-    if not all(isinstance(v, int) for v in values):
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
         raise error(f"field {name!r} must hold integers, got {values!r}")
     return values

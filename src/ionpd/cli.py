@@ -10,6 +10,7 @@ exhausted, 4 layout error, 5 I/O error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections.abc import Callable, Iterable
 from functools import cache
@@ -173,14 +174,26 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _budget(kind: type) -> Callable[[str], float]:
+    """An argparse type: a `kind` of at least 0 that is finite (not NaN)."""
+    def convert(text: str) -> float:
+        value = kind(text)
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text!r}")
+        return value
+
+    convert.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return convert
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--library", choices=["cv", "ft", "none"], default="none",
                         help="decompose Toffoli gates into this gate library")
     parser.add_argument("--latency-config", default=None, metavar="PATH")
     parser.add_argument("--emit", default="json", metavar="FMTS",
                         help=f"comma list of extra outputs: {','.join(EMIT_FORMATS)}")
-    parser.add_argument("--node-budget", type=int, default=None, metavar="N")
-    parser.add_argument("--time-budget", type=float, default=None, metavar="SECS")
+    parser.add_argument("--node-budget", type=_budget(int), default=None, metavar="N")
+    parser.add_argument("--time-budget", type=_budget(float), default=None, metavar="SECS")
     parser.add_argument("--out", default="out", metavar="DIR")
 
 

@@ -6,6 +6,11 @@ neither target lies in the other's control set; different kinds additionally
 require distinct targets. Single-qubit gates on one wire exchange iff their
 matrices commute (identical kinds, or both diagonal phase gates); Measure
 and PrepZ are ordered against everything on their wire.
+
+An instruction depends on every earlier one that shares a qubit with it and
+is not exchangeable with it. The dataflow DAG keeps only the transitive
+reduction of those dependencies, which is the edge set `dataflow.json` and
+`dataflow.dot` list.
 """
 
 from __future__ import annotations
@@ -52,12 +57,14 @@ class InfeasibleHorizon(ValueError):
 class DataflowGraph:
     """DAG over instruction ids; an edge j -> i means i depends on j.
 
-    The full pairwise edge set is stored; `reduced_edges` drops transitively
-    implied edges (reachability, not the edge set, is the semantic contract).
+    `edges` is the transitive reduction of the all-pairs rule (j -> i for
+    every earlier, qubit-sharing, non-exchangeable j), in ascending order:
+    an edge implied by a chain of others is left out, as reachability, not
+    the edge set, is the semantic contract.
     """
 
     nodes: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
+    edges: tuple[tuple[int, int], ...]
     _succs: dict[int, list[int]] = field(repr=False, hash=False, compare=False, default_factory=dict)
     _preds: dict[int, list[int]] = field(repr=False, hash=False, compare=False, default_factory=dict)
     # [netlist, its common-qubit table] once `qubit_table` was asked
@@ -67,19 +74,11 @@ class DataflowGraph:
         for node in self.nodes:
             self._succs[node] = []
             self._preds[node] = []
-        for j, i in self.sorted_edges():
+        for j, i in self.edges:
             if j >= i:
                 raise ValueError(f"dependency edge must point forward, got {j} -> {i}")
             self._succs[j].append(i)
             self._preds[i].append(j)
-
-    def sorted_edges(self) -> tuple[tuple[int, int], ...]:
-        """The edges in ascending order, sorted once per graph."""
-        return self._sorted
-
-    @cached_property
-    def _sorted(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.edges))
 
     def qubit_table(self, netlist: Netlist) -> dict[int, list[int]]:
         """`common_qubit_table(netlist)`, computed once per graph for the
@@ -91,28 +90,6 @@ class DataflowGraph:
 
     def predecessors(self, node: int) -> list[int]:
         return self._preds[node]
-
-    def reduced_edges(self) -> tuple[tuple[int, int], ...]:
-        """Transitive reduction in sorted order, computed once per graph."""
-        return self._reduced
-
-    @cached_property
-    def _reduced(self) -> tuple[tuple[int, int], ...]:
-        # Ancestor sets are ints used as bitsets over topological positions.
-        # A predecessor is implied iff it is an ancestor of a later
-        # predecessor; scanning predecessors latest first, every skipped one's
-        # ancestors are already in `above`.
-        position = {node: k for k, node in enumerate(self.nodes)}
-        ancestors: dict[int, int] = {}
-        kept = []
-        for node in self.nodes:  # node ids ascend, so predecessors are done
-            above = 0
-            for p in reversed(self._preds[node]):
-                if not above >> position[p] & 1:
-                    above |= ancestors[p] | 1 << position[p]
-                    kept.append((p, node))
-            ancestors[node] = above
-        return tuple(sorted(kept))
 
     def critical_path_length(self) -> int:
         """Longest dependency chain, counted in instructions, computed once
@@ -141,39 +118,49 @@ class DataflowGraph:
         return height
 
     def to_json(self) -> str:
-        return render_json({"nodes": list(self.nodes), "edges": self.sorted_edges()})
+        return render_json({"nodes": list(self.nodes), "edges": self.edges})
 
     def to_dot(self) -> str:
         lines = ["digraph dataflow {"]
         for node in self.nodes:
             lines.append(f"  n{node} [label=\"{node}\"];")
-        for j, i in self.sorted_edges():
+        for j, i in self.edges:
             lines.append(f"  n{j} -> n{i};")
         lines.append("}")
         return "\n".join(lines) + "\n"
 
 
 def build_dataflow(netlist: Netlist) -> DataflowGraph:
-    """Edge j -> i for every earlier, qubit-sharing, non-exchangeable j.
+    """The transitive reduction of the all-pairs rule, built directly.
 
     The candidates for i are the ids before it in the common-qubit rows of
-    its qubits; each candidate pair is tested once, even when it shares two
-    qubits.
+    its qubits, scanned latest first. Each instruction keeps its ancestors
+    as an int bitset over ids; a candidate already among the ancestors of
+    the edges kept so far is implied and skipped untested, and the rest
+    are kept if they are not exchangeable with i. A dependency implied by
+    a later one is among those ancestors by the time the scan reaches it.
     """
     instrs = netlist.instructions
     table = common_qubit_table(netlist)
     passed = dict.fromkeys(table, 0)  # qubit -> ids in its row before b
+    ancestors = [0]  # by id, which counts from 1
     edges = []
     for b in instrs:
-        earlier: list[int] | set[int] = []
+        earlier: list[int] = []
         for q in b.qubits:
             earlier += table[q][: passed[q]]
             passed[q] += 1
         if len(b.qubits) > 1:  # a pair sharing two qubits is in both rows
-            earlier = set(earlier)
-        edges += [(j, b.id) for j in earlier if not _exchangeable_sharing(instrs[j - 1], b)]
+            earlier = sorted(set(earlier))
+        above = 0
+        for j in reversed(earlier):
+            if not above >> j & 1 and not _exchangeable_sharing(instrs[j - 1], b):
+                above |= ancestors[j] | 1 << j
+                edges.append((j, b.id))
+        ancestors.append(above)
+    edges.sort()
     return DataflowGraph(
-        tuple(i.id for i in instrs), frozenset(edges), _qubit_table=[netlist, table]
+        tuple(i.id for i in instrs), tuple(edges), _qubit_table=[netlist, table]
     )
 
 

@@ -5,8 +5,9 @@ ASAP/ALAP window. Three constraint series are emitted:
 
   series 1 - each instruction executes in exactly one stage of its window,
   series 2 - two instructions sharing a qubit never occupy the same stage,
-  series 3 - for each (transitively reduced) dependency j -> i, the stage
-             of j is strictly below the stage of i, written as
+  series 3 - for each edge j -> i of the dataflow graph (a transitive
+             reduction), the stage of j is strictly below the stage of i,
+             written as
              sum(l * x_j(l)) + 1 <= sum(l * x_i(l)).
 
 The solver does not read this model; it is written out so that external
@@ -26,7 +27,7 @@ from .gates import Netlist
 class IlpModel:
     windows: ScheduleWindow
     exclusions: tuple[tuple[int, int, int], ...]  # (a, b, stage) with a < b
-    orders: tuple[tuple[int, int], ...]  # reduced dependency edges (j, i)
+    orders: tuple[tuple[int, int], ...]  # the dataflow graph's edges (j, i)
 
 
 def emit_ilp(netlist: Netlist, graph: DataflowGraph, windows: ScheduleWindow) -> IlpModel:
@@ -44,7 +45,7 @@ def emit_ilp(netlist: Netlist, graph: DataflowGraph, windows: ScheduleWindow) ->
         for b, a in sorted(pairs)
         for l in range(max(asap[a], asap[b]), min(alap[a], alap[b]) + 1)
     )
-    return IlpModel(windows, exclusions, graph.reduced_edges())
+    return IlpModel(windows, exclusions, graph.edges)
 
 
 def _weighted_terms(instr: int, stages: range, sign: str) -> list[str]:

@@ -2,14 +2,14 @@
 
 `solve` gives every instruction a stage inside its `[asap, alap]` window at
 one horizon, so that instructions sharing a qubit get distinct stages and
-each reduced dependency j -> i puts j strictly before i. It is a complete
+each dependency edge j -> i puts j strictly before i. It is a complete
 depth-first search with bounds propagation:
 
 - Every instruction has stage bounds [lo, hi], first its window. Placing an
   instruction narrows the bounds of the others; a trail records each change
   and a backtrack undoes it.
 - Precedence: the successors' lo moves above the stage and the
-  predecessors' hi below it, transitively over the reduced edges.
+  predecessors' hi below it, transitively over the dependency edges.
 - Occupancy: a per-qubit set of occupied stages tells in one lookup per
   qubit whether a stage is free. The bounds of unplaced instructions on the
   qubit step past occupied stages.
@@ -107,10 +107,12 @@ class Schedule:
     @staticmethod
     def from_json(text: str) -> "Schedule":
         """The schedule `to_json` wrote; `ValueError` names a missing or
-        mistyped field, or an instruction listed twice."""
+        mistyped field, a horizon below 1 beside listed stages, or an
+        instruction listed twice."""
         payload = json.loads(text)
+        stages = json_field(payload, "stages", list)
         stage_of: dict[int, int] = {}
-        for entry in json_field(payload, "stages", list):
+        for entry in stages:
             stage = json_field(entry, "stage", int)
             for instr_id in json_ints(entry, "instruction_ids"):
                 if instr_id in stage_of:
@@ -121,6 +123,8 @@ class Schedule:
                 stage_of[instr_id] = stage
         stage_count = max(stage_of.values(), default=0)
         horizon = json_field(payload, "horizon", int) if "horizon" in payload else stage_count
+        if stages and horizon < 1:
+            raise ValueError(f"field 'horizon' must be at least 1 beside listed stages, got {horizon}")
         return Schedule(stage_of, stage_count, horizon)
 
 
@@ -202,7 +206,7 @@ def _search(
     hi = [windows.alap[instr] for instr in order]
     succs: list[list[int]] = [[] for _ in order]
     preds: list[list[int]] = [[] for _ in order]
-    for j, i in graph.reduced_edges():
+    for j, i in graph.edges:
         succs[position[j]].append(position[i])
         preds[position[i]].append(position[j])
     linked = [bool(succs[k] or preds[k]) for k in range(len(order))]
@@ -284,7 +288,7 @@ def _search(
                 moved.add(q)
                 if linked[w]:
                     queue.append(w)
-        # precedence, transitively over the reduced edges; a placed
+        # precedence, transitively over the dependency edges; a placed
         # variable cannot move, so a bound that would move it fails
         while queue:
             v = queue.pop()
@@ -415,7 +419,7 @@ def list_schedule(netlist: Netlist, graph: DataflowGraph) -> dict[int, int]:
     valid, so every horizon from its length on is feasible."""
     reach = dict.fromkeys(graph.nodes, 1)  # first stage after the predecessors placed so far
     busy: dict[int, set[int]] = {}  # qubit -> occupied stages
-    edges = iter(graph.reduced_edges())  # (j, i) ascending, so j is placed first
+    edges = iter(graph.edges)  # (j, i) ascending, so j is placed first
     edge = next(edges, None)
     stage_of: dict[int, int] = {}
     for instr in netlist.instructions:
@@ -491,7 +495,7 @@ def validate(netlist: Netlist, graph: DataflowGraph, schedule: Schedule) -> list
                         f"instructions {clashing} share q{qubit} in stage {stage}",
                     )
                 )
-    for j, i in graph.sorted_edges():
+    for j, i in graph.edges:
         if j in stage_of and i in stage_of and stage_of[j] >= stage_of[i]:
             violations.append(
                 Violation(3, (j, i), f"instruction {i} depends on {j} but is not later")

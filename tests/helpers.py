@@ -197,17 +197,20 @@ def random_mixed_netlist(rng: random.Random, max_instr: int = 10, max_qubits: in
     return make_netlist(gates)
 
 
-def all_pairs_dataflow(netlist: Netlist) -> DataflowGraph:
-    """`build_dataflow` by its definition: every earlier instruction is a
-    candidate, kept if it shares a qubit and is not exchangeable."""
+def all_pairs_dataflow(netlist: Netlist) -> nx.DiGraph:
+    """The dependency DAG by its definition: an edge from every earlier
+    instruction that shares a qubit and is not exchangeable, implied edges
+    included. `build_dataflow` keeps its transitive reduction."""
     instrs = netlist.instructions
-    edges = {
+    dag = nx.DiGraph()
+    dag.add_nodes_from(i.id for i in instrs)
+    dag.add_edges_from(
         (a.id, b.id)
         for k, b in enumerate(instrs)
         for a in instrs[:k]
         if set(a.qubits) & set(b.qubits) and not exchangeable(a, b)
-    }
-    return DataflowGraph(tuple(i.id for i in instrs), frozenset(edges))
+    )
+    return dag
 
 
 def reachable(graph: DataflowGraph, src: int, dst: int) -> bool:

@@ -230,8 +230,25 @@ H_ENTRY = '{"id":1,"kind":"H","controls":[],"target":0}'
             '{"horizon":1,"stages":[{"stage":1}]}',
             "instruction_ids",
         ),
+        (  # bool subclasses int, yet no field is a boolean
+            '{"qubit_count":1,"instructions":[{"id":true,"kind":"H","controls":[],"target":false}]}',
+            None,
+            "id",
+        ),
+        (
+            '{"qubit_count":1,"instructions":[' + H_ENTRY + "]}",
+            '{"horizon":1,"stages":[{"stage":true,"instruction_ids":[1]}]}',
+            "stage",
+        ),
     ],
-    ids=["unknown-kind", "no-controls", "top-level-array", "schedule-without-ids"],
+    ids=[
+        "unknown-kind",
+        "no-controls",
+        "top-level-array",
+        "schedule-without-ids",
+        "boolean-id",
+        "boolean-stage",
+    ],
 )
 def test_malformed_json_input_exit_code(tmp_path, capsys, netlist, schedule, field):
     (tmp_path / "netlist.json").write_text(netlist)
@@ -243,6 +260,40 @@ def test_malformed_json_input_exit_code(tmp_path, capsys, netlist, schedule, fie
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"'{field}'" in err
+
+
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_schedule_horizon_below_one_exit_code(tmp_path, capsys, horizon):
+    # a horizon below 1 would turn the horizon check off and let stage 7 pass
+    netlist = tmp_path / "two.qasm"
+    netlist.write_text("H q0\nH q1\n")
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(
+        json.dumps({"horizon": horizon, "stages": [{"stage": 7, "instruction_ids": [1, 2]}]})
+    )
+    assert main(["verify", str(netlist), str(schedule)]) == 2
+    assert "'horizon'" in capsys.readouterr().err
+    schedule.write_text(json.dumps({"horizon": 2, "stages": [{"stage": 7, "instruction_ids": [1, 2]}]}))
+    assert main(["verify", str(netlist), str(schedule)]) == 3
+    assert capsys.readouterr().out.count("has no valid stage") == 2
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--node-budget", "-5"),
+        ("--node-budget", "1.5"),
+        ("--time-budget", "-0.5"),
+        ("--time-budget", "nan"),
+        ("--time-budget", "inf"),
+    ],
+)
+def test_invalid_solver_budget_exit_code(tmp_path, capsys, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["schedule", CODE932, option, value, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert f"argument {option}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_oracle_cat4(tmp_path, capsys):
@@ -264,10 +315,10 @@ def test_node_budget_exit_code(tmp_path, capsys):
 
 def test_no_search_at_the_list_schedule_length(tmp_path, capsys):
     # code_9_3_2's list schedule has its lower bound of 6 stages, so the
-    # run explores no node and any budget suffices
-    argv = ["schedule", CODE932, "--node-budget", "1", "--out", str(tmp_path / "x")]
-    assert main(argv) == 0
-    assert "scheduled in 6 stages" in capsys.readouterr().out
+    # run explores no node and any budget suffices, 0 included
+    for budget in (["--node-budget", "1"], ["--node-budget", "0"], ["--time-budget", "0"]):
+        assert main(["schedule", CODE932, *budget, "--out", str(tmp_path / "x")]) == 0
+        assert "scheduled in 6 stages" in capsys.readouterr().out
 
 
 def test_schedule_1200_instructions(tmp_path, capsys):

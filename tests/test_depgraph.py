@@ -15,7 +15,9 @@ from helpers import (
     reference_exchangeable,
 )
 from ionpd.circuits import generate_cat_circuit
+from ionpd.decompose import Library, decompose
 from ionpd.depgraph import (
+    DataflowGraph,
     InfeasibleHorizon,
     asap_alap,
     build_dataflow,
@@ -131,7 +133,7 @@ class TestCommonQubits:
         other = Netlist(code932.instructions, code932.qubit_count)
         assert graph.qubit_table(other) == common_qubit_table(code932)
         assert graph.qubit_table(other) is graph.qubit_table(other)
-        direct = all_pairs_dataflow(code932)  # built without a table
+        direct = DataflowGraph(graph.nodes, graph.edges)  # built without a table
         assert direct.qubit_table(code932) == common_qubit_table(code932)
 
 
@@ -158,45 +160,33 @@ class TestDataflow:
             assert not exchangeable(a, b)
 
     def test_matches_all_pairs_rule(self, code932):
+        # the edges are the transitive reduction of every all-pairs edge
         rng = random.Random(41)
         netlists = [random_netlist(rng, max_instr=30) for _ in range(200)]
-        netlists += [generate_cat_circuit(80), code932, parse_qasm(TOFFOLI_PAIR.read_text())]
+        toffoli_pair = parse_qasm(TOFFOLI_PAIR.read_text())
+        netlists += [generate_cat_circuit(80), code932, toffoli_pair]
+        netlists += [decompose(toffoli_pair, library) for library in Library]  # cv and ft
+        chain = parse_qasm("".join(("H q0\n", "T q0\n")[k % 2] for k in range(300)))
+        netlists.append(chain)
         for netlist in netlists:
-            assert build_dataflow(netlist) == all_pairs_dataflow(netlist)
+            dag = all_pairs_dataflow(netlist)
+            expected = sorted(nx.transitive_reduction(dag).edges)
+            assert list(build_dataflow(netlist).edges) == expected
+        assert len(all_pairs_dataflow(chain).edges) == 150 * 150  # every H against every T
+        assert build_dataflow(chain).edges == tuple((k, k + 1) for k in range(1, 300))
 
     def test_reduction_preserves_reachability(self, code932):
-        graph = build_dataflow(code932)
-        reduced = set(graph.reduced_edges())
-        assert reduced <= set(graph.edges)
-        from ionpd.depgraph import DataflowGraph
-
-        thin = DataflowGraph(graph.nodes, frozenset(reduced))
-        for j, i in graph.edges:
-            assert reachable(thin, j, i)
-
-    def test_reduction_matches_networkx(self):
-        from ionpd.depgraph import DataflowGraph
-
-        rng = random.Random(23)
-        graphs = [build_dataflow(random_netlist(rng, max_instr=30)) for _ in range(100)]
-        for _ in range(100):
-            n = rng.randint(1, 40)
-            density = rng.random()
-            edges = {(j, i) for i in range(1, n + 1) for j in range(1, i) if rng.random() < density}
-            graphs.append(DataflowGraph(tuple(range(1, n + 1)), frozenset(edges)))
-        chain = "".join(("H q0\n", "T q0\n")[k % 2] for k in range(300))
-        graphs.append(build_dataflow(parse_qasm(chain)))
-        for graph in graphs:
-            dag = nx.DiGraph(graph.edges)
-            dag.add_nodes_from(graph.nodes)
-            expected = sorted(nx.transitive_reduction(dag).edges)
-            assert list(graph.reduced_edges()) == expected
-        assert len(graphs[-1].edges) == 150 * 150  # every H against every T
-        assert graphs[-1].reduced_edges() == tuple((k, k + 1) for k in range(1, 300))
-
-    def test_reduction_is_computed_once(self, code932):
-        graph = build_dataflow(code932)
-        assert graph.reduced_edges() is graph.reduced_edges()
+        rng = random.Random(17)
+        netlists = [random_netlist(rng, max_instr=30) for _ in range(50)]
+        netlists += [code932, parse_qasm(TOFFOLI_PAIR.read_text())]
+        implied = 0
+        for netlist in netlists:
+            graph = build_dataflow(netlist)
+            all_pairs = all_pairs_dataflow(netlist)
+            implied += len(all_pairs.edges) - len(graph.edges)
+            for j, i in all_pairs.edges:
+                assert reachable(graph, j, i)
+        assert implied > 0
 
     def test_exports(self, code932):
         graph = build_dataflow(code932)

@@ -1,10 +1,13 @@
+import itertools
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from helpers import (
+    all_pairs_dataflow,
     equal_up_to_phase,
     lexmin_stages,
     lexmin_stages_milp,
@@ -323,6 +326,42 @@ class TestValidate:
     def test_empty_schedule_for_empty_netlist(self):
         netlist = parse_qasm("")
         assert validate(netlist, build_dataflow(netlist), Schedule({}, 0, 0)) == []
+
+    def test_verdict_is_the_all_pairs_rule(self):
+        # validate checks order along the reduced edges only, yet a schedule
+        # passes exactly when it is total, inside its horizon, has no qubit
+        # clash and puts every all-pairs dependency in order
+        rng = random.Random(57)
+        verdicts = Counter()
+        for k in range(600):
+            make = random_mixed_netlist if k % 2 else random_netlist
+            netlist = make(rng, max_instr=16)
+            graph = build_dataflow(netlist)
+            schedule = schedule_netlist(netlist, graph=graph)
+            stage_of = dict(schedule.stage_of)
+            ids = sorted(stage_of)
+            change = rng.randrange(4)
+            if change == 1 and len(ids) > 1:  # swap two stages
+                a, b = rng.sample(ids, 2)
+                stage_of[a], stage_of[b] = stage_of[b], stage_of[a]
+            elif change == 2:  # move one instruction, maybe past the horizon
+                stage_of[rng.choice(ids)] = rng.randint(1, schedule.horizon + 1)
+            elif change == 3:
+                del stage_of[rng.choice(ids)]
+            instrs = netlist.instructions
+            expected = (
+                sorted(stage_of) == ids
+                and all(1 <= s <= schedule.horizon for s in stage_of.values())
+                and not any(
+                    set(a.qubits) & set(b.qubits) and stage_of[a.id] == stage_of[b.id]
+                    for a, b in itertools.combinations(instrs, 2)
+                )
+                and all(stage_of[j] < stage_of[i] for j, i in all_pairs_dataflow(netlist).edges)
+            )
+            perturbed = Schedule(stage_of, schedule.stage_count, schedule.horizon)
+            assert (validate(netlist, graph, perturbed) == []) == expected
+            verdicts[expected] += 1
+        assert verdicts[True] > 150 and verdicts[False] > 150
 
 
 class TestOracle:
