@@ -10,7 +10,6 @@ exhausted, 4 layout error, 5 I/O error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from collections.abc import Callable, Iterable
 from functools import cache
@@ -32,6 +31,7 @@ from .qfg import build_qfg
 from .solver import (
     Schedule,
     SolverError,
+    check_budget,
     oracle_min_stages,
     schedule_netlist,
     validate,
@@ -174,12 +174,14 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _budget(kind: type) -> Callable[[str], float]:
-    """An argparse type: a `kind` of at least 0 that is finite (not NaN)."""
+def _budget(kind: type, name: str) -> Callable[[str], float]:
+    """An argparse type: a `kind` that `check_budget` accepts as budget `name`."""
     def convert(text: str) -> float:
         value = kind(text)
-        if not 0 <= value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text!r}")
+        try:
+            check_budget(name, value)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
         return value
 
     convert.__name__ = kind.__name__  # argparse names it in "invalid int value"
@@ -192,8 +194,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--latency-config", default=None, metavar="PATH")
     parser.add_argument("--emit", default="json", metavar="FMTS",
                         help=f"comma list of extra outputs: {','.join(EMIT_FORMATS)}")
-    parser.add_argument("--node-budget", type=_budget(int), default=None, metavar="N")
-    parser.add_argument("--time-budget", type=_budget(float), default=None, metavar="SECS")
+    parser.add_argument("--node-budget", type=_budget(int, "node_budget"), default=None, metavar="N")
+    parser.add_argument("--time-budget", type=_budget(float, "time_budget"), default=None, metavar="SECS")
     parser.add_argument("--out", default="out", metavar="DIR")
 
 

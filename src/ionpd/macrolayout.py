@@ -10,12 +10,12 @@ and no gate there yet).
 
 A `GridMap` takes each drawing grid line to a block coordinate, one map per
 axis, with grid line 0 at block 0. The gap between two neighbouring grid
-lines is 2 blocks wide, so each gap holds one channel block. Where a corner
-or junction finds no free host (two of them joined by a one-unit edge both
-want the block between them), the gaps on that node's ported sides widen to
-3 blocks and `tile` starts again. Widths only grow, and with every gap at 3
-the first port's neighbour is always free, so the loop ends; `LayoutError`
-reports a node that stays without a host on a drawing that breaks this.
+lines is 1 block wide unless something must sit in it, so a leg crosses one
+block per grid unit. `tile` widens a gap one step at a time (1, 2, 3) and
+tiles again where a trap's cap would land on a route cell or another node's
+cell, or where a corner or junction finds no free host on its ported sides;
+`LayoutError` reports a node that stays without a host with every one of
+those gaps at 3.
 
 While `tile` collects port demands, a cell's port set is a 4-bit mask (E=1,
 S=2, W=4, N=8). Every gate-free cell of a tiled layout holds one of 15
@@ -165,18 +165,18 @@ class GridMap:
             raise LayoutError(f"points {points} leave the layout's grid") from None
 
 
-def _axis(lines: set[int], wide: set[int]) -> dict[int, int]:
+def _axis(lines: set[int], width: dict[int, int]) -> dict[int, int]:
     """Block coordinate of every grid line from the lowest of `lines` (or 0)
     to the highest: line 0 sits at block 0, and the gap from line g to g + 1
-    is 3 blocks wide if g is in `wide`, else 2."""
+    is `width[g]` blocks wide, 1 if g has no entry."""
     if not lines:
         return {}
     start = min(0, min(lines))
-    c = -sum(3 if g in wide else 2 for g in range(start, 0))
+    c = -sum(width.get(g, 1) for g in range(start, 0))
     coord = {}
     for g in range(start, max(lines) + 1):
         coord[g] = c
-        c += 3 if g in wide else 2
+        c += width.get(g, 1)
     return coord
 
 
@@ -344,9 +344,10 @@ def _runs(cells: list[Point]) -> Iterator[tuple[Point, str, list[Point]]]:
             yield a, d, list(zip(repeat(ax), range(ay + step, by + step, step)))
 
 
-class _NoFreeHost(Exception):
-    """Raised with (instruction, port mask) for a corner or junction that
-    finds no free straight block next to it."""
+class _Crowded(Exception):
+    """Raised with the gaps a pass needs wider, as a set of (axis, gap)
+    pairs, and the first corner or junction, by instruction id, that found
+    no free host (None if every one found one)."""
 
 
 # per port direction: the axis (0 for x, 1 for y) of the gap a port opens
@@ -354,34 +355,54 @@ class _NoFreeHost(Exception):
 _GAP_OF_PORT = {"E": (0, 0), "W": (0, -1), "S": (1, 0), "N": (1, -1)}
 
 
+def _gap(position: Point, d: str) -> tuple[int, int]:
+    """(axis, gap) of the gap that port `d` of a node drawn at `position`
+    opens into; gap g lies between grid lines g and g + 1."""
+    axis, offset = _GAP_OF_PORT[d]
+    return axis, position[axis] + offset
+
+
 def tile(drawing: OrthogonalDrawing) -> MacroLayout:
-    """Convert a drawing into a port-consistent macroblock grid: every gap 2
-    blocks wide, 3 on the ported sides of each node that finds no free host."""
+    """Convert a drawing into a port-consistent macroblock grid.
+
+    Every gap starts 1 block wide. A pass that finds something that must
+    sit in a gap widens that gap by one block, each gap at most once per
+    pass, and tiles again:
+    (a) a trap's cap, a port the trap opens though no route asked for it,
+        whose neighbour cell is a route cell or another node's cell;
+    (b) a corner or junction without a free straight host: every gap on
+        its ported sides, up to 3.
+    Once a gap is 2 wide, (a) cannot fire there: the cap cell lies off every
+    grid line of that axis, where a route cell could only come from a leg
+    along the trap's own line through the trap, which would open that port
+    itself, so only a facing cap can meet it. At 3 the port's neighbour is
+    a straight block that no other node reaches, so (b) finds it free. Each
+    gap thus widens at most twice, and `LayoutError` reports a node that
+    finds no host with every gap on its ported sides at 3.
+    """
     points = [*drawing.node_pos.values(), *chain.from_iterable(drawing.routes.values())]
     lines = ({x for x, _ in points}, {y for _, y in points})
-    wide: tuple[set[int], set[int]] = (set(), set())
+    widths: tuple[dict[int, int], dict[int, int]] = ({}, {})
     while True:
-        grid = GridMap(_axis(lines[0], wide[0]), _axis(lines[1], wide[1]))
+        grid = GridMap(_axis(lines[0], widths[0]), _axis(lines[1], widths[1]))
         try:
             return _tile_on(drawing, grid)
-        except _NoFreeHost as stuck:
-            instr, mask = stuck.args
-            position = drawing.node_pos[instr]
+        except _Crowded as crowded:
+            gaps, stuck = crowded.args
             grown = False
-            for d in _ORDER:
-                if mask & _BIT[d]:
-                    axis, offset = _GAP_OF_PORT[d]
-                    gap = position[axis] + offset
-                    grown |= gap not in wide[axis]
-                    wide[axis].add(gap)
+            for axis, gap in gaps:
+                width = widths[axis].get(gap, 1)
+                if width < 3:
+                    widths[axis][gap] = width + 1
+                    grown = True
             if not grown:
-                cell = grid.cells((position,))[0]
+                cell = grid.cells((drawing.node_pos[stuck],))[0]
                 raise LayoutError(f"no free gate block next to junction at {cell}") from None
 
 
 def _tile_on(drawing: OrthogonalDrawing, grid: GridMap) -> MacroLayout:
-    """`tile` at the gap widths of `grid`; raises `_NoFreeHost` for the first
-    corner or junction, by instruction id, that finds no free host."""
+    """`tile` at the gap widths of `grid`; raises `_Crowded` with every gap
+    that a cap or a corner or junction without a free host needs wider."""
     demand: dict[Point, int] = {}  # cell -> port mask
     get = demand.get
     for _, points in sorted(drawing.routes.items()):
@@ -392,27 +413,35 @@ def _tile_on(drawing: OrthogonalDrawing, grid: GridMap) -> MacroLayout:
                 demand[cell] = get(cell, 0) | out | back
             end = cells[-1]
             demand[end] = get(end, 0) | back
+    routed = set(demand)
 
     node_cell = dict(zip(drawing.node_pos, grid.cells(drawing.node_pos.values())))
     node_cells = set(node_cell.values())
     gate_cells: dict[int, Point] = {}
     gate_marks: dict[Point, list[int]] = {}
+    crowded: set[tuple[int, int]] = set()
+    stuck = None
 
     for instr in sorted(node_cell):
         cell = node_cell[instr]
         mask = demand.get(cell, 0)
         trap = _TRAP_MASK.get(mask)
         if trap is not None:
-            # the node block itself can host the trap; cap any open ends. A
-            # cap lies inside a gap, where only a route into this trap (which
-            # opens it already) or the cap of a facing trap can meet it; two
-            # caps join the traps by a straight block
+            # the node block itself can host the trap; cap its open ends.
+            # Two caps that meet off every route and node join the traps by
+            # a straight block
             demand[cell] = trap
             gate_cells[instr] = cell
             gate_marks.setdefault(cell, []).append(instr)
-            for _, dx, dy, facing in _NEIGHBOURS[_PORT_SETS[trap]]:
-                neighbour = (cell[0] + dx, cell[1] + dy)
-                demand[neighbour] = get(neighbour, 0) | _BIT[facing]
+            caps = trap & ~mask
+            for d in _ORDER:
+                if caps & _BIT[d]:
+                    dx, dy = DIRS[d]
+                    neighbour = (cell[0] + dx, cell[1] + dy)
+                    if neighbour in routed or neighbour in node_cells:
+                        crowded.add(_gap(drawing.node_pos[instr], d))
+                    else:
+                        demand[neighbour] = get(neighbour, 0) | _BIT[OPPOSITE[d]]
             continue
         # corner or junction: shift the gate through the first port, in
         # _ORDER, whose neighbour is a free straight block
@@ -429,7 +458,12 @@ def _tile_on(drawing: OrthogonalDrawing, grid: GridMap) -> MacroLayout:
                     gate_marks[host] = [instr]
                     break
         else:
-            raise _NoFreeHost(instr, mask)
+            if stuck is None:
+                stuck = instr
+            position = drawing.node_pos[instr]
+            crowded.update(_gap(position, d) for d in _ORDER if mask & _BIT[d])
+    if crowded:
+        raise _Crowded(crowded, stuck)
 
     blocks = {
         cell: Macroblock(_PORT_SETS[mask], tuple(gate_marks[cell]))

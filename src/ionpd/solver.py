@@ -53,6 +53,7 @@ continuation completes that choice within L.
 from __future__ import annotations
 
 import json
+import math
 import time
 from collections.abc import Collection
 from dataclasses import dataclass
@@ -135,11 +136,20 @@ class Violation:
     message: str
 
 
+def check_budget(name: str, value: float | None) -> None:
+    """Raise `ValueError` naming the budget `name` unless `value` is None
+    (no limit) or finite and at least 0; NaN is neither."""
+    if value is not None and not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and at least 0, got {value!r}")
+
+
 class _Budget:
     """Nodes and seconds one scheduling run may spend, over every pass of
     every horizon it tries."""
 
     def __init__(self, node_budget: int | None, time_budget: float | None):
+        check_budget("node_budget", node_budget)
+        check_budget("time_budget", time_budget)
         self.node_budget = node_budget
         self.deadline = None if time_budget is None else time.monotonic() + time_budget
         self.explored = 0
@@ -449,13 +459,13 @@ def schedule_netlist(
     `solve`; once all of them are refuted, the list schedule is the lex-min
     schedule at its own length and is returned without a search.
     `node_budget` and `time_budget` bound the whole run, every horizon
-    tried included.
+    tried included; a negative, infinite or NaN budget raises `ValueError`.
     """
+    budget = _Budget(node_budget, time_budget)
     if graph is None:
         graph = build_dataflow(netlist)
     if not netlist.instructions:
         return Schedule({}, 0, 0)
-    budget = _Budget(node_budget, time_budget)
     greedy = list_schedule(netlist, graph)
     length = max(greedy.values())
     for horizon in range(max(1, stage_lower_bound(netlist, graph)), length):
@@ -466,13 +476,14 @@ def schedule_netlist(
 
 
 def validate(netlist: Netlist, graph: DataflowGraph, schedule: Schedule) -> list[Violation]:
-    """Empty list iff the schedule is total, resource- and dependency-valid."""
+    """Empty list iff the schedule is total, inside its horizon, resource-
+    and dependency-valid."""
     violations: list[Violation] = []
     stage_of = schedule.stage_of
-    limit = schedule.horizon if schedule.horizon > 0 else None
+    horizon = schedule.horizon
     for instr in netlist.instructions:
         stage = stage_of.get(instr.id)
-        if stage is None or stage < 1 or (limit is not None and stage > limit):
+        if stage is None or not 1 <= stage <= horizon:
             violations.append(
                 Violation(1, (instr.id,), f"instruction {instr.id} has no valid stage")
             )

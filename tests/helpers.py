@@ -1034,9 +1034,10 @@ def _reference_polyline(points: tuple[Point, ...]) -> tuple[list[Point], list[st
     return cells, dirs
 
 
-def _reference_grid(drawing: OrthogonalDrawing, wide: tuple[set[int], set[int]]) -> GridMap:
-    """Line g at 2 * g blocks, plus one block for each wide gap between line
-    0 and line g, on every line from min(0, lowest used) to the highest."""
+def _reference_grid(drawing: OrthogonalDrawing, widths: tuple[dict[int, int], dict[int, int]]) -> GridMap:
+    """Line g at g blocks, plus width - 1 blocks for each widened gap
+    between line 0 and line g, on every line from min(0, lowest used) to the
+    highest."""
     maps = []
     for axis in (0, 1):
         used = [p[axis] for p in drawing.node_pos.values()]
@@ -1044,9 +1045,9 @@ def _reference_grid(drawing: OrthogonalDrawing, wide: tuple[set[int], set[int]])
         if not used:
             maps.append({})
             continue
-        extra = sorted(wide[axis])
+        extra = sorted(gap for gap, width in widths[axis].items() for _ in range(width - 1))
         maps.append({
-            g: 2 * g + bisect_left(extra, g) - bisect_left(extra, 0)
+            g: g + bisect_left(extra, g) - bisect_left(extra, 0)
             for g in range(min(0, *used), max(used) + 1)
         })
     return GridMap(*maps)
@@ -1055,27 +1056,36 @@ def _reference_grid(drawing: OrthogonalDrawing, wide: tuple[set[int], set[int]])
 def reference_tile(drawing: OrthogonalDrawing) -> MacroLayout:
     """`macrolayout.tile` with a `set` of port names per cell, one
     `Macroblock` built per cell, and each grid line's block coordinate
-    counted from its wide gaps."""
-    wide: tuple[set[int], set[int]] = (set(), set())
+    counted from the widened gaps: every gap 1 block wide, and each gap that
+    a pass names one block wider, up to 3, until a pass names none."""
+    widths: tuple[dict[int, int], dict[int, int]] = ({}, {})
     while True:
-        grid = _reference_grid(drawing, wide)
+        grid = _reference_grid(drawing, widths)
         layout = _reference_tile_on(drawing, grid)
         if isinstance(layout, MacroLayout):
             return layout
-        instr, ports = layout
-        x, y = drawing.node_pos[instr]
-        gaps = {"E": (0, x), "W": (0, x - 1), "S": (1, y), "N": (1, y - 1)}
-        new = [(axis, gap) for axis, gap in map(gaps.get, ports) if gap not in wide[axis]]
-        if not new:
-            cell = (grid.xs[x], grid.ys[y])
-            raise LayoutError(f"no free gate block next to junction at {cell}")
-        for axis, gap in new:
-            wide[axis].add(gap)
+        sides, stuck = layout
+        grown = False
+        for axis, gap in {_reference_gap(drawing, instr, port) for instr, port in sides}:
+            if widths[axis].get(gap, 1) < 3:
+                widths[axis][gap] = widths[axis].get(gap, 1) + 1
+                grown = True
+        if not grown:
+            x, y = drawing.node_pos[stuck[0]]
+            raise LayoutError(f"no free gate block next to junction at {(grid.xs[x], grid.ys[y])}")
+
+
+def _reference_gap(drawing: OrthogonalDrawing, instr: int, port: str) -> tuple[int, int]:
+    """(axis, gap) of the gap that node `instr`'s `port` opens into."""
+    x, y = drawing.node_pos[instr]
+    return {"E": (0, x), "W": (0, x - 1), "S": (1, y), "N": (1, y - 1)}[port]
 
 
 def _reference_tile_on(drawing: OrthogonalDrawing, grid: GridMap):
-    """The layout at `grid`'s gap widths, or (instruction, ports) of the
-    first corner or junction without a free straight block beside it."""
+    """The layout at `grid`'s gap widths, or the (instruction, port) sides
+    that need a wider gap and the corners and junctions without a free
+    straight block beside them: a trap's cap that meets a route cell or
+    another node's cell, and every port of a node without a free host."""
     def at(p: Point) -> Point:
         return grid.xs[p[0]], grid.ys[p[1]]
 
@@ -1090,6 +1100,8 @@ def _reference_tile_on(drawing: OrthogonalDrawing, grid: GridMap):
     blocks: dict[Point, set[str]] = {cell: set(ports) for cell, ports in demands.items()}
     gate_cells: dict[int, Point] = {}
     gate_marks: dict[Point, list[int]] = {}
+    sides: list[tuple[int, str]] = []
+    stuck: list[int] = []
 
     for instr in sorted(node_cell):
         cell = node_cell[instr]
@@ -1097,15 +1109,21 @@ def _reference_tile_on(drawing: OrthogonalDrawing, grid: GridMap):
         straight = ports in ({"E", "W"}, {"N", "S"})
         if len(ports) <= 1 or straight:
             if not ports:
-                ports = {"E", "W"}
+                trap = {"E", "W"}
             elif len(ports) == 1:
-                ports = ports | {OPPOSITE[next(iter(ports))]}
-            blocks[cell] = ports
+                trap = ports | {OPPOSITE[next(iter(ports))]}
+            else:
+                trap = ports
+            blocks[cell] = trap
             gate_cells[instr] = cell
             gate_marks.setdefault(cell, []).append(instr)
-            for port in sorted(ports):
-                dx, dy = DIRS[port]
-                blocks.setdefault((cell[0] + dx, cell[1] + dy), set()).add(OPPOSITE[port])
+            for cap in sorted(trap - ports):
+                dx, dy = DIRS[cap]
+                neighbour = (cell[0] + dx, cell[1] + dy)
+                if neighbour in demands or neighbour in node_cell.values():
+                    sides.append((instr, cap))
+                else:
+                    blocks.setdefault(neighbour, set()).add(OPPOSITE[cap])
             continue
         hosts = [
             (cell[0] + DIRS[d][0], cell[1] + DIRS[d][1])
@@ -1119,10 +1137,14 @@ def _reference_tile_on(drawing: OrthogonalDrawing, grid: GridMap):
             and host not in node_cell.values()
         ]
         if not free:
-            return instr, ports
+            stuck.append(instr)
+            sides += [(instr, port) for port in ports]
+            continue
         gate_cells[instr] = free[0]
         gate_marks.setdefault(free[0], []).append(instr)
 
+    if sides:
+        return sides, stuck
     built = {
         cell: Macroblock(frozenset(ports), tuple(gate_marks.get(cell, ())))
         for cell, ports in blocks.items()

@@ -161,11 +161,11 @@ def test_criterion_7_drawing_validity_and_bend_quality():
         drawing = compact(pg, rep)
         assert validate_drawing(drawing) == []
         assert one_sided_bends(rep)
-        # every drawing tiles and routes; a gap of three blocks is a widened one
+        # every drawing tiles and routes; a gap wider than one block is a widened one
         layout = tile(drawing)
         route(qfg, drawing, layout)
         widened += any(
-            b - a == 3
+            b - a > 1
             for axis in (layout.grid.xs, layout.grid.ys)
             for a, b in itertools.pairwise(sorted(axis.values()))
         )

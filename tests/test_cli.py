@@ -73,7 +73,7 @@ def test_byte_identical_reruns(tmp_path):
 def test_artifacts_match_committed_manifest(tmp_path, capsys):
     # the runs CI checks with `sha256sum -c`; layered16 and two_registers
     # hold gate pairs that share two qubits, so `model.lp` lists each such
-    # pair once, and layered5's layout widens a gap to three blocks
+    # pair once, and layered5's layout widens gaps to two and three blocks
     calls = {
         "code_9_3_2": ["latency", CODE932],
         "layered16": ["latency", LAYERED16],

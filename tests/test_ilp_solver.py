@@ -173,6 +173,23 @@ class TestScheduleNetlist:
             schedule_netlist(netlist, node_budget=21)
         assert err.value.explored == 22
 
+    @pytest.mark.parametrize("budget, value", [
+        ("node_budget", -5),
+        ("node_budget", float("inf")),
+        ("node_budget", float("nan")),
+        ("time_budget", -0.5),
+        ("time_budget", float("inf")),
+        ("time_budget", float("nan")),
+    ])
+    def test_invalid_budget_raises_naming_it(self, code932, budget, value):
+        # a NaN deadline would never fire, as every comparison with NaN is
+        # false; the empty netlist, which needs no search, checks too
+        for netlist in (code932, parse_qasm("")):
+            with pytest.raises(ValueError, match=f"^{budget} must be finite and at least 0"):
+                schedule_netlist(netlist, **{budget: value})
+        with pytest.raises(ValueError, match=f"^{budget} "):
+            solve_at(code932, 6, **{budget: value})
+
     def test_list_schedule_bounds_the_minimal_horizon(self):
         rng = random.Random(8)
         certified = 0
@@ -326,6 +343,14 @@ class TestValidate:
     def test_empty_schedule_for_empty_netlist(self):
         netlist = parse_qasm("")
         assert validate(netlist, build_dataflow(netlist), Schedule({}, 0, 0)) == []
+
+    def test_stages_beyond_a_zero_horizon_are_series1(self):
+        # a horizon of 0 bounds the stages like any other
+        netlist = parse_qasm("H q0\nH q1")
+        graph = build_dataflow(netlist)
+        violations = validate(netlist, graph, Schedule({1: 7, 2: 7}, 7, 0))
+        assert [(v.series, v.instructions) for v in violations] == [(1, (1,)), (1, (2,))]
+        assert validate(netlist, graph, Schedule({1: 7, 2: 7}, 7, 7)) == []
 
     def test_verdict_is_the_all_pairs_rule(self):
         # validate checks order along the reduced edges only, yet a schedule

@@ -45,19 +45,20 @@ from ionpd.solver import schedule_netlist
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 LAYERED16 = FIXTURES / "layered16.qasm"
 # the bench's layered:5 netlist: its gate 141 sits on a corner whose two
-# one-unit edges lead to corners that took the blocks between them first
+# one-unit edges lead to corners that took the blocks between them first,
+# so its gaps widen twice, to three blocks
 LAYERED5 = FIXTURES / "layered5.qasm"
 # sha256 of `layout.json` and `latency.json` written by `ionpd latency` on the
 # layered16 fixture and by `ionpd cat-gen 32`: they change only if a layout
 # or its simulation does
 ARTIFACT_PINS = {
     "layered16": {
-        "layout.json": "cc3106a9abe3341145fe091335f9c19ab853569a300bd1d24b0bd9e167c8fcde",
-        "latency.json": "44cb21a7e7c860ec6462ef6d3d1d48314c8cbcc398609674393872e23e60b702",
+        "layout.json": "9e8508caee1626b55907393137625d8198b9313f866a7fa3cddf95b404c82a4c",
+        "latency.json": "355b9b14309c3bdb382f7bcf8e1f04b3ad3ff7af9f050a3f7efa873164776bc1",
     },
     "cat32": {
-        "layout.json": "ee3efd7898e3c0c7fbe9b582c28cb04d8e84df011bb7396bea1dc8181fbae361",
-        "latency.json": "b451d610f7fd8fd7652d6960f7ced005ddabccf69ef7de65ba2e7664e81c6dc7",
+        "layout.json": "1f17bc32e12652c0d5013a0c942569f8ea312b739ab41ba7fa7c8e265f715518",
+        "latency.json": "5affc1b1762154e6dfc27c2ba736ba76a743a68832b5a300736effbc46a64cc0",
     },
 }
 
@@ -123,14 +124,10 @@ class TestTile:
         )
         layout = tile(drawing)
         xs = layout.grid.xs
-        assert xs == {0: 0, 1: 2}  # a gap nothing widens is two blocks
-        assert layout.gate_location_of == {1: (xs[0], 0), 2: (xs[1], 0)}
-        row = [layout.blocks[(x, 0)].kind for x in range(xs[0] - 1, xs[1] + 2)]
-        assert row == [
-            "DEAD_END_E", "GATE_STRAIGHT_H",
-            *["STRAIGHT_H"] * (xs[1] - xs[0] - 1),
-            "GATE_STRAIGHT_H", "DEAD_END_W",
-        ]
+        assert xs == {0: 0, 1: 1}  # a gap nothing widens is one block
+        assert layout.gate_location_of == {1: (0, 0), 2: (1, 0)}
+        row = [layout.blocks[(x, 0)].kind for x in range(-1, 3)]
+        assert row == ["DEAD_END_E", "GATE_STRAIGHT_H", "GATE_STRAIGHT_H", "DEAD_END_W"]
 
     def test_zero_length_segments_add_nothing(self):
         nodes = {1: (0, 0), 2: (2, 1)}
@@ -159,12 +156,15 @@ class TestTile:
         ),
     ], ids=["row", "column"])
     def test_facing_trap_caps_join_into_a_straight_block(self, drawing):
-        # one grid unit apart, both traps cap their open ends on the one
-        # block between them, which opens towards both
+        # one grid unit apart, each trap's cap would land on the other's
+        # cell, so the gap between them widens to two blocks and both traps
+        # cap their open ends on the one block between them, which opens
+        # towards both
         assert validate_drawing(drawing) == []
         layout = tile(drawing)
         layout.check_ports()
         first, second = layout.gate_location_of[1], layout.gate_location_of[2]
+        assert abs(second[0] - first[0]) + abs(second[1] - first[1]) == 2
         between = ((first[0] + second[0]) // 2, (first[1] + second[1]) // 2)
         assert layout.blocks[between].kind in ("STRAIGHT_H", "STRAIGHT_V")
         assert not layout.blocks[between].gate_of
@@ -228,9 +228,11 @@ class TestTile:
         assert layout.blocks[layout.grid.xs[1], layout.grid.ys[1]].kind == "CROSS"
 
 
-# corners 1 at (0, 1) and 2 at (1, 0) take the blocks between them and
-# corner 3 at (1, 1) first; 3 opens W and N only, so at two blocks per gap it
-# finds no free host. Nodes 4 and 5 end the corners' other edges
+# one block per gap leaves the three corners 1 at (0, 1), 2 at (1, 0) and 3
+# at (1, 1) no block between them, so every gap on their ported sides widens
+# to two. There corners 1 and 2 take the blocks between them and corner 3
+# first; 3 opens W and N only, so it still finds no free host and its two
+# gaps widen to three. Nodes 4 and 5 end the corners' other edges
 CORNERS = OrthogonalDrawing(
     {1: (0, 1), 2: (1, 0), 3: (1, 1), 4: (0, 0), 5: (0, 2)},
     {
@@ -249,18 +251,49 @@ def gap_widths(axis: dict[int, int]) -> list[int]:
 
 
 class TestWidening:
-    """Every gap is two blocks wide; a corner or junction without a free
-    host widens the gaps on its ported sides to three and tiles again."""
+    """Every gap is one block wide; a trap's cap that meets a route or
+    another node, and a corner or junction without a free host, widen the
+    gaps they open into by one block each and tile again."""
 
     def test_corner_without_free_host_widens_its_gaps_only(self):
         layout = tile(CORNERS)
-        # corner 3's W and N sides widen; the gap from y = 1 to 2 stays at two
+        # corner 3's W and N sides widen twice; the gap from y = 1 to 2,
+        # which only corner 1's S side opens into, widens once
         assert layout.grid.xs == {0: 0, 1: 3}
         assert layout.grid.ys == {0: 0, 1: 3, 2: 5}
         assert layout.gate_location_of == {1: (1, 3), 2: (3, 1), 3: (2, 3), 4: (0, 0), 5: (0, 5)}
         assert layout == reference_tile(CORNERS)
         qfg = synth_qfg([1, 2, 3, 4, 5], [(1, 3), (2, 3), (2, 4), (1, 5)])
         assert route(qfg, CORNERS, layout) == reference_route(qfg, CORNERS, layout)
+
+    def test_cap_on_a_perpendicular_route_widens_only_its_gap(self):
+        # trap 3 caps W onto the vertical route from 1 to 2, so that gap
+        # widens to two and the cap lands between the route and the trap
+        drawing = OrthogonalDrawing(
+            {1: (0, 0), 2: (0, 2), 3: (1, 1)}, {(1, 2, 0): ((0, 0), (0, 2))}
+        )
+        assert validate_drawing(drawing) == []
+        layout = tile(drawing)
+        assert layout.grid.xs == {0: 0, 1: 2}
+        assert layout.grid.ys == {0: 0, 1: 1, 2: 2}
+        assert layout.blocks[0, 1].kind == "STRAIGHT_V"
+        assert layout.blocks[1, 1].kind == "DEAD_END_E"
+        assert layout.gate_location_of == {1: (0, 0), 2: (0, 2), 3: (2, 1)}
+        assert layout == reference_tile(drawing)
+
+    @pytest.mark.parametrize("drawing", [
+        OrthogonalDrawing({1: (0, 0), 2: (1, 0)}, {(1, 2, 0): ((0, 0), (1, 0))}),
+        OrthogonalDrawing({1: (0, 0), 2: (0, 1)}, {(1, 2, 0): ((0, 0), (0, 1))}),
+    ], ids=["row", "column"])
+    def test_traps_joined_by_a_one_unit_edge_sit_on_adjacent_blocks(self, drawing):
+        # the edge opens the facing ports, so neither trap caps towards the other
+        layout = tile(drawing)
+        first, second = layout.gate_location_of[1], layout.gate_location_of[2]
+        assert abs(second[0] - first[0]) + abs(second[1] - first[1]) == 1
+        assert set(gap_widths(layout.grid.xs) + gap_widths(layout.grid.ys)) <= {1}
+        assert layout == reference_tile(drawing)
+        qfg = synth_qfg([1, 2], [(1, 2)])
+        assert len(route(qfg, drawing, layout).steps[(1, 2, 0)]) == 1
 
     def test_host_that_widening_cannot_free_raises(self):
         # three corners drawn on one point: the third finds both of the
@@ -278,11 +311,12 @@ class TestWidening:
         assert name == "layered5"
         layout = tile(drawing)
         widths = gap_widths(layout.grid.xs) + gap_widths(layout.grid.ys)
-        assert 3 in widths and set(widths) == {2, 3}
+        assert set(widths) == {1, 2, 3}
         layout.check_ports()
         plan = route(qfg, drawing, layout)
         report = simulate(netlist, qfg, layout, plan, place_qubits(qfg, layout))
         assert report.total < 2434  # its latency with every gap three blocks wide
+        assert report.total < 1711  # and with every gap at least two
 
 
 class TestPlaceQubits:
@@ -476,13 +510,17 @@ class TestAgainstReference:
     cell, kept in helpers: block for block, byte for byte, report for report."""
 
     def test_tile(self, macroblock_cases):
+        widths = set()
         for name, _, _, drawing in macroblock_cases:
             layout, expected = tile(drawing), reference_tile(drawing)
             assert list(layout.blocks.items()) == list(expected.blocks.items()), name
             assert layout.gate_location_of == expected.gate_location_of, name
             assert layout.node_cell == expected.node_cell, name
+            assert layout.grid == expected.grid, name
             gate_free = {id(b) for b in layout.blocks.values() if not b.gate_of}
             assert len(gate_free) <= 15, name
+            widths.update(gap_widths(layout.grid.xs) + gap_widths(layout.grid.ys))
+        assert widths == {1, 2, 3}
 
     def test_layout_json(self, macroblock_cases):
         for name, _, _, drawing in macroblock_cases:
