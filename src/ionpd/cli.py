@@ -19,15 +19,21 @@ from .circuits import generate_cat_circuit
 from .compact import compact
 from .decompose import DecomposeError, Library, decompose
 from .depgraph import asap_alap, build_dataflow, stage_lower_bound
-from .drawing import validate_drawing
+from .drawing import OrthogonalDrawing, validate_drawing
 from .gates import Netlist, NetlistError
 from .ilp import emit_ilp, to_lp_text
-from .latency import LatencyConfigError, LatencyModel, load_latency_model, simulate
+from .latency import (
+    LatencyConfigError,
+    LatencyModel,
+    drawn_critical_path,
+    load_latency_model,
+    simulate,
+)
 from .macrolayout import LayoutError, place_qubits, route, tile
-from .orthogonal import orthogonalize
-from .planar import PlanarizeError, planarize
+from .orthogonal import balance_corners, orthogonalize
+from .planar import PlanarizeError, PlanarizedGraph, planarize
 from .qasm import QasmError, parse_qasm
-from .qfg import build_qfg
+from .qfg import QubitFlowGraph, build_qfg
 from .solver import (
     Schedule,
     SolverError,
@@ -100,6 +106,20 @@ def _require_gate_costs(netlist: Netlist, model: LatencyModel) -> None:
             ) from exc
 
 
+def _draw(netlist: Netlist, qfg: QubitFlowGraph, pg: PlanarizedGraph) -> OrthogonalDrawing:
+    """Compact the bend-minimal representation, and the one with balanced
+    rectangular faces if it differs; keep the latter only if its drawn
+    critical path is strictly shorter."""
+    rep = orthogonalize(pg)
+    drawing = compact(pg, rep)
+    balanced = balance_corners(pg, rep)
+    if balanced is not None:
+        other = compact(pg, balanced)
+        if drawn_critical_path(netlist, qfg, other) < drawn_critical_path(netlist, qfg, drawing):
+            return other
+    return drawing
+
+
 def _pipeline(netlist: Netlist, args, emit: _Emitter, upto: str) -> int:
     if args.library != "none":
         netlist = decompose(netlist, Library(args.library))
@@ -130,8 +150,7 @@ def _pipeline(netlist: Netlist, args, emit: _Emitter, upto: str) -> int:
     qfg = build_qfg(netlist, schedule, graph)
     emit.write("qfg.json", qfg.to_json)
     emit.write("qfg.dot", qfg.to_dot, "dot")
-    pg = planarize(qfg)
-    drawing = compact(pg, orthogonalize(pg))
+    drawing = _draw(netlist, qfg, planarize(qfg))
     problems = validate_drawing(drawing)
     if problems:
         raise LayoutError(f"invalid drawing: {problems[0]}")

@@ -139,16 +139,33 @@ def build_dataflow(netlist: Netlist) -> DataflowGraph:
     the edges kept so far is implied and skipped untested, and the rest
     are kept if they are not exchangeable with i. A dependency implied by
     a later one is among those ancestors by the time the scan reaches it.
+
+    Each row also keeps its trailing run of one-qubit gates that are
+    pairwise exchangeable, with one gate of each kind in it: on one wire
+    exchangeability of one-qubit gates depends on their kinds alone, so a
+    one-qubit gate exchangeable with those is exchangeable with the whole
+    run, which it skips untested and joins. Otherwise it starts a new run.
     """
     instrs = netlist.instructions
     table = common_qubit_table(netlist)
     passed = dict.fromkeys(table, 0)  # qubit -> ids in its row before b
+    # qubit -> (row index where its run starts, a gate of each kind in it)
+    runs: dict[int, tuple[int, dict]] = {q: (0, {}) for q in table}
     ancestors = [0]  # by id, which counts from 1
     edges = []
     for b in instrs:
         earlier: list[int] = []
         for q in b.qubits:
-            earlier += table[q][: passed[q]]
+            end = passed[q]
+            start, run = runs[q]
+            if len(b.qubits) > 1:
+                runs[q] = (end + 1, {})
+            elif run and all(_exchangeable_sharing(a, b) for a in run.values()):
+                run.setdefault(b.kind, b)
+                end = start
+            else:
+                runs[q] = (end, {b.kind: b})
+            earlier += table[q][:end]
             passed[q] += 1
         if len(b.qubits) > 1:  # a pair sharing two qubits is in both rows
             earlier = sorted(set(earlier))

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .artifact import render_json
+from .drawing import OrthogonalDrawing
 from .gates import GateKind, Netlist
 from .macrolayout import MacroLayout, Point, RoutePlan
 from .qfg import QubitFlowGraph
@@ -91,6 +92,34 @@ def cat_latency_formula(n: int, model: LatencyModel | None = None) -> float:
         + (half + 2) * m.two_qubit_gate
         + (half + 4) * 3 * m.straight_move
     )
+
+
+def drawn_critical_path(netlist: Netlist, qfg: QubitFlowGraph, drawing: OrthogonalDrawing) -> float:
+    """Longest dependency chain of a drawing, read before any tiling.
+
+    Under the default `LatencyModel`, whatever a run's latency config, each
+    flow-graph edge costs its drawn route, three straight-move units per
+    grid unit and one turn per interior route point (`compact` writes only
+    the corners), and each node its gate; a gate without a cost (an
+    undecomposed Toffoli) counts nothing.
+    """
+    m = LatencyModel()
+    block_move = 3 * m.straight_move
+    into: dict[int, list[tuple[int, float]]] = {}
+    for (i, j, _), pts in drawing.routes.items():
+        length = 0
+        for (ax, ay), (bx, by) in zip(pts, pts[1:]):
+            length += abs(bx - ax) + abs(by - ay)
+        into.setdefault(j, []).append((i, block_move * length + m.turn * (len(pts) - 2)))
+    finish: dict[int, float] = {}
+    for instr in sorted(netlist.instructions, key=lambda i: (qfg.stage_of[i.id], i.id)):
+        try:
+            cost = m.gate_cost(instr.kind)
+        except ValueError:
+            cost = 0.0
+        ready = max([finish[i] + leg for i, leg in into.get(instr.id, ())], default=0.0)
+        finish[instr.id] = ready + cost
+    return max(finish.values(), default=0.0)
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,21 @@ carry the same qubit. At degree 1, 3 and 4 the angles are forced up to
 rotation, so only the choice between a turn and a straight pass at degree-2
 vertices is affected, and a qubit passing through a gate is kept straight
 first.
+
+Those prices do not say where along a chain a turn goes, so a face drawn
+as a rectangle may get one long side opposite a short one, which the
+compaction then stretches. `balance_corners` moves the corners of each such
+face (internal, a simple cycle, no bends, four convex corners and all
+others straight) so that opposite sides match in edge count as well as
+they can, each corner only onto a vertex with the same other face and the
+same turn price, so the flow cost and the bends stay minimal. The
+pipeline keeps the balanced drawing only where its drawn critical path is
+shorter (`latency.drawn_critical_path`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from math import ceil, sqrt
 
@@ -248,17 +258,18 @@ class OrthoRep:
 
 
 def _wide_costs(pg: PlanarizedGraph, degree: dict[Node, int]) -> dict[Node, int]:
-    """Per-vertex cost of each angle unit beyond a straight angle."""
-    qubit_of = {
-        frozenset(pair): key[2]
-        for key, chain in pg.chains.items()
-        for pair in zip(chain, chain[1:])
+    """Per-vertex cost of each angle unit beyond a straight angle.
+
+    Every edge lies on exactly one chain, so the qubits of the chains
+    through a vertex are the qubits of its edges."""
+    qubits: dict[Node, set[int]] = {}
+    for (_, _, q), chain in pg.chains.items():
+        for v in chain:
+            qubits.setdefault(v, set()).add(q)
+    return {
+        v: _WIDE_COST_SAME_QUBIT if d == 2 and len(qubits[v]) == 1 else _WIDE_COST
+        for v, d in degree.items()
     }
-    costs = {}
-    for v, d in degree.items():
-        through = d == 2 and len({qubit_of[frozenset((v, w))] for w in pg.adj[v]}) == 1
-        costs[v] = _WIDE_COST_SAME_QUBIT if through else _WIDE_COST
-    return costs
 
 
 def orthogonalize(pg: PlanarizedGraph) -> OrthoRep:
@@ -325,3 +336,128 @@ def orthogonalize(pg: PlanarizedGraph) -> OrthoRep:
         angles=angles,
         bends=bends,
     )
+
+
+def _moves(k: int, a: int, b: int) -> int:
+    """Steps between walk positions a and b of a k-cycle."""
+    return min((a - b) % k, (b - a) % k)
+
+
+def _place_pair(k: int, cur: list[int], allowed: list[set[int]], j: int, turns: list[int]) -> None:
+    """Put corners j and j+2 as near half a walk apart as corners j+1 and
+    j+3, held at `cur`, allow; ties go to the least moved from `turns`,
+    then to the first by position. One scan of corner j's arc, with a
+    pointer into its partner's arc, on positions counted from corner j+3."""
+    lo, mid = cur[(j + 3) % 4], cur[j + 1]
+    split = (mid - lo) % k
+    first = [d for d in range(1, split) if (lo + d) % k in allowed[j]]
+    second = [d for d in range(split + 1, k) if (lo + d) % k in allowed[j + 2]]
+    best, t = None, 0
+    for a in first:
+        while t < len(second) and 2 * (second[t] - a) < k:
+            t += 1
+        for b in second[max(t - 1, 0) : t + 1]:
+            pa, pb = (lo + a) % k, (lo + b) % k
+            moved = _moves(k, pa, turns[j]) + _moves(k, pb, turns[j + 2])
+            key = (abs(2 * (b - a) - k), moved, pa, pb)
+            best = key if best is None else min(best, key)
+    cur[j], cur[j + 2] = best[2:]
+
+
+def _mismatch(k: int, c: list[int]) -> int:
+    """How far the sides between corners c of a k-cycle are from matching
+    their opposite sides, in edges."""
+    sides = [(b - a) % k for a, b in zip(c, c[1:] + c[:1])]
+    return abs(sides[0] - sides[2]) + abs(sides[1] - sides[3])
+
+
+def _balanced(k: int, turns: list[int], allowed: list[set[int]]) -> list[int]:
+    """New walk positions of a rectangle's four corners. Each pair of
+    opposite corners is placed once in each order of the two pairs, always
+    inside the arcs the other pair leaves it, so the cyclic order holds.
+    The better outcome, or the corners as they are, is taken by the sides'
+    mismatch, then the least movement, then walk position."""
+
+    def rank(c: list[int]) -> tuple:
+        return _mismatch(k, c), sum(_moves(k, a, b) for a, b in zip(c, turns)), c
+
+    options = [turns]
+    for order in ((0, 1), (1, 0)):
+        cur = list(turns)
+        for j in order:
+            _place_pair(k, cur, allowed, j, turns)
+        options.append(cur)
+    return min(options, key=rank)
+
+
+def _rectangle(rep: OrthoRep, fi: int) -> list[int] | None:
+    """The walk positions of the four convex corners of an internal face
+    that is a simple cycle without bends and has no other turn; None for
+    any other face."""
+    walk = rep.faces[fi]
+    if fi in rep.ext_face or any(rep.bends.get(he) or rep.bends.get(he[::-1]) for he in walk):
+        return None
+    values = [rep.angles[(fi, ci)] for ci in range(len(walk))]
+    if values.count(1) != 4 or values.count(2) != len(walk) - 4:
+        return None
+    if len({v for _, v in walk}) != len(walk):
+        return None
+    return [ci for ci, value in enumerate(values) if value == 1]
+
+
+def balance_corners(pg: PlanarizedGraph, rep: OrthoRep) -> OrthoRep | None:
+    """Move the turns of each rectangular face so opposite sides match.
+
+    A face qualifies if it is internal, a simple cycle and free of bends,
+    with four convex corners and every other corner straight. A corner on a
+    degree-2 vertex may move to any degree-2 vertex of the walk with the
+    same other face and the same `_wide_costs` entry: the angle units then
+    pass between the same flow nodes at the same price, so the flow cost
+    and the bends stay as they were. That other face has a reflex corner,
+    so it never qualifies itself, and the faces are balanced independently.
+    Corners on higher degrees stay, and the four keep their cyclic order
+    (see `_balanced`). Returns None if no corner moves.
+    """
+    faces = rep.faces
+    # rectangles whose sides could match better (an odd walk leaves 1) and
+    # that have a corner on a degree-2 vertex
+    rectangles = {
+        fi: turns
+        for fi in range(len(faces))
+        if (turns := _rectangle(rep, fi))
+        and _mismatch(len(faces[fi]), turns) > len(faces[fi]) % 2
+        and any(len(pg.adj[faces[fi][c][1]]) == 2 for c in turns)
+    }
+    if not rectangles:
+        return None
+    degree = {v: len(pg.adj.get(v, [])) for v in pg.nodes}
+    wide_cost = _wide_costs(pg, degree)
+    where = {he: (fi, ci) for fi, walk in enumerate(faces) for ci, he in enumerate(walk)}
+    angles = dict(rep.angles)
+    moved = False
+    for fi, turns in rectangles.items():
+        walk = faces[fi]
+        k = len(walk)
+        # the other corner at each degree-2 vertex of the walk
+        other = {
+            ci: where[(walk[(ci + 1) % k][1], v)]
+            for ci, (_, v) in enumerate(walk)
+            if degree[v] == 2
+        }
+        # a corner's allowed positions: those of its other face and turn price
+        kind = {ci: (other[ci][0], wide_cost[walk[ci][1]]) for ci in other}
+        alike: dict[tuple[int, int], set[int]] = {}
+        for ci, key in kind.items():
+            alike.setdefault(key, set()).add(ci)
+        allowed = [alike[kind[c]] if c in kind else {c} for c in turns]
+        best = _balanced(k, turns, allowed)
+        if best == turns:
+            continue
+        moved = True
+        for old in turns:
+            if old in other:
+                angles[(fi, old)] = angles[other[old]] = 2
+        for new in best:
+            if new in other:
+                angles[(fi, new)], angles[other[new]] = 1, 3
+    return replace(rep, angles=angles) if moved else None

@@ -465,6 +465,86 @@ def test_missing_drawn_route_exit_code(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: edge (") and err.endswith("has no drawn route\n")
 
 
+def test_both_drawings_compact_through_cli(tmp_path, capsys, monkeypatch):
+    # Cat-32's cycle is a rectangle whose corners move, so it compacts twice,
+    # both times through `cli.compact`; code_9_3_2 has no such face and
+    # compacts once. Either drawing losing a route exits 4
+    from dataclasses import replace
+
+    import ionpd.cli as cli
+
+    real_compact = cli.compact
+    calls = []
+
+    def counted(pg, rep):
+        calls.append(rep)
+        return real_compact(pg, rep)
+
+    monkeypatch.setattr(cli, "compact", counted)
+    assert main(["cat-gen", "32", "--out", str(tmp_path / "cat")]) == 0
+    assert len(calls) == 2
+    calls.clear()
+    assert main(["latency", CODE932, "--out", str(tmp_path / "code")]) == 0
+    assert len(calls) == 1
+
+    def drop_first_route(pg, rep):
+        drawing = real_compact(pg, rep)
+        routes = dict(drawing.routes)
+        del routes[min(routes)]
+        return replace(drawing, routes=routes)
+
+    monkeypatch.setattr(cli, "compact", drop_first_route)
+    capsys.readouterr()
+    assert main(["cat-gen", "32", "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err.endswith("has no drawn route\n")
+
+
+# simulated Cat-n latency: before the rectangle's corners were balanced, and now
+CAT_LATENCY = {8: (111.0, 111.0), 32: (299.0, 280.0), 80: (606.0, 592.0),
+               160: (1528.0, 1112.0), 320: (2575.0, 2155.0)}
+
+
+@pytest.mark.parametrize("n", sorted(CAT_LATENCY))
+def test_cat_latency_is_pinned(tmp_path, capsys, n):
+    before, now = CAT_LATENCY[n]
+    assert main(["cat-gen", str(n), "--out", str(tmp_path)]) == 0
+    total = json.loads((tmp_path / "latency.json").read_text())["total_us"]
+    assert total == now <= before
+
+
+def test_cat8_keeps_the_bend_minimal_drawing(tmp_path, capsys):
+    # its balanced drawing has the same drawn critical path, so it is not taken
+    from ionpd.circuits import generate_cat_circuit
+    from ionpd.compact import compact
+    from ionpd.orthogonal import orthogonalize
+    from ionpd.planar import planarize
+    from ionpd.qfg import build_qfg
+    from ionpd.solver import schedule_netlist
+
+    netlist = generate_cat_circuit(8)
+    pg = planarize(build_qfg(netlist, schedule_netlist(netlist)))
+    assert main(["cat-gen", "8", "--out", str(tmp_path)]) == 0
+    drawn = (tmp_path / "drawing.json").read_text(encoding="utf-8")
+    assert drawn == compact(pg, orthogonalize(pg)).to_json()
+
+
+def test_drawing_ignores_the_latency_config(tmp_path, capsys):
+    # the drawing is chosen under the default costs, so `layout` and
+    # `latency` with any costs draw alike. Priced at 40 per cell, Cat-8's
+    # balanced drawing would have the shorter drawn critical path
+    from ionpd.circuits import generate_cat_circuit
+    from ionpd.qasm import render_qasm
+
+    cat8 = tmp_path / "cat8.qasm"
+    cat8.write_text(render_qasm(generate_cat_circuit(8)), encoding="utf-8")
+    cfg = tmp_path / "slow_moves.cfg"
+    cfg.write_text("straight_move = 40\n", encoding="utf-8")
+    assert main(["layout", str(cat8), "--out", str(tmp_path / "a")]) == 0
+    assert main(["latency", str(cat8), "--latency-config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+    for name in ("drawing.json", "layout.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_gate_off_its_route_exit_code(tmp_path, capsys, monkeypatch):
     from dataclasses import replace
 

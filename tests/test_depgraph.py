@@ -181,6 +181,40 @@ class TestDataflow:
         assert list(build_dataflow(chain).edges) == expected
         assert build_dataflow(chain).edges == tuple((k, k + 1) for k in range(1, 300))
 
+    def test_commuting_wire_is_tested_as_one_run(self, monkeypatch):
+        # 1,200 `H q0` exchange pairwise: each joins the wire's run after one
+        # test against its one H, not one test per earlier H (719,400)
+        import ionpd.depgraph as depgraph
+
+        calls = []
+        real = depgraph._exchangeable_sharing
+        monkeypatch.setattr(
+            depgraph, "_exchangeable_sharing", lambda a, b: calls.append(1) or real(a, b)
+        )
+        graph = build_dataflow(parse_qasm("H q0\n" * 1200))
+        assert graph.edges == ()
+        assert len(calls) < 1200
+
+    def test_runs_of_one_qubit_gates_match_all_pairs_rule(self):
+        # long mixed runs on three wires: diagonal kinds exchange across
+        # kinds, H and X only with their own kind, Measure and PrepZ with
+        # nothing; a two-qubit gate ends the runs of its wires
+        rng = random.Random(23)
+        ones = [kind for kind in GateKind if kind.arity == 1]
+        common = [GateKind.T, GateKind.Tdg, GateKind.S, GateKind.H]
+        for _ in range(150):
+            gates = []
+            for _ in range(rng.randint(1, 40)):
+                if rng.random() < 0.1:
+                    a, b = rng.sample(range(3), 2)
+                    gates.append((rng.choice([GateKind.CX, GateKind.CZ]), (a,), b))
+                else:
+                    kind = rng.choice(common) if rng.random() < 0.8 else rng.choice(ones)
+                    gates.append((kind, (), rng.randrange(3)))
+            netlist = make_netlist(gates)
+            expected = sorted(nx.transitive_reduction(all_pairs_dataflow(netlist)).edges)
+            assert list(build_dataflow(netlist).edges) == expected
+
     def test_reduction_preserves_reachability(self, code932):
         rng = random.Random(17)
         netlists = [random_netlist(rng, max_instr=30) for _ in range(50)]

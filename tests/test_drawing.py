@@ -19,6 +19,7 @@ from helpers import (
     one_sided_bends,
     planar_rotation,
     random_degree4_graph,
+    random_mixed_netlist,
     reference_compact,
     reference_component_faces,
     reference_coordinates,
@@ -31,12 +32,14 @@ from ionpd.circuits import generate_cat_circuit
 from ionpd.compact import compact
 from ionpd.decompose import Library, decompose
 from ionpd.drawing import OrthogonalDrawing, validate_drawing
+from ionpd.gates import GateKind
+from ionpd.latency import drawn_critical_path
 from ionpd.lrplanarity import planar_rings
 from ionpd.macrolayout import LayoutError
-from ionpd.orthogonal import min_cost_flow, orthogonalize
+from ionpd.orthogonal import balance_corners, min_cost_flow, orthogonalize
 from ionpd.planar import PlanarizeError, node_key, planarize
-from ionpd.qasm import parse_qasm
-from ionpd.qfg import build_qfg
+from ionpd.qasm import parse_qasm, render_qasm
+from ionpd.qfg import QubitFlowGraph, build_qfg
 from ionpd.solver import schedule_netlist
 
 compact_module = importlib.import_module("ionpd.compact")  # `ionpd.compact` is the function
@@ -696,6 +699,184 @@ class TestOrthogonalize:
             min_cost_flow(2, arcs, demand)
         with pytest.raises(nx.NetworkXUnfeasible):
             networkx_min_cost_flow(2, arcs, demand)
+
+
+def subdivided_graph(rng: random.Random) -> QubitFlowGraph:
+    """A random degree-4 graph whose edges become paths through up to five
+    new degree-2 nodes, each path on its edge's one qubit: long faces whose
+    turns can sit on many vertices, at both prices of a turn."""
+    base = random_degree4_graph(rng, max_nodes=8)
+    nodes, edges = list(base.nodes), []
+    fresh = max(nodes) + 1
+    for i, j, q in base.edges:
+        path = [i, *range(fresh, fresh + rng.randint(0, 5)), j]
+        fresh += len(path) - 2
+        nodes += path[1:-1]
+        edges += [(min(a, b), max(a, b), q) for a, b in zip(path, path[1:])]
+    return QubitFlowGraph({n: n for n in nodes}, tuple(sorted(edges)), {})
+
+
+def corner_cost(pg, rep) -> int:
+    """The angle part of the flow's cost: each unit past a straight angle
+    costs 1, or 2 at a degree-2 vertex whose two edges carry one qubit."""
+    qubit = {
+        frozenset(pair): q for (_, _, q), chain in pg.chains.items() for pair in zip(chain, chain[1:])
+    }
+    wide = {
+        v: 2 if len(pg.adj[v]) == 2 and len({qubit[frozenset((v, w))] for w in pg.adj[v]}) == 1 else 1
+        for v in pg.nodes
+        if pg.adj.get(v)
+    }
+    return sum(
+        max(angle - 2, 0) * wide[rep.faces[fi][ci][1]] for (fi, ci), angle in rep.angles.items()
+    )
+
+
+def is_rectangle(rep, fi) -> bool:
+    """An internal, simple, bend-free face with four convex corners and all
+    others straight."""
+    walk = rep.faces[fi]
+    angles = sorted(rep.angles[(fi, ci)] for ci in range(len(walk)))
+    return (
+        fi not in rep.ext_face
+        and angles == [1] * 4 + [2] * (len(walk) - 4)
+        and len({v for _, v in walk}) == len(walk)
+        and not any(rep.bends.get(he) or rep.bends.get(he[::-1]) for he in walk)
+    )
+
+
+def rectangle_sides(rep, fi) -> list[int]:
+    """Edges per side of face fi, from its first convex corner on."""
+    turns = [ci for ci in range(len(rep.faces[fi])) if rep.angles[(fi, ci)] == 1]
+    return [(b - a) % len(rep.faces[fi]) for a, b in zip(turns, turns[1:] + turns[:1])]
+
+
+def mismatch(sides: list[int]) -> int:
+    return abs(sides[0] - sides[2]) + abs(sides[1] - sides[3])
+
+
+class TestBalanceCorners:
+    def test_hand_built_rectangle_gets_matching_sides(self):
+        # an 8-cycle with its turns on four neighbours, sides 1, 1, 1 and 5,
+        # draws 1 x 5 with one edge stretched to 5. Two corners moving two
+        # steps each match every pair of opposite sides, as do four corners
+        # moving 1, 0, 1, 2 to the 2 x 2 square; the tie goes to the first
+        # by walk position, a 1 x 3 rectangle with unit edges
+        pg, rep, _ = draw(synth_qfg(list(range(1, 9)), [(k, k % 8 + 1) for k in range(1, 9)]))
+        (inner,) = set(range(len(rep.faces))) - rep.ext_face
+        turned = {v for _, v in rep.faces[inner][:4]}
+        hand = replace(rep, angles={
+            (fi, ci): (1 if v in turned else 2) if fi == inner else (3 if v in turned else 2)
+            for fi, walk in enumerate(rep.faces)
+            for ci, (_, v) in enumerate(walk)
+        })
+        assert rectangle_sides(hand, inner) == [1, 1, 1, 5]
+        xs, ys = zip(*compact(pg, hand).node_pos.values())
+        assert (max(xs) - min(xs), max(ys) - min(ys)) in {(1, 5), (5, 1)}
+
+        balanced = balance_corners(pg, hand)
+        assert rectangle_sides(balanced, inner) == [1, 3, 1, 3]
+        drawing = compact(pg, balanced)
+        assert validate_drawing(drawing) == []
+        xs, ys = zip(*drawing.node_pos.values())
+        assert (max(xs) - min(xs), max(ys) - min(ys)) in {(1, 3), (3, 1)}
+        assert balance_corners(pg, balanced) is None  # nothing left to move
+
+    def test_corners_keep_their_other_face(self):
+        # a 12-cycle inside a face G closed by an outer path 1-13-...-18-6;
+        # nodes 2-5 border G, nodes 7-12 the external face. By hand, G's
+        # side holds two corners, node 6 is straight and node 1 keeps a
+        # corner: sides 1, 9, 1, 1. Matching sides would need a corner on
+        # node 7, past node 6, which would take a reflex angle from G to the
+        # external face; the corners stay on their runs instead
+        path = [1, 13, 14, 15, 16, 17, 18, 6]
+        pairs = [(k, k % 12 + 1) for k in range(1, 13)] + list(zip(path, path[1:]))
+        pg, rep, _ = draw(synth_qfg(list(range(1, 19)), pairs))
+        inner = next(fi for fi, walk in enumerate(rep.faces) if walk[0] == (1, 2))
+        outer = next(fi for fi, walk in enumerate(rep.faces) if walk[0] == (1, 13))
+        (ext,) = rep.ext_face
+
+        def at(fi, v):
+            return fi, next(ci for ci, (_, w) in enumerate(rep.faces[fi]) if w == v)
+
+        edits = [(inner, 6, 2), (ext, 6, 1), (inner, 8, 2), (ext, 8, 2), (inner, 2, 1),
+                 (outer, 2, 3), (inner, 3, 1), (outer, 3, 3), (outer, 13, 1), (ext, 13, 3),
+                 (outer, 14, 1), (ext, 14, 3)]
+        hand = replace(rep, angles={**rep.angles, **{at(fi, v): a for fi, v, a in edits}})
+        assert rectangle_sides(hand, inner) == [1, 9, 1, 1]
+        balanced = balance_corners(pg, hand)
+        turned = [v for ci, (_, v) in enumerate(rep.faces[inner]) if balanced.angles[(inner, ci)] == 1]
+        assert turned == [2, 5, 8, 1]  # sides 3, 3, 5, 1
+        for fi, walk in enumerate(rep.faces):
+            assert sum(balanced.angles[(fi, ci)] for ci in range(len(walk))) == sum(
+                hand.angles[(fi, ci)] for ci in range(len(walk))
+            )
+        assert validate_drawing(compact(pg, balanced)) == []
+
+    def test_moves_keep_angle_sums_bends_and_flow_cost(self):
+        rng = random.Random(7)
+        moved = 0
+        for _ in range(300):
+            qfg = subdivided_graph(rng)
+            pg, rep, _ = draw(qfg)
+            balanced = balance_corners(pg, rep)
+            if balanced is None:
+                continue
+            moved += 1
+            assert balanced.faces == rep.faces and balanced.bends == rep.bends
+            assert balanced.total_bends == rep.total_bends
+            assert corner_cost(pg, balanced) == corner_cost(pg, rep)
+            for v in pg.nodes:
+                if pg.adj.get(v):
+                    assert sum(angle_at(balanced, v)) == 4
+            for fi, walk in enumerate(rep.faces):
+                before = [rep.angles[(fi, ci)] for ci in range(len(walk))]
+                after = [balanced.angles[(fi, ci)] for ci in range(len(walk))]
+                assert sum(after) == sum(before)
+                if after != before and is_rectangle(rep, fi):
+                    # a rectangle that changed stays one, its sides matched better
+                    assert is_rectangle(balanced, fi)
+                    assert mismatch(rectangle_sides(balanced, fi)) < mismatch(rectangle_sides(rep, fi))
+            drawing = compact(pg, balanced)
+            assert validate_drawing(drawing) == []
+            assert set(drawing.routes) == set(qfg.edges)
+        assert moved > 40
+
+    def test_fuzz_drawings_stay_valid(self):
+        # criterion 7's 500 graphs and the end-to-end fuzz's netlists: where
+        # a corner moves, the drawing is valid and no worse by its critical
+        # path than the bend-minimal one
+        import ionpd.cli as cli
+
+        rng = random.Random(424242)
+        graphs = [random_degree4_graph(rng) for _ in range(500)]
+        for qfg in graphs:
+            pg, rep, _ = draw(qfg)
+            balanced = balance_corners(pg, rep)
+            if balanced is not None:
+                assert validate_drawing(compact(pg, balanced)) == []
+        rng = random.Random(18)
+        for _ in range(200):
+            netlist = parse_qasm(render_qasm(random_mixed_netlist(rng, max_instr=8, max_qubits=5)))
+            if any(instr.kind is GateKind.Toffoli for instr in netlist.instructions):
+                netlist = decompose(netlist, rng.choice(list(Library)))
+            qfg = build_qfg(netlist, schedule_netlist(netlist))
+            pg = planarize(qfg)
+            drawing = cli._draw(netlist, qfg, pg)
+            assert validate_drawing(drawing) == []
+            assert drawn_critical_path(netlist, qfg, drawing) <= drawn_critical_path(
+                netlist, qfg, compact(pg, orthogonalize(pg))
+            )
+
+    def test_cat_faces_balance(self):
+        # the Cat cycle is one rectangle: Cat-32's sides go from 17, 6, 2
+        # and 8 edges to within one of each other
+        netlist = generate_cat_circuit(32)
+        qfg = build_qfg(netlist, schedule_netlist(netlist))
+        pg, rep, _ = draw(qfg)
+        (inner,) = set(range(len(rep.faces))) - rep.ext_face
+        assert sorted(rectangle_sides(rep, inner)) == [2, 6, 8, 17]
+        assert mismatch(rectangle_sides(balance_corners(pg, rep), inner)) == 1
 
 
 class TestCompact:

@@ -10,6 +10,7 @@ from ionpd.latency import (
     LatencyConfigError,
     LatencyModel,
     cat_latency_formula,
+    drawn_critical_path,
     load_latency_model,
     simulate,
 )
@@ -70,6 +71,29 @@ class TestModel:
         assert model.gate_cost(GateKind.PrepZ) == 51
         with pytest.raises(ValueError):
             model.gate_cost(GateKind.Toffoli)
+
+
+class TestDrawnCriticalPath:
+    def test_hand_drawing(self):
+        # H q0 at (0, 0), then X q0 at (2, 1) over three grid units and one
+        # corner
+        from ionpd.drawing import OrthogonalDrawing
+
+        netlist = parse_qasm("H q0\nX q0")
+        qfg = build_qfg(netlist, schedule_netlist(netlist))
+        drawing = OrthogonalDrawing({1: (0, 0), 2: (2, 1)}, {(1, 2, 0): ((0, 0), (2, 0), (2, 1))})
+        assert drawn_critical_path(netlist, qfg, drawing) == 1 + 3 * 3 + 10 + 1
+
+    def test_longest_chain_wins_and_uncosted_gates_count_nothing(self):
+        from ionpd.drawing import OrthogonalDrawing
+
+        netlist = parse_qasm("Toffoli q0,q1,q2\nH q0\nCX q1,q3")
+        qfg = build_qfg(netlist, schedule_netlist(netlist))
+        drawing = OrthogonalDrawing(
+            {1: (0, 0), 2: (1, 0), 3: (0, 4)},
+            {(1, 2, 0): ((0, 0), (1, 0)), (1, 3, 1): ((0, 0), (0, 4))},
+        )
+        assert drawn_critical_path(netlist, qfg, drawing) == 4 * 3 + 10
 
 
 class TestFormula:

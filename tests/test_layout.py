@@ -57,8 +57,8 @@ ARTIFACT_PINS = {
         "latency.json": "355b9b14309c3bdb382f7bcf8e1f04b3ad3ff7af9f050a3f7efa873164776bc1",
     },
     "cat32": {
-        "layout.json": "1f17bc32e12652c0d5013a0c942569f8ea312b739ab41ba7fa7c8e265f715518",
-        "latency.json": "5affc1b1762154e6dfc27c2ba736ba76a743a68832b5a300736effbc46a64cc0",
+        "layout.json": "17cdc7b807d0cf82a20d4a25880685b211bb693ff6af6bac9afe7544b1d971af",
+        "latency.json": "78e7d65f77c61daf654532c70f00182e8143a87c34f23b26e861523304dd9d76",
     },
 }
 
