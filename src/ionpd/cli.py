@@ -25,7 +25,9 @@ from .ilp import emit_ilp, to_lp_text
 from .latency import (
     LatencyConfigError,
     LatencyModel,
-    drawn_critical_path,
+    DrawnTiming,
+    drawn_timing,
+    host_sides,
     load_latency_model,
     simulate,
 )
@@ -106,18 +108,23 @@ def _require_gate_costs(netlist: Netlist, model: LatencyModel) -> None:
             ) from exc
 
 
-def _draw(netlist: Netlist, qfg: QubitFlowGraph, pg: PlanarizedGraph) -> OrthogonalDrawing:
+def _draw(
+    netlist: Netlist, qfg: QubitFlowGraph, pg: PlanarizedGraph
+) -> tuple[OrthogonalDrawing, DrawnTiming]:
     """Compact the bend-minimal representation, and the one with balanced
     rectangular faces if it differs; keep the latter only if its drawn
-    critical path is strictly shorter."""
+    critical path is strictly shorter. Returns the kept drawing with its
+    drawn timing."""
     rep = orthogonalize(pg)
     drawing = compact(pg, rep)
+    timing = drawn_timing(netlist, qfg, drawing)
     balanced = balance_corners(pg, rep)
     if balanced is not None:
         other = compact(pg, balanced)
-        if drawn_critical_path(netlist, qfg, other) < drawn_critical_path(netlist, qfg, drawing):
-            return other
-    return drawing
+        other_timing = drawn_timing(netlist, qfg, other)
+        if other_timing.critical_path < timing.critical_path:
+            return other, other_timing
+    return drawing, timing
 
 
 def _pipeline(netlist: Netlist, args, emit: _Emitter, upto: str) -> int:
@@ -150,13 +157,13 @@ def _pipeline(netlist: Netlist, args, emit: _Emitter, upto: str) -> int:
     qfg = build_qfg(netlist, schedule, graph)
     emit.write("qfg.json", qfg.to_json)
     emit.write("qfg.dot", qfg.to_dot, "dot")
-    drawing = _draw(netlist, qfg, planarize(qfg))
+    drawing, timing = _draw(netlist, qfg, planarize(qfg))
     problems = validate_drawing(drawing)
     if problems:
         raise LayoutError(f"invalid drawing: {problems[0]}")
     emit.write("drawing.json", drawing.to_json)
     emit.write("drawing.svg", drawing.to_svg, "svg")
-    layout = tile(drawing)
+    layout = tile(drawing, host_sides(drawing, timing))
     emit.write("layout.json", layout.to_json)
     emit.write_lines("layout.txt", layout.text_lines())
     emit.write("layout.svg", layout.to_svg, "svg")

@@ -134,11 +134,18 @@ def build_dataflow(netlist: Netlist) -> DataflowGraph:
     """The transitive reduction of the all-pairs rule, built directly.
 
     The candidates for i are the ids before it in the common-qubit rows of
-    its qubits, scanned latest first. Each instruction keeps its ancestors
-    as an int bitset over ids; a candidate already among the ancestors of
-    the edges kept so far is implied and skipped untested, and the rest
-    are kept if they are not exchangeable with i. A dependency implied by
-    a later one is among those ancestors by the time the scan reaches it.
+    its qubits, scanned latest first across its rows. Each instruction keeps
+    its ancestors as an int bitset over ids; a candidate already among the
+    ancestors of the edges kept so far is implied and skipped untested, and
+    the rest are kept if they are not exchangeable with i. A dependency
+    implied by a later one is among those ancestors by the time the scan
+    reaches it.
+
+    Each row entry also records whether every earlier entry of its row is
+    among its ancestors. A row's scan stops at such an entry once the entry
+    is among the kept candidates or their ancestors, as the rest of the row
+    then is too: a chain of gates that order pairwise scans one candidate
+    per gate.
 
     Each row also keeps its trailing run of one-qubit gates that are
     pairwise exchangeable, with one gate of each kind in it: on one wire
@@ -151,30 +158,47 @@ def build_dataflow(netlist: Netlist) -> DataflowGraph:
     passed = dict.fromkeys(table, 0)  # qubit -> ids in its row before b
     # qubit -> (row index where its run starts, a gate of each kind in it)
     runs: dict[int, tuple[int, dict]] = {q: (0, {}) for q in table}
+    row_ids = dict.fromkeys(table, 0)  # qubit -> bitset of the ids before b
+    # qubit -> per row entry: are all earlier entries among its ancestors?
+    covers: dict[int, list[bool]] = {q: [] for q in table}
     ancestors = [0]  # by id, which counts from 1
     edges = []
     for b in instrs:
-        earlier: list[int] = []
-        for q in b.qubits:
+        qubits = b.qubits
+        scans = []  # per row: [row, index of its next candidate, its covers]
+        for q in qubits:
             end = passed[q]
             start, run = runs[q]
-            if len(b.qubits) > 1:
+            if len(qubits) > 1:
                 runs[q] = (end + 1, {})
             elif run and all(_exchangeable_sharing(a, b) for a in run.values()):
                 run.setdefault(b.kind, b)
                 end = start
             else:
                 runs[q] = (end, {b.kind: b})
-            earlier += table[q][:end]
+            if end:
+                scans.append([table[q], end - 1, covers[q]])
             passed[q] += 1
-        if len(b.qubits) > 1:  # a pair sharing two qubits is in both rows
-            earlier = sorted(set(earlier))
         above = 0
-        for j in reversed(earlier):
+        while scans:
+            j = max([row[k] for row, k, _ in scans])
             if not above >> j & 1 and not _exchangeable_sharing(instrs[j - 1], b):
                 above |= ancestors[j] | 1 << j
                 edges.append((j, b.id))
+            implied = above >> j & 1
+            for scan in scans[:]:  # a pair sharing two qubits is in both rows
+                row, k, row_covers = scan
+                if row[k] != j:
+                    continue
+                if k == 0 or implied and row_covers[k]:
+                    scans.remove(scan)
+                else:
+                    scan[1] = k - 1
         ancestors.append(above)
+        bit = 1 << b.id
+        for q in qubits:
+            covers[q].append(not row_ids[q] & ~above)
+            row_ids[q] |= bit
     edges.sort()
     return DataflowGraph(
         tuple(i.id for i in instrs), tuple(edges), _qubit_table=[netlist, table]

@@ -18,9 +18,9 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .artifact import render_json
-from .drawing import OrthogonalDrawing
+from .drawing import EdgeKey, OrthogonalDrawing
 from .gates import GateKind, Netlist
-from .macrolayout import MacroLayout, Point, RoutePlan
+from .macrolayout import DIRS, OPPOSITE, MacroLayout, Point, RoutePlan
 from .qfg import QubitFlowGraph
 
 
@@ -94,8 +94,34 @@ def cat_latency_formula(n: int, model: LatencyModel | None = None) -> float:
     )
 
 
-def drawn_critical_path(netlist: Netlist, qfg: QubitFlowGraph, drawing: OrthogonalDrawing) -> float:
-    """Longest dependency chain of a drawing, read before any tiling.
+def _cost_or_zero(model: LatencyModel, kind: GateKind) -> float:
+    try:
+        return model.gate_cost(kind)
+    except ValueError:
+        return 0.0
+
+
+@dataclass(frozen=True)
+class DrawnTiming:
+    """Longest dependency chains of a drawing, read before any tiling.
+
+    `legs[key]` is flow-graph edge `key`'s drawn cost, `finish[i]` the
+    length of the longest chain that ends with instruction i's gate, and
+    `tail[i]` that of the longest chain that starts with it.
+    """
+
+    legs: dict[EdgeKey, float]
+    finish: dict[int, float]
+    tail: dict[int, float]
+
+    @property
+    def critical_path(self) -> float:
+        """The drawing's longest dependency chain: the latest finish."""
+        return max(self.finish.values(), default=0.0)
+
+
+def drawn_timing(netlist: Netlist, qfg: QubitFlowGraph, drawing: OrthogonalDrawing) -> DrawnTiming:
+    """A forward and a backward pass over a drawing's flow graph.
 
     Under the default `LatencyModel`, whatever a run's latency config, each
     flow-graph edge costs its drawn route, three straight-move units per
@@ -105,21 +131,104 @@ def drawn_critical_path(netlist: Netlist, qfg: QubitFlowGraph, drawing: Orthogon
     """
     m = LatencyModel()
     block_move = 3 * m.straight_move
+    legs: dict[EdgeKey, float] = {}
     into: dict[int, list[tuple[int, float]]] = {}
-    for (i, j, _), pts in drawing.routes.items():
+    out: dict[int, list[tuple[int, float]]] = {}
+    for key, pts in drawing.routes.items():
+        i, j, _ = key
         length = 0
-        for (ax, ay), (bx, by) in zip(pts, pts[1:]):
+        ax, ay = pts[0]
+        for bx, by in pts[1:]:
             length += abs(bx - ax) + abs(by - ay)
-        into.setdefault(j, []).append((i, block_move * length + m.turn * (len(pts) - 2)))
+            ax, ay = bx, by
+        leg = legs[key] = block_move * length + m.turn * (len(pts) - 2)
+        into.setdefault(j, []).append((i, leg))
+        out.setdefault(i, []).append((j, leg))
+    order = sorted(netlist.instructions, key=lambda i: (qfg.stage_of[i.id], i.id))
+    kind_cost = {kind: _cost_or_zero(m, kind) for kind in {i.kind for i in order}}
+    cost = {instr.id: kind_cost[instr.kind] for instr in order}
     finish: dict[int, float] = {}
-    for instr in sorted(netlist.instructions, key=lambda i: (qfg.stage_of[i.id], i.id)):
-        try:
-            cost = m.gate_cost(instr.kind)
-        except ValueError:
-            cost = 0.0
-        ready = max([finish[i] + leg for i, leg in into.get(instr.id, ())], default=0.0)
-        finish[instr.id] = ready + cost
-    return max(finish.values(), default=0.0)
+    for instr in order:
+        ready = 0.0
+        for i, leg in into.get(instr.id, ()):
+            t = finish[i] + leg
+            if t > ready:
+                ready = t
+        finish[instr.id] = ready + cost[instr.id]
+    # every edge leads to a later stage, so successors come first in reverse
+    tail: dict[int, float] = {}
+    for instr in reversed(order):
+        ahead = 0.0
+        for j, leg in out.get(instr.id, ()):
+            t = leg + tail[j]
+            if t > ahead:
+                ahead = t
+        tail[instr.id] = cost[instr.id] + ahead
+    return DrawnTiming(legs, finish, tail)
+
+
+def _side(points: tuple[Point, ...]) -> str | None:
+    """The side of `points[0]` that an axis-aligned route drawn as `points`
+    leaves by; None if it never leaves."""
+    ax, ay = points[0]
+    for bx, by in points[1:]:
+        if bx != ax:
+            return "E" if bx > ax else "W"
+        if by != ay:
+            return "S" if by > ay else "N"
+    return None
+
+
+def host_sides(drawing: OrthogonalDrawing, timing: DrawnTiming) -> dict[int, tuple[str, ...]]:
+    """Per corner or junction of a drawing, the sides `tile` tries, in turn,
+    for the straight block that hosts its displaced trap.
+
+    A node with one port or two opposite ones holds its own trap and gets
+    no entry. A host on side d changes each leg through the node's port s:
+    one block shorter if d is s, one block longer if d is opposite s, one
+    turn if d is perpendicular, all under the default `LatencyModel`. Side d
+    scores the latest arrival plus the longest departure in `timing`, the
+    drawing's `drawn_timing`, each with its leg so changed; sides go lowest
+    score first, ties in E, S, W, N order.
+    """
+    # node -> (its port side, edge key, the node at the other end), for the
+    # edges into it (`ins`) and out of it (`outs`)
+    ins: dict[int, list[tuple[str, EdgeKey, int]]] = {}
+    outs: dict[int, list[tuple[str, EdgeKey, int]]] = {}
+    sides: dict[int, set[str]] = {}
+    for key, pts in drawing.routes.items():
+        i, j, _ = key
+        start, end = _side(pts), _side(pts[::-1])
+        if start is not None:
+            outs.setdefault(i, []).append((start, key, j))
+            ins.setdefault(j, []).append((end, key, i))
+            sides.setdefault(i, set()).add(start)
+            sides.setdefault(j, set()).add(end)
+    displaced = {}
+    for node, node_sides in sides.items():
+        ports = [d for d in DIRS if d in node_sides]  # in E, S, W, N order
+        if len(ports) > 2 or (len(ports) == 2 and OPPOSITE[ports[0]] != ports[1]):
+            displaced[node] = ports
+    m = LatencyModel()
+    block_move = 3 * m.straight_move
+    # (host side, port side) -> change of a leg through that port
+    pen = {
+        (d, s): -block_move if d == s else block_move if d == OPPOSITE[s] else m.turn
+        for d in DIRS
+        for s in DIRS
+    }
+    legs, finish, tail = timing.legs, timing.finish, timing.tail
+    order: dict[int, tuple[str, ...]] = {}
+    for node, ports in displaced.items():
+        arrivals = [(s, finish[i] + legs[key]) for s, key, i in ins.get(node, ())]
+        departures = [(s, legs[key] + tail[j]) for s, key, j in outs.get(node, ())]
+        score = {
+            d: max([t + pen[d, s] for s, t in arrivals], default=0.0)
+            + max([t + pen[d, s] for s, t in departures], default=0.0)
+            for d in ports
+        }
+        order[node] = tuple(sorted(ports, key=score.__getitem__))
+    return order
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,11 @@ Every macroblock occupies a 3x3 footprint of trap cells and electrodes and
 connects to neighbours through up to four ports. Gate locations exist only
 on straight channel blocks, never at turns or junctions, so an instruction
 whose drawing node is a corner or junction gets its gate shifted into a
-neighbouring block: through the first port, in E, S, W, N order, whose
-neighbour is a free straight block (a straight channel, not a node cell,
-and no gate there yet).
+neighbouring block: through the first of its ports whose neighbour is a
+free straight block (a straight channel, not a node cell, and no gate there
+yet). The caller may give each node the order to try its ports in
+(`latency.host_sides` ranks them by the drawing's critical path); a node
+without one tries them in E, S, W, N order.
 
 A `GridMap` takes each drawing grid line to a block coordinate, one map per
 axis, with grid line 0 at block 0. The gap between two neighbouring grid
@@ -28,7 +30,7 @@ and `to_svg` fills one nine-rectangle template per port set.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, combinations, repeat
@@ -362,8 +364,12 @@ def _gap(position: Point, d: str) -> tuple[int, int]:
     return axis, position[axis] + offset
 
 
-def tile(drawing: OrthogonalDrawing) -> MacroLayout:
-    """Convert a drawing into a port-consistent macroblock grid.
+def tile(
+    drawing: OrthogonalDrawing, sides: Mapping[int, Sequence[str]] | None = None
+) -> MacroLayout:
+    """Convert a drawing into a port-consistent macroblock grid; `sides`
+    gives a corner or junction the order to try its ports in as the host
+    of its trap, E, S, W, N for a node it leaves out.
 
     Every gap starts 1 block wide. A pass that finds something that must
     sit in a gap widens that gap by one block, each gap at most once per
@@ -386,7 +392,7 @@ def tile(drawing: OrthogonalDrawing) -> MacroLayout:
     while True:
         grid = GridMap(_axis(lines[0], widths[0]), _axis(lines[1], widths[1]))
         try:
-            return _tile_on(drawing, grid)
+            return _tile_on(drawing, grid, sides or {})
         except _Crowded as crowded:
             gaps, stuck = crowded.args
             grown = False
@@ -400,7 +406,9 @@ def tile(drawing: OrthogonalDrawing) -> MacroLayout:
                 raise LayoutError(f"no free gate block next to junction at {cell}") from None
 
 
-def _tile_on(drawing: OrthogonalDrawing, grid: GridMap) -> MacroLayout:
+def _tile_on(
+    drawing: OrthogonalDrawing, grid: GridMap, sides: Mapping[int, Sequence[str]]
+) -> MacroLayout:
     """`tile` at the gap widths of `grid`; raises `_Crowded` with every gap
     that a cap or a corner or junction without a free host needs wider."""
     demand: dict[Point, int] = {}  # cell -> port mask
@@ -444,8 +452,8 @@ def _tile_on(drawing: OrthogonalDrawing, grid: GridMap) -> MacroLayout:
                         demand[neighbour] = get(neighbour, 0) | _BIT[OPPOSITE[d]]
             continue
         # corner or junction: shift the gate through the first port, in
-        # _ORDER, whose neighbour is a free straight block
-        for d in _ORDER:
+        # its order of sides, whose neighbour is a free straight block
+        for d in sides.get(instr, _ORDER):
             if mask & _BIT[d]:
                 dx, dy = DIRS[d]
                 host = (cell[0] + dx, cell[1] + dy)

@@ -27,7 +27,7 @@ others straight) so that opposite sides match in edge count as well as
 they can, each corner only onto a vertex with the same other face and the
 same turn price, so the flow cost and the bends stay minimal. The
 pipeline keeps the balanced drawing only where its drawn critical path is
-shorter (`latency.drawn_critical_path`).
+shorter (`latency.DrawnTiming.critical_path`).
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from ionpd.depgraph import asap_alap, build_dataflow, stage_lower_bound
 from ionpd.drawing import validate_drawing
 from ionpd.gates import GateKind
 from ionpd.ilp import emit_ilp, to_lp_text
-from ionpd.latency import LatencyModel, cat_latency_formula, simulate
+from ionpd.latency import LatencyModel, cat_latency_formula, drawn_timing, host_sides, simulate
 from ionpd.macrolayout import place_qubits, route, tile
 from ionpd.orthogonal import orthogonalize
 from ionpd.planar import planarize
@@ -252,7 +252,8 @@ def free_movement_bound(netlist, graph, model) -> float:
 
 def test_end_to_end_fuzz_through_every_validator():
     # random netlists over every gate kind, Toffoli gates decomposed by
-    # either library, from QASM text to the simulated latency
+    # either library, from QASM text to the simulated latency, with the
+    # displaced traps on the sides the CLI picks
     rng = random.Random(18)
     model = LatencyModel()
     libraries: Counter = Counter()
@@ -272,7 +273,7 @@ def test_end_to_end_fuzz_through_every_validator():
         pg = planarize(qfg)
         drawing = compact(pg, orthogonalize(pg))
         assert validate_drawing(drawing) == []
-        layout = tile(drawing)
+        layout = tile(drawing, host_sides(drawing, drawn_timing(netlist, qfg, drawing)))
         layout.check_ports()
         plan = route(qfg, drawing, layout)
         for (i, j, _), steps in plan.steps.items():

@@ -19,6 +19,7 @@ TABLE3 = str(Path(__file__).resolve().parent / "fixtures" / "table3_schedule.jso
 LAYERED16 = str(ROOT / "tests" / "fixtures" / "layered16.qasm")
 LAYERED5 = str(ROOT / "tests" / "fixtures" / "layered5.qasm")
 MANIFEST = ROOT / "tests" / "fixtures" / "artifacts.sha256"
+FIXTURES = ROOT / "tests" / "fixtures"
 
 
 def read(out_dir, name):
@@ -48,7 +49,9 @@ def test_layout_text_written_line_by_line(tmp_path, monkeypatch):
 
     layouts = []
     real_tile = cli.tile
-    monkeypatch.setattr(cli, "tile", lambda drawing: layouts.append(real_tile(drawing)) or layouts[-1])
+    monkeypatch.setattr(
+        cli, "tile", lambda drawing, sides: layouts.append(real_tile(drawing, sides)) or layouts[-1]
+    )
     out = tmp_path / "cat7"
     assert main(["cat-gen", "7", "--out", str(out)]) == 0
     assert read(out, "layout.txt") == "".join(layouts[0].text_lines())
@@ -499,15 +502,38 @@ def test_both_drawings_compact_through_cli(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.endswith("has no drawn route\n")
 
 
-# simulated Cat-n latency: before the rectangle's corners were balanced, and now
-CAT_LATENCY = {8: (111.0, 111.0), 32: (299.0, 280.0), 80: (606.0, 592.0),
-               160: (1528.0, 1112.0), 320: (2575.0, 2155.0)}
+# simulated Cat-n latency: with every displaced trap on its first free side
+# in E, S, W, N order, and now, on the side its drawn critical path needs
+CAT_LATENCY = {8: (111.0, 111.0), 32: (280.0, 267.0), 80: (592.0, 579.0),
+               160: (1112.0, 1099.0), 320: (2155.0, 2155.0)}
 
 
 @pytest.mark.parametrize("n", sorted(CAT_LATENCY))
 def test_cat_latency_is_pinned(tmp_path, capsys, n):
     before, now = CAT_LATENCY[n]
     assert main(["cat-gen", str(n), "--out", str(tmp_path)]) == 0
+    total = json.loads((tmp_path / "latency.json").read_text())["total_us"]
+    assert total == now <= before
+
+
+# simulated latency with every displaced trap on its first free side in E,
+# S, W, N order, and now, on the side its drawn critical path needs
+PINNED_LATENCY = {
+    "code_9_3_2": ([CODE932], 246.0, 234.0),
+    "toffoli_pair-cv": ([TOFFOLI_PAIR, "--library", "cv"], 331.0, 260.0),
+    "toffoli_pair-ft": ([TOFFOLI_PAIR, "--library", "ft"], 493.0, 457.0),
+    "layered16": ([LAYERED16], 825.0, 806.0),
+    "layered5": ([LAYERED5], 1178.0, 1153.0),
+    "two_registers": ([str(FIXTURES / "two_registers.qasm")], 249.0, 217.0),
+    "extra4": ([str(FIXTURES / "extra4.qasm")], 795.0, 747.0),
+    "extra8": ([str(FIXTURES / "extra8.qasm")], 923.0, 859.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LATENCY))
+def test_latency_is_pinned(tmp_path, capsys, name):
+    argv, before, now = PINNED_LATENCY[name]
+    assert main(["latency", *argv, "--out", str(tmp_path)]) == 0
     total = json.loads((tmp_path / "latency.json").read_text())["total_us"]
     assert total == now <= before
 
@@ -529,20 +555,27 @@ def test_cat8_keeps_the_bend_minimal_drawing(tmp_path, capsys):
 
 
 def test_drawing_ignores_the_latency_config(tmp_path, capsys):
-    # the drawing is chosen under the default costs, so `layout` and
-    # `latency` with any costs draw alike. Priced at 40 per cell, Cat-8's
-    # balanced drawing would have the shorter drawn critical path
+    # the drawing and the traps' host sides are chosen under the default
+    # costs, so `layout` and `latency` with any costs draw and tile alike.
+    # Priced at 40 per cell, Cat-8's balanced drawing would have the shorter
+    # drawn critical path; with turns at 1, toffoli_pair's hosts would move
     from ionpd.circuits import generate_cat_circuit
     from ionpd.qasm import render_qasm
 
     cat8 = tmp_path / "cat8.qasm"
     cat8.write_text(render_qasm(generate_cat_circuit(8)), encoding="utf-8")
-    cfg = tmp_path / "slow_moves.cfg"
-    cfg.write_text("straight_move = 40\n", encoding="utf-8")
-    assert main(["layout", str(cat8), "--out", str(tmp_path / "a")]) == 0
-    assert main(["latency", str(cat8), "--latency-config", str(cfg), "--out", str(tmp_path / "b")]) == 0
-    for name in ("drawing.json", "layout.json"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    cases = {
+        "cat8": ([str(cat8)], "straight_move = 40"),
+        "toffoli_pair": ([TOFFOLI_PAIR, "--library", "cv"], "turn = 1"),
+    }
+    for name, (argv, config) in cases.items():
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(config + "\n", encoding="utf-8")
+        a, b = tmp_path / name / "a", tmp_path / name / "b"
+        assert main(["layout", *argv, "--out", str(a)]) == 0
+        assert main(["latency", *argv, "--latency-config", str(cfg), "--out", str(b)]) == 0
+        for artifact in ("drawing.json", "layout.json"):
+            assert (a / artifact).read_bytes() == (b / artifact).read_bytes(), (name, artifact)
 
 
 def test_gate_off_its_route_exit_code(tmp_path, capsys, monkeypatch):
@@ -552,8 +585,8 @@ def test_gate_off_its_route_exit_code(tmp_path, capsys, monkeypatch):
 
     real_tile = cli.tile
 
-    def move_gate_one(drawing):
-        layout = real_tile(drawing)
+    def move_gate_one(drawing, sides):
+        layout = real_tile(drawing, sides)
         x, y = layout.gate_location_of[1]
         return replace(layout, gate_location_of={**layout.gate_location_of, 1: (x - 10, y - 10)})
 

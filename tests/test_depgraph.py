@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from pathlib import Path
 
 import networkx as nx
@@ -180,6 +181,26 @@ class TestDataflow:
         expected = sorted(nx.transitive_reduction(dag).edges)
         assert list(build_dataflow(chain).edges) == expected
         assert build_dataflow(chain).edges == tuple((k, k + 1) for k in range(1, 300))
+
+    def test_ordered_chain_scans_one_candidate_per_gate(self):
+        # 12,000 alternating H/T each order against every earlier gate, yet
+        # the scan stops at the neighbour, whose ancestors cover the rest:
+        # as fast as a wire of one run, where a quadratic scan takes
+        # hundreds of times longer
+        def best_time(netlist):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                graph = build_dataflow(netlist)
+                times.append(time.perf_counter() - start)
+            return graph, min(times)
+
+        chain = parse_qasm("".join(("H q0\n", "T q0\n")[k % 2] for k in range(12000)))
+        graph, ordered = best_time(chain)
+        assert len(graph.edges) == 11999
+        assert graph.edges == tuple((k, k + 1) for k in range(1, 12000))
+        _, one_run = best_time(parse_qasm("H q0\n" * 12000))
+        assert ordered < 20 * one_run
 
     def test_commuting_wire_is_tested_as_one_run(self, monkeypatch):
         # 1,200 `H q0` exchange pairwise: each joins the wire's run after one

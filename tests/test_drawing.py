@@ -33,7 +33,7 @@ from ionpd.compact import compact
 from ionpd.decompose import Library, decompose
 from ionpd.drawing import OrthogonalDrawing, validate_drawing
 from ionpd.gates import GateKind
-from ionpd.latency import drawn_critical_path
+from ionpd.latency import drawn_timing
 from ionpd.lrplanarity import planar_rings
 from ionpd.macrolayout import LayoutError
 from ionpd.orthogonal import balance_corners, min_cost_flow, orthogonalize
@@ -862,11 +862,12 @@ class TestBalanceCorners:
                 netlist = decompose(netlist, rng.choice(list(Library)))
             qfg = build_qfg(netlist, schedule_netlist(netlist))
             pg = planarize(qfg)
-            drawing = cli._draw(netlist, qfg, pg)
+            drawing, timing = cli._draw(netlist, qfg, pg)
             assert validate_drawing(drawing) == []
-            assert drawn_critical_path(netlist, qfg, drawing) <= drawn_critical_path(
+            assert timing == drawn_timing(netlist, qfg, drawing)
+            assert timing.critical_path <= drawn_timing(
                 netlist, qfg, compact(pg, orthogonalize(pg))
-            )
+            ).critical_path
 
     def test_cat_faces_balance(self):
         # the Cat cycle is one rectangle: Cat-32's sides go from 17, 6, 2

@@ -10,11 +10,13 @@ from ionpd.latency import (
     LatencyConfigError,
     LatencyModel,
     cat_latency_formula,
-    drawn_critical_path,
+    drawn_timing,
+    host_sides,
     load_latency_model,
     simulate,
 )
 from ionpd.compact import compact
+from ionpd.drawing import OrthogonalDrawing, validate_drawing
 from ionpd.macrolayout import place_qubits, route, tile
 from ionpd.orthogonal import orthogonalize
 from ionpd.planar import planarize
@@ -82,7 +84,7 @@ class TestDrawnCriticalPath:
         netlist = parse_qasm("H q0\nX q0")
         qfg = build_qfg(netlist, schedule_netlist(netlist))
         drawing = OrthogonalDrawing({1: (0, 0), 2: (2, 1)}, {(1, 2, 0): ((0, 0), (2, 0), (2, 1))})
-        assert drawn_critical_path(netlist, qfg, drawing) == 1 + 3 * 3 + 10 + 1
+        assert drawn_timing(netlist, qfg, drawing).critical_path == 1 + 3 * 3 + 10 + 1
 
     def test_longest_chain_wins_and_uncosted_gates_count_nothing(self):
         from ionpd.drawing import OrthogonalDrawing
@@ -93,7 +95,78 @@ class TestDrawnCriticalPath:
             {1: (0, 0), 2: (1, 0), 3: (0, 4)},
             {(1, 2, 0): ((0, 0), (1, 0)), (1, 3, 1): ((0, 0), (0, 4))},
         )
-        assert drawn_critical_path(netlist, qfg, drawing) == 4 * 3 + 10
+        assert drawn_timing(netlist, qfg, drawing).critical_path == 4 * 3 + 10
+
+
+# CX 3 drawn as a cross: q0 comes from H 1 over two units into its W side
+# and q1 from H 2 over five units into its N side, arriving last; each
+# leaves straight on, q0 to H 4 on the E side and q1 to H 5 on the S side
+JUNCTION_QASM = "H q0\nH q1\nCX q0,q1\nH q0\nH q1"
+JUNCTION = OrthogonalDrawing(
+    {1: (-2, 0), 2: (0, -5), 3: (0, 0), 4: (2, 0), 5: (0, 2)},
+    {
+        (1, 3, 0): ((-2, 0), (0, 0)),
+        (2, 3, 1): ((0, -5), (0, 0)),
+        (3, 4, 0): ((0, 0), (2, 0)),
+        (3, 5, 1): ((0, 0), (0, 2)),
+    },
+)
+
+
+def scheduled(qasm):
+    netlist = parse_qasm(qasm)
+    return netlist, build_qfg(netlist, schedule_netlist(netlist))
+
+
+class TestDrawnTiming:
+    def test_forward_and_backward_passes(self):
+        netlist, qfg = scheduled(JUNCTION_QASM)
+        timing = drawn_timing(netlist, qfg, JUNCTION)
+        assert timing.legs == {(1, 3, 0): 6, (2, 3, 1): 15, (3, 4, 0): 6, (3, 5, 1): 6}
+        assert timing.finish == {1: 1, 2: 1, 3: 1 + 15 + 10, 4: 33, 5: 33}
+        assert timing.tail == {1: 1 + 6 + 17, 2: 33, 3: 10 + 6 + 1, 4: 1, 5: 1}
+        assert timing.critical_path == 33
+
+
+class TestHostSides:
+    def test_scores_rank_the_sides(self):
+        # a host on side d moves each leg through port s by -3 (d is s), +3
+        # (d opposite s) or +10 (perpendicular); the latest arrival plus
+        # the longest departure scores N 17 + 17, S 19 + 17, E 26 + 17 and
+        # W 26 + 17, so E goes before W on the tie
+        netlist, qfg = scheduled(JUNCTION_QASM)
+        assert host_sides(JUNCTION, drawn_timing(netlist, qfg, JUNCTION)) == {3: ("N", "S", "E", "W")}
+
+    def test_corner_ties_keep_the_fixed_order_and_straights_get_none(self):
+        # X 2 turns from W to S and scores 14 + 5 on both sides; H 1 and
+        # H 4 end one edge each and X 3 passes straight, so they hold
+        # their own traps
+        netlist, qfg = scheduled("H q0\nX q0\nX q0\nH q0")
+        drawing = OrthogonalDrawing(
+            {1: (-1, 0), 2: (0, 0), 3: (0, 1), 4: (0, 2)},
+            {
+                (1, 2, 0): ((-1, 0), (0, 0)),
+                (2, 3, 0): ((0, 0), (0, 1)),
+                (3, 4, 0): ((0, 1), (0, 2)),
+            },
+        )
+        assert host_sides(drawing, drawn_timing(netlist, qfg, drawing)) == {2: ("S", "W")}
+
+    def test_late_qubit_passes_straight_into_the_trap(self):
+        # without an order the trap takes the E side, so q1 turns into it
+        # and out again; on the N side q0 turns instead, and it waits anyway
+        netlist, qfg = scheduled(JUNCTION_QASM)
+        assert validate_drawing(JUNCTION) == []
+        fixed = tile(JUNCTION)
+        ranked = tile(JUNCTION, host_sides(JUNCTION, drawn_timing(netlist, qfg, JUNCTION)))
+        x, y = ranked.node_cell[3]
+        assert fixed.gate_location_of[3] == (x + 1, y)
+        assert ranked.gate_location_of[3] == (x, y - 1)
+        fast, slow = (
+            simulate(netlist, qfg, layout, route(qfg, JUNCTION, layout), place_qubits(qfg, layout)).total
+            for layout in (ranked, fixed)
+        )
+        assert fast < slow
 
 
 class TestFormula:

@@ -53,12 +53,12 @@ LAYERED5 = FIXTURES / "layered5.qasm"
 # or its simulation does
 ARTIFACT_PINS = {
     "layered16": {
-        "layout.json": "9e8508caee1626b55907393137625d8198b9313f866a7fa3cddf95b404c82a4c",
-        "latency.json": "355b9b14309c3bdb382f7bcf8e1f04b3ad3ff7af9f050a3f7efa873164776bc1",
+        "layout.json": "301cb38db9edded630a2f3337dcd99a5180fd824f3ab69ac0c3cae2106c7c561",
+        "latency.json": "92b6346eba506d6006f9020dcfa2d05900e58f9b9c036f79c5af1930c44bacbd",
     },
     "cat32": {
-        "layout.json": "17cdc7b807d0cf82a20d4a25880685b211bb693ff6af6bac9afe7544b1d971af",
-        "latency.json": "78e7d65f77c61daf654532c70f00182e8143a87c34f23b26e861523304dd9d76",
+        "layout.json": "e32172e10c0ea106944b6ef0f1bbec867e2c9bc5b0bf454decdceee6127d2cc5",
+        "latency.json": "2bb19fd496c95bb1f57853e24166c803bb0b456517d49d267b2999c5810263a8",
     },
 }
 
