@@ -1,12 +1,13 @@
 """Ion-trap physical design toolchain.
 
 Pipeline: QASM-style netlist -> dependency analysis -> ILP stage scheduling
--> qubit flow graph -> bend-minimal orthogonal drawing -> macroblock layout
-with placement and routes -> latency simulation.
+-> qubit flow graph -> bend-minimal orthogonal drawing, tightened to the room
+tiling needs -> macroblock layout with placement and routes -> latency
+simulation.
 """
 
 from .circuits import generate_cat_circuit
-from .compact import compact
+from .compact import compact, tighten
 from .decompose import Library, decompose
 from .depgraph import (
     DataflowGraph,
@@ -24,6 +25,8 @@ from .latency import (
     LatencyModel,
     LatencyReport,
     cat_latency_formula,
+    drawn_timing,
+    host_sides,
     load_latency_model,
     simulate,
 )
@@ -49,11 +52,11 @@ __all__ = [
     "QubitFlowGraph", "RoutePlan", "Schedule", "ScheduleWindow",
     "asap_alap", "build_dataflow", "build_qfg", "build_reference_cat_plan",
     "cat_latency_formula", "common_qubit_table", "compact", "decompose",
-    "emit_ilp", "exchangeable", "generate_cat_circuit", "load_latency_model",
-    "make_netlist", "oracle_min_stages", "orthogonalize", "parse_qasm",
-    "place_qubits", "planarize", "render_qasm", "route",
-    "schedule_netlist", "simulate", "solve", "stage_lower_bound", "tile",
-    "to_lp_text", "validate", "validate_drawing",
+    "drawn_timing", "emit_ilp", "exchangeable", "generate_cat_circuit",
+    "host_sides", "load_latency_model", "make_netlist", "oracle_min_stages",
+    "orthogonalize", "parse_qasm", "place_qubits", "planarize", "render_qasm",
+    "route", "schedule_netlist", "simulate", "solve", "stage_lower_bound",
+    "tighten", "tile", "to_lp_text", "validate", "validate_drawing",
 ]
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from functools import cache
 from pathlib import Path
 
 from .circuits import generate_cat_circuit
-from .compact import compact
+from .compact import compact, tighten
 from .decompose import DecomposeError, Library, decompose
 from .depgraph import asap_alap, build_dataflow, stage_lower_bound
 from .drawing import OrthogonalDrawing, validate_drawing
@@ -158,12 +158,14 @@ def _pipeline(netlist: Netlist, args, emit: _Emitter, upto: str) -> int:
     emit.write("qfg.json", qfg.to_json)
     emit.write("qfg.dot", qfg.to_dot, "dot")
     drawing, timing = _draw(netlist, qfg, planarize(qfg))
+    sides = host_sides(drawing, timing)
+    drawing = tighten(drawing, sides)
     problems = validate_drawing(drawing)
     if problems:
         raise LayoutError(f"invalid drawing: {problems[0]}")
     emit.write("drawing.json", drawing.to_json)
     emit.write("drawing.svg", drawing.to_svg, "svg")
-    layout = tile(drawing, host_sides(drawing, timing))
+    layout = tile(drawing, sides)
     emit.write("layout.json", layout.to_json)
     emit.write_lines("layout.txt", layout.text_lines())
     emit.write("layout.svg", layout.to_svg, "svg")

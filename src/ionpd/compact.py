@@ -7,6 +7,10 @@ side facing them. With rectangular faces every maximal run of vertical
 half-edges is one x line and every run of horizontal ones one y line, the
 constraint arcs between lines are acyclic, and one longest-path pass per
 axis yields overlap-free integer coordinates with heuristically short edges.
+The refinement's dummy edges also hold apart lines that never see each
+other, so `tighten` compacts the finished drawing again, one longest-path
+pass per axis over only what its lines see, keeping the room that `tile`
+needs (`macrolayout.room_sides`).
 
 Each component's mesh lives on integer ids. Vertices are the component's
 nodes in `node_key` order (gates, crossings and splits), then bend, border
@@ -20,8 +24,11 @@ per drawing and sort as strings, so `_b10` precedes `_b2`.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
+from itertools import repeat
+
 from .drawing import OrthogonalDrawing, Point
-from .macrolayout import LayoutError
+from .macrolayout import LayoutError, room_sides
 from .orthogonal import OrthoRep
 from .planar import Node, PlanarizedGraph, node_key
 
@@ -414,3 +421,94 @@ def compact(pg: PlanarizedGraph, rep: OrthoRep) -> OrthogonalDrawing:
         positions[c] for c in sorted(pg.crossings) if c in positions
     )
     return OrthogonalDrawing(node_pos, routes, crossing_pts)
+
+
+def _tighten_axis(
+    drawing: OrthogonalDrawing, axis: int, room: Mapping[int, tuple[str, ...]]
+) -> OrthogonalDrawing:
+    """One compaction pass along `axis` (0 for x, 1 for y); see `tighten`."""
+    other = 1 - axis
+    # the sides that face up and down the axis
+    ahead, behind = ("E", "W") if axis == 0 else ("S", "N")
+    point_set = {*drawing.node_pos.values(), *drawing.crossings}
+    for pts in drawing.routes.values():
+        point_set.update(pts)
+    points = list(point_set)
+    # (coordinate, span start, span end, point index or -1 for a segment)
+    pieces = [(p[axis], p[other], p[other], k) for k, p in enumerate(points)]
+    for pts in drawing.routes.values():
+        for a, b in zip(pts, pts[1:]):
+            if a[axis] == b[axis]:
+                lo, hi = (a[other], b[other]) if a[other] < b[other] else (b[other], a[other])
+                pieces.append((a[axis], lo, hi, -1))
+    pieces.sort()
+    # units as [coordinate, span start, span end], in their current order
+    units: list[list[int]] = []
+    unit_of: dict[Point, int] = {}
+    for c, lo, hi, k in pieces:
+        if units and units[-1][0] == c and lo <= units[-1][2]:
+            if hi > units[-1][2]:
+                units[-1][2] = hi
+        else:
+            units.append([c, lo, hi])
+        if k >= 0:
+            unit_of[points[k]] = len(units) - 1
+    # unit -> the lines on which one of its nodes wants room ahead of or behind it
+    room_ahead: dict[int, list[int]] = {}
+    room_behind: dict[int, list[int]] = {}
+    for node, node_sides in room.items():
+        p = drawing.node_pos[node]
+        if ahead in node_sides:
+            room_ahead.setdefault(unit_of[p], []).append(p[other])
+        if behind in node_sides:
+            room_behind.setdefault(unit_of[p], []).append(p[other])
+
+    base = min(lo for _, lo, _ in units)
+    lines = max(hi for _, _, hi in units) - base + 1
+    # per line: the lowest coordinate the next unit on it may take, and the
+    # coordinate of the last unit placed on it (-2 before any)
+    free = [0] * lines
+    last = [-2] * lines
+    coord = [0] * len(units)
+    for u, (_, lo, hi) in enumerate(units):
+        lo -= base
+        hi += 1 - base
+        c = max(free[lo:hi])
+        for line in room_behind.get(u, ()):
+            c = max(c, last[line - base] + 2)
+        coord[u] = c
+        free[lo:hi] = repeat(c + 1, hi - lo)
+        last[lo:hi] = repeat(c, hi - lo)
+        for line in room_ahead.get(u, ()):
+            free[line - base] = c + 2
+
+    if axis == 0:
+        moved = {p: (coord[unit_of[p]], p[1]) for p in points}
+    else:
+        moved = {p: (p[0], coord[unit_of[p]]) for p in points}
+    return OrthogonalDrawing(
+        {i: moved[p] for i, p in drawing.node_pos.items()},
+        {key: tuple(map(moved.__getitem__, pts)) for key, pts in drawing.routes.items()},
+        tuple(map(moved.__getitem__, drawing.crossings)),
+    )
+
+
+def tighten(drawing: OrthogonalDrawing, sides: Mapping[int, Sequence[str]]) -> OrthogonalDrawing:
+    """A valid drawing compacted by what its lines see: one x pass, then
+    one y pass, each keeping only the room `tile` needs.
+
+    Along an axis, a unit is a maximal group of points joined by segments
+    that run along the other axis, with its nodes and the crossings on
+    those segments; it has one coordinate on the axis and a closed span on
+    the other. On every grid line of the other axis, the units whose span
+    contains it keep their order, consecutive ones at least 1 apart, and 2
+    where one of their nodes on that line wants room on that side
+    (`macrolayout.room_sides` under the corner and junction order `sides`).
+    Each unit then takes the least coordinate from 0 its predecessors
+    allow, in current order, and every point of it moves with it. So no
+    two things come to share a point or a step, routes keep their corners,
+    and every crossing stays one."""
+    if not drawing.node_pos:
+        return drawing
+    room = room_sides(drawing, sides)
+    return _tighten_axis(_tighten_axis(drawing, 0, room), 1, room)

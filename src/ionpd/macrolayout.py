@@ -17,7 +17,9 @@ block per grid unit. `tile` widens a gap one step at a time (1, 2, 3) and
 tiles again where a trap's cap would land on a route cell or another node's
 cell, or where a corner or junction finds no free host on its ported sides;
 `LayoutError` reports a node that stays without a host with every one of
-those gaps at 3.
+those gaps at 3. `room_sides` says where a node wants the next thing on
+its grid line 2 units away for its cap or its host; `compact.tighten`
+keeps that room, so widening is a fallback.
 
 While `tile` collects port demands, a cell's port set is a 4-bit mask (E=1,
 S=2, W=4, N=8). Every gate-free cell of a tiled layout holds one of 15
@@ -114,6 +116,12 @@ _NEIGHBOURS: dict[frozenset[str], tuple[tuple[str, int, int, str], ...]] = {
 _TRAP_MASK: dict[int, int] = {
     0: _HORIZONTAL, _BIT["E"]: _HORIZONTAL, _BIT["W"]: _HORIZONTAL, _HORIZONTAL: _HORIZONTAL,
     _BIT["S"]: _VERTICAL, _BIT["N"]: _VERTICAL, _VERTICAL: _VERTICAL,
+}
+
+
+# the sides a node cell that hosts its own trap caps, by its port mask
+_CAPS: dict[int, tuple[str, ...]] = {
+    mask: tuple(d for d in _ORDER if trap & ~mask & _BIT[d]) for mask, trap in _TRAP_MASK.items()
 }
 
 
@@ -364,6 +372,43 @@ def _gap(position: Point, d: str) -> tuple[int, int]:
     return axis, position[axis] + offset
 
 
+def room_sides(
+    drawing: OrthogonalDrawing, sides: Mapping[int, Sequence[str]]
+) -> dict[int, tuple[str, ...]]:
+    """Per node of a drawing that wants room, the sides on which `tile`
+    wants the next thing on the node's grid line at least two grid units
+    away, so that a gap one block wide holds what `tile` puts there:
+    - a node that holds its own trap: each end its trap caps (E and W for
+      a node with no port, the side opposite a node's one port);
+    - a corner or junction: the first of its ports, in its `sides` order
+      (E, S, W, N if it has none), whose first route segment is 2 or more
+      long with no crossing one unit out, so the block there can host its
+      trap; the first port in that order if none is.
+    """
+    crossings = set(drawing.crossings)
+    ports: dict[int, int] = {}  # node -> port mask
+    hosts: dict[int, int] = {}  # node -> mask of the ports that could host its trap
+    for (i, j, _), pts in drawing.routes.items():
+        for node, a, b in ((i, pts[0], pts[1]), (j, pts[-1], pts[-2])):
+            d = _direction(a, b)
+            bit = _BIT[d]
+            ports[node] = ports.get(node, 0) | bit
+            dx, dy = DIRS[d]
+            if abs(b[0] - a[0]) + abs(b[1] - a[1]) >= 2 and (a[0] + dx, a[1] + dy) not in crossings:
+                hosts[node] = hosts.get(node, 0) | bit
+    room = {}
+    for node in drawing.node_pos:
+        mask = ports.get(node, 0)
+        caps = _CAPS.get(mask)
+        if caps is None:
+            order = [d for d in sides.get(node, _ORDER) if mask & _BIT[d]]
+            free = hosts.get(node, 0)
+            room[node] = (next((d for d in order if free & _BIT[d]), order[0]),)
+        elif caps:
+            room[node] = caps
+    return room
+
+
 def tile(
     drawing: OrthogonalDrawing, sides: Mapping[int, Sequence[str]] | None = None
 ) -> MacroLayout:
@@ -441,15 +486,13 @@ def _tile_on(
             demand[cell] = trap
             gate_cells[instr] = cell
             gate_marks.setdefault(cell, []).append(instr)
-            caps = trap & ~mask
-            for d in _ORDER:
-                if caps & _BIT[d]:
-                    dx, dy = DIRS[d]
-                    neighbour = (cell[0] + dx, cell[1] + dy)
-                    if neighbour in routed or neighbour in node_cells:
-                        crowded.add(_gap(drawing.node_pos[instr], d))
-                    else:
-                        demand[neighbour] = get(neighbour, 0) | _BIT[OPPOSITE[d]]
+            for d in _CAPS[mask]:
+                dx, dy = DIRS[d]
+                neighbour = (cell[0] + dx, cell[1] + dy)
+                if neighbour in routed or neighbour in node_cells:
+                    crowded.add(_gap(drawing.node_pos[instr], d))
+                else:
+                    demand[neighbour] = get(neighbour, 0) | _BIT[OPPOSITE[d]]
             continue
         # corner or junction: shift the gate through the first port, in
         # its order of sides, whose neighbour is a free straight block

@@ -29,7 +29,7 @@ from helpers import (
     toffoli_unitary,
 )
 from ionpd.circuits import generate_cat_circuit
-from ionpd.compact import compact
+from ionpd.compact import compact, tighten
 from ionpd.decompose import Library, decompose
 from ionpd.depgraph import asap_alap, build_dataflow, stage_lower_bound
 from ionpd.drawing import validate_drawing
@@ -161,7 +161,10 @@ def test_criterion_7_drawing_validity_and_bend_quality():
         drawing = compact(pg, rep)
         assert validate_drawing(drawing) == []
         assert one_sided_bends(rep)
-        # every drawing tiles and routes; a gap wider than one block is a widened one
+        # every drawing, tightened as the CLI does, tiles and routes; a gap
+        # wider than one block is a widened one
+        drawing = tighten(drawing, {})
+        assert validate_drawing(drawing) == []
         layout = tile(drawing)
         route(qfg, drawing, layout)
         widened += any(
@@ -253,7 +256,7 @@ def free_movement_bound(netlist, graph, model) -> float:
 def test_end_to_end_fuzz_through_every_validator():
     # random netlists over every gate kind, Toffoli gates decomposed by
     # either library, from QASM text to the simulated latency, with the
-    # displaced traps on the sides the CLI picks
+    # drawing tightened and the displaced traps on the sides the CLI picks
     rng = random.Random(18)
     model = LatencyModel()
     libraries: Counter = Counter()
@@ -273,7 +276,10 @@ def test_end_to_end_fuzz_through_every_validator():
         pg = planarize(qfg)
         drawing = compact(pg, orthogonalize(pg))
         assert validate_drawing(drawing) == []
-        layout = tile(drawing, host_sides(drawing, drawn_timing(netlist, qfg, drawing)))
+        sides = host_sides(drawing, drawn_timing(netlist, qfg, drawing))
+        drawing = tighten(drawing, sides)
+        assert validate_drawing(drawing) == []
+        layout = tile(drawing, sides)
         layout.check_ports()
         plan = route(qfg, drawing, layout)
         for (i, j, _), steps in plan.steps.items():

@@ -76,7 +76,7 @@ def test_byte_identical_reruns(tmp_path):
 def test_artifacts_match_committed_manifest(tmp_path, capsys):
     # the runs CI checks with `sha256sum -c`; layered16 and two_registers
     # hold gate pairs that share two qubits, so `model.lp` lists each such
-    # pair once, and layered5's layout widens gaps to two and three blocks
+    # pair once, and layered5's layout still widens two gaps to two blocks
     calls = {
         "code_9_3_2": ["latency", CODE932],
         "layered16": ["latency", LAYERED16],
@@ -502,10 +502,10 @@ def test_both_drawings_compact_through_cli(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.endswith("has no drawn route\n")
 
 
-# simulated Cat-n latency: with every displaced trap on its first free side
-# in E, S, W, N order, and now, on the side its drawn critical path needs
-CAT_LATENCY = {8: (111.0, 111.0), 32: (280.0, 267.0), 80: (592.0, 579.0),
-               160: (1112.0, 1099.0), 320: (2155.0, 2155.0)}
+# simulated Cat-n latency: on the drawing as `compact` leaves it, and now,
+# on that drawing tightened by what its lines see
+CAT_LATENCY = {8: (111.0, 105.0), 32: (267.0, 261.0), 80: (579.0, 573.0),
+               160: (1099.0, 1093.0), 320: (2155.0, 2143.0)}
 
 
 @pytest.mark.parametrize("n", sorted(CAT_LATENCY))
@@ -516,17 +516,17 @@ def test_cat_latency_is_pinned(tmp_path, capsys, n):
     assert total == now <= before
 
 
-# simulated latency with every displaced trap on its first free side in E,
-# S, W, N order, and now, on the side its drawn critical path needs
+# simulated latency on the drawing as `compact` leaves it, and now, on that
+# drawing tightened by what its lines see
 PINNED_LATENCY = {
-    "code_9_3_2": ([CODE932], 246.0, 234.0),
-    "toffoli_pair-cv": ([TOFFOLI_PAIR, "--library", "cv"], 331.0, 260.0),
-    "toffoli_pair-ft": ([TOFFOLI_PAIR, "--library", "ft"], 493.0, 457.0),
-    "layered16": ([LAYERED16], 825.0, 806.0),
-    "layered5": ([LAYERED5], 1178.0, 1153.0),
-    "two_registers": ([str(FIXTURES / "two_registers.qasm")], 249.0, 217.0),
-    "extra4": ([str(FIXTURES / "extra4.qasm")], 795.0, 747.0),
-    "extra8": ([str(FIXTURES / "extra8.qasm")], 923.0, 859.0),
+    "code_9_3_2": ([CODE932], 234.0, 213.0),
+    "toffoli_pair-cv": ([TOFFOLI_PAIR, "--library", "cv"], 260.0, 258.0),
+    "toffoli_pair-ft": ([TOFFOLI_PAIR, "--library", "ft"], 457.0, 444.0),
+    "layered16": ([LAYERED16], 806.0, 732.0),
+    "layered5": ([LAYERED5], 1153.0, 992.0),
+    "two_registers": ([str(FIXTURES / "two_registers.qasm")], 217.0, 203.0),
+    "extra4": ([str(FIXTURES / "extra4.qasm")], 747.0, 717.0),
+    "extra8": ([str(FIXTURES / "extra8.qasm")], 859.0, 779.0),
 }
 
 
@@ -539,19 +539,24 @@ def test_latency_is_pinned(tmp_path, capsys, name):
 
 
 def test_cat8_keeps_the_bend_minimal_drawing(tmp_path, capsys):
-    # its balanced drawing has the same drawn critical path, so it is not taken
+    # its balanced drawing has the same drawn critical path, so it is not
+    # taken; the bend-minimal one is written tightened
     from ionpd.circuits import generate_cat_circuit
-    from ionpd.compact import compact
+    from ionpd.compact import compact, tighten
+    from ionpd.latency import drawn_timing, host_sides
     from ionpd.orthogonal import orthogonalize
     from ionpd.planar import planarize
     from ionpd.qfg import build_qfg
     from ionpd.solver import schedule_netlist
 
     netlist = generate_cat_circuit(8)
-    pg = planarize(build_qfg(netlist, schedule_netlist(netlist)))
+    qfg = build_qfg(netlist, schedule_netlist(netlist))
+    pg = planarize(qfg)
     assert main(["cat-gen", "8", "--out", str(tmp_path)]) == 0
     drawn = (tmp_path / "drawing.json").read_text(encoding="utf-8")
-    assert drawn == compact(pg, orthogonalize(pg)).to_json()
+    drawing = compact(pg, orthogonalize(pg))
+    sides = host_sides(drawing, drawn_timing(netlist, qfg, drawing))
+    assert drawn == tighten(drawing, sides).to_json()
 
 
 def test_drawing_ignores_the_latency_config(tmp_path, capsys):

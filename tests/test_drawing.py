@@ -29,13 +29,13 @@ from helpers import (
 )
 from ionpd import orthogonal, planar
 from ionpd.circuits import generate_cat_circuit
-from ionpd.compact import compact
+from ionpd.compact import compact, tighten
 from ionpd.decompose import Library, decompose
 from ionpd.drawing import OrthogonalDrawing, validate_drawing
 from ionpd.gates import GateKind
-from ionpd.latency import drawn_timing
+from ionpd.latency import drawn_timing, host_sides
 from ionpd.lrplanarity import planar_rings
-from ionpd.macrolayout import LayoutError
+from ionpd.macrolayout import DIRS, LayoutError, room_sides, tile
 from ionpd.orthogonal import balance_corners, min_cost_flow, orthogonalize
 from ionpd.planar import PlanarizeError, node_key, planarize
 from ionpd.qasm import parse_qasm, render_qasm
@@ -51,15 +51,25 @@ LAYERED16_PLANARIZATION = "8036adbbcde5e6f73d5f26d8e305850adcadcb0fbdd26246f7c73
 # sha256 of the fixture's orthogonal representation (angles and bends): it
 # changes only if a min-cost flow does
 LAYERED16_ORTHOREP = "ce7f71563404654b2602d34a1c2129309d60cc4ade1fda923695723df2ee1eda"
-# sha256 of the fixture's drawing.json: it changes only if a coordinate or
-# route does
-LAYERED16_DRAWING = "1cd8927da2f72d64a8a7c4ff4e4dfcf6076be4c01f3cea1789d73c80006b0877"
+# sha256 of the fixture's drawing.json, the tightened drawing: it changes
+# only if a coordinate or route does
+LAYERED16_DRAWING = "03b9d6b53073fb8e2bbe517844cf98a638a2a04898f92056970ceede5342deb7"
 
 
 def draw(qfg):
     pg = planarize(qfg)
     rep = orthogonalize(pg)
     return pg, rep, compact(pg, rep)
+
+
+def drawn_as_cli(netlist):
+    """The flow graph, the drawing the CLI picks before tightening, and the
+    host sides it tiles with."""
+    import ionpd.cli as cli
+
+    qfg = build_qfg(netlist, schedule_netlist(netlist))
+    drawing, timing = cli._draw(netlist, qfg, planarize(qfg))
+    return qfg, drawing, host_sides(drawing, timing)
 
 
 def naive_layered_bends(qfg) -> int:
@@ -502,9 +512,8 @@ class TestCompactOracle:
             assert drawing_items(compact(pg, rep)) == drawing_items(reference_compact(pg, rep))
 
     def test_layered16_drawing_is_pinned(self):
-        netlist = parse_qasm(LAYERED16.read_text())
-        _, _, drawing = draw(build_qfg(netlist, schedule_netlist(netlist)))
-        digest = hashlib.sha256(drawing.to_json().encode()).hexdigest()
+        _, drawing, sides = drawn_as_cli(parse_qasm(LAYERED16.read_text()))
+        digest = hashlib.sha256(tighten(drawing, sides).to_json().encode()).hexdigest()
         assert digest == LAYERED16_DRAWING
 
 
@@ -929,6 +938,117 @@ class TestCompact:
             assert validate_drawing(drawing) == []
             assert set(drawing.node_pos) == set(qfg.nodes)
             assert set(drawing.routes) == set(qfg.edges)
+
+
+
+def line_orders(drawing, axis):
+    """Per grid line across `axis` (a y line for 0, an x line for 1), what
+    meets it: each node, crossing and route segment with the ranks, among
+    the distinct coordinates met on that line, of where it starts and ends."""
+    other = 1 - axis
+    met: dict[int, list] = {}
+    for i, p in drawing.node_pos.items():
+        met.setdefault(p[other], []).append((p[axis], p[axis], ("node", i)))
+    for k, p in enumerate(drawing.crossings):
+        met.setdefault(p[other], []).append((p[axis], p[axis], ("crossing", k)))
+    for key, pts in drawing.routes.items():
+        for s, (a, b) in enumerate(zip(pts, pts[1:])):
+            label = ("segment", key, s)
+            if a[other] == b[other]:
+                met.setdefault(a[other], []).append((min(a[axis], b[axis]), max(a[axis], b[axis]), label))
+            else:
+                for line in range(min(a[other], b[other]), max(a[other], b[other]) + 1):
+                    met.setdefault(line, []).append((a[axis], a[axis], label))
+    orders = {}
+    for line, items in met.items():
+        rank = {c: r for r, c in enumerate(sorted({c for start, end, _ in items for c in (start, end)}))}
+        orders[line] = sorted((rank[start], rank[end], label) for start, end, label in items)
+    return orders
+
+
+def has_room(drawing, node, side) -> bool:
+    """Whether the grid point one unit out of `node` on `side` holds no node,
+    crossing or route corner, and lies on no route segment but one that
+    leaves the node there."""
+    p, (dx, dy) = drawing.node_pos[node], DIRS[side]
+    out = (p[0] + dx, p[1] + dy)
+    if out in drawing.node_pos.values() or out in drawing.crossings:
+        return False
+    for pts in drawing.routes.values():
+        if out in pts:
+            return False
+        for a, b in zip(pts, pts[1:]):
+            on = all(min(u, v) <= w <= max(u, v) for u, v, w in zip(a, b, out))
+            if on and p not in (a, b):
+                return False
+    return True
+
+
+def check_tighten(drawing, sides):
+    """`tighten` pass by pass: each keeps the order on every grid line across
+    its axis and the room every node wants along it, and the result is
+    valid, with the same nodes, routes and crossings."""
+    room = room_sides(drawing, sides)
+    across_x = compact_module._tighten_axis(drawing, 0, room)
+    tight = compact_module._tighten_axis(across_x, 1, room)
+    assert tighten(drawing, sides) == tight
+    assert line_orders(across_x, 0) == line_orders(drawing, 0)
+    assert line_orders(tight, 1) == line_orders(across_x, 1)
+    for node, node_sides in room.items():
+        for side in node_sides:
+            assert has_room(across_x if side in "EW" else tight, node, side), (node, side)
+    assert validate_drawing(tight) == []
+    assert set(tight.node_pos) == set(drawing.node_pos)
+    assert set(tight.routes) == set(drawing.routes)
+    assert len(set(tight.crossings)) == len(drawing.crossings)
+    return tight
+
+
+class TestTighten:
+    def test_criterion_7_graphs_stay_valid_and_ordered(self):
+        # these small drawings are already tight, so room only moves them apart
+        rng = random.Random(424242)
+        moved = 0
+        for _ in range(500):
+            _, _, drawing = draw(random_degree4_graph(rng))
+            moved += check_tighten(drawing, {}) != drawing
+        assert moved > 100
+
+    def test_fuzz_netlists_stay_valid_and_ordered(self):
+        rng = random.Random(18)
+        for _ in range(200):
+            netlist = parse_qasm(render_qasm(random_mixed_netlist(rng, max_instr=8, max_qubits=5)))
+            if any(instr.kind is GateKind.Toffoli for instr in netlist.instructions):
+                netlist = decompose(netlist, rng.choice(list(Library)))
+            _, drawing, sides = drawn_as_cli(netlist)
+            check_tighten(drawing, sides)
+
+    @pytest.mark.parametrize("sides, west, south", [
+        (("W", "S"), 2, 1),
+        (("S", "W"), 1, 2),
+    ])
+    def test_corner_keeps_room_on_its_host_side(self, sides, west, south):
+        # corner 2 leaves by W and S, 4 units each, so either side can host
+        # its trap: the first in its order keeps 2 units, the other pulls
+        # in to 1. Ends 1 and 3 want room only where nothing is
+        drawing = OrthogonalDrawing(
+            {1: (0, 0), 2: (4, 0), 3: (4, 4)},
+            {(1, 2, 0): ((0, 0), (4, 0)), (2, 3, 0): ((4, 0), (4, 4))},
+        )
+        tight = tighten(drawing, {2: sides})
+        assert tight.node_pos == {1: (0, 0), 2: (west, 0), 3: (west, south)}
+        layout = tile(tight, {2: sides})
+        assert layout.grid.xs == {x: x for x in range(west + 1)}
+        assert layout.grid.ys == {y: y for y in range(south + 1)}
+        host = (1, 0) if sides[0] == "W" else (west, 1)
+        assert layout.gate_location_of[2] == host
+
+    def test_tiling_tightened_cat_drawings_widens_no_gap(self):
+        for n in (8, 32, 80, 160, 320):
+            _, drawing, sides = drawn_as_cli(generate_cat_circuit(n))
+            layout = tile(tighten(drawing, sides), sides)
+            for axis in (layout.grid.xs, layout.grid.ys):
+                assert axis == {g: g for g in range(len(axis))}, n
 
 
 class TestValidityChecker:

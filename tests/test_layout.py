@@ -53,12 +53,12 @@ LAYERED5 = FIXTURES / "layered5.qasm"
 # or its simulation does
 ARTIFACT_PINS = {
     "layered16": {
-        "layout.json": "301cb38db9edded630a2f3337dcd99a5180fd824f3ab69ac0c3cae2106c7c561",
-        "latency.json": "92b6346eba506d6006f9020dcfa2d05900e58f9b9c036f79c5af1930c44bacbd",
+        "layout.json": "a4702a275a1bf86e52a51a3e9733d73095045f519f66e626a8c31f643fd95d2e",
+        "latency.json": "387c95f41258cd37c0c6a65b10b43c84d7607e3687318429c1ac1d3c442646a5",
     },
     "cat32": {
-        "layout.json": "e32172e10c0ea106944b6ef0f1bbec867e2c9bc5b0bf454decdceee6127d2cc5",
-        "latency.json": "2bb19fd496c95bb1f57853e24166c803bb0b456517d49d267b2999c5810263a8",
+        "layout.json": "c11f41fd85bb5376cdae1b11c95d170ec2156430e52168fd8fd253163dc312ec",
+        "latency.json": "f87f1559c207d762c7f4308e31657d75a3463ca873d489a19fa80fedb5942319",
     },
 }
 
