@@ -25,7 +25,6 @@ from .latency import (
     LatencyModel,
     LatencyReport,
     cat_latency_formula,
-    drawn_timing,
     host_sides,
     load_latency_model,
     simulate,
@@ -52,9 +51,9 @@ __all__ = [
     "QubitFlowGraph", "RoutePlan", "Schedule", "ScheduleWindow",
     "asap_alap", "build_dataflow", "build_qfg", "build_reference_cat_plan",
     "cat_latency_formula", "common_qubit_table", "compact", "decompose",
-    "drawn_timing", "emit_ilp", "exchangeable", "generate_cat_circuit",
-    "host_sides", "load_latency_model", "make_netlist", "oracle_min_stages",
-    "orthogonalize", "parse_qasm", "place_qubits", "planarize", "render_qasm",
+    "emit_ilp", "exchangeable", "generate_cat_circuit", "host_sides",
+    "load_latency_model", "make_netlist", "oracle_min_stages", "orthogonalize",
+    "parse_qasm", "place_qubits", "planarize", "render_qasm",
     "route", "schedule_netlist", "simulate", "solve", "stage_lower_bound",
     "tighten", "tile", "to_lp_text", "validate", "validate_drawing",
 ]

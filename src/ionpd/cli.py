@@ -19,23 +19,15 @@ from .circuits import generate_cat_circuit
 from .compact import compact, tighten
 from .decompose import DecomposeError, Library, decompose
 from .depgraph import asap_alap, build_dataflow, stage_lower_bound
-from .drawing import OrthogonalDrawing, validate_drawing
+from .drawing import validate_drawing
 from .gates import Netlist, NetlistError
 from .ilp import emit_ilp, to_lp_text
-from .latency import (
-    LatencyConfigError,
-    LatencyModel,
-    DrawnTiming,
-    drawn_timing,
-    host_sides,
-    load_latency_model,
-    simulate,
-)
+from .latency import LatencyConfigError, LatencyModel, host_sides, load_latency_model, simulate
 from .macrolayout import LayoutError, place_qubits, route, tile
-from .orthogonal import balance_corners, orthogonalize
-from .planar import PlanarizeError, PlanarizedGraph, planarize
+from .orthogonal import orthogonalize
+from .planar import PlanarizeError, planarize
 from .qasm import QasmError, parse_qasm
-from .qfg import QubitFlowGraph, build_qfg
+from .qfg import build_qfg
 from .solver import (
     Schedule,
     SolverError,
@@ -108,25 +100,6 @@ def _require_gate_costs(netlist: Netlist, model: LatencyModel) -> None:
             ) from exc
 
 
-def _draw(
-    netlist: Netlist, qfg: QubitFlowGraph, pg: PlanarizedGraph
-) -> tuple[OrthogonalDrawing, DrawnTiming]:
-    """Compact the bend-minimal representation, and the one with balanced
-    rectangular faces if it differs; keep the latter only if its drawn
-    critical path is strictly shorter. Returns the kept drawing with its
-    drawn timing."""
-    rep = orthogonalize(pg)
-    drawing = compact(pg, rep)
-    timing = drawn_timing(netlist, qfg, drawing)
-    balanced = balance_corners(pg, rep)
-    if balanced is not None:
-        other = compact(pg, balanced)
-        other_timing = drawn_timing(netlist, qfg, other)
-        if other_timing.critical_path < timing.critical_path:
-            return other, other_timing
-    return drawing, timing
-
-
 def _pipeline(netlist: Netlist, args, emit: _Emitter, upto: str) -> int:
     if args.library != "none":
         netlist = decompose(netlist, Library(args.library))
@@ -157,8 +130,9 @@ def _pipeline(netlist: Netlist, args, emit: _Emitter, upto: str) -> int:
     qfg = build_qfg(netlist, schedule, graph)
     emit.write("qfg.json", qfg.to_json)
     emit.write("qfg.dot", qfg.to_dot, "dot")
-    drawing, timing = _draw(netlist, qfg, planarize(qfg))
-    sides = host_sides(drawing, timing)
+    pg = planarize(qfg)
+    drawing = compact(pg, orthogonalize(pg))
+    sides = host_sides(netlist, qfg, drawing)
     drawing = tighten(drawing, sides)
     problems = validate_drawing(drawing)
     if problems:

@@ -101,27 +101,13 @@ def _cost_or_zero(model: LatencyModel, kind: GateKind) -> float:
         return 0.0
 
 
-@dataclass(frozen=True)
-class DrawnTiming:
-    """Longest dependency chains of a drawing, read before any tiling.
-
-    `legs[key]` is flow-graph edge `key`'s drawn cost, `finish[i]` the
-    length of the longest chain that ends with instruction i's gate, and
-    `tail[i]` that of the longest chain that starts with it.
-    """
-
-    legs: dict[EdgeKey, float]
-    finish: dict[int, float]
-    tail: dict[int, float]
-
-    @property
-    def critical_path(self) -> float:
-        """The drawing's longest dependency chain: the latest finish."""
-        return max(self.finish.values(), default=0.0)
-
-
-def drawn_timing(netlist: Netlist, qfg: QubitFlowGraph, drawing: OrthogonalDrawing) -> DrawnTiming:
-    """A forward and a backward pass over a drawing's flow graph.
+def _drawn_timing(
+    netlist: Netlist, qfg: QubitFlowGraph, drawing: OrthogonalDrawing
+) -> tuple[dict[EdgeKey, float], dict[int, float], dict[int, float]]:
+    """A forward and a backward pass over a drawing's flow graph: per
+    flow-graph edge its drawn cost, and per instruction i the length of the
+    longest dependency chain that ends with i's gate (`finish`) and of the
+    longest that starts with it (`tail`).
 
     Under the default `LatencyModel`, whatever a run's latency config, each
     flow-graph edge costs its drawn route, three straight-move units per
@@ -164,7 +150,7 @@ def drawn_timing(netlist: Netlist, qfg: QubitFlowGraph, drawing: OrthogonalDrawi
             if t > ahead:
                 ahead = t
         tail[instr.id] = cost[instr.id] + ahead
-    return DrawnTiming(legs, finish, tail)
+    return legs, finish, tail
 
 
 def _side(points: tuple[Point, ...]) -> str | None:
@@ -179,7 +165,9 @@ def _side(points: tuple[Point, ...]) -> str | None:
     return None
 
 
-def host_sides(drawing: OrthogonalDrawing, timing: DrawnTiming) -> dict[int, tuple[str, ...]]:
+def host_sides(
+    netlist: Netlist, qfg: QubitFlowGraph, drawing: OrthogonalDrawing
+) -> dict[int, tuple[str, ...]]:
     """Per corner or junction of a drawing, the sides `tile` tries, in turn,
     for the straight block that hosts its displaced trap.
 
@@ -187,9 +175,9 @@ def host_sides(drawing: OrthogonalDrawing, timing: DrawnTiming) -> dict[int, tup
     no entry. A host on side d changes each leg through the node's port s:
     one block shorter if d is s, one block longer if d is opposite s, one
     turn if d is perpendicular, all under the default `LatencyModel`. Side d
-    scores the latest arrival plus the longest departure in `timing`, the
-    drawing's `drawn_timing`, each with its leg so changed; sides go lowest
-    score first, ties in E, S, W, N order.
+    scores the latest arrival plus the longest departure of the drawing's
+    longest dependency chains (`_drawn_timing`), each with its leg so
+    changed; sides go lowest score first, ties in E, S, W, N order.
     """
     # node -> (its port side, edge key, the node at the other end), for the
     # edges into it (`ins`) and out of it (`outs`)
@@ -217,7 +205,7 @@ def host_sides(drawing: OrthogonalDrawing, timing: DrawnTiming) -> dict[int, tup
         for d in DIRS
         for s in DIRS
     }
-    legs, finish, tail = timing.legs, timing.finish, timing.tail
+    legs, finish, tail = _drawn_timing(netlist, qfg, drawing)
     order: dict[int, tuple[str, ...]] = {}
     for node, ports in displaced.items():
         arrivals = [(s, finish[i] + legs[key]) for s, key, i in ins.get(node, ())]

@@ -6,9 +6,9 @@ on straight channel blocks, never at turns or junctions, so an instruction
 whose drawing node is a corner or junction gets its gate shifted into a
 neighbouring block: through the first of its ports whose neighbour is a
 free straight block (a straight channel, not a node cell, and no gate there
-yet). The caller may give each node the order to try its ports in
+yet). The caller gives each node the order to try its ports in
 (`latency.host_sides` ranks them by the drawing's critical path); a node
-without one tries them in E, S, W, N order.
+it leaves out tries them in E, S, W, N order.
 
 A `GridMap` takes each drawing grid line to a block coordinate, one map per
 axis, with grid line 0 at block 0. The gap between two neighbouring grid
@@ -409,9 +409,7 @@ def room_sides(
     return room
 
 
-def tile(
-    drawing: OrthogonalDrawing, sides: Mapping[int, Sequence[str]] | None = None
-) -> MacroLayout:
+def tile(drawing: OrthogonalDrawing, sides: Mapping[int, Sequence[str]]) -> MacroLayout:
     """Convert a drawing into a port-consistent macroblock grid; `sides`
     gives a corner or junction the order to try its ports in as the host
     of its trap, E, S, W, N for a node it leaves out.
@@ -437,7 +435,7 @@ def tile(
     while True:
         grid = GridMap(_axis(lines[0], widths[0]), _axis(lines[1], widths[1]))
         try:
-            return _tile_on(drawing, grid, sides or {})
+            return _tile_on(drawing, grid, sides)
         except _Crowded as crowded:
             gaps, stuck = crowded.args
             grown = False

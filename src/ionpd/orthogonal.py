@@ -21,13 +21,12 @@ first.
 
 Those prices do not say where along a chain a turn goes, so a face drawn
 as a rectangle may get one long side opposite a short one, which the
-compaction then stretches. `balance_corners` moves the corners of each such
-face (internal, a simple cycle, no bends, four convex corners and all
-others straight) so that opposite sides match in edge count as well as
-they can, each corner only onto a vertex with the same other face and the
-same turn price, so the flow cost and the bends stay minimal. The
-pipeline keeps the balanced drawing only where its drawn critical path is
-shorter (`latency.DrawnTiming.critical_path`).
+compaction then stretches. The last step of `orthogonalize`,
+`balance_corners`, moves the corners of each such face (internal, a simple
+cycle, no bends, four convex corners and all others straight) so that
+opposite sides match in edge count as well as they can, each corner only
+onto a vertex with the same other face and the same turn price, so the
+flow cost and the bends stay minimal.
 """
 
 from __future__ import annotations
@@ -273,10 +272,19 @@ def _wide_costs(pg: PlanarizedGraph, degree: dict[Node, int]) -> dict[Node, int]
 
 
 def orthogonalize(pg: PlanarizedGraph) -> OrthoRep:
-    """Minimum-bend representation of the embedding, per component."""
-    faces = pg.faces
+    """Minimum-bend representation of the embedding, per component, with
+    the corners of its rectangular faces balanced."""
     degree = {v: len(pg.adj.get(v, [])) for v in pg.nodes}
     wide_cost = _wide_costs(pg, degree)
+    return balance_corners(_bend_minimal(pg, degree, wide_cost), degree, wide_cost)
+
+
+def _bend_minimal(
+    pg: PlanarizedGraph, degree: dict[Node, int], wide_cost: dict[Node, int]
+) -> OrthoRep:
+    """The representation of a minimum-cost flow, with vertex degrees
+    `degree` and turn prices `wide_cost` (`_wide_costs`)."""
+    faces = pg.faces
     angles: dict[tuple[int, int], int] = {}
     bends: dict[HalfEdge, int] = {}
     ext_faces: set[int] = set()
@@ -405,8 +413,11 @@ def _rectangle(rep: OrthoRep, fi: int) -> list[int] | None:
     return [ci for ci, value in enumerate(values) if value == 1]
 
 
-def balance_corners(pg: PlanarizedGraph, rep: OrthoRep) -> OrthoRep | None:
-    """Move the turns of each rectangular face so opposite sides match.
+def balance_corners(
+    rep: OrthoRep, degree: dict[Node, int], wide_cost: dict[Node, int]
+) -> OrthoRep:
+    """Move the turns of each rectangular face so opposite sides match;
+    `degree` and `wide_cost` are the flow's, as in `_bend_minimal`.
 
     A face qualifies if it is internal, a simple cycle and free of bends,
     with four convex corners and every other corner straight. A corner on a
@@ -416,7 +427,7 @@ def balance_corners(pg: PlanarizedGraph, rep: OrthoRep) -> OrthoRep | None:
     and the bends stay as they were. That other face has a reflex corner,
     so it never qualifies itself, and the faces are balanced independently.
     Corners on higher degrees stay, and the four keep their cyclic order
-    (see `_balanced`). Returns None if no corner moves.
+    (see `_balanced`). Returns `rep` itself if no corner moves.
     """
     faces = rep.faces
     # rectangles whose sides could match better (an odd walk leaves 1) and
@@ -426,12 +437,10 @@ def balance_corners(pg: PlanarizedGraph, rep: OrthoRep) -> OrthoRep | None:
         for fi in range(len(faces))
         if (turns := _rectangle(rep, fi))
         and _mismatch(len(faces[fi]), turns) > len(faces[fi]) % 2
-        and any(len(pg.adj[faces[fi][c][1]]) == 2 for c in turns)
+        and any(degree[faces[fi][c][1]] == 2 for c in turns)
     }
     if not rectangles:
-        return None
-    degree = {v: len(pg.adj.get(v, [])) for v in pg.nodes}
-    wide_cost = _wide_costs(pg, degree)
+        return rep
     where = {he: (fi, ci) for fi, walk in enumerate(faces) for ci, he in enumerate(walk)}
     angles = dict(rep.angles)
     moved = False
@@ -460,4 +469,4 @@ def balance_corners(pg: PlanarizedGraph, rep: OrthoRep) -> OrthoRep | None:
         for new in best:
             if new in other:
                 angles[(fi, new)], angles[other[new]] = 1, 3
-    return replace(rep, angles=angles) if moved else None
+    return replace(rep, angles=angles) if moved else rep

@@ -35,7 +35,7 @@ from ionpd.depgraph import asap_alap, build_dataflow, stage_lower_bound
 from ionpd.drawing import validate_drawing
 from ionpd.gates import GateKind
 from ionpd.ilp import emit_ilp, to_lp_text
-from ionpd.latency import LatencyModel, cat_latency_formula, drawn_timing, host_sides, simulate
+from ionpd.latency import LatencyModel, cat_latency_formula, host_sides, simulate
 from ionpd.macrolayout import place_qubits, route, tile
 from ionpd.orthogonal import orthogonalize
 from ionpd.planar import planarize
@@ -56,7 +56,7 @@ def full_pipeline(netlist, model=None):
     qfg = build_qfg(netlist, schedule)
     pg = planarize(qfg)
     drawing = compact(pg, orthogonalize(pg))
-    layout = tile(drawing)
+    layout = tile(drawing, {})
     plan = route(qfg, drawing, layout)
     placement = place_qubits(qfg, layout)
     report = simulate(netlist, qfg, layout, plan, placement, model)
@@ -165,7 +165,7 @@ def test_criterion_7_drawing_validity_and_bend_quality():
         # wider than one block is a widened one
         drawing = tighten(drawing, {})
         assert validate_drawing(drawing) == []
-        layout = tile(drawing)
+        layout = tile(drawing, {})
         route(qfg, drawing, layout)
         widened += any(
             b - a > 1
@@ -276,7 +276,7 @@ def test_end_to_end_fuzz_through_every_validator():
         pg = planarize(qfg)
         drawing = compact(pg, orthogonalize(pg))
         assert validate_drawing(drawing) == []
-        sides = host_sides(drawing, drawn_timing(netlist, qfg, drawing))
+        sides = host_sides(netlist, qfg, drawing)
         drawing = tighten(drawing, sides)
         assert validate_drawing(drawing) == []
         layout = tile(drawing, sides)

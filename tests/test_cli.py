@@ -76,13 +76,15 @@ def test_byte_identical_reruns(tmp_path):
 def test_artifacts_match_committed_manifest(tmp_path, capsys):
     # the runs CI checks with `sha256sum -c`; layered16 and two_registers
     # hold gate pairs that share two qubits, so `model.lp` lists each such
-    # pair once, and layered5's layout still widens two gaps to two blocks
+    # pair once, layered5's layout still widens two gaps to two blocks, and
+    # Cat-8's rectangle is drawn with its corners balanced
     calls = {
         "code_9_3_2": ["latency", CODE932],
         "layered16": ["latency", LAYERED16],
         "layered5": ["latency", LAYERED5],
         "two_registers": ["latency", str(ROOT / "tests" / "fixtures" / "two_registers.qasm")],
         "cat32": ["cat-gen", "32"],
+        "cat8": ["cat-gen", "8"],
     }
     for name, argv in calls.items():
         assert main([*argv, "--emit", "dot,svg,lp,json", "--out", str(tmp_path / name)]) == 0
@@ -91,7 +93,7 @@ def test_artifacts_match_committed_manifest(tmp_path, capsys):
         for path in tmp_path.glob("*/*")
     }
     manifest = dict(line.split()[::-1] for line in MANIFEST.read_text().splitlines())
-    assert len(manifest) == 65
+    assert len(manifest) == 78
     assert written == manifest
 
 
@@ -468,10 +470,10 @@ def test_missing_drawn_route_exit_code(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: edge (") and err.endswith("has no drawn route\n")
 
 
-def test_both_drawings_compact_through_cli(tmp_path, capsys, monkeypatch):
-    # Cat-32's cycle is a rectangle whose corners move, so it compacts twice,
-    # both times through `cli.compact`; code_9_3_2 has no such face and
-    # compacts once. Either drawing losing a route exits 4
+def test_one_drawing_compacts_through_cli(tmp_path, capsys, monkeypatch):
+    # Cat-32's cycle is a rectangle whose corners move and code_9_3_2 has no
+    # such face; either way a run compacts once, through `cli.compact`, and
+    # that drawing losing a route exits 4
     from dataclasses import replace
 
     import ionpd.cli as cli
@@ -484,11 +486,10 @@ def test_both_drawings_compact_through_cli(tmp_path, capsys, monkeypatch):
         return real_compact(pg, rep)
 
     monkeypatch.setattr(cli, "compact", counted)
-    assert main(["cat-gen", "32", "--out", str(tmp_path / "cat")]) == 0
-    assert len(calls) == 2
-    calls.clear()
-    assert main(["latency", CODE932, "--out", str(tmp_path / "code")]) == 0
-    assert len(calls) == 1
+    for name, argv in {"cat": ["cat-gen", "32"], "code": ["latency", CODE932]}.items():
+        calls.clear()
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        assert len(calls) == 1, name
 
     def drop_first_route(pg, rep):
         drawing = real_compact(pg, rep)
@@ -538,32 +539,39 @@ def test_latency_is_pinned(tmp_path, capsys, name):
     assert total == now <= before
 
 
-def test_cat8_keeps_the_bend_minimal_drawing(tmp_path, capsys):
-    # its balanced drawing has the same drawn critical path, so it is not
-    # taken; the bend-minimal one is written tightened
+@pytest.mark.parametrize("argv", [["cat-gen", "8"], ["cat-gen", "32"], ["latency", CODE932]],
+                         ids=["cat8", "cat32", "code_9_3_2"])
+def test_cli_draws_as_the_library_sequence(tmp_path, capsys, argv):
+    # the README's library example: compact the balanced bend-minimal
+    # representation, rank the host sides on it, then tighten
     from ionpd.circuits import generate_cat_circuit
     from ionpd.compact import compact, tighten
-    from ionpd.latency import drawn_timing, host_sides
+    from ionpd.latency import host_sides
     from ionpd.orthogonal import orthogonalize
     from ionpd.planar import planarize
+    from ionpd.qasm import parse_qasm
     from ionpd.qfg import build_qfg
     from ionpd.solver import schedule_netlist
 
-    netlist = generate_cat_circuit(8)
+    command, source = argv
+    if command == "cat-gen":
+        netlist = generate_cat_circuit(int(source))
+    else:
+        netlist = parse_qasm(Path(source).read_text(encoding="utf-8"))
     qfg = build_qfg(netlist, schedule_netlist(netlist))
     pg = planarize(qfg)
-    assert main(["cat-gen", "8", "--out", str(tmp_path)]) == 0
+    assert main([*argv, "--out", str(tmp_path)]) == 0
     drawn = (tmp_path / "drawing.json").read_text(encoding="utf-8")
     drawing = compact(pg, orthogonalize(pg))
-    sides = host_sides(drawing, drawn_timing(netlist, qfg, drawing))
+    sides = host_sides(netlist, qfg, drawing)
     assert drawn == tighten(drawing, sides).to_json()
 
 
 def test_drawing_ignores_the_latency_config(tmp_path, capsys):
-    # the drawing and the traps' host sides are chosen under the default
-    # costs, so `layout` and `latency` with any costs draw and tile alike.
-    # Priced at 40 per cell, Cat-8's balanced drawing would have the shorter
-    # drawn critical path; with turns at 1, toffoli_pair's hosts would move
+    # the drawing prices no latency and the traps' host sides are ranked
+    # under the default costs, so `layout` and `latency` with any costs draw
+    # and tile alike. With turns at 1, toffoli_pair's hosts would move;
+    # Cat-8, priced at 40 per cell, draws its rectangle balanced either way
     from ionpd.circuits import generate_cat_circuit
     from ionpd.qasm import render_qasm
 

@@ -33,7 +33,7 @@ from ionpd.compact import compact, tighten
 from ionpd.decompose import Library, decompose
 from ionpd.drawing import OrthogonalDrawing, validate_drawing
 from ionpd.gates import GateKind
-from ionpd.latency import drawn_timing, host_sides
+from ionpd.latency import host_sides
 from ionpd.lrplanarity import planar_rings
 from ionpd.macrolayout import DIRS, LayoutError, room_sides, tile
 from ionpd.orthogonal import balance_corners, min_cost_flow, orthogonalize
@@ -63,13 +63,11 @@ def draw(qfg):
 
 
 def drawn_as_cli(netlist):
-    """The flow graph, the drawing the CLI picks before tightening, and the
-    host sides it tiles with."""
-    import ionpd.cli as cli
-
+    """The flow graph, the drawing the CLI compacts before tightening, and
+    the host sides it tiles with."""
     qfg = build_qfg(netlist, schedule_netlist(netlist))
-    drawing, timing = cli._draw(netlist, qfg, planarize(qfg))
-    return qfg, drawing, host_sides(drawing, timing)
+    _, _, drawing = draw(qfg)
+    return qfg, drawing, host_sides(netlist, qfg, drawing)
 
 
 def naive_layered_bends(qfg) -> int:
@@ -764,6 +762,18 @@ def mismatch(sides: list[int]) -> int:
     return abs(sides[0] - sides[2]) + abs(sides[1] - sides[3])
 
 
+def flow_costs(pg):
+    """The vertex degrees and turn prices `orthogonalize` gives its flow."""
+    degree = {v: len(pg.adj.get(v, [])) for v in pg.nodes}
+    return degree, orthogonal._wide_costs(pg, degree)
+
+
+def bend_minimal(pg):
+    """The flow's representation, before `orthogonalize` balances its
+    rectangles."""
+    return orthogonal._bend_minimal(pg, *flow_costs(pg))
+
+
 class TestBalanceCorners:
     def test_hand_built_rectangle_gets_matching_sides(self):
         # an 8-cycle with its turns on four neighbours, sides 1, 1, 1 and 5,
@@ -771,7 +781,8 @@ class TestBalanceCorners:
         # steps each match every pair of opposite sides, as do four corners
         # moving 1, 0, 1, 2 to the 2 x 2 square; the tie goes to the first
         # by walk position, a 1 x 3 rectangle with unit edges
-        pg, rep, _ = draw(synth_qfg(list(range(1, 9)), [(k, k % 8 + 1) for k in range(1, 9)]))
+        pg = planarize(synth_qfg(list(range(1, 9)), [(k, k % 8 + 1) for k in range(1, 9)]))
+        rep = bend_minimal(pg)
         (inner,) = set(range(len(rep.faces))) - rep.ext_face
         turned = {v for _, v in rep.faces[inner][:4]}
         hand = replace(rep, angles={
@@ -783,13 +794,13 @@ class TestBalanceCorners:
         xs, ys = zip(*compact(pg, hand).node_pos.values())
         assert (max(xs) - min(xs), max(ys) - min(ys)) in {(1, 5), (5, 1)}
 
-        balanced = balance_corners(pg, hand)
+        balanced = balance_corners(hand, *flow_costs(pg))
         assert rectangle_sides(balanced, inner) == [1, 3, 1, 3]
         drawing = compact(pg, balanced)
         assert validate_drawing(drawing) == []
         xs, ys = zip(*drawing.node_pos.values())
         assert (max(xs) - min(xs), max(ys) - min(ys)) in {(1, 3), (3, 1)}
-        assert balance_corners(pg, balanced) is None  # nothing left to move
+        assert balance_corners(balanced, *flow_costs(pg)) is balanced  # nothing left to move
 
     def test_corners_keep_their_other_face(self):
         # a 12-cycle inside a face G closed by an outer path 1-13-...-18-6;
@@ -800,7 +811,8 @@ class TestBalanceCorners:
         # external face; the corners stay on their runs instead
         path = [1, 13, 14, 15, 16, 17, 18, 6]
         pairs = [(k, k % 12 + 1) for k in range(1, 13)] + list(zip(path, path[1:]))
-        pg, rep, _ = draw(synth_qfg(list(range(1, 19)), pairs))
+        pg = planarize(synth_qfg(list(range(1, 19)), pairs))
+        rep = bend_minimal(pg)
         inner = next(fi for fi, walk in enumerate(rep.faces) if walk[0] == (1, 2))
         outer = next(fi for fi, walk in enumerate(rep.faces) if walk[0] == (1, 13))
         (ext,) = rep.ext_face
@@ -813,7 +825,7 @@ class TestBalanceCorners:
                  (outer, 14, 1), (ext, 14, 3)]
         hand = replace(rep, angles={**rep.angles, **{at(fi, v): a for fi, v, a in edits}})
         assert rectangle_sides(hand, inner) == [1, 9, 1, 1]
-        balanced = balance_corners(pg, hand)
+        balanced = balance_corners(hand, *flow_costs(pg))
         turned = [v for ci, (_, v) in enumerate(rep.faces[inner]) if balanced.angles[(inner, ci)] == 1]
         assert turned == [2, 5, 8, 1]  # sides 3, 3, 5, 1
         for fi, walk in enumerate(rep.faces):
@@ -827,9 +839,11 @@ class TestBalanceCorners:
         moved = 0
         for _ in range(300):
             qfg = subdivided_graph(rng)
-            pg, rep, _ = draw(qfg)
-            balanced = balance_corners(pg, rep)
-            if balanced is None:
+            pg = planarize(qfg)
+            rep = bend_minimal(pg)
+            balanced = orthogonalize(pg)
+            assert balanced == balance_corners(rep, *flow_costs(pg))
+            if balanced == rep:
                 continue
             moved += 1
             assert balanced.faces == rep.faces and balanced.bends == rep.bends
@@ -852,41 +866,35 @@ class TestBalanceCorners:
         assert moved > 40
 
     def test_fuzz_drawings_stay_valid(self):
-        # criterion 7's 500 graphs and the end-to-end fuzz's netlists: where
-        # a corner moves, the drawing is valid and no worse by its critical
-        # path than the bend-minimal one
-        import ionpd.cli as cli
-
+        # criterion 7's 500 graphs and the end-to-end fuzz's netlists:
+        # `orthogonalize` balances the flow's representation, keeping its
+        # bends, and the drawing is valid
         rng = random.Random(424242)
         graphs = [random_degree4_graph(rng) for _ in range(500)]
-        for qfg in graphs:
-            pg, rep, _ = draw(qfg)
-            balanced = balance_corners(pg, rep)
-            if balanced is not None:
-                assert validate_drawing(compact(pg, balanced)) == []
         rng = random.Random(18)
         for _ in range(200):
             netlist = parse_qasm(render_qasm(random_mixed_netlist(rng, max_instr=8, max_qubits=5)))
             if any(instr.kind is GateKind.Toffoli for instr in netlist.instructions):
                 netlist = decompose(netlist, rng.choice(list(Library)))
-            qfg = build_qfg(netlist, schedule_netlist(netlist))
+            graphs.append(build_qfg(netlist, schedule_netlist(netlist)))
+        for qfg in graphs:
             pg = planarize(qfg)
-            drawing, timing = cli._draw(netlist, qfg, pg)
-            assert validate_drawing(drawing) == []
-            assert timing == drawn_timing(netlist, qfg, drawing)
-            assert timing.critical_path <= drawn_timing(
-                netlist, qfg, compact(pg, orthogonalize(pg))
-            ).critical_path
+            rep, balanced = bend_minimal(pg), orthogonalize(pg)
+            assert balanced == balance_corners(rep, *flow_costs(pg))
+            assert balanced.bends == rep.bends
+            assert validate_drawing(compact(pg, balanced)) == []
 
     def test_cat_faces_balance(self):
         # the Cat cycle is one rectangle: Cat-32's sides go from 17, 6, 2
         # and 8 edges to within one of each other
         netlist = generate_cat_circuit(32)
         qfg = build_qfg(netlist, schedule_netlist(netlist))
-        pg, rep, _ = draw(qfg)
+        pg = planarize(qfg)
+        rep = bend_minimal(pg)
         (inner,) = set(range(len(rep.faces))) - rep.ext_face
         assert sorted(rectangle_sides(rep, inner)) == [2, 6, 8, 17]
-        assert mismatch(rectangle_sides(balance_corners(pg, rep), inner)) == 1
+        assert mismatch(rectangle_sides(balance_corners(rep, *flow_costs(pg)), inner)) == 1
+        assert mismatch(rectangle_sides(orthogonalize(pg), inner)) == 1
 
 
 class TestCompact:

@@ -9,8 +9,8 @@ from ionpd.gates import GateKind
 from ionpd.latency import (
     LatencyConfigError,
     LatencyModel,
+    _drawn_timing,
     cat_latency_formula,
-    drawn_timing,
     host_sides,
     load_latency_model,
     simulate,
@@ -32,7 +32,7 @@ def full_pipeline(netlist, model=None):
     qfg = build_qfg(netlist, schedule)
     pg = planarize(qfg)
     drawing = compact(pg, orthogonalize(pg))
-    layout = tile(drawing)
+    layout = tile(drawing, {})
     plan = route(qfg, drawing, layout)
     placement = place_qubits(qfg, layout)
     return simulate(netlist, qfg, layout, plan, placement, model)
@@ -75,6 +75,12 @@ class TestModel:
             model.gate_cost(GateKind.Toffoli)
 
 
+def critical_path(netlist, qfg, drawing) -> float:
+    """The drawing's longest dependency chain: the latest finish."""
+    _, finish, _ = _drawn_timing(netlist, qfg, drawing)
+    return max(finish.values(), default=0.0)
+
+
 class TestDrawnCriticalPath:
     def test_hand_drawing(self):
         # H q0 at (0, 0), then X q0 at (2, 1) over three grid units and one
@@ -84,7 +90,7 @@ class TestDrawnCriticalPath:
         netlist = parse_qasm("H q0\nX q0")
         qfg = build_qfg(netlist, schedule_netlist(netlist))
         drawing = OrthogonalDrawing({1: (0, 0), 2: (2, 1)}, {(1, 2, 0): ((0, 0), (2, 0), (2, 1))})
-        assert drawn_timing(netlist, qfg, drawing).critical_path == 1 + 3 * 3 + 10 + 1
+        assert critical_path(netlist, qfg, drawing) == 1 + 3 * 3 + 10 + 1
 
     def test_longest_chain_wins_and_uncosted_gates_count_nothing(self):
         from ionpd.drawing import OrthogonalDrawing
@@ -95,7 +101,7 @@ class TestDrawnCriticalPath:
             {1: (0, 0), 2: (1, 0), 3: (0, 4)},
             {(1, 2, 0): ((0, 0), (1, 0)), (1, 3, 1): ((0, 0), (0, 4))},
         )
-        assert drawn_timing(netlist, qfg, drawing).critical_path == 4 * 3 + 10
+        assert critical_path(netlist, qfg, drawing) == 4 * 3 + 10
 
 
 # CX 3 drawn as a cross: q0 comes from H 1 over two units into its W side
@@ -121,11 +127,11 @@ def scheduled(qasm):
 class TestDrawnTiming:
     def test_forward_and_backward_passes(self):
         netlist, qfg = scheduled(JUNCTION_QASM)
-        timing = drawn_timing(netlist, qfg, JUNCTION)
-        assert timing.legs == {(1, 3, 0): 6, (2, 3, 1): 15, (3, 4, 0): 6, (3, 5, 1): 6}
-        assert timing.finish == {1: 1, 2: 1, 3: 1 + 15 + 10, 4: 33, 5: 33}
-        assert timing.tail == {1: 1 + 6 + 17, 2: 33, 3: 10 + 6 + 1, 4: 1, 5: 1}
-        assert timing.critical_path == 33
+        legs, finish, tail = _drawn_timing(netlist, qfg, JUNCTION)
+        assert legs == {(1, 3, 0): 6, (2, 3, 1): 15, (3, 4, 0): 6, (3, 5, 1): 6}
+        assert finish == {1: 1, 2: 1, 3: 1 + 15 + 10, 4: 33, 5: 33}
+        assert tail == {1: 1 + 6 + 17, 2: 33, 3: 10 + 6 + 1, 4: 1, 5: 1}
+        assert max(finish.values()) == 33
 
 
 class TestHostSides:
@@ -135,7 +141,7 @@ class TestHostSides:
         # the longest departure scores N 17 + 17, S 19 + 17, E 26 + 17 and
         # W 26 + 17, so E goes before W on the tie
         netlist, qfg = scheduled(JUNCTION_QASM)
-        assert host_sides(JUNCTION, drawn_timing(netlist, qfg, JUNCTION)) == {3: ("N", "S", "E", "W")}
+        assert host_sides(netlist, qfg, JUNCTION) == {3: ("N", "S", "E", "W")}
 
     def test_corner_ties_keep_the_fixed_order_and_straights_get_none(self):
         # X 2 turns from W to S and scores 14 + 5 on both sides; H 1 and
@@ -150,15 +156,15 @@ class TestHostSides:
                 (3, 4, 0): ((0, 1), (0, 2)),
             },
         )
-        assert host_sides(drawing, drawn_timing(netlist, qfg, drawing)) == {2: ("S", "W")}
+        assert host_sides(netlist, qfg, drawing) == {2: ("S", "W")}
 
     def test_late_qubit_passes_straight_into_the_trap(self):
         # without an order the trap takes the E side, so q1 turns into it
         # and out again; on the N side q0 turns instead, and it waits anyway
         netlist, qfg = scheduled(JUNCTION_QASM)
         assert validate_drawing(JUNCTION) == []
-        fixed = tile(JUNCTION)
-        ranked = tile(JUNCTION, host_sides(JUNCTION, drawn_timing(netlist, qfg, JUNCTION)))
+        fixed = tile(JUNCTION, {})
+        ranked = tile(JUNCTION, host_sides(netlist, qfg, JUNCTION))
         x, y = ranked.node_cell[3]
         assert fixed.gate_location_of[3] == (x + 1, y)
         assert ranked.gate_location_of[3] == (x, y - 1)

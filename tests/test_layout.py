@@ -68,7 +68,7 @@ def pipeline(netlist):
     qfg = build_qfg(netlist, schedule)
     pg = planarize(qfg)
     drawing = compact(pg, orthogonalize(pg))
-    layout = tile(drawing)
+    layout = tile(drawing, {})
     return schedule, qfg, drawing, layout
 
 
@@ -113,7 +113,7 @@ class TestMacroblock:
 class TestTile:
     def test_isolated_node_gets_caps(self):
         drawing = OrthogonalDrawing({7: (0, 0)}, {})
-        layout = tile(drawing)
+        layout = tile(drawing, {})
         kinds = sorted(b.kind for b in layout.blocks.values())
         assert kinds == ["DEAD_END_E", "DEAD_END_W", "GATE_STRAIGHT_H"]
         assert layout.gate_location_of == {7: (0, 0)}
@@ -122,7 +122,7 @@ class TestTile:
         drawing = OrthogonalDrawing(
             {1: (0, 0), 2: (1, 0)}, {(1, 2, 0): ((0, 0), (1, 0))}
         )
-        layout = tile(drawing)
+        layout = tile(drawing, {})
         xs = layout.grid.xs
         assert xs == {0: 0, 1: 1}  # a gap nothing widens is one block
         assert layout.gate_location_of == {1: (0, 0), 2: (1, 0)}
@@ -135,11 +135,11 @@ class TestTile:
         padded = OrthogonalDrawing(
             nodes, {(1, 2, 0): ((0, 0), (0, 0), (2, 0), (2, 0), (2, 1), (2, 1))}
         )
-        assert tile(padded) == tile(plain)
+        assert tile(padded, {}) == tile(plain, {})
         qfg = synth_qfg([1, 2], [(1, 2)])
-        layout = tile(padded)
+        layout = tile(padded, {})
         plan = route(qfg, padded, layout)
-        assert plan == route(qfg, plain, tile(plain))
+        assert plan == route(qfg, plain, tile(plain, {}))
         # east to the corner, which the last east step enters as a turn, then south
         east = layout.grid.xs[2] - layout.grid.xs[0]
         south = layout.grid.ys[1] - layout.grid.ys[0]
@@ -161,7 +161,7 @@ class TestTile:
         # cap their open ends on the one block between them, which opens
         # towards both
         assert validate_drawing(drawing) == []
-        layout = tile(drawing)
+        layout = tile(drawing, {})
         layout.check_ports()
         first, second = layout.gate_location_of[1], layout.gate_location_of[2]
         assert abs(second[0] - first[0]) + abs(second[1] - first[1]) == 2
@@ -173,7 +173,7 @@ class TestTile:
     def test_diagonal_segment_raises(self):
         drawing = OrthogonalDrawing({1: (0, 0), 2: (1, 2)}, {(1, 2, 0): ((0, 0), (1, 2))})
         with pytest.raises(LayoutError, match="not axis-aligned"):
-            tile(drawing)
+            tile(drawing, {})
 
     def test_cat4_has_six_gate_locations_and_connected_channels(self):
         _, _, _, layout = pipeline(generate_cat_circuit(4))
@@ -192,7 +192,7 @@ class TestTile:
         qfg = synth_qfg([1, 2, 3, 4], [(1, 2), (1, 3), (1, 4)])
         pg = planarize(qfg)
         drawing = compact(pg, orthogonalize(pg))
-        layout = tile(drawing)
+        layout = tile(drawing, {})
         centre = layout.node_cell[1]
         assert layout.blocks[centre].kind.startswith("TEE")
         gate = layout.gate_location_of[1]
@@ -205,7 +205,7 @@ class TestTile:
             qfg = random_degree4_graph(rng)
             pg = planarize(qfg)
             drawing = compact(pg, orthogonalize(pg))
-            layout = tile(drawing)
+            layout = tile(drawing, {})
             layout.check_ports()
             assert set(layout.gate_location_of) == set(qfg.nodes)
             assert len(set(layout.gate_location_of.values())) == len(qfg.nodes)
@@ -224,7 +224,7 @@ class TestTile:
             {(1, 2, 0): ((0, 1), (2, 1)), (3, 4, 1): ((1, 0), (1, 2))},
             crossings=((1, 1),),
         )
-        layout = tile(crossing)
+        layout = tile(crossing, {})
         assert layout.blocks[layout.grid.xs[1], layout.grid.ys[1]].kind == "CROSS"
 
 
@@ -256,7 +256,7 @@ class TestWidening:
     gaps they open into by one block each and tile again."""
 
     def test_corner_without_free_host_widens_its_gaps_only(self):
-        layout = tile(CORNERS)
+        layout = tile(CORNERS, {})
         # corner 3's W and N sides widen twice; the gap from y = 1 to 2,
         # which only corner 1's S side opens into, widens once
         assert layout.grid.xs == {0: 0, 1: 3}
@@ -273,7 +273,7 @@ class TestWidening:
             {1: (0, 0), 2: (0, 2), 3: (1, 1)}, {(1, 2, 0): ((0, 0), (0, 2))}
         )
         assert validate_drawing(drawing) == []
-        layout = tile(drawing)
+        layout = tile(drawing, {})
         assert layout.grid.xs == {0: 0, 1: 2}
         assert layout.grid.ys == {0: 0, 1: 1, 2: 2}
         assert layout.blocks[0, 1].kind == "STRAIGHT_V"
@@ -287,7 +287,7 @@ class TestWidening:
     ], ids=["row", "column"])
     def test_traps_joined_by_a_one_unit_edge_sit_on_adjacent_blocks(self, drawing):
         # the edge opens the facing ports, so neither trap caps towards the other
-        layout = tile(drawing)
+        layout = tile(drawing, {})
         first, second = layout.gate_location_of[1], layout.gate_location_of[2]
         assert abs(second[0] - first[0]) + abs(second[1] - first[1]) == 1
         assert set(gap_widths(layout.grid.xs) + gap_widths(layout.grid.ys)) <= {1}
@@ -302,14 +302,14 @@ class TestWidening:
             {1: (0, 0), 2: (0, 0), 3: (0, 0), 4: (1, 0), 5: (0, 1)},
             {(1, 4, 0): ((0, 0), (1, 0)), (1, 5, 1): ((0, 0), (0, 1))},
         )
-        for tiler in (tile, reference_tile):
+        for tiler in (lambda drawing: tile(drawing, {}), reference_tile):
             with pytest.raises(LayoutError, match=r"no free gate block next to junction at \(0, 0\)"):
                 tiler(stacked)
 
     def test_layered5_widens_a_gap_and_beats_every_gap_at_three(self, macroblock_cases):
         name, netlist, qfg, drawing = macroblock_cases[-1]
         assert name == "layered5"
-        layout = tile(drawing)
+        layout = tile(drawing, {})
         widths = gap_widths(layout.grid.xs) + gap_widths(layout.grid.ys)
         assert set(widths) == {1, 2, 3}
         layout.check_ports()
@@ -349,7 +349,7 @@ class TestRoute:
     def test_edge_without_drawn_route_raises(self):
         qfg = synth_qfg([1, 2], [(1, 2)])
         drawn = OrthogonalDrawing({1: (0, 0), 2: (1, 0)}, {(1, 2, 0): ((0, 0), (1, 0))})
-        layout = tile(drawn)
+        layout = tile(drawn, {})
         for router in (route, reference_route):
             with pytest.raises(LayoutError, match=r"edge \(1, 2, 0\) has no drawn route"):
                 router(qfg, replace(drawn, routes={}), layout)
@@ -358,7 +358,7 @@ class TestRoute:
     def test_gate_off_its_route_raises(self, gate):
         qfg = synth_qfg([1, 2], [(1, 2)])
         drawing = OrthogonalDrawing({1: (0, 0), 2: (1, 0)}, {(1, 2, 0): ((0, 0), (1, 0))})
-        layout = tile(drawing)
+        layout = tile(drawing, {})
         moved = replace(layout, gate_location_of={**layout.gate_location_of, gate: (1, 5)})
         for router in (route, reference_route):
             with pytest.raises(
@@ -383,7 +383,7 @@ class TestRoute:
             qfg = random_degree4_graph(rng, max_nodes=9)
             pg = planarize(qfg)
             drawing = compact(pg, orthogonalize(pg))
-            layout = tile(drawing)
+            layout = tile(drawing, {})
             plan = route(qfg, drawing, layout)
             adj = channel_graph(layout)
             for (i, j, _), steps in plan.steps.items():
@@ -400,7 +400,7 @@ class TestRoute:
         for qfg in graphs:
             pg = planarize(qfg)
             drawing = compact(pg, orthogonalize(pg))
-            layout = tile(drawing)
+            layout = tile(drawing, {})
             for (i, _, _), steps in route(qfg, drawing, layout).steps.items():
                 cells = [layout.gate_location_of[i]] + [s.cell for s in steps]
                 moves = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(cells, cells[1:])]
@@ -453,7 +453,7 @@ class TestText:
 
     def test_layered16(self):
         pg = planarize(layered_flow_graph(random.Random(5), qubits=16))
-        layout = tile(compact(pg, orthogonalize(pg)))
+        layout = tile(compact(pg, orthogonalize(pg)), {})
         assert_text_matches_reference(layout)
 
     def test_gaps_between_blocks_and_rows(self):
@@ -512,7 +512,7 @@ class TestAgainstReference:
     def test_tile(self, macroblock_cases):
         widths = set()
         for name, _, _, drawing in macroblock_cases:
-            layout, expected = tile(drawing), reference_tile(drawing)
+            layout, expected = tile(drawing, {}), reference_tile(drawing)
             assert list(layout.blocks.items()) == list(expected.blocks.items()), name
             assert layout.gate_location_of == expected.gate_location_of, name
             assert layout.node_cell == expected.node_cell, name
@@ -524,7 +524,7 @@ class TestAgainstReference:
 
     def test_layout_json(self, macroblock_cases):
         for name, _, _, drawing in macroblock_cases:
-            layout = tile(drawing)
+            layout = tile(drawing, {})
             assert layout.to_json() == reference_layout_json(layout), name
 
     def test_layout_json_of_hand_built_blocks(self):
@@ -544,7 +544,7 @@ class TestAgainstReference:
 
     def test_layout_svg(self, macroblock_cases):
         for name, _, _, drawing in macroblock_cases:
-            layout = tile(drawing)
+            layout = tile(drawing, {})
             assert layout.to_svg() == reference_layout_svg(layout), name
             assert layout.to_svg(cell=7) == reference_layout_svg(layout, cell=7), name
 
@@ -565,7 +565,7 @@ class TestAgainstReference:
     def test_layout_text(self, macroblock_cases):
         narrow = 0
         for name, _, _, drawing in macroblock_cases:
-            layout = tile(drawing)
+            layout = tile(drawing, {})
             text = "".join(layout.text_lines())
             assert text.split("\n") == reference_layout_text(layout).split("\n"), name
             if max(layout.gate_location_of) < 100:
@@ -575,13 +575,13 @@ class TestAgainstReference:
 
     def test_route(self, macroblock_cases):
         for name, _, qfg, drawing in macroblock_cases:
-            layout = tile(drawing)
+            layout = tile(drawing, {})
             assert route(qfg, drawing, layout) == reference_route(qfg, drawing, layout), name
 
     def test_simulate(self, macroblock_cases):
         moved = 0
         for name, netlist, qfg, drawing in macroblock_cases:
-            layout = tile(drawing)
+            layout = tile(drawing, {})
             plan = route(qfg, drawing, layout)
             placement = place_qubits(qfg, layout)
             report = simulate(netlist, qfg, layout, plan, placement)
