@@ -133,8 +133,10 @@ class _LeftRight:
                     k += 1
 
     def _by_nesting_depth(self) -> list[list[int]]:
+        """Each node's out-edges by nesting depth; a list of fewer than two
+        edges is shared with `out`, not copied (no caller mutates it)."""
         key = self.nesting_depth.__getitem__
-        return [sorted(edges, key=key) for edges in self.out]
+        return [sorted(edges, key=key) if len(edges) > 1 else edges for edges in self.out]
 
     def test(self) -> bool:
         """Find an LR partition; False if there is none (not planar)."""

@@ -16,12 +16,19 @@ against a rotation system of the kept graph that knows the face of every
 half-edge and a union-find of the components keyed by node. An edge
 whose endpoints lie in different components, or on a common face, can
 always be drawn without a crossing, so it joins untested at that face's
-corners. Any other edge costs one planarity test of the kept graph plus
-that edge: if planar, the edge stays and the test's embedding replaces the
-rotation; if not, it is removed without trace and deferred. The kept set
-is therefore exactly that of the one-by-one loop, and kept edges enter the
-graph in input order, so the adjacency order that feeds every later
-embedding is the same too.
+corners. So can an edge whose endpoint ends a pendant path (degree-2
+nodes ending in a degree-1 node) when another corner of the path's branch
+node lies on a face with the other endpoint, or, if both endpoints end
+such paths, when the two branch nodes share a face: the paths swing to
+that face and the edge joins there. Any other edge costs one planarity
+test of the kept graph plus that edge: if planar, the edge stays and the
+test's embedding replaces the rotation; if not, it is removed without
+trace and deferred. The kept set is therefore exactly that of the
+one-by-one loop, and kept edges enter the graph in input order, so the
+adjacency order that feeds every later embedding is the same too. The
+rotation the greedy holds never leaves it: every embedding after it is
+taken from `adj` afresh, so which embedding of the kept graph it held
+changes nothing downstream.
 
 The working graph lives on integer ids: flow-graph nodes in `node_key`
 order, then split and crossing dummies as they are made, each with a
@@ -179,21 +186,74 @@ class _FaceBook:
                 return face
 
     def place(self, a: Node, b: Node) -> bool:
-        """Insert edge a-b if it joins two components or two corners of one
-        face; False (rotation unchanged) if neither holds."""
+        """Insert edge a-b if it joins two components, or two corners of one
+        face once the pendant paths that a or b end swing there (`_swing`);
+        False (rotation unchanged) if neither holds. The rotation may change
+        beyond the new edge, but only to another embedding of the same
+        graph."""
         rotation = self.rotation
         if self.components.union(a, b):
             at_a = rotation[a][0] if rotation[a] else None
             at_b = rotation[b][0] if rotation[b] else None
             self._insert(a, at_a, b, at_b, split=False)
             return True
-        corner_of = {self.face_of[(a, y)]: y for y in reversed(rotation[a])}
-        for y in rotation[b]:
-            face = self.face_of[(b, y)]
+        return self._swing(a, b)
+
+    def _pendant(self, v: Node) -> list[Node] | None:
+        """The pendant path v ends, from v through degree-2 nodes to its
+        branch node; None unless v has degree 1."""
+        rotation = self.rotation
+        if len(rotation[v]) != 1:
+            return None
+        path = [v, rotation[v][0]]
+        while len(ring := rotation[path[-1]]) == 2:
+            path.append(ring[ring[0] == path[-2]])
+        return path
+
+    def _swing(self, a: Node, b: Node) -> bool:
+        """Insert a-b into a face both endpoints reach, re-hanging the
+        pendant paths they end: a pendant path lies inside one face and can
+        hang in any corner of its branch node, its pivot. An endpoint that
+        ends no path stays, as its own pivot, so with no pendant endpoint
+        this is a face shared by a and b. The first face at b's pivot (in
+        ring order) that is also at a's pivot takes the edge; False
+        (rotation unchanged) if there is none."""
+        face_of, rotation = self.face_of, self.rotation
+        path_a, path_b = self._pendant(a), self._pendant(b)
+        pivot_a = a if path_a is None else path_a[-1]
+        pivot_b = b if path_b is None else path_b[-1]
+        # each face at a's pivot, with the first neighbour whose half-edge
+        # from the pivot lies on it: an edge inserted before it enters the face
+        corner_of = {face_of[(pivot_a, y)]: y for y in reversed(rotation[pivot_a])}
+        for y in rotation[pivot_b]:
+            face = face_of[(pivot_b, y)]
             if face in corner_of:
-                self._insert(a, corner_of[face], b, y, split=True)
-                return True
-        return False
+                break
+        else:
+            return False
+        for path in (path_a, path_b):
+            if path is not None:
+                self._rehang(path, face)
+        # an end has one corner; a staying endpoint's corner still opens
+        # onto `face`, even if a path was re-hung there (just before it)
+        at_a = corner_of[face] if path_a is None else path_a[1]
+        at_b = y if path_b is None else path_b[1]
+        self._insert(a, at_a, b, at_b, split=True)
+        return True
+
+    def _rehang(self, path: list[Node], face: int) -> None:
+        """Move a pendant path (loose end first, branch node last) to the
+        first corner of its branch node on `face`, unless it lies there.
+        Only the path's half-edges change face, and they keep their old
+        face id: the edge `_swing` then inserts retraces all of `face`."""
+        pivot, stem = path[-1], path[-2]
+        face_of = self.face_of
+        if face_of[(pivot, stem)] == face:
+            return
+        ring = self.rotation[pivot]
+        at = next(y for y in ring if face_of[(pivot, y)] == face)  # not the stem
+        ring.remove(stem)
+        ring.insert(ring.index(at), stem)
 
     def _insert(self, a: Node, at_a: Node | None, b: Node, at_b: Node | None, split: bool) -> None:
         """Put b before at_a in a's ring and a before at_b in b's ring (None:

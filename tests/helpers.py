@@ -20,6 +20,7 @@ from operator import itemgetter
 import networkx as nx
 import numpy as np
 
+from ionpd import orthogonal, planar
 from ionpd.artifact import render_json
 from ionpd.compact import _EAST, _NORTH, _SOUTH, _WEST
 from ionpd.depgraph import DataflowGraph, exchangeable
@@ -194,6 +195,32 @@ def random_mixed_netlist(rng: random.Random, max_instr: int = 10, max_qubits: in
         kind = kinds[rng.randrange(len(kinds))]
         *controls, target = rng.sample(range(qubits), kind.arity)
         gates.append((kind, tuple(controls), target))
+    return make_netlist(gates)
+
+
+def chained_netlist(
+    rng: random.Random, max_pairs: int = 10, max_qubits: int = 6, max_run: int = 4
+) -> Netlist:
+    """Random two-qubit gates, each after a run of up to `max_run` one-qubit
+    gates on each of its qubits: the flow graph's degree-2 chains are long,
+    so faces are long and the planar greedy meets many pendant paths. No
+    two neighbours in a run commute, so the runs stay chains and the exact
+    scheduler has little to search."""
+    qubits = rng.randint(2, max_qubits)
+    singles = [kind for kind in _RANDOM_KINDS if kind.arity == 1]
+    pairs = [kind for kind in _RANDOM_KINDS if kind.arity == 2]
+    gates = []
+    for _ in range(rng.randint(1, max_pairs)):
+        a, b = rng.sample(range(qubits), 2)
+        for q in (a, b):
+            prev = None
+            for _ in range(rng.randint(0, max_run)):
+                prev = rng.choice([
+                    kind for kind in singles
+                    if prev is None or not (kind is prev or kind.diagonal_1q and prev.diagonal_1q)
+                ])
+                gates.append((prev, (), q))
+        gates.append((rng.choice(pairs), (a,), b))
     return make_netlist(gates)
 
 
@@ -450,6 +477,33 @@ def one_sided_bends(rep: OrthoRep) -> bool:
     """No edge bends both ways: of every half-edge and its twin, at most one
     carries bends."""
     return all(min(n, rep.bends.get((v, u), 0)) == 0 for (u, v), n in rep.bends.items())
+
+
+def flow_costs(pg):
+    """The vertex degrees and turn prices `orthogonalize` gives its flow."""
+    degree = {v: len(pg.adj.get(v, [])) for v in pg.nodes}
+    return degree, orthogonal._wide_costs(pg, degree)
+
+
+def bend_minimal(pg):
+    """The flow's representation, before `orthogonalize` balances its
+    rectangles."""
+    return orthogonal._bend_minimal(pg, *flow_costs(pg))
+
+
+def spied_rehangs(monkeypatch):
+    """The pendant paths `planar._FaceBook` moves from now on, each as
+    (path, face): the list fills as the greedy or a test re-hangs them."""
+    rehang = planar._FaceBook._rehang
+    moves = []
+
+    def spy(book, path, face):
+        if book.face_of[(path[-1], path[-2])] != face:
+            moves.append((list(path), face))
+        rehang(book, path, face)
+
+    monkeypatch.setattr(planar._FaceBook, "_rehang", spy)
+    return moves
 
 
 def angle_at(rep, vertex) -> list[int]:

@@ -18,13 +18,16 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    bend_minimal,
     bend_minimum_milp,
+    chained_netlist,
     equal_up_to_phase,
     netlist_unitary,
     one_sided_bends,
     random_degree4_graph,
     random_mixed_netlist,
     random_netlist,
+    spied_rehangs,
     synth_qfg,
     toffoli_unitary,
 )
@@ -253,10 +256,41 @@ def free_movement_bound(netlist, graph, model) -> float:
     return max(max(finish.values()), max(busy.values()))
 
 
+def through_every_validator(netlist, model) -> tuple[int, bool]:
+    """Compile a netlist from its dataflow to the simulated latency, with
+    the drawing tightened and the displaced traps on the sides the CLI
+    picks, checking every stage on the way. Returns the number of legs that
+    move and whether `orthogonalize` moved a corner of the flow's
+    bend-minimal representation."""
+    graph = build_dataflow(netlist)
+    schedule = schedule_netlist(netlist, graph=graph)
+    assert validate(netlist, graph, schedule) == []
+    qfg = build_qfg(netlist, schedule, graph)
+    pg = planarize(qfg)
+    rep = orthogonalize(pg)
+    drawing = compact(pg, rep)
+    assert validate_drawing(drawing) == []
+    sides = host_sides(netlist, qfg, drawing)
+    drawing = tighten(drawing, sides)
+    assert validate_drawing(drawing) == []
+    layout = tile(drawing, sides)
+    layout.check_ports()
+    plan = route(qfg, drawing, layout)
+    legs = 0
+    for (i, j, _), steps in plan.steps.items():
+        cells = [layout.gate_location_of[i], *(step.cell for step in steps)]
+        assert cells[-1] == layout.gate_location_of[j]
+        for (ax, ay), (bx, by) in itertools.pairwise(cells):
+            assert abs(ax - bx) + abs(ay - by) == 1
+        legs += bool(steps)
+    report = simulate(netlist, qfg, layout, plan, place_qubits(qfg, layout), model)
+    assert report.total >= free_movement_bound(netlist, graph, model)
+    return legs, rep != bend_minimal(pg)
+
+
 def test_end_to_end_fuzz_through_every_validator():
     # random netlists over every gate kind, Toffoli gates decomposed by
-    # either library, from QASM text to the simulated latency, with the
-    # drawing tightened and the displaced traps on the sides the CLI picks
+    # either library, from QASM text to the simulated latency
     rng = random.Random(18)
     model = LatencyModel()
     libraries: Counter = Counter()
@@ -269,27 +303,27 @@ def test_end_to_end_fuzz_through_every_validator():
             libraries[library] += 1
             netlist = decompose(netlist, library)
         kinds.update(instr.kind for instr in netlist.instructions)
-        graph = build_dataflow(netlist)
-        schedule = schedule_netlist(netlist, graph=graph)
-        assert validate(netlist, graph, schedule) == []
-        qfg = build_qfg(netlist, schedule, graph)
-        pg = planarize(qfg)
-        drawing = compact(pg, orthogonalize(pg))
-        assert validate_drawing(drawing) == []
-        sides = host_sides(netlist, qfg, drawing)
-        drawing = tighten(drawing, sides)
-        assert validate_drawing(drawing) == []
-        layout = tile(drawing, sides)
-        layout.check_ports()
-        plan = route(qfg, drawing, layout)
-        for (i, j, _), steps in plan.steps.items():
-            cells = [layout.gate_location_of[i], *(step.cell for step in steps)]
-            assert cells[-1] == layout.gate_location_of[j]
-            for (ax, ay), (bx, by) in itertools.pairwise(cells):
-                assert abs(ax - bx) + abs(ay - by) == 1
-            legs += bool(steps)
-        report = simulate(netlist, qfg, layout, plan, place_qubits(qfg, layout), model)
-        assert report.total >= free_movement_bound(netlist, graph, model)
+        legs += through_every_validator(netlist, model)[0]
     assert set(libraries) == set(Library)
     assert {GateKind.Measure, GateKind.PrepZ, GateKind.CV} <= set(kinds)
     assert legs > 200
+
+
+def test_end_to_end_chain_fuzz(monkeypatch):
+    # netlists with runs of one-qubit gates between two-qubit gates: long
+    # degree-2 chains make long faces, whose corners `orthogonalize` moves
+    # to balance rectangles, and pendant paths, which the planar greedy
+    # re-hangs where a join needs them instead of testing planarity
+    moves = spied_rehangs(monkeypatch)
+    rng = random.Random(25)
+    model = LatencyModel()
+    legs = moved = 0
+    for _ in range(60):
+        netlist = parse_qasm(render_qasm(chained_netlist(rng, max_pairs=32, max_qubits=10)))
+        netlist_legs, netlist_moved = through_every_validator(netlist, model)
+        legs += netlist_legs
+        moved += netlist_moved
+    assert legs > 2000
+    assert moved >= 20  # 27 of 60 with this seed
+    # 150 paths re-hung, up to 9 nodes long
+    assert len(moves) >= 100 and max(len(path) for path, _ in moves) > 2

@@ -77,9 +77,12 @@ def test_artifacts_match_committed_manifest(tmp_path, capsys):
     # the runs CI checks with `sha256sum -c`; layered16 and two_registers
     # hold gate pairs that share two qubits, so `model.lp` lists each such
     # pair once, layered5's layout still widens two gaps to two blocks, and
-    # Cat-8's rectangle is drawn with its corners balanced
+    # Cat-8's rectangle is drawn with its corners balanced; chains holds
+    # long runs of one-qubit gates, so the planar greedy re-hangs pendant
+    # paths in it and orthogonalize moves corners
     calls = {
         "code_9_3_2": ["latency", CODE932],
+        "chains": ["latency", str(ROOT / "tests" / "fixtures" / "chains.qasm")],
         "layered16": ["latency", LAYERED16],
         "layered5": ["latency", LAYERED5],
         "two_registers": ["latency", str(ROOT / "tests" / "fixtures" / "two_registers.qasm")],
@@ -93,7 +96,7 @@ def test_artifacts_match_committed_manifest(tmp_path, capsys):
         for path in tmp_path.glob("*/*")
     }
     manifest = dict(line.split()[::-1] for line in MANIFEST.read_text().splitlines())
-    assert len(manifest) == 78
+    assert len(manifest) == 91
     assert written == manifest
 
 
