@@ -2,12 +2,12 @@
 
 Pipeline: QASM-style netlist -> dependency analysis -> ILP stage scheduling
 -> qubit flow graph -> bend-minimal orthogonal drawing, tightened to the room
-tiling needs -> macroblock layout with placement and routes -> latency
-simulation.
+tiling needs -> macroblock layout (the drawing and the layout come from one
+call, `lay_out`) -> placement and routes -> latency simulation.
 """
 
 from .circuits import generate_cat_circuit
-from .compact import compact, tighten
+from .compact import compact
 from .decompose import Library, decompose
 from .depgraph import (
     DataflowGraph,
@@ -25,7 +25,7 @@ from .latency import (
     LatencyModel,
     LatencyReport,
     cat_latency_formula,
-    host_sides,
+    lay_out,
     load_latency_model,
     simulate,
 )
@@ -51,11 +51,11 @@ __all__ = [
     "QubitFlowGraph", "RoutePlan", "Schedule", "ScheduleWindow",
     "asap_alap", "build_dataflow", "build_qfg", "build_reference_cat_plan",
     "cat_latency_formula", "common_qubit_table", "compact", "decompose",
-    "emit_ilp", "exchangeable", "generate_cat_circuit", "host_sides",
+    "emit_ilp", "exchangeable", "generate_cat_circuit", "lay_out",
     "load_latency_model", "make_netlist", "oracle_min_stages", "orthogonalize",
     "parse_qasm", "place_qubits", "planarize", "render_qasm",
     "route", "schedule_netlist", "simulate", "solve", "stage_lower_bound",
-    "tighten", "tile", "to_lp_text", "validate", "validate_drawing",
+    "tile", "to_lp_text", "validate", "validate_drawing",
 ]
 
 __version__ = "0.1.0"

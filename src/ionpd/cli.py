@@ -16,16 +16,13 @@ from functools import cache
 from pathlib import Path
 
 from .circuits import generate_cat_circuit
-from .compact import compact, tighten
 from .decompose import DecomposeError, Library, decompose
 from .depgraph import asap_alap, build_dataflow, stage_lower_bound
-from .drawing import validate_drawing
 from .gates import Netlist, NetlistError
 from .ilp import emit_ilp, to_lp_text
-from .latency import LatencyConfigError, LatencyModel, host_sides, load_latency_model, simulate
-from .macrolayout import LayoutError, place_qubits, route, tile
-from .orthogonal import orthogonalize
-from .planar import PlanarizeError, planarize
+from .latency import LatencyConfigError, LatencyModel, lay_out, load_latency_model, simulate
+from .macrolayout import LayoutError, place_qubits, route
+from .planar import PlanarizeError
 from .qasm import QasmError, parse_qasm
 from .qfg import build_qfg
 from .solver import (
@@ -130,16 +127,9 @@ def _pipeline(netlist: Netlist, args, emit: _Emitter, upto: str) -> int:
     qfg = build_qfg(netlist, schedule, graph)
     emit.write("qfg.json", qfg.to_json)
     emit.write("qfg.dot", qfg.to_dot, "dot")
-    pg = planarize(qfg)
-    drawing = compact(pg, orthogonalize(pg))
-    sides = host_sides(netlist, qfg, drawing)
-    drawing = tighten(drawing, sides)
-    problems = validate_drawing(drawing)
-    if problems:
-        raise LayoutError(f"invalid drawing: {problems[0]}")
+    drawing, layout = lay_out(netlist, qfg)
     emit.write("drawing.json", drawing.to_json)
     emit.write("drawing.svg", drawing.to_svg, "svg")
-    layout = tile(drawing, sides)
     emit.write("layout.json", layout.to_json)
     emit.write_lines("layout.txt", layout.text_lines())
     emit.write("layout.svg", layout.to_svg, "svg")

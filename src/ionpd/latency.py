@@ -9,7 +9,8 @@ inside a junction, costs one turn unit.
 Stages order gates but are not barriers: an instruction starts as soon as
 its qubits have arrived at its gate location. Channel congestion is
 first-come-first-served per block; the later ion waits, ties broken by
-instruction id through the deterministic processing order.
+instruction id through the deterministic processing order. `lay_out`, the
+layout generator in one call, sits beside `host_sides`, its one netlist step.
 """
 
 from __future__ import annotations
@@ -18,9 +19,12 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .artifact import render_json
-from .drawing import EdgeKey, OrthogonalDrawing
+from .compact import compact, tighten
+from .drawing import EdgeKey, OrthogonalDrawing, validate_drawing
 from .gates import GateKind, Netlist
-from .macrolayout import DIRS, OPPOSITE, MacroLayout, Point, RoutePlan
+from .macrolayout import DIRS, OPPOSITE, LayoutError, MacroLayout, Point, RoutePlan, node_ports, tile
+from .orthogonal import orthogonalize
+from .planar import planarize
 from .qfg import QubitFlowGraph
 
 
@@ -153,18 +157,6 @@ def _drawn_timing(
     return legs, finish, tail
 
 
-def _side(points: tuple[Point, ...]) -> str | None:
-    """The side of `points[0]` that an axis-aligned route drawn as `points`
-    leaves by; None if it never leaves."""
-    ax, ay = points[0]
-    for bx, by in points[1:]:
-        if bx != ax:
-            return "E" if bx > ax else "W"
-        if by != ay:
-            return "S" if by > ay else "N"
-    return None
-
-
 def host_sides(
     netlist: Netlist, qfg: QubitFlowGraph, drawing: OrthogonalDrawing
 ) -> dict[int, tuple[str, ...]]:
@@ -179,24 +171,6 @@ def host_sides(
     longest dependency chains (`_drawn_timing`), each with its leg so
     changed; sides go lowest score first, ties in E, S, W, N order.
     """
-    # node -> (its port side, edge key, the node at the other end), for the
-    # edges into it (`ins`) and out of it (`outs`)
-    ins: dict[int, list[tuple[str, EdgeKey, int]]] = {}
-    outs: dict[int, list[tuple[str, EdgeKey, int]]] = {}
-    sides: dict[int, set[str]] = {}
-    for key, pts in drawing.routes.items():
-        i, j, _ = key
-        start, end = _side(pts), _side(pts[::-1])
-        if start is not None:
-            outs.setdefault(i, []).append((start, key, j))
-            ins.setdefault(j, []).append((end, key, i))
-            sides.setdefault(i, set()).add(start)
-            sides.setdefault(j, set()).add(end)
-    displaced = {}
-    for node, node_sides in sides.items():
-        ports = [d for d in DIRS if d in node_sides]  # in E, S, W, N order
-        if len(ports) > 2 or (len(ports) == 2 and OPPOSITE[ports[0]] != ports[1]):
-            displaced[node] = ports
     m = LatencyModel()
     block_move = 3 * m.straight_move
     # (host side, port side) -> change of a leg through that port
@@ -207,16 +181,32 @@ def host_sides(
     }
     legs, finish, tail = _drawn_timing(netlist, qfg, drawing)
     order: dict[int, tuple[str, ...]] = {}
-    for node, ports in displaced.items():
-        arrivals = [(s, finish[i] + legs[key]) for s, key, i in ins.get(node, ())]
-        departures = [(s, legs[key] + tail[j]) for s, key, j in outs.get(node, ())]
+    for node, ports in node_ports(drawing).items():
+        if not ports.displaced:
+            continue
+        arrivals = [(s, finish[key[0]] + legs[key]) for s, key, _ in ports.ends if key[1] == node]
+        departures = [(s, legs[key] + tail[key[1]]) for s, key, _ in ports.ends if key[0] == node]
         score = {
             d: max([t + pen[d, s] for s, t in arrivals], default=0.0)
             + max([t + pen[d, s] for s, t in departures], default=0.0)
-            for d in ports
+            for d, _, _ in ports.ends
         }
-        order[node] = tuple(sorted(ports, key=score.__getitem__))
+        order[node] = tuple(sorted(score, key=lambda d: (score[d], "ESWN".index(d))))
     return order
+
+
+def lay_out(netlist: Netlist, qfg: QubitFlowGraph) -> tuple[OrthogonalDrawing, MacroLayout]:
+    """The layout generator: the flow graph's drawing, tightened to the room
+    its displaced traps' host sides need, and that drawing's tiling. Raises
+    `LayoutError` if the tightened drawing fails `validate_drawing`."""
+    pg = planarize(qfg)
+    drawing = compact(pg, orthogonalize(pg))
+    sides = host_sides(netlist, qfg, drawing)
+    drawing = tighten(drawing, sides)
+    problems = validate_drawing(drawing)
+    if problems:
+        raise LayoutError(f"invalid drawing: {problems[0]}")
+    return drawing, tile(drawing, sides)
 
 
 @dataclass(frozen=True)
@@ -275,7 +265,8 @@ def simulate(
 ) -> LatencyReport:
     """Availability-time simulation of a placed and routed circuit, its
     instructions taken in the order of the flow graph's stages (`build_qfg`
-    checked the schedule they come from)."""
+    checked the schedule they come from); a gap in the route plan raises
+    `LayoutError`."""
     m = model or LatencyModel()
     block_move = 3 * m.straight_move  # crossing one block in a straight line
 
@@ -294,12 +285,12 @@ def simulate(
     for instr in order:
         target_cell = layout.gate_location_of.get(instr.id)
         if target_cell is None:
-            raise ValueError(f"instruction {instr.id} has no gate location")
+            raise LayoutError(f"instruction {instr.id} has no gate location")
         arrivals = []
         for qubit in instr.qubits:
             if qubit not in qubit_loc:
                 if qubit not in placement:
-                    raise ValueError(f"qubit q{qubit} has no initial placement")
+                    raise LayoutError(f"qubit q{qubit} has no initial placement")
                 qubit_loc[qubit] = placement[qubit]
                 qubit_free[qubit] = 0.0
             t = qubit_free[qubit]
@@ -308,7 +299,7 @@ def simulate(
                 edge = (last_use.get(qubit, 0), instr.id, qubit)
                 leg = routes.steps.get(edge)
                 if leg is None:
-                    raise ValueError(f"missing route for qubit q{qubit} into {instr.id}")
+                    raise LayoutError(f"missing route for qubit q{qubit} into {instr.id}")
                 delay = 0.0
                 turns = 0
                 prev_cell = qubit_loc[qubit]

@@ -3,12 +3,13 @@
 Every macroblock occupies a 3x3 footprint of trap cells and electrodes and
 connects to neighbours through up to four ports. Gate locations exist only
 on straight channel blocks, never at turns or junctions, so an instruction
-whose drawing node is a corner or junction gets its gate shifted into a
-neighbouring block: through the first of its ports whose neighbour is a
-free straight block (a straight channel, not a node cell, and no gate there
-yet). The caller gives each node the order to try its ports in
-(`latency.host_sides` ranks them by the drawing's critical path); a node
-it leaves out tries them in E, S, W, N order.
+whose drawing node is a corner or junction (`NodePorts.displaced`) gets its
+gate shifted into a neighbouring block: through the first of its ports
+whose neighbour is a free straight block (a straight channel, not a node
+cell, and no gate there yet). The caller gives each node the order to try
+its ports in (`latency.lay_out` ranks them by the drawing's critical path,
+through `latency.host_sides`); a node it leaves out tries them in E, S, W,
+N order.
 
 A `GridMap` takes each drawing grid line to a block coordinate, one map per
 axis, with grid line 0 at block 0. The gap between two neighbouring grid
@@ -372,6 +373,32 @@ def _gap(position: Point, d: str) -> tuple[int, int]:
     return axis, position[axis] + offset
 
 
+class NodePorts(NamedTuple):
+    """A node's route ends, each as (the side it leaves the node by, its edge
+    key, the length of its first segment), and the mask of those sides."""
+
+    mask: int
+    ends: list[tuple[str, EdgeKey, int]]
+
+    @property
+    def displaced(self) -> bool:
+        """A corner or junction, whose trap `tile` shifts to a neighbouring
+        block: more than two ports, or two that are not opposite."""
+        return self.mask not in _TRAP_MASK
+
+
+def node_ports(drawing: OrthogonalDrawing) -> dict[int, NodePorts]:
+    """The ports of every node that a route of `drawing` ends at."""
+    ends: dict[int, list[tuple[str, EdgeKey, int]]] = {}
+    for key, pts in drawing.routes.items():
+        i, j, _ = key
+        for node, a, b in ((i, pts[0], pts[1]), (j, pts[-1], pts[-2])):
+            reach = abs(b[0] - a[0]) + abs(b[1] - a[1])
+            ends.setdefault(node, []).append((_direction(a, b), key, reach))
+    # each side's bit counts once, so the sum is the mask
+    return {node: NodePorts(sum({_BIT[d] for d, _, _ in e}), e) for node, e in ends.items()}
+
+
 def room_sides(
     drawing: OrthogonalDrawing, sides: Mapping[int, Sequence[str]]
 ) -> dict[int, tuple[str, ...]]:
@@ -386,26 +413,17 @@ def room_sides(
       trap; the first port in that order if none is.
     """
     crossings = set(drawing.crossings)
-    ports: dict[int, int] = {}  # node -> port mask
-    hosts: dict[int, int] = {}  # node -> mask of the ports that could host its trap
-    for (i, j, _), pts in drawing.routes.items():
-        for node, a, b in ((i, pts[0], pts[1]), (j, pts[-1], pts[-2])):
-            d = _direction(a, b)
-            bit = _BIT[d]
-            ports[node] = ports.get(node, 0) | bit
-            dx, dy = DIRS[d]
-            if abs(b[0] - a[0]) + abs(b[1] - a[1]) >= 2 and (a[0] + dx, a[1] + dy) not in crossings:
-                hosts[node] = hosts.get(node, 0) | bit
+    scan = node_ports(drawing)
     room = {}
-    for node in drawing.node_pos:
-        mask = ports.get(node, 0)
-        caps = _CAPS.get(mask)
-        if caps is None:
-            order = [d for d in sides.get(node, _ORDER) if mask & _BIT[d]]
-            free = hosts.get(node, 0)
-            room[node] = (next((d for d in order if free & _BIT[d]), order[0]),)
-        elif caps:
-            room[node] = caps
+    for node, (x, y) in drawing.node_pos.items():
+        ports = scan.get(node) or NodePorts(0, [])
+        if ports.displaced:
+            free = {d for d, _, reach in ports.ends if reach >= 2}
+            free -= {d for d, (dx, dy) in DIRS.items() if (x + dx, y + dy) in crossings}
+            order = [d for d in sides.get(node, _ORDER) if ports.mask & _BIT[d]]
+            room[node] = (next((d for d in order if d in free), order[0]),)
+        elif _CAPS[ports.mask]:
+            room[node] = _CAPS[ports.mask]
     return room
 
 

@@ -38,7 +38,7 @@ from ionpd.depgraph import asap_alap, build_dataflow, stage_lower_bound
 from ionpd.drawing import validate_drawing
 from ionpd.gates import GateKind
 from ionpd.ilp import emit_ilp, to_lp_text
-from ionpd.latency import LatencyModel, cat_latency_formula, host_sides, simulate
+from ionpd.latency import LatencyModel, cat_latency_formula, host_sides, lay_out, simulate
 from ionpd.macrolayout import place_qubits, route, tile
 from ionpd.orthogonal import orthogonalize
 from ionpd.planar import planarize
@@ -55,11 +55,10 @@ def _ok(criterion: str, detail: str) -> None:
 
 
 def full_pipeline(netlist, model=None):
+    """`ionpd latency` on `netlist`, simulated under `model`."""
     schedule = schedule_netlist(netlist)
     qfg = build_qfg(netlist, schedule)
-    pg = planarize(qfg)
-    drawing = compact(pg, orthogonalize(pg))
-    layout = tile(drawing, {})
+    drawing, layout = lay_out(netlist, qfg)
     plan = route(qfg, drawing, layout)
     placement = place_qubits(qfg, layout)
     report = simulate(netlist, qfg, layout, plan, placement, model)
@@ -257,9 +256,9 @@ def free_movement_bound(netlist, graph, model) -> float:
 
 
 def through_every_validator(netlist, model) -> tuple[int, bool]:
-    """Compile a netlist from its dataflow to the simulated latency, with
-    the drawing tightened and the displaced traps on the sides the CLI
-    picks, checking every stage on the way. Returns the number of legs that
+    """Compile a netlist from its dataflow to the simulated latency, one
+    `lay_out` step at a time, checking every stage on the way and that the
+    steps draw and tile what `lay_out` does. Returns the number of legs that
     move and whether `orthogonalize` moved a corner of the flow's
     bend-minimal representation."""
     graph = build_dataflow(netlist)
@@ -275,6 +274,7 @@ def through_every_validator(netlist, model) -> tuple[int, bool]:
     assert validate_drawing(drawing) == []
     layout = tile(drawing, sides)
     layout.check_ports()
+    assert lay_out(netlist, qfg) == (drawing, layout)
     plan = route(qfg, drawing, layout)
     legs = 0
     for (i, j, _), steps in plan.steps.items():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,12 +46,12 @@ def test_full_pipeline_artifacts(tmp_path, capsys):
 
 
 def test_layout_text_written_line_by_line(tmp_path, monkeypatch):
-    import ionpd.cli as cli
+    import ionpd.latency as latency
 
     layouts = []
-    real_tile = cli.tile
+    real_tile = latency.tile
     monkeypatch.setattr(
-        cli, "tile", lambda drawing, sides: layouts.append(real_tile(drawing, sides)) or layouts[-1]
+        latency, "tile", lambda drawing, sides: layouts.append(real_tile(drawing, sides)) or layouts[-1]
     )
     out = tmp_path / "cat7"
     assert main(["cat-gen", "7", "--out", str(out)]) == 0
@@ -454,12 +455,14 @@ def test_infeasible_angle_flow_exit_code(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_missing_drawn_route_exit_code(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [["latency", CODE932], ["cat-gen", "32"]],
+                         ids=["code_9_3_2", "cat32"])
+def test_missing_drawn_route_exit_code(tmp_path, capsys, monkeypatch, argv):
     from dataclasses import replace
 
-    import ionpd.cli as cli
+    import ionpd.latency as latency
 
-    real_compact = cli.compact
+    real_compact = latency.compact
 
     def drop_first_route(pg, rep):
         drawing = real_compact(pg, rep)
@@ -467,43 +470,53 @@ def test_missing_drawn_route_exit_code(tmp_path, capsys, monkeypatch):
         del routes[min(routes)]
         return replace(drawing, routes=routes)
 
-    monkeypatch.setattr(cli, "compact", drop_first_route)
-    assert main(["latency", CODE932, "--out", str(tmp_path / "o")]) == 4
+    monkeypatch.setattr(latency, "compact", drop_first_route)
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: edge (") and err.endswith("has no drawn route\n")
 
 
 def test_one_drawing_compacts_through_cli(tmp_path, capsys, monkeypatch):
     # Cat-32's cycle is a rectangle whose corners move and code_9_3_2 has no
-    # such face; either way a run compacts once, through `cli.compact`, and
-    # that drawing losing a route exits 4
-    from dataclasses import replace
+    # such face; either way a run compacts once, through `lay_out`
+    import ionpd.latency as latency
 
-    import ionpd.cli as cli
-
-    real_compact = cli.compact
+    real_compact = latency.compact
     calls = []
 
     def counted(pg, rep):
         calls.append(rep)
         return real_compact(pg, rep)
 
-    monkeypatch.setattr(cli, "compact", counted)
+    monkeypatch.setattr(latency, "compact", counted)
     for name, argv in {"cat": ["cat-gen", "32"], "code": ["latency", CODE932]}.items():
         calls.clear()
         assert main([*argv, "--out", str(tmp_path / name)]) == 0
         assert len(calls) == 1, name
 
-    def drop_first_route(pg, rep):
-        drawing = real_compact(pg, rep)
-        routes = dict(drawing.routes)
-        del routes[min(routes)]
-        return replace(drawing, routes=routes)
 
-    monkeypatch.setattr(cli, "compact", drop_first_route)
-    capsys.readouterr()
-    assert main(["cat-gen", "32", "--out", str(tmp_path / "o")]) == 4
-    assert capsys.readouterr().err.endswith("has no drawn route\n")
+@pytest.mark.parametrize("stage", ["place_qubits", "route"])
+def test_broken_route_plan_exit_code(tmp_path, capsys, monkeypatch, stage):
+    # a placement without a qubit, or a route plan without a leg, is a
+    # layout error, not an input error
+    from dataclasses import replace
+
+    import ionpd.cli as cli
+
+    real = getattr(cli, stage)
+
+    def drop_first(qfg, *args):
+        made = real(qfg, *args)
+        if stage == "place_qubits":
+            return {q: cell for q, cell in made.items() if q != min(made)}
+        first = min(made.steps)
+        return replace(made, steps={k: v for k, v in made.steps.items() if k != first})
+
+    monkeypatch.setattr(cli, stage, drop_first)
+    assert main(["latency", CODE932, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    expected = "has no initial placement" if stage == "place_qubits" else "error: missing route for qubit"
+    assert err.startswith("error: ") and expected in err
 
 
 # simulated Cat-n latency: on the drawing as `compact` leaves it, and now,
@@ -545,13 +558,9 @@ def test_latency_is_pinned(tmp_path, capsys, name):
 @pytest.mark.parametrize("argv", [["cat-gen", "8"], ["cat-gen", "32"], ["latency", CODE932]],
                          ids=["cat8", "cat32", "code_9_3_2"])
 def test_cli_draws_as_the_library_sequence(tmp_path, capsys, argv):
-    # the README's library example: compact the balanced bend-minimal
-    # representation, rank the host sides on it, then tighten
+    # the README's library example: one `lay_out` call draws what the CLI writes
     from ionpd.circuits import generate_cat_circuit
-    from ionpd.compact import compact, tighten
-    from ionpd.latency import host_sides
-    from ionpd.orthogonal import orthogonalize
-    from ionpd.planar import planarize
+    from ionpd.latency import lay_out
     from ionpd.qasm import parse_qasm
     from ionpd.qfg import build_qfg
     from ionpd.solver import schedule_netlist
@@ -561,13 +570,26 @@ def test_cli_draws_as_the_library_sequence(tmp_path, capsys, argv):
         netlist = generate_cat_circuit(int(source))
     else:
         netlist = parse_qasm(Path(source).read_text(encoding="utf-8"))
-    qfg = build_qfg(netlist, schedule_netlist(netlist))
-    pg = planarize(qfg)
+    drawing, _ = lay_out(netlist, build_qfg(netlist, schedule_netlist(netlist)))
     assert main([*argv, "--out", str(tmp_path)]) == 0
-    drawn = (tmp_path / "drawing.json").read_text(encoding="utf-8")
-    drawing = compact(pg, orthogonalize(pg))
-    sides = host_sides(netlist, qfg, drawing)
-    assert drawn == tighten(drawing, sides).to_json()
+    assert (tmp_path / "drawing.json").read_text(encoding="utf-8") == drawing.to_json()
+
+
+def test_readme_library_example(tmp_path, capsys):
+    # the README's python block, run from the repo root, prints the total
+    # latency that `ionpd latency` writes for the same circuit
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 1
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", blocks[0]], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    assert child.returncode == 0, child.stderr
+    assert main(["latency", CODE932, "--out", str(tmp_path)]) == 0
+    total = json.loads((tmp_path / "latency.json").read_text())["total_us"]
+    assert child.stdout == f"{total}\n" == "213.0\n"
 
 
 def test_drawing_ignores_the_latency_config(tmp_path, capsys):
@@ -597,16 +619,16 @@ def test_drawing_ignores_the_latency_config(tmp_path, capsys):
 def test_gate_off_its_route_exit_code(tmp_path, capsys, monkeypatch):
     from dataclasses import replace
 
-    import ionpd.cli as cli
+    import ionpd.latency as latency
 
-    real_tile = cli.tile
+    real_tile = latency.tile
 
     def move_gate_one(drawing, sides):
         layout = real_tile(drawing, sides)
         x, y = layout.gate_location_of[1]
         return replace(layout, gate_location_of={**layout.gate_location_of, 1: (x - 10, y - 10)})
 
-    monkeypatch.setattr(cli, "tile", move_gate_one)
+    monkeypatch.setattr(latency, "tile", move_gate_one)
     assert main(["latency", CODE932, "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: gate of 1 disconnected from route (1, ")

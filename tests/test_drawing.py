@@ -68,7 +68,7 @@ def draw(qfg):
 
 
 def drawn_as_cli(netlist):
-    """The flow graph, the drawing the CLI compacts before tightening, and
+    """The flow graph, the drawing `lay_out` compacts before tightening, and
     the host sides it tiles with."""
     qfg = build_qfg(netlist, schedule_netlist(netlist))
     _, _, drawing = draw(qfg)

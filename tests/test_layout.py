@@ -64,6 +64,11 @@ ARTIFACT_PINS = {
 
 
 def pipeline(netlist):
+    """Schedule, flow graph, drawing and layout of `netlist`, with the
+    drawing as `compact` leaves it, untightened, and tiled with the default
+    host sides, on purpose: on these cases `TestAgainstReference` meets
+    gaps 1, 2 and 3 blocks wide, where `lay_out`'s tightened drawings leave
+    `tile` gaps of 1 and 2 only."""
     schedule = schedule_netlist(netlist)
     qfg = build_qfg(netlist, schedule)
     pg = planarize(qfg)
