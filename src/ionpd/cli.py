@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from functools import cache
 from pathlib import Path
 
@@ -55,24 +55,15 @@ class _Emitter:
         self.dir = Path(out_dir)
         self.made = False
 
-    def _path(self, name: str) -> Path:
-        """Where artifact `name` goes; the directory is made at the first write."""
+    def write(self, name: str, render: Callable[[], str], fmt: str = "json") -> None:
+        """Render and write one artifact, only if its format is requested;
+        the directory is made at the first write."""
+        if fmt != "json" and fmt not in self.formats:
+            return
         if not self.made:
             self.dir.mkdir(parents=True, exist_ok=True)
             self.made = True
-        return self.dir / name
-
-    def write(self, name: str, render: Callable[[], str], fmt: str = "json") -> None:
-        """Render and write one artifact, only if its format is requested."""
-        if fmt != "json" and fmt not in self.formats:
-            return
-        self._path(name).write_text(render(), encoding="utf-8")
-
-    def write_lines(self, name: str, lines: Iterable[str]) -> None:
-        """Write an artifact as its lines come, for text too large to hold
-        whole in memory twice."""
-        with open(self._path(name), "w", encoding="utf-8") as handle:
-            handle.writelines(lines)
+        (self.dir / name).write_text(render(), encoding="utf-8")
 
 
 def _read_netlist(path: str) -> Netlist:
@@ -131,7 +122,7 @@ def _pipeline(netlist: Netlist, args, emit: _Emitter, upto: str) -> int:
     emit.write("drawing.json", drawing.to_json)
     emit.write("drawing.svg", drawing.to_svg, "svg")
     emit.write("layout.json", layout.to_json)
-    emit.write_lines("layout.txt", layout.text_lines())
+    emit.write("layout.txt", layout.to_text)
     emit.write("layout.svg", layout.to_svg, "svg")
     if upto == "layout":
         print(f"layout: {len(layout.blocks)} macroblocks, {len(layout.gate_location_of)} gate locations")

@@ -283,9 +283,7 @@ def simulate(
 
     order = sorted(netlist.instructions, key=lambda i: (qfg.stage_of[i.id], i.id))
     for instr in order:
-        target_cell = layout.gate_location_of.get(instr.id)
-        if target_cell is None:
-            raise LayoutError(f"instruction {instr.id} has no gate location")
+        target_cell = layout.gate_location(instr.id)
         arrivals = []
         for qubit in instr.qubits:
             if qubit not in qubit_loc:

@@ -26,9 +26,9 @@ While `tile` collects port demands, a cell's port set is a 4-bit mask (E=1,
 S=2, W=4, N=8). Every gate-free cell of a tiled layout holds one of 15
 shared `Macroblock` instances, one per port set; only gate blocks are built
 per cell. Constant per-port-set tables give the port check its neighbour
-offsets and `layout.json` its block members; `text_lines` builds one glyph
-table per layout for its cell width and yields `layout.txt` a line at a time,
-and `to_svg` fills one nine-rectangle template per port set.
+offsets and `layout.json` its block members; `to_text` builds one glyph
+table per layout for its cell width, and `to_svg` fills one nine-rectangle
+template per port set.
 """
 
 from __future__ import annotations
@@ -199,6 +199,14 @@ class MacroLayout:
     # the map `tile` drew the layout on; empty for a layout built by hand
     grid: GridMap = field(default_factory=GridMap)
 
+    def gate_location(self, instr_id: int) -> Point:
+        """The block of instruction `instr_id`'s gate; `LayoutError` if the
+        layout has none."""
+        cell = self.gate_location_of.get(instr_id)
+        if cell is None:
+            raise LayoutError(f"instruction {instr_id} has no gate location")
+        return cell
+
     def check_ports(self) -> None:
         """Every open port must face a matching open port; the error names
         the first unmatched port by cell, then port name."""
@@ -235,20 +243,18 @@ class MacroLayout:
         ])
         return '{"blocks":[' + ",".join(parts) + '],"gate_locations":' + locations + "}\n"
 
-    def text_lines(self) -> Iterator[str]:
-        """Cell-level glyph grid, one line at a time with its newline: '#'
-        electrode, '.' channel, the gate id at a gate trap.
+    def to_text(self) -> str:
+        """Cell-level glyph grid: '#' electrode, '.' channel, the gate id
+        at a gate trap, then one line per gate location.
 
         Each block is 3x3 cells. Every cell is as wide as the longest gate
         id and at least two characters, so gate ids of any length keep the
         columns aligned. Blank cells pad between blocks and nothing pads a
-        row's end. A writer that takes the lines as they come never holds
-        the whole text (5.5 MB for Cat-320) nor the bounding box.
+        row's end, so the text never spans the bounding box.
         """
         blocks = self.blocks
         if not blocks:
-            yield "(empty layout)\n"
-            return
+            return "(empty layout)\n"
         gate_ids = [str(block.gate_of[0]) for block in blocks.values() if block.gate_of]
         width = max([2, *map(len, gate_ids)])
         glyphs = _glyph_table(width)
@@ -257,6 +263,7 @@ class MacroLayout:
         rows: dict[int, list[tuple[int, Macroblock]]] = {}
         for (x, y), block in blocks.items():
             rows.setdefault(y, []).append((x, block))
+        lines = []
         for y in range(min(rows), max(rows) + 1):
             top, middle, bottom = [], [], []
             next_x = x0
@@ -272,9 +279,10 @@ class MacroLayout:
                 bottom.append(gap + south)
             for row in (top, middle, bottom):
                 row.append("\n")
-                yield "".join(row)
+                lines.append("".join(row))
         for i, (x, y) in sorted(self.gate_location_of.items()):
-            yield f"gate {i} at block ({x},{y})\n"
+            lines.append(f"gate {i} at block ({x},{y})\n")
+        return "".join(lines)
 
     def to_svg(self, cell: int = 10) -> str:
         """Every block as nine cell rectangles (channel cells white, the gate
@@ -579,8 +587,8 @@ def route(
         for _, d, run in _runs(mapped):
             cells += run
             dirs += repeat(d, len(run))
-        start = layout.gate_location_of[i]
-        end = layout.gate_location_of[j]
+        start = layout.gate_location(i)
+        end = layout.gate_location(j)
         # a displaced gate sits either on this route's first/last channel
         # block or one hop off it along another edge of the same node
         if cells[0] != start:
@@ -608,5 +616,5 @@ def route(
 def place_qubits(qfg: QubitFlowGraph, layout: MacroLayout) -> dict[int, Point]:
     """Initial placement: each qubit starts at its first-use gate location.
     Qubits the netlist never touches play no part in routing or timing and
-    get no entry."""
-    return {q: layout.gate_location_of[i] for q, i in sorted(qfg.first_use.items())}
+    get no entry. `LayoutError` if a first use has no gate location."""
+    return {q: layout.gate_location(i) for q, i in sorted(qfg.first_use.items())}

@@ -2,8 +2,8 @@
 
 `solve` gives every instruction a stage inside its `[asap, alap]` window at
 one horizon, so that instructions sharing a qubit get distinct stages and
-each dependency edge j -> i puts j strictly before i. It is a complete
-depth-first search with bounds propagation:
+each dependency edge j -> i puts j strictly before i. It runs a complete
+depth-first search with bounds propagation, `_search`:
 
 - Every instruction has stage bounds [lo, hi], first its window. Placing an
   instruction narrows the bounds of the others; a trail records each change
@@ -22,22 +22,17 @@ depth-first search with bounds propagation:
 A node fails as soon as some bounds cross or a Hall check fails. Every value
 tried is one node.
 
-`solve` makes two passes. The first branches on the tightest windows first
-and only decides feasibility, which it refutes fast. The second, the
-canonical pass, branches in ascending instruction id with ascending stage
-values, so it meets the feasible stage vectors in lexicographic order.
-Propagation removes only values that no solution extending the current
-placements uses, so it skips none of them, and the first solution found is
-the lexicographically smallest. That makes the output canonical and runs
+`solve` runs that search with the tightest windows branched on first, so
+an infeasible horizon is refuted fast, and takes the solution it finds as a
+certificate. It then probes for the lexicographically smallest stage
+vector in ascending instruction id: each instruction tries, in ascending
+order, the stages below its certificate stage that are after its
+predecessors' and free on its qubits, one search per stage with the
+instructions before it fixed. The first stage that a search completes is
+the instruction's lex-min stage and that search's solution the new
+certificate; if none does, the certificate's stage is the lowest left. The
+lex-min vector is unique, so the output is canonical and runs are
 independent of each other.
-
-Once the canonical pass has backtracked into a depth, it accepts a further
-value there only if a tightest-window-first search from the current bounds
-completes it. That prunes only values without a completion, so the first
-solution is still the lex-min one, but a wrong early value is refuted by a
-search that fails fast instead of by id-order thrashing beneath it. The
-check's nodes count against the same budget; a pass that never backtracks
-runs none.
 
 `schedule_netlist` grows the horizon from a lower bound. An id-order list
 schedule (each instruction in the first stage after its predecessors that
@@ -144,8 +139,8 @@ def check_budget(name: str, value: float | None) -> None:
 
 
 class _Budget:
-    """Nodes and seconds one scheduling run may spend, over every pass of
-    every horizon it tries."""
+    """Nodes and seconds one scheduling run may spend, over every search of
+    every horizon it tries, probes included."""
 
     def __init__(self, node_budget: int | None, time_budget: float | None):
         check_budget("node_budget", node_budget)
@@ -189,24 +184,21 @@ def _hall(ws: Collection[int], lo: list[int], hi: list[int], taken: set[int]) ->
 
 
 def _search(
-    order: list[int],
-    netlist: Netlist,
-    graph: DataflowGraph,
-    windows: ScheduleWindow,
-    budget: _Budget,
-    canonical: bool = False,
+    netlist: Netlist, graph: DataflowGraph, windows: ScheduleWindow, budget: _Budget
 ) -> dict[int, int] | None:
-    """DFS with bounds propagation; `order` fixes both branch and value order.
+    """Some assignment within `windows`, or None if there is none: a DFS
+    with bounds propagation that branches on the tightest windows first, so
+    an infeasible problem fails fast, and tries each variable's stages in
+    ascending order.
 
-    Variables are the positions in `order`, so the variable branched on at
-    depth d is d and every variable below it is placed. Each placement
+    Variables are the positions in that order, so the variable branched on
+    at depth d is d and every variable below it is placed. Each placement
     narrows the stage bounds of the others (`place`); the changes are logged
     on a trail and undone on backtrack. Iterative, with one value iterator
     per depth, so the search depth is not bounded by the recursion limit.
-    Every value tried is one node. A `canonical` search, once it has
-    backtracked into a depth, keeps a further value there only if a
-    tightest-window-first search from the current bounds completes it.
+    Every value tried is one node.
     """
+    order = sorted(windows.asap, key=lambda i: (windows.slack(i), i))
     if not order:
         return {}
     position = {instr: k for k, instr in enumerate(order)}
@@ -321,14 +313,6 @@ def _search(
             hi_w, lo_w, w = trail.pop(), trail.pop(), trail.pop()
             lo[w], hi[w] = lo_w, hi_w
 
-    def completes() -> bool:
-        """Whether the placements so far extend to a solution, decided by a
-        tightest-window-first search from the current bounds."""
-        asap = {instr: lo[k] for k, instr in enumerate(order)}
-        alap = {instr: hi[k] for k, instr in enumerate(order)}
-        bounds = ScheduleWindow(windows.horizon, asap, alap)
-        return _tightest_first(netlist, graph, bounds, budget) is not None
-
     limit, deadline = budget.node_budget, budget.deadline
     explored = budget.explored
     pending: list = []  # value iterators of the shallower depths, resumed on backtrack
@@ -336,7 +320,6 @@ def _search(
     depth, last = 0, len(order) - 1
     values = iter(range(lo[0], hi[0] + 1))
     sets = occupied[0]
-    checked = False  # this depth was backtracked into: values must pass `completes`
     try:
         while True:
             for stage in values:
@@ -359,21 +342,11 @@ def _search(
                     continue
                 if depth == last:
                     return {instr: lo[k] for k, instr in enumerate(order)}
-                if checked:
-                    budget.explored = explored
-                    try:
-                        complete = completes()
-                    finally:
-                        explored = budget.explored
-                    if not complete:
-                        undo(depth, mark)
-                        continue
                 pending.append(values)
                 marks.append(mark)
                 depth += 1
                 values = iter(range(lo[depth], hi[depth] + 1))
                 sets = occupied[depth]
-                checked = False
                 break
             else:  # every value at this depth failed: backtrack
                 if depth == 0:
@@ -382,18 +355,8 @@ def _search(
                 values = pending.pop()
                 undo(depth, marks.pop())
                 sets = occupied[depth]
-                checked = canonical
     finally:
         budget.explored = explored
-
-
-def _tightest_first(
-    netlist: Netlist, graph: DataflowGraph, windows: ScheduleWindow, budget: _Budget
-) -> dict[int, int] | None:
-    """The refutation pass: a complete search that branches on the tightest
-    windows first, so an infeasible problem fails fast."""
-    order = sorted(windows.asap, key=lambda i: (windows.slack(i), i))
-    return _search(order, netlist, graph, windows, budget)
 
 
 def solve(
@@ -405,22 +368,38 @@ def solve(
     *,
     budget: _Budget | None = None,
 ) -> Schedule | None:
-    """Deterministic assignment within `windows`, or INFEASIBLE (None):
-    the refutation pass decides feasibility, then the canonical pass finds
-    the lex-min assignment.
+    """The lex-min assignment within `windows`, or INFEASIBLE (None): one
+    search finds a certificate, then each instruction in id order probes the
+    stages below its certificate stage with the earlier ones fixed.
 
-    The search spends `budget` when given (`schedule_netlist` shares one
+    The searches spend `budget` when given (`schedule_netlist` shares one
     over all its horizons), else a fresh one of `node_budget` nodes and
     `time_budget` seconds.
     """
     if budget is None:
         budget = _Budget(node_budget, time_budget)
-    if _tightest_first(netlist, graph, windows, budget) is None:
+    found = _search(netlist, graph, windows, budget)
+    if found is None:
         return INFEASIBLE
-    assignment = _search(sorted(graph.nodes), netlist, graph, windows, budget, canonical=True)
-    if assignment is None:
-        raise SolverError("canonical pass found no assignment at a feasible horizon")
-    return Schedule(assignment, max(assignment.values(), default=0), windows.horizon)
+    asap, alap = dict(windows.asap), dict(windows.alap)
+    fixed = ScheduleWindow(windows.horizon, asap, alap)  # earlier instructions at asap = alap
+    busy: dict[int, set[int]] = {}  # qubit -> stages of the fixed instructions
+    for instr in netlist.instructions:
+        i = instr.id
+        sets = [busy.setdefault(q, set()) for q in instr.qubits]
+        start = max([asap[i]] + [found[j] + 1 for j in graph.predecessors(i)])
+        for stage in range(start, found[i]):
+            if any(stage in t for t in sets):
+                continue
+            asap[i] = alap[i] = stage
+            probe = _search(netlist, graph, fixed, budget)
+            if probe is not None:
+                found = probe
+                break
+        asap[i] = alap[i] = found[i]
+        for t in sets:
+            t.add(found[i])
+    return Schedule(found, max(found.values(), default=0), windows.horizon)
 
 
 def list_schedule(netlist: Netlist, graph: DataflowGraph) -> dict[int, int]:

@@ -536,9 +536,9 @@ def straights_and_turns(plan: RoutePlan, edge: tuple) -> tuple[int, int]:
 
 
 def reference_layout_text(layout: MacroLayout) -> str:
-    """The joined `MacroLayout.text_lines` by the full bounding-box grid of
-    cells, each as wide as the longest gate id and at least two characters,
-    every row right-stripped."""
+    """`MacroLayout.to_text` by the full bounding-box grid of cells, each
+    as wide as the longest gate id and at least two characters, every row
+    right-stripped."""
     if not layout.blocks:
         return "(empty layout)\n"
     ids = [str(block.gate_of[0]) for block in layout.blocks.values() if block.gate_of]
@@ -1267,9 +1267,9 @@ def reference_layout_svg(layout: MacroLayout, cell: int = 10) -> str:
 
 
 def reference_layout_text_rows(layout: MacroLayout) -> str:
-    """The joined `MacroLayout.text_lines` one block row at a time with
-    glyphs chosen per port and a gate field two characters wide: the same
-    text while every gate id has at most two digits."""
+    """`MacroLayout.to_text` one block row at a time with glyphs chosen per
+    port and a gate field two characters wide: the same text while every
+    gate id has at most two digits."""
     if not layout.blocks:
         return "(empty layout)\n"
     x0 = min(x for x, _ in layout.blocks)

@@ -45,7 +45,7 @@ def test_full_pipeline_artifacts(tmp_path, capsys):
     assert latency["total_us"] > 0
 
 
-def test_layout_text_written_line_by_line(tmp_path, monkeypatch):
+def test_layout_text_is_the_tiled_layouts_text(tmp_path, monkeypatch):
     import ionpd.latency as latency
 
     layouts = []
@@ -55,7 +55,7 @@ def test_layout_text_written_line_by_line(tmp_path, monkeypatch):
     )
     out = tmp_path / "cat7"
     assert main(["cat-gen", "7", "--out", str(out)]) == 0
-    assert read(out, "layout.txt") == "".join(layouts[0].text_lines())
+    assert read(out, "layout.txt") == layouts[0].to_text()
 
 
 def test_emit_filters_extras(tmp_path):
@@ -634,6 +634,23 @@ def test_gate_off_its_route_exit_code(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: gate of 1 disconnected from route (1, ")
 
 
+
+def test_missing_gate_location_exit_code(tmp_path, capsys, monkeypatch):
+    from dataclasses import replace
+
+    import ionpd.latency as latency
+
+    real_tile = latency.tile
+
+    def drop_gate_one(drawing, sides):
+        layout = real_tile(drawing, sides)
+        locations = {i: cell for i, cell in layout.gate_location_of.items() if i != 1}
+        return replace(layout, gate_location_of=locations)
+
+    monkeypatch.setattr(latency, "tile", drop_gate_one)
+    assert main(["latency", CODE932, "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err.startswith("error: instruction 1 has no gate location")
+
 def test_invalid_schedule_exit_code(tmp_path, capsys, monkeypatch):
     from ionpd.solver import Violation
 
@@ -642,29 +659,6 @@ def test_invalid_schedule_exit_code(tmp_path, capsys, monkeypatch):
     assert main(["schedule", CODE932, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "share q0" in err
-
-
-def test_solver_pass_disagreement_exit_code(tmp_path, capsys, monkeypatch):
-    # toffoli_pair under cv: the refutation pass finds 9 stages feasible,
-    # below the list schedule's 10; here the canonical pass then finds no
-    # assignment
-    import ionpd.solver as solver
-
-    search = solver._search
-    canonical = []
-
-    def disagree(*args, **kwargs):
-        if kwargs.get("canonical"):
-            canonical.append(args[3].horizon)
-            return None
-        return search(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "_search", disagree)
-    argv = ["schedule", TOFFOLI_PAIR, "--library", "cv", "--out", str(tmp_path / "o")]
-    assert main(argv) == 3
-    assert canonical == [9]
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "canonical pass found no assignment" in err
 
 
 @pytest.mark.parametrize("emit", ["svgg,dott", "json,png", "SVG"])

@@ -18,6 +18,7 @@ from helpers import (
     stage_milp_status,
 )
 from ionpd.circuits import generate_cat_circuit
+from ionpd.decompose import Library, decompose
 from ionpd.depgraph import asap_alap, build_dataflow, stage_lower_bound
 from ionpd.gates import GateKind, make_netlist
 from ionpd.ilp import emit_ilp, to_lp_text
@@ -163,15 +164,15 @@ class TestScheduleNetlist:
     def test_node_budget_bounds_the_whole_run(self):
         netlist = random_netlist(random.Random(680))
         # two horizons below the list schedule's length of 8: 7 nodes prove
-        # 6 infeasible, 21 solve 7; a budget of 21 covers either horizon but
+        # 6 infeasible, 11 solve 7; a budget of 11 covers either horizon but
         # not both
         graph = build_dataflow(netlist)
         assert stage_lower_bound(netlist, graph) == 6
         assert max(list_schedule(netlist, graph).values()) == 8
-        assert schedule_netlist(netlist, node_budget=28).stage_count == 7
+        assert schedule_netlist(netlist, node_budget=18).stage_count == 7
         with pytest.raises(SolverBudgetExceeded) as err:
-            schedule_netlist(netlist, node_budget=21)
-        assert err.value.explored == 22
+            schedule_netlist(netlist, node_budget=11)
+        assert err.value.explored == 12
 
     @pytest.mark.parametrize("budget, value", [
         ("node_budget", -5),
@@ -204,7 +205,7 @@ class TestScheduleNetlist:
 
     def test_list_schedule_is_the_canonical_schedule_at_its_length(self):
         # where no shorter horizon is feasible, the list schedule is returned
-        # without a search; the canonical pass at that horizon agrees
+        # without a search; `solve`'s lex-min schedule at that horizon agrees
         rng = random.Random(23)
         checked = 0
         while checked < 300:
@@ -277,8 +278,9 @@ def test_hard_sched_netlist_is_minimal_within_budget(k):
     assert stage_milp_status(netlist, graph, stages - 1) == 2  # infeasible
 
 
-# netlists on which the id-order pass without its completion check thrashes
-# (10^6 nodes on extra:4, 123,753 on extra:8), with their minimal horizon
+# netlists on which an id-order search for the lex-min schedule thrashed
+# (10^6 nodes on extra:4, 123,753 on extra:8), with their minimal horizon;
+# probing from a certificate schedules each in a few hundred nodes
 HARD_EXTRA = {"extra4": 19, "extra8": 18}
 
 
@@ -286,13 +288,36 @@ HARD_EXTRA = {"extra4": 19, "extra8": 18}
 def test_hard_extra_netlist_is_lexmin_within_budget(name):
     netlist = parse_qasm((FIXTURES / f"{name}.qasm").read_text())
     graph = build_dataflow(netlist)
-    schedule = schedule_netlist(netlist, node_budget=20_000, graph=graph)
+    schedule = schedule_netlist(netlist, node_budget=1_000, graph=graph)
     assert validate(netlist, graph, schedule) == []
     stages = HARD_EXTRA[name]
     assert schedule.stage_count == schedule.horizon == stages
     assert stage_milp_status(netlist, graph, stages - 1) == 2  # infeasible
     assert schedule.stage_of == lexmin_stages_milp(netlist, graph, stages)
 
+
+
+def test_small_ft_netlists_are_lexmin_at_their_horizon():
+    # Toffoli `ft` expansions are where refutation is hardest: the lower
+    # bound sits furthest under the optimum. At the horizon found, these
+    # six draws probe nine stages below their certificates, and two of the
+    # probes succeed. Netlists returned as the list schedule, without a
+    # search, are skipped
+    rng = random.Random(32)
+    checked = 0
+    while checked < 6:
+        netlist = decompose(random_mixed_netlist(rng), Library.FT_LIBRARY)
+        if len(netlist) > 30:
+            continue  # keeps the oracle's runtime small
+        graph = build_dataflow(netlist)
+        schedule = schedule_netlist(netlist, node_budget=1_000, graph=graph)
+        if schedule.horizon == max(list_schedule(netlist, graph).values()):
+            continue
+        assert validate(netlist, graph, schedule) == []
+        stages = schedule.horizon
+        assert stage_milp_status(netlist, graph, stages - 1) == 2  # infeasible
+        assert schedule.stage_of == lexmin_stages_milp(netlist, graph, stages)
+        checked += 1
 
 def test_hall_matching_agrees_with_interval_count():
     rng = random.Random(1998)

@@ -428,7 +428,7 @@ class TestRoute:
 
 def test_layout_renders(code932):
     _, _, _, layout = pipeline(code932)
-    text = "".join(layout.text_lines())
+    text = layout.to_text()
     assert "gate 1 at block" in text
     assert layout.to_svg().startswith("<svg")
     assert '"blocks"' in layout.to_json()
@@ -437,11 +437,11 @@ def test_layout_renders(code932):
 def assert_text_matches_reference(layout):
     # compared line by line: pytest's diff of two multi-megabyte strings
     # takes minutes, of two lists it names the first differing line
-    assert "".join(layout.text_lines()).split("\n") == reference_layout_text(layout).split("\n")
+    assert layout.to_text().split("\n") == reference_layout_text(layout).split("\n")
 
 
 class TestText:
-    """`text_lines` renders row by row; the full-grid renderer is the reference."""
+    """`to_text` renders row by row; the full-grid renderer is the reference."""
 
     @pytest.mark.parametrize("n", [7, 32, 320])
     def test_cat(self, n):
@@ -449,7 +449,7 @@ class TestText:
         assert_text_matches_reference(layout)
         if n == 320:  # gate ids of three digits widen every cell to three characters
             assert max(layout.gate_location_of) >= 100
-            grid = "".join(layout.text_lines()).split("\n")[: -len(layout.gate_location_of) - 1]
+            grid = layout.to_text().split("\n")[: -len(layout.gate_location_of) - 1]
             assert all(len(line) % 9 == 0 for line in grid)
 
     def test_code932(self, code932):
@@ -470,7 +470,7 @@ class TestText:
         }
         layout = MacroLayout(blocks, {123: (0, 0), 7: (3, 0)}, {})
         assert_text_matches_reference(layout)
-        assert "\n\n\n\n" in "".join(layout.text_lines())  # rows 1 and 2 hold no block
+        assert "\n\n\n\n" in layout.to_text()  # rows 1 and 2 hold no block
 
     def test_cell_width_follows_the_longest_gate_id(self):
         blocks = {
@@ -479,7 +479,7 @@ class TestText:
             (2, 0): Macroblock(frozenset("W")),
         }
         layout = MacroLayout(blocks, {1234: (0, 0), 7: (1, 0)}, {})
-        assert "".join(layout.text_lines()).split("\n")[:3] == [
+        assert layout.to_text().split("\n")[:3] == [
             "#" * 12 + "#" * 12 + "#" * 12,
             "....1234...." + "....   7...." + "........####",
             "#" * 12 + "#" * 12 + "#" * 12,
@@ -488,7 +488,7 @@ class TestText:
 
     def test_empty(self):
         layout = MacroLayout({}, {}, {})
-        assert "".join(layout.text_lines()) == reference_layout_text(layout) == "(empty layout)\n"
+        assert layout.to_text() == reference_layout_text(layout) == "(empty layout)\n"
 
 
 @pytest.fixture(scope="module")
@@ -571,7 +571,7 @@ class TestAgainstReference:
         narrow = 0
         for name, _, _, drawing in macroblock_cases:
             layout = tile(drawing, {})
-            text = "".join(layout.text_lines())
+            text = layout.to_text()
             assert text.split("\n") == reference_layout_text(layout).split("\n"), name
             if max(layout.gate_location_of) < 100:
                 narrow += 1
