@@ -73,7 +73,7 @@ def _read_netlist(path: str) -> Netlist:
     else:
         netlist = parse_qasm(text)
     if not netlist.instructions:
-        raise QasmError("empty netlist", 1)
+        raise NetlistError("empty netlist")
     return netlist
 
 

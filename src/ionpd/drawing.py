@@ -40,7 +40,8 @@ class OrthogonalDrawing:
         }
         return render_json(payload)
 
-    def to_svg(self, cell: int = 24, margin: int = 20) -> str:
+    def to_svg(self) -> str:
+        cell, margin = 24, 20  # pixels per grid unit, and around the drawing
         xs = [x for x, _ in self.node_pos.values()] or [0]
         ys = [y for _, y in self.node_pos.values()] or [0]
         for pts in self.routes.values():

@@ -120,8 +120,8 @@ class Netlist:
 
     @staticmethod
     def from_json(text: str) -> "Netlist":
-        """The netlist `to_json` wrote; `NetlistError` names a missing,
-        mistyped or unknown field."""
+        """The netlist `to_json` wrote, other members ignored; `NetlistError`
+        names a missing or mistyped field, or a `kind` that names no gate."""
         payload = json.loads(text)
         instrs = []
         for entry in json_field(payload, "instructions", list, NetlistError):

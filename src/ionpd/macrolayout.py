@@ -284,10 +284,11 @@ class MacroLayout:
             lines.append(f"gate {i} at block ({x},{y})\n")
         return "".join(lines)
 
-    def to_svg(self, cell: int = 10) -> str:
+    def to_svg(self) -> str:
         """Every block as nine cell rectangles (channel cells white, the gate
         trap black, electrodes grey) and a gate block's id, blocks by cell;
         each block's rectangles come from a per-port-set template."""
+        cell = 10  # pixels per trap cell
         if not self.blocks:
             return '<svg xmlns="http://www.w3.org/2000/svg" width="10" height="10"/>\n'
         xs = [x for x, _ in self.blocks]

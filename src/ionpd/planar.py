@@ -67,8 +67,7 @@ def node_key(v: Node):
 
 @dataclass(frozen=True)
 class PlanarizedGraph:
-    nodes: tuple[Node, ...]
-    adj: dict[Node, list[Node]]  # combinatorial embedding
+    adj: dict[Node, list[Node]]  # combinatorial embedding, nodes in `node_key` order
     crossings: frozenset[str]
     splits: frozenset[str]
     chains: dict[tuple[int, int, int], list[Node]]  # QFG edge -> node path
@@ -81,6 +80,10 @@ class PlanarizedGraph:
     components: tuple[tuple[tuple[Node, ...], tuple[int, ...]], ...] = field(
         repr=False, compare=False
     )
+
+    @property
+    def nodes(self) -> tuple[Node, ...]:
+        return tuple(self.adj)
 
     def check_euler(self) -> None:
         """V - E + F = 2 within every connected component."""
@@ -415,7 +418,6 @@ def planarize(qfg: QubitFlowGraph) -> PlanarizedGraph:
         comps[find(walk[0][0])][1].append(fi)
     name = labels.__getitem__
     pg = PlanarizedGraph(
-        nodes=tuple(map(name, order)),
         adj={labels[v]: list(map(name, rotation[v])) for v in order},
         crossings=frozenset(map(name, crossings)),
         splits=frozenset(splits),

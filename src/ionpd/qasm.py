@@ -62,10 +62,7 @@ def parse_qasm(text: str) -> Netlist:
     return Netlist(tuple(instructions), max_qubit + 1)
 
 
-def render_qasm(netlist: Netlist, labels: bool = False) -> str:
+def render_qasm(netlist: Netlist) -> str:
     """Serialize canonically; `parse_qasm(render_qasm(n)) == n`."""
-    lines = []
-    for instr in netlist.instructions:
-        prefix = f"({instr.id}) " if labels else ""
-        lines.append(prefix + str(instr))
+    lines = [str(instr) for instr in netlist.instructions]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -34,7 +34,7 @@ def _pattern_schedule(n: int) -> Schedule:
     for instr_id in range(2, n + 2):
         stage_of[instr_id] = 2 + (instr_id - 1) // 2
     stage_of[n + 2] = stage_of[n + 1] + 1
-    return Schedule(stage_of, stage_of[n + 2], stage_of[n + 2])
+    return Schedule(stage_of, stage_of[n + 2])
 
 
 def build_reference_cat_plan(n: int) -> ReferencePlan:

@@ -81,8 +81,12 @@ class SolverBudgetExceeded(SolverError):
 @dataclass(frozen=True)
 class Schedule:
     stage_of: dict[int, int]
-    stage_count: int
     horizon: int
+
+    @property
+    def stage_count(self) -> int:
+        """The last stage in use, 0 for an empty schedule."""
+        return max(self.stage_of.values(), default=0)
 
     def stages(self) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {}
@@ -121,7 +125,7 @@ class Schedule:
         horizon = json_field(payload, "horizon", int) if "horizon" in payload else stage_count
         if stages and horizon < 1:
             raise ValueError(f"field 'horizon' must be at least 1 beside listed stages, got {horizon}")
-        return Schedule(stage_of, stage_count, horizon)
+        return Schedule(stage_of, horizon)
 
 
 @dataclass(frozen=True)
@@ -363,21 +367,16 @@ def solve(
     netlist: Netlist,
     graph: DataflowGraph,
     windows: ScheduleWindow,
-    node_budget: int | None = None,
-    time_budget: float | None = None,
-    *,
     budget: _Budget | None = None,
 ) -> Schedule | None:
     """The lex-min assignment within `windows`, or INFEASIBLE (None): one
     search finds a certificate, then each instruction in id order probes the
     stages below its certificate stage with the earlier ones fixed.
 
-    The searches spend `budget` when given (`schedule_netlist` shares one
-    over all its horizons), else a fresh one of `node_budget` nodes and
-    `time_budget` seconds.
+    Every search spends `budget`, the run's shared budget that
+    `schedule_netlist` builds once for all its horizons; None sets no limit.
     """
-    if budget is None:
-        budget = _Budget(node_budget, time_budget)
+    budget = budget or _Budget(None, None)
     found = _search(netlist, graph, windows, budget)
     if found is None:
         return INFEASIBLE
@@ -399,7 +398,7 @@ def solve(
         asap[i] = alap[i] = found[i]
         for t in sets:
             t.add(found[i])
-    return Schedule(found, max(found.values(), default=0), windows.horizon)
+    return Schedule(found, windows.horizon)
 
 
 def list_schedule(netlist: Netlist, graph: DataflowGraph) -> dict[int, int]:
@@ -443,15 +442,13 @@ def schedule_netlist(
     budget = _Budget(node_budget, time_budget)
     if graph is None:
         graph = build_dataflow(netlist)
-    if not netlist.instructions:
-        return Schedule({}, 0, 0)
     greedy = list_schedule(netlist, graph)
-    length = max(greedy.values())
+    length = max(greedy.values(), default=0)
     for horizon in range(max(1, stage_lower_bound(netlist, graph)), length):
         schedule = solve(netlist, graph, asap_alap(graph, horizon), budget=budget)
         if schedule is not None:
             return schedule
-    return Schedule(greedy, length, length)
+    return Schedule(greedy, length)
 
 
 def validate(netlist: Netlist, graph: DataflowGraph, schedule: Schedule) -> list[Violation]:

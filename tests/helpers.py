@@ -26,7 +26,9 @@ from ionpd.compact import _EAST, _NORTH, _SOUTH, _WEST
 from ionpd.depgraph import DataflowGraph, exchangeable
 from ionpd.drawing import OrthogonalDrawing, Point
 from ionpd.gates import GateKind, Instruction, Netlist, make_netlist
-from ionpd.latency import InstructionTiming, LatencyModel, LatencyReport, Movement
+from ionpd.latency import (
+    InstructionTiming, LatencyModel, LatencyReport, Movement, lay_out, simulate,
+)
 from ionpd.lrplanarity import planar_rings
 from ionpd.macrolayout import (
     DIRS,
@@ -38,11 +40,13 @@ from ionpd.macrolayout import (
     RoutePlan,
     RouteStep,
     _direction,
+    place_qubits,
+    route,
 )
 from ionpd.orthogonal import OrthoRep
 from ionpd.planar import Node, PlanarizeError, node_key
 from ionpd.qfg import QubitFlowGraph, build_qfg
-from ionpd.solver import Schedule
+from ionpd.solver import Schedule, schedule_netlist
 
 _SQ = {
     GateKind.H: np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
@@ -112,6 +116,17 @@ def equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
     return bool(np.max(np.abs(a * phase - b)) < tol)
 
 
+def full_pipeline(netlist: Netlist, model: LatencyModel | None = None):
+    """`ionpd latency` on `netlist`, simulated under `model`: the schedule,
+    flow graph, drawing, layout and latency report."""
+    schedule = schedule_netlist(netlist)
+    qfg = build_qfg(netlist, schedule)
+    drawing, layout = lay_out(netlist, qfg)
+    plan = route(qfg, drawing, layout)
+    report = simulate(netlist, qfg, layout, plan, place_qubits(qfg, layout), model)
+    return schedule, qfg, drawing, layout, report
+
+
 def synth_qfg(nodes: list[int], pairs: list[tuple[int, int]]) -> QubitFlowGraph:
     """Flow-graph-shaped test input: stages equal node ids, one qubit per edge."""
     edges = tuple(
@@ -162,7 +177,7 @@ def layered_flow_graph(rng, qubits=8, layers=6):
             stages.append(2 * layer + 2)
     netlist = make_netlist(gates)
     stage_of = {instr.id: stage for instr, stage in zip(netlist.instructions, stages)}
-    return build_qfg(netlist, Schedule(stage_of, 2 * layers, 2 * layers))
+    return build_qfg(netlist, Schedule(stage_of, 2 * layers))
 
 
 _RANDOM_KINDS = [
@@ -1230,9 +1245,10 @@ def reference_layout_json(layout: MacroLayout) -> str:
     return render_json(payload)
 
 
-def reference_layout_svg(layout: MacroLayout, cell: int = 10) -> str:
+def reference_layout_svg(layout: MacroLayout) -> str:
     """`MacroLayout.to_svg` with a set of open cells and nine `<rect>`
     strings built per block."""
+    cell = 10
     if not layout.blocks:
         return '<svg xmlns="http://www.w3.org/2000/svg" width="10" height="10"/>\n'
     xs = [x for x, _ in layout.blocks]

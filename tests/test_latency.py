@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import random_netlist
+from helpers import full_pipeline, random_netlist
 from ionpd.circuits import generate_cat_circuit
 from ionpd.gates import GateKind
 from ionpd.latency import (
@@ -12,7 +12,6 @@ from ionpd.latency import (
     _drawn_timing,
     cat_latency_formula,
     host_sides,
-    lay_out,
     load_latency_model,
     simulate,
 )
@@ -23,14 +22,6 @@ from ionpd.qfg import build_qfg
 from ionpd.refplan import build_reference_cat_plan
 from ionpd.solver import schedule_netlist, validate
 from ionpd.depgraph import build_dataflow
-
-
-def full_pipeline(netlist, model=None):
-    """The report of `ionpd latency` on `netlist`, simulated under `model`."""
-    qfg = build_qfg(netlist, schedule_netlist(netlist))
-    drawing, layout = lay_out(netlist, qfg)
-    plan = route(qfg, drawing, layout)
-    return simulate(netlist, qfg, layout, plan, place_qubits(qfg, layout), model)
 
 
 # simulated Cat-n latency as the pipeline ships it: the closed form for
@@ -192,7 +183,7 @@ class TestFormula:
 
 class TestSimulate:
     def test_single_hadamard(self):
-        report = full_pipeline(parse_qasm("H q0"))
+        report = full_pipeline(parse_qasm("H q0"))[-1]
         assert report.total == 1.0
 
     def test_two_block_straight_cx(self):
@@ -213,7 +204,7 @@ class TestSimulate:
         # q0 starts off its first gate: an initial leg, keyed from 0
         plan = RoutePlan({(0, 1, 0): (RouteStep((1, 0), False), RouteStep((2, 0), False))})
         placement = {0: (0, 0), 1: (2, 0)}
-        qfg = build_qfg(netlist, Schedule({1: 1}, 1, 1))
+        qfg = build_qfg(netlist, Schedule({1: 1}, 1))
         report = simulate(netlist, qfg, layout, plan, placement)
         move = report.movements[0]
         assert (move.straights, move.turns) == (6, 0)
@@ -228,7 +219,7 @@ class TestSimulate:
 
     def test_automatic_cat_near_formula(self):
         for n, total in AUTOMATIC_CAT.items():
-            report = full_pipeline(generate_cat_circuit(n))
+            report = full_pipeline(generate_cat_circuit(n))[-1]
             assert report.total == total <= 1.15 * cat_latency_formula(n), n
 
     def test_reference_plan_matches_formula_other_models(self):
@@ -252,7 +243,7 @@ class TestSimulate:
         assert sum(1 for s in closing if s.turn) == 2
 
     def test_report_invariants(self, code932):
-        report = full_pipeline(code932)
+        report = full_pipeline(code932)[-1]
         assert report.total == max(t.finish for t in report.timings)
         finish = {t.instruction: t.finish for t in report.timings}
         start = {t.instruction: t.start for t in report.timings}
@@ -281,14 +272,14 @@ class TestSimulate:
         }
         gate_cells = {1: (0, 0), 2: (0, 0), 3: (0, 0), 4: (0, 2)}
         layout = MacroLayout(blocks, gate_cells, gate_cells)
-        qfg = build_qfg(netlist, Schedule({1: 1, 2: 2, 3: 3, 4: 1}, 3, 3))
+        qfg = build_qfg(netlist, Schedule({1: 1, 2: 2, 3: 3, 4: 1}, 3))
         placement = {0: (0, 0), 1: (0, 2), 2: (0, 2)}
         report = simulate(netlist, qfg, layout, RoutePlan({}), placement)
         assert report.total == 10.0  # max(1+1+1 on q0, 10 on q1/q2)
         assert not report.movements
 
     def test_monotone_in_every_constant(self, code932):
-        base = full_pipeline(code932).total
+        base = full_pipeline(code932)[-1].total
         for field in (
             "one_qubit_gate",
             "two_qubit_gate",
@@ -296,15 +287,15 @@ class TestSimulate:
             "turn",
         ):
             bumped = replace(LatencyModel(), **{field: getattr(LatencyModel(), field) * 2})
-            assert full_pipeline(code932, bumped).total >= base
+            assert full_pipeline(code932, bumped)[-1].total >= base
 
     def test_random_pipeline_monotonicity(self):
         rng = random.Random(7)
         for _ in range(8):
             netlist = random_netlist(rng, max_instr=8, max_qubits=5)
-            base = full_pipeline(netlist).total
+            base = full_pipeline(netlist)[-1].total
             bumped = replace(LatencyModel(), turn=25)
-            assert full_pipeline(netlist, bumped).total >= base
+            assert full_pipeline(netlist, bumped)[-1].total >= base
 
     def test_missing_route_is_reported(self):
         plan = build_reference_cat_plan(4)
@@ -323,6 +314,6 @@ class TestSimulate:
             )
 
     def test_report_json_shape(self, code932):
-        report = full_pipeline(code932)
+        report = full_pipeline(code932)[-1]
         text = report.to_json()
         assert '"total_us"' in text and '"movements"' in text

@@ -81,10 +81,6 @@ def test_render_parse_round_trip(netlist):
     assert parse_qasm(render_qasm(netlist)) == netlist
 
 
-def test_round_trip_with_labels(code932):
-    assert parse_qasm(render_qasm(code932, labels=True)).instructions == code932.instructions
-
-
 def test_netlist_invariants_enforced():
     with pytest.raises(NetlistError):
         Instruction(1, GateKind.CX, (2,), 2)

@@ -59,7 +59,7 @@ def test_edges_ascend_in_stage():
 def test_per_qubit_edge_counts_schedule_independent(code932):
     first = schedule_netlist(code932)
     # shift everything one stage later: still valid, different stages
-    shifted = Schedule({k: v + 1 for k, v in first.stage_of.items()}, 7, 7)
+    shifted = Schedule({k: v + 1 for k, v in first.stage_of.items()}, 7)
     a = build_qfg(code932, first)
     b = build_qfg(code932, shifted)
     count = lambda g, q: sum(1 for e in g.edges if e[2] == q)
@@ -69,7 +69,7 @@ def test_per_qubit_edge_counts_schedule_independent(code932):
 
 def test_invalid_schedule_rejected(code932):
     with pytest.raises(ValueError):
-        build_qfg(code932, Schedule({i.id: 1 for i in code932.instructions}, 1, 1))
+        build_qfg(code932, Schedule({i.id: 1 for i in code932.instructions}, 1))
 
 
 def test_exports(code932):
