@@ -47,17 +47,18 @@ class OrthogonalDrawing:
         for pts in self.routes.values():
             xs.extend(p[0] for p in pts)
             ys.extend(p[1] for p in pts)
-        width = (max(xs) - min(xs)) * cell + 2 * margin
-        height = (max(ys) - min(ys)) * cell + 2 * margin
+        x0, y0 = min(xs), min(ys)
+        width = (max(xs) - x0) * cell + 2 * margin
+        height = (max(ys) - y0) * cell + 2 * margin
 
         def sx(p: Point) -> tuple[int, int]:
-            return (margin + (p[0] - min(xs)) * cell, margin + (p[1] - min(ys)) * cell)
+            return (margin + (p[0] - x0) * cell, margin + (p[1] - y0) * cell)
 
         parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
         ]
         for key in sorted(self.routes):
-            pts = " ".join(f"{sx(p)[0]},{sx(p)[1]}" for p in self.routes[key])
+            pts = " ".join(f"{x},{y}" for x, y in map(sx, self.routes[key]))
             parts.append(
                 f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="2"/>'
             )

@@ -10,7 +10,8 @@ Stages order gates but are not barriers: an instruction starts as soon as
 its qubits have arrived at its gate location. Channel congestion is
 first-come-first-served per block; the later ion waits, ties broken by
 instruction id through the deterministic processing order. `lay_out`, the
-layout generator in one call, sits beside `host_sides`, its one netlist step.
+layout generator in one call, sits beside its two netlist steps:
+`host_sides` and the drawn critical path that picks the external face.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .compact import compact, tighten
 from .drawing import EdgeKey, OrthogonalDrawing, validate_drawing
 from .gates import GateKind, Netlist
 from .macrolayout import DIRS, OPPOSITE, LayoutError, MacroLayout, Point, RoutePlan, node_ports, tile
-from .orthogonal import orthogonalize
-from .planar import planarize
+from .orthogonal import OrthoRep, orthogonalize, outer_face_alternate
+from .planar import PlanarizedGraph, planarize
 from .qfg import QubitFlowGraph
 
 
@@ -195,14 +196,40 @@ def host_sides(
     return order
 
 
+def _critical_path(netlist: Netlist, qfg: QubitFlowGraph, drawing: OrthogonalDrawing) -> float:
+    """The drawing's longest dependency chain: the largest `finish` of
+    `_drawn_timing`."""
+    return max(_drawn_timing(netlist, qfg, drawing)[1].values(), default=0.0)
+
+
+def _tightened(
+    netlist: Netlist, qfg: QubitFlowGraph, pg: PlanarizedGraph, rep: OrthoRep
+) -> tuple[OrthogonalDrawing, dict[int, tuple[str, ...]]]:
+    """A representation's drawing, tightened to the room its displaced
+    traps' host sides need, and those sides."""
+    drawing = compact(pg, rep)
+    sides = host_sides(netlist, qfg, drawing)
+    return tighten(drawing, sides), sides
+
+
 def lay_out(netlist: Netlist, qfg: QubitFlowGraph) -> tuple[OrthogonalDrawing, MacroLayout]:
     """The layout generator: the flow graph's drawing, tightened to the room
-    its displaced traps' host sides need, and that drawing's tiling. Raises
-    `LayoutError` if the tightened drawing fails `validate_drawing`."""
+    its displaced traps' host sides need, and that drawing's tiling.
+
+    If the planarized graph has crossings, the representation with each
+    component's second-ranked face outside (`outer_face_alternate`, a warm
+    re-solve of the flow) is drawn too when it has no more bends, and kept
+    when its tightened drawing's `_critical_path` is strictly shorter.
+    Raises `LayoutError` if the kept drawing fails `validate_drawing`."""
     pg = planarize(qfg)
-    drawing = compact(pg, orthogonalize(pg))
-    sides = host_sides(netlist, qfg, drawing)
-    drawing = tighten(drawing, sides)
+    rep = orthogonalize(pg)
+    drawing, sides = _tightened(netlist, qfg, pg, rep)
+    if pg.crossings:
+        other = outer_face_alternate(rep)
+        if other.total_bends <= rep.total_bends:
+            drawn = _tightened(netlist, qfg, pg, other)
+            if _critical_path(netlist, qfg, drawn[0]) < _critical_path(netlist, qfg, drawing):
+                drawing, sides = drawn
     problems = validate_drawing(drawing)
     if problems:
         raise LayoutError(f"invalid drawing: {problems[0]}")

@@ -6,7 +6,7 @@ consumes 2*deg - 4 units (external: 2*deg + 4). Routing surplus units across
 an edge from one face to the other is one bend. An integral minimum-cost
 flow therefore encodes an orthogonal representation of the fixed
 embedding; feasibility is guaranteed for max degree four (Tamassia, SIAM J.
-Comput. 1987). The flow comes from `min_cost_flow`, an in-tree port of
+Comput. 1987). The flow comes from `NetworkSimplex`, an in-tree port of
 networkx 3.6.1's network simplex over plain lists that makes the same
 pivots, so the bends do not depend on the installed networkx.
 
@@ -27,11 +27,19 @@ cycle, no bends, four convex corners and all others straight) so that
 opposite sides match in edge count as well as they can, each corner only
 onto a vertex with the same other face and the same turn price, so the
 flow cost and the bends stay minimal.
+
+Any face may be the external one. `orthogonalize` puts each component's
+longest walk outside; `outer_face_alternate` moves it to the second walk of
+that ranking. The network simplex is resumable for that: the move sends
+the external face's 8 extra angle units on from the old face to the new
+one over an added arc that costs as much as an artificial arc, and the
+simplex pivots on from the old optimum until that arc is empty, in a
+fraction of a cold solve's pivots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from math import ceil, sqrt
 
@@ -44,16 +52,14 @@ _WIDE_COST = 1
 _WIDE_COST_SAME_QUBIT = 2
 
 
-def min_cost_flow(
-    node_count: int,
-    arcs: list[tuple[int, int, int, int]],  # (from, to, capacity, cost)
-    demand: list[int],  # negative = supply
-) -> list[int]:
-    """Integral min-cost flow by network simplex; one flow value per arc.
+class NetworkSimplex:
+    """An integral min-cost flow by network simplex that can be re-solved
+    warm after moving demand between two nodes.
 
-    A port of networkx 3.6.1's `network_simplex` on plain lists that pivots
-    exactly as networkx does on a `MultiDiGraph` with nodes 0..n-1 and arc k
-    added as edge key k, so it returns the same optimal flow among ties:
+    The cold solve is a port of networkx 3.6.1's `network_simplex` on plain
+    lists that pivots exactly as networkx does on a `MultiDiGraph` with
+    nodes 0..n-1 and arc k added as edge key k, so `flows` returns the same
+    optimal flow among ties:
 
     - arcs are ordered as networkx enumerates that graph: by source node,
       then by the first appearance of each (from, to) pair, then by index;
@@ -66,172 +72,230 @@ def min_cost_flow(
       lists; potentials are n long, so there -1 aliases node n-1, an entry
       no pivot reads;
     - entering arcs: the first minimum reduced cost of each block of
-      ceil(sqrt(real arcs)) arcs, blocks wrapping around the arc list;
+      ceil(sqrt(priced arcs)) arcs, blocks wrapping around the arc list;
       leaving arc: the first minimum residual capacity walking the cycle
       backwards.
+
+    `move` keeps the optimal spanning tree and its flow, which stay feasible
+    once the moved units travel on an added arc (see there), so a re-solve
+    takes a fraction of a cold solve's pivots.
     """
-    if sum(demand) != 0:
-        raise LayoutError("flow network infeasible: total node demand is not zero")
-    if any(cap < 0 for _, _, cap, _ in arcs):
-        raise LayoutError("flow network infeasible: negative arc capacity")
-    first: dict[tuple[int, int], int] = {}
-    for k, (u, v, _, _) in enumerate(arcs):
-        first.setdefault((u, v), k)
-    real = sorted(
-        (k for k, (u, v, cap, _) in enumerate(arcs) if cap and u != v),
-        key=lambda k: (arcs[k][0], first[arcs[k][:2]], k),
-    )
-    n, edge_count = node_count, len(real)
-    source = [arcs[k][0] for k in real]
-    target = [arcs[k][1] for k in real]
-    capacity = [arcs[k][2] for k in real]
-    weight = [arcs[k][3] for k in real]
-    faux_inf = 3 * max(sum(capacity), sum(map(abs, weight)), sum(map(abs, demand))) or 1
-    for node, d in enumerate(demand):  # artificial arcs to and from the root
-        source.append(-1 if d > 0 else node)
-        target.append(node if d > 0 else -1)
-    capacity += [faux_inf] * n
-    weight += [faux_inf] * n
-    flow = [0] * edge_count + [abs(d) for d in demand]
-    potential = [faux_inf if d <= 0 else -faux_inf for d in demand]
-    # spanning tree rooted at -1 (index n), threaded in depth-first order
-    parent: list[int | None] = [-1] * n + [None]
-    parent_edge: list[int | None] = list(range(edge_count, edge_count + n))
-    size = [1] * n + [n + 1]
-    next_dft = list(range(1, n)) + [-1, 0]
-    prev_dft = list(range(-1, n))
-    last_dft = list(range(n)) + [n - 1]
 
-    block = ceil(sqrt(edge_count))
-    blocks = (edge_count + block - 1) // block if edge_count else 0
-    idle = 0  # consecutive blocks without an entering arc
-    f = 0  # first arc of the next block
-    while idle < blocks:
-        stop = f + block
-        if stop <= edge_count:
-            scan = range(f, stop)
-        else:
-            stop -= edge_count
-            scan = chain(range(f, edge_count), range(stop))
-        f = stop
-        i, best = -1, 0
-        for e in scan:
-            c = weight[e] - potential[source[e]] + potential[target[e]]
-            if flow[e]:
-                c = -c
-            if c < best:
-                i, best = e, c
-        if i < 0:
-            idle += 1
-            continue
-        idle = 0
-        p, q = (source[i], target[i]) if flow[i] == 0 else (target[i], source[i])
+    def __init__(
+        self,
+        node_count: int,
+        arcs: list[tuple[int, int, int, int]],  # (from, to, capacity, cost)
+        demand: list[int],  # negative = supply
+    ) -> None:
+        if sum(demand) != 0:
+            raise LayoutError("flow network infeasible: total node demand is not zero")
+        if any(cap < 0 for _, _, cap, _ in arcs):
+            raise LayoutError("flow network infeasible: negative arc capacity")
+        first: dict[tuple[int, int], int] = {}
+        for k, (u, v, _, _) in enumerate(arcs):
+            first.setdefault((u, v), k)
+        real = sorted(
+            (k for k, (u, v, cap, _) in enumerate(arcs) if cap and u != v),
+            key=lambda k: (arcs[k][0], first[arcs[k][:2]], k),
+        )
+        n = node_count
+        self.arcs, self.real = arcs, real
+        # priced arcs: the real ones, then those `move` adds
+        self.priced = edge_count = len(real)
+        self.source = source = [arcs[k][0] for k in real]
+        self.target = target = [arcs[k][1] for k in real]
+        capacity = [arcs[k][2] for k in real]
+        weight = [arcs[k][3] for k in real]
+        self.faux_inf = faux_inf = (
+            3 * max(sum(capacity), sum(map(abs, weight)), sum(map(abs, demand))) or 1
+        )
+        for node, d in enumerate(demand):  # artificial arcs to and from the root
+            source.append(-1 if d > 0 else node)
+            target.append(node if d > 0 else -1)
+        self.capacity = capacity + [faux_inf] * n
+        self.weight = weight + [faux_inf] * n
+        self.flow = [0] * edge_count + [abs(d) for d in demand]
+        self.potential = [faux_inf if d <= 0 else -faux_inf for d in demand]
+        # spanning tree rooted at -1 (index n), threaded in depth-first order
+        self.parent: list[int | None] = [-1] * n + [None]
+        self.parent_edge: list[int | None] = list(range(edge_count, edge_count + n))
+        self.size = [1] * n + [n + 1]
+        self.next_dft = list(range(1, n)) + [-1, 0]
+        self.prev_dft = list(range(-1, n))
+        self.last_dft = list(range(n)) + [n - 1]
+        self._pivot()
+        if any(self.flow[edge_count:]):
+            raise LayoutError("flow network infeasible: no flow satisfies all node demands")
 
-        # the cycle the entering arc closes, oriented from p to q
-        a, b = p, q
-        while a != b:
-            if size[a] < size[b]:
-                a = parent[a]
-            elif size[a] > size[b]:
-                b = parent[b]
+    def flows(self) -> list[int]:
+        """The optimal flow, one value per arc given to the constructor."""
+        out = [cap if u == v and cost < 0 else 0 for u, v, cap, cost in self.arcs]
+        for pos, k in enumerate(self.real):
+            out[k] = self.flow[pos]
+        return out
+
+    def move(self, u: int, v: int, units: int) -> list[int]:
+        """Re-solve with `units` of node u's demand moved to node v; returns
+        `flows`.
+
+        The optimal flow stays feasible for the moved demands once `units`
+        travel from u to v on a new arc, appended after the priced arcs,
+        with capacity `units`, the artificial arcs' cost and its `units` at
+        that bound. Pricing then restarts at arc 0 under the cold solve's
+        rules. If that arc or an artificial arc ends with flow, no flow
+        meets the moved demands, and `LayoutError` is raised.
+        """
+        e = self.priced
+        for values, value in (
+            (self.source, u),
+            (self.target, v),
+            (self.capacity, units),
+            (self.weight, self.faux_inf),
+            (self.flow, units),
+        ):
+            values.insert(e, value)
+        self.parent_edge = [a + 1 if a is not None and a >= e else a for a in self.parent_edge]
+        self.priced = e + 1
+        self._pivot()
+        if any(self.flow[len(self.real) :]):
+            raise LayoutError("flow network infeasible: no flow satisfies the moved demands")
+        return self.flows()
+
+    def _pivot(self) -> None:
+        """Pivot to an optimal spanning tree from the current feasible one."""
+        edge_count = self.priced
+        source, target, capacity, weight = self.source, self.target, self.capacity, self.weight
+        flow, potential, parent, parent_edge = self.flow, self.potential, self.parent, self.parent_edge
+        size, next_dft, prev_dft, last_dft = self.size, self.next_dft, self.prev_dft, self.last_dft
+
+        block = ceil(sqrt(edge_count))
+        blocks = (edge_count + block - 1) // block if edge_count else 0
+        idle = 0  # consecutive blocks without an entering arc
+        f = 0  # first arc of the next block
+        while idle < blocks:
+            stop = f + block
+            if stop <= edge_count:
+                scan = range(f, stop)
             else:
-                a, b = parent[a], parent[b]
-        cycle_nodes, cycle_arcs = [p], []
-        x = p
-        while x != a:
-            cycle_arcs.append(parent_edge[x])
-            x = parent[x]
-            cycle_nodes.append(x)
-        cycle_nodes.reverse()
-        cycle_arcs.reverse()
-        if cycle_arcs != [i]:
-            cycle_arcs.append(i)
-        x = q
-        while x != a:
-            cycle_nodes.append(x)
-            cycle_arcs.append(parent_edge[x])
-            x = parent[x]
+                stop -= edge_count
+                scan = chain(range(f, edge_count), range(stop))
+            f = stop
+            i, best = -1, 0
+            for e in scan:
+                c = weight[e] - potential[source[e]] + potential[target[e]]
+                if flow[e]:
+                    c = -c
+                if c < best:
+                    i, best = e, c
+            if i < 0:
+                idle += 1
+                continue
+            idle = 0
+            p, q = (source[i], target[i]) if flow[i] == 0 else (target[i], source[i])
 
-        # leaving arc: the least residual capacity, last cycle arc first
-        j, s, least = -1, -1, None
-        for e, x in zip(reversed(cycle_arcs), reversed(cycle_nodes)):
-            residual = capacity[e] - flow[e] if source[e] == x else flow[e]
-            if least is None or residual < least:
-                j, s, least = e, x, residual
-        for e, x in zip(cycle_arcs, cycle_nodes):
-            flow[e] += least if source[e] == x else -least
-        if i == j:
-            continue
-        t = target[j] if source[j] == s else source[j]
-        if parent[t] != s:
-            s, t = t, s
-        if cycle_arcs.index(i) > cycle_arcs.index(j):
-            p, q = q, p
+            # the cycle the entering arc closes, oriented from p to q
+            a, b = p, q
+            while a != b:
+                if size[a] < size[b]:
+                    a = parent[a]
+                elif size[a] > size[b]:
+                    b = parent[b]
+                else:
+                    a, b = parent[a], parent[b]
+            cycle_nodes, cycle_arcs = [p], []
+            x = p
+            while x != a:
+                cycle_arcs.append(parent_edge[x])
+                x = parent[x]
+                cycle_nodes.append(x)
+            cycle_nodes.reverse()
+            cycle_arcs.reverse()
+            if cycle_arcs != [i]:
+                cycle_arcs.append(i)
+            x = q
+            while x != a:
+                cycle_nodes.append(x)
+                cycle_arcs.append(parent_edge[x])
+                x = parent[x]
 
-        # cut the tree arc from s to its child t
-        size_t, prev_t, last_t = size[t], prev_dft[t], last_dft[t]
-        next_last_t = next_dft[last_t]
-        parent[t] = parent_edge[t] = None
-        next_dft[prev_t], prev_dft[next_last_t] = next_last_t, prev_t
-        next_dft[last_t], prev_dft[t] = t, last_t
-        x = s
-        while x is not None:
-            size[x] -= size_t
-            if last_dft[x] == last_t:
-                last_dft[x] = prev_t
-            x = parent[x]
+            # leaving arc: the least residual capacity, last cycle arc first
+            j, s, least = -1, -1, None
+            for e, x in zip(reversed(cycle_arcs), reversed(cycle_nodes)):
+                residual = capacity[e] - flow[e] if source[e] == x else flow[e]
+                if least is None or residual < least:
+                    j, s, least = e, x, residual
+            for e, x in zip(cycle_arcs, cycle_nodes):
+                flow[e] += least if source[e] == x else -least
+            if i == j:
+                continue
+            t = target[j] if source[j] == s else source[j]
+            if parent[t] != s:
+                s, t = t, s
+            if cycle_arcs.index(i) > cycle_arcs.index(j):
+                p, q = q, p
 
-        # re-root the cut subtree at q
-        path = []
-        x = q
-        while x is not None:
-            path.append(x)
-            x = parent[x]
-        path.reverse()
-        for x, y in zip(path, path[1:]):
-            size_x, last_x = size[x], last_dft[x]
-            prev_y, last_y = prev_dft[y], last_dft[y]
-            next_last_y = next_dft[last_y]
-            parent[x], parent[y] = y, None
-            parent_edge[x], parent_edge[y] = parent_edge[y], None
-            size[x], size[y] = size_x - size[y], size_x
-            next_dft[prev_y], prev_dft[next_last_y] = next_last_y, prev_y
-            next_dft[last_y], prev_dft[y] = y, last_y
-            if last_x == last_y:
-                last_dft[x] = last_x = prev_y
-            prev_dft[x], next_dft[last_y] = last_y, x
-            next_dft[last_x], prev_dft[y] = y, last_x
-            last_dft[y] = last_x
+            # cut the tree arc from s to its child t
+            size_t, prev_t, last_t = size[t], prev_dft[t], last_dft[t]
+            next_last_t = next_dft[last_t]
+            parent[t] = parent_edge[t] = None
+            next_dft[prev_t], prev_dft[next_last_t] = next_last_t, prev_t
+            next_dft[last_t], prev_dft[t] = t, last_t
+            x = s
+            while x is not None:
+                size[x] -= size_t
+                if last_dft[x] == last_t:
+                    last_dft[x] = prev_t
+                x = parent[x]
 
-        # hang it from p through the entering arc
-        last_p, size_q, last_q = last_dft[p], size[q], last_dft[q]
-        next_last_p = next_dft[last_p]
-        parent[q], parent_edge[q] = p, i
-        next_dft[last_p], prev_dft[q] = q, last_p
-        prev_dft[next_last_p], next_dft[last_q] = last_q, next_last_p
-        x = p
-        while x is not None:
-            size[x] += size_q
-            if last_dft[x] == last_p:
-                last_dft[x] = last_q
-            x = parent[x]
+            # re-root the cut subtree at q
+            path = []
+            x = q
+            while x is not None:
+                path.append(x)
+                x = parent[x]
+            path.reverse()
+            for x, y in zip(path, path[1:]):
+                size_x, last_x = size[x], last_dft[x]
+                prev_y, last_y = prev_dft[y], last_dft[y]
+                next_last_y = next_dft[last_y]
+                parent[x], parent[y] = y, None
+                parent_edge[x], parent_edge[y] = parent_edge[y], None
+                size[x], size[y] = size_x - size[y], size_x
+                next_dft[prev_y], prev_dft[next_last_y] = next_last_y, prev_y
+                next_dft[last_y], prev_dft[y] = y, last_y
+                if last_x == last_y:
+                    last_dft[x] = last_x = prev_y
+                prev_dft[x], next_dft[last_y] = last_y, x
+                next_dft[last_x], prev_dft[y] = y, last_x
+                last_dft[y] = last_x
 
-        # shift the potentials of q's new subtree
-        sign = -1 if q == target[i] else 1
-        shift = potential[p] + sign * weight[i] - potential[q]
-        x = q
-        while True:
-            potential[x] += shift
-            if x == last_q:
-                break
-            x = next_dft[x]
+            # hang it from p through the entering arc
+            last_p, size_q, last_q = last_dft[p], size[q], last_dft[q]
+            next_last_p = next_dft[last_p]
+            parent[q], parent_edge[q] = p, i
+            next_dft[last_p], prev_dft[q] = q, last_p
+            prev_dft[next_last_p], next_dft[last_q] = last_q, next_last_p
+            x = p
+            while x is not None:
+                size[x] += size_q
+                if last_dft[x] == last_p:
+                    last_dft[x] = last_q
+                x = parent[x]
 
-    if any(flow[edge_count:]):
-        raise LayoutError("flow network infeasible: no flow satisfies all node demands")
-    out = [cap if u == v and cost < 0 else 0 for u, v, cap, cost in arcs]
-    for pos, k in enumerate(real):
-        out[k] = flow[pos]
-    return out
+            # shift the potentials of q's new subtree
+            sign = -1 if q == target[i] else 1
+            shift = potential[p] + sign * weight[i] - potential[q]
+            x = q
+            while True:
+                potential[x] += shift
+                if x == last_q:
+                    break
+                x = next_dft[x]
+
+
+# An external face takes 2 * deg + 4 angle units and an internal one
+# 2 * deg - 4, so moving the external face moves this many.
+_OUTER_UNITS = 8
 
 
 @dataclass(frozen=True)
@@ -250,6 +314,8 @@ class OrthoRep:
     ext_face: frozenset[int]
     angles: dict[tuple[int, int], int]
     bends: dict[HalfEdge, int]
+    # the solved flows that `outer_face_alternate` re-solves
+    angle_flow: _AngleFlow | None = field(default=None, repr=False, compare=False)
 
     @property
     def total_bends(self) -> int:
@@ -279,71 +345,122 @@ def orthogonalize(pg: PlanarizedGraph) -> OrthoRep:
     return balance_corners(_bend_minimal(pg, degree, wide_cost), degree, wide_cost)
 
 
+class _AngleFlow:
+    """The angle flow network of each component with faces, solved cold
+    with its longest walk as the external face, with vertex degrees
+    `degree` and turn prices `wide_cost` (`_wide_costs`)."""
+
+    def __init__(
+        self, pg: PlanarizedGraph, degree: dict[Node, int], wide_cost: dict[Node, int]
+    ) -> None:
+        self.faces = faces = pg.faces
+        self.degree, self.wide_cost = degree, wide_cost
+        self.alternate: OrthoRep | None = None  # `outer_face_alternate`, once made
+        # per component: the solved network, the flow node of each face, the
+        # first two faces ranked for the outside (longest walk first, ties
+        # to the lower index), and the corners (two arcs each) and
+        # half-edges (one bend arc each, after the corner arcs) its arcs
+        # stand for
+        self.components: list[
+            tuple[NetworkSimplex, dict[int, int], list[int], list[tuple[int, int]], list[HalfEdge]]
+        ] = []
+        for comp, face_idx in pg.components:
+            if not face_idx:
+                continue  # isolated node: no angles to assign
+            ranked = sorted(face_idx, key=lambda fi: (-len(faces[fi]), fi))[:2]
+            ext = ranked[0]
+
+            # flow nodes: the component's vertices (each has an edge, since
+            # the component has faces), then its faces
+            vid = {v: k for k, v in enumerate(comp)}
+            fid = {fi: len(comp) + k for k, fi in enumerate(face_idx)}
+            demand = [degree[v] - 4 for v in comp]
+            demand += [len(faces[fi]) + (4 if fi == ext else -4) for fi in face_idx]
+            arcs: list[tuple[int, int, int, int]] = []
+            corner_arcs: list[tuple[int, int]] = []
+            bend_arcs: list[HalfEdge] = []
+            half_edge_face = {}
+            for fi in face_idx:
+                for ci, he in enumerate(faces[fi]):
+                    half_edge_face[he] = fi
+                    corner_arcs.append((fi, ci))
+                    v, f = vid[he[1]], fid[fi]
+                    arcs.append((v, f, 1, 0))
+                    arcs.append((v, f, 2, wide_cost[he[1]]))
+            # one bend outweighs every corner cost of the component together
+            bend_cost = 4 * len(corner_arcs) + 1
+            for fi in face_idx:
+                for he in faces[fi]:
+                    gi = half_edge_face[(he[1], he[0])]
+                    if gi == fi:
+                        continue  # bridge: bends cancel inside one face
+                    bend_arcs.append(he)
+                    arcs.append((fid[fi], fid[gi], 1 << 20, bend_cost))
+            simplex = NetworkSimplex(len(demand), arcs, demand)
+            self.components.append((simplex, fid, ranked, corner_arcs, bend_arcs))
+
+    def rep(self, flows: list[list[int]], outer: list[int]) -> OrthoRep:
+        """The representation of one flow per component, with external
+        faces `outer`."""
+        angles: dict[tuple[int, int], int] = {}
+        bends: dict[HalfEdge, int] = {}
+        for (_, _, _, corner_arcs, bend_arcs), flow in zip(self.components, flows):
+            for k, corner in enumerate(corner_arcs):
+                angles[corner] = 1 + flow[2 * k] + flow[2 * k + 1]
+            pos = 2 * len(corner_arcs)
+            for k, he in enumerate(bend_arcs):
+                bends[he] = flow[pos + k]
+
+        around: dict[Node, int] = {}
+        for fi, walk in enumerate(self.faces):
+            for ci, (_, head) in enumerate(walk):
+                around[head] = around.get(head, 0) + angles[(fi, ci)]
+        for v, total in around.items():
+            if total != 4:
+                raise LayoutError(f"angles around {v} sum to {total}")
+
+        return OrthoRep(faces=self.faces, ext_face=frozenset(outer), angles=angles, bends=bends)
+
+
 def _bend_minimal(
     pg: PlanarizedGraph, degree: dict[Node, int], wide_cost: dict[Node, int]
 ) -> OrthoRep:
     """The representation of a minimum-cost flow, with vertex degrees
     `degree` and turn prices `wide_cost` (`_wide_costs`)."""
-    faces = pg.faces
-    angles: dict[tuple[int, int], int] = {}
-    bends: dict[HalfEdge, int] = {}
-    ext_faces: set[int] = set()
-
-    for comp, face_idx in pg.components:
-        if not face_idx:
-            continue  # isolated node: no angles to assign
-        # the external face is the longest walk (ties: smallest index)
-        ext = max(face_idx, key=lambda fi: (len(faces[fi]), -fi))
-        ext_faces.add(ext)
-
-        # flow nodes: the component's vertices (each has an edge, since the
-        # component has faces), then its faces
-        vid = {v: k for k, v in enumerate(comp)}
-        fid = {fi: len(comp) + k for k, fi in enumerate(face_idx)}
-        demand = [degree[v] - 4 for v in comp]
-        demand += [len(faces[fi]) + (4 if fi == ext else -4) for fi in face_idx]
-        arcs: list[tuple[int, int, int, int]] = []
-        corner_arcs: list[tuple[int, int]] = []
-        bend_arcs: list[HalfEdge] = []
-        half_edge_face = {}
-        for fi in face_idx:
-            for ci, he in enumerate(faces[fi]):
-                half_edge_face[he] = fi
-                corner_arcs.append((fi, ci))
-                v, f = vid[he[1]], fid[fi]
-                arcs.append((v, f, 1, 0))
-                arcs.append((v, f, 2, wide_cost[he[1]]))
-        # one bend outweighs every corner cost of the component together
-        bend_cost = 4 * len(corner_arcs) + 1
-        for fi in face_idx:
-            for he in faces[fi]:
-                gi = half_edge_face[(he[1], he[0])]
-                if gi == fi:
-                    continue  # bridge: bends cancel inside one face
-                bend_arcs.append(he)
-                arcs.append((fid[fi], fid[gi], 1 << 20, bend_cost))
-        flows = min_cost_flow(len(demand), arcs, demand)
-
-        for k, corner in enumerate(corner_arcs):
-            angles[corner] = 1 + flows[2 * k] + flows[2 * k + 1]
-        pos = 2 * len(corner_arcs)
-        for k, he in enumerate(bend_arcs):
-            bends[he] = flows[pos + k]
-
-    around: dict[Node, int] = {}
-    for fi, walk in enumerate(faces):
-        for ci, (_, head) in enumerate(walk):
-            around[head] = around.get(head, 0) + angles[(fi, ci)]
-    for v, total in around.items():
-        if total != 4:
-            raise LayoutError(f"angles around {v} sum to {total}")
-
-    return OrthoRep(
-        faces=faces,
-        ext_face=frozenset(ext_faces),
-        angles=angles,
-        bends=bends,
+    flow = _AngleFlow(pg, degree, wide_cost)
+    rep = flow.rep(
+        [simplex.flows() for simplex, *_ in flow.components],
+        [ranked[0] for _, _, ranked, _, _ in flow.components],
     )
+    return replace(rep, angle_flow=flow)
+
+
+def outer_face_alternate(rep: OrthoRep) -> OrthoRep:
+    """`orthogonalize`'s representation with each component's external
+    face moved to the second face of its ranking (longest walk first, ties
+    to the lower index), balanced alike; a component with one face keeps it.
+
+    Any face may be the external one (Tamassia 1987). `rep`'s optimal flows
+    stay feasible once the external face's extra angle units travel on to
+    the new one, so each component's flow is re-solved warm
+    (`NetworkSimplex.move`) instead of from scratch. `rep` must come from
+    `orthogonalize` (else `ValueError`); the first call makes the
+    alternate, and later calls return it.
+    """
+    flow = rep.angle_flow
+    if flow is None:
+        raise ValueError("representation keeps no solved flows")
+    if flow.alternate is None:
+        flows, outer = [], []
+        for simplex, fid, ranked, _, _ in flow.components:
+            if len(ranked) == 1:
+                flows.append(simplex.flows())
+                outer.append(ranked[0])
+            else:
+                flows.append(simplex.move(fid[ranked[0]], fid[ranked[1]], _OUTER_UNITS))
+                outer.append(ranked[1])
+        flow.alternate = balance_corners(flow.rep(flows, outer), flow.degree, flow.wide_cost)
+    return flow.alternate
 
 
 def _moves(k: int, a: int, b: int) -> int:

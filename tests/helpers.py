@@ -22,12 +22,13 @@ import numpy as np
 
 from ionpd import orthogonal, planar
 from ionpd.artifact import render_json
-from ionpd.compact import _EAST, _NORTH, _SOUTH, _WEST
+from ionpd.compact import _EAST, _NORTH, _SOUTH, _WEST, compact, tighten
 from ionpd.depgraph import DataflowGraph, exchangeable
-from ionpd.drawing import OrthogonalDrawing, Point
+from ionpd.drawing import OrthogonalDrawing, Point, validate_drawing
 from ionpd.gates import GateKind, Instruction, Netlist, make_netlist
 from ionpd.latency import (
-    InstructionTiming, LatencyModel, LatencyReport, Movement, lay_out, simulate,
+    InstructionTiming, LatencyModel, LatencyReport, Movement, _drawn_timing, host_sides, lay_out,
+    simulate,
 )
 from ionpd.lrplanarity import planar_rings
 from ionpd.macrolayout import (
@@ -43,8 +44,8 @@ from ionpd.macrolayout import (
     place_qubits,
     route,
 )
-from ionpd.orthogonal import OrthoRep
-from ionpd.planar import Node, PlanarizeError, node_key
+from ionpd.orthogonal import OrthoRep, orthogonalize, outer_face_alternate
+from ionpd.planar import Node, PlanarizeError, node_key, planarize
 from ionpd.qfg import QubitFlowGraph, build_qfg
 from ionpd.solver import Schedule, schedule_netlist
 
@@ -125,6 +126,37 @@ def full_pipeline(netlist: Netlist, model: LatencyModel | None = None):
     plan = route(qfg, drawing, layout)
     report = simulate(netlist, qfg, layout, plan, place_qubits(qfg, layout), model)
     return schedule, qfg, drawing, layout, report
+
+
+def critical_path(netlist, qfg, drawing) -> float:
+    """The drawing's longest dependency chain: the latest finish."""
+    _, finish, _ = _drawn_timing(netlist, qfg, drawing)
+    return max(finish.values(), default=0.0)
+
+
+def lay_out_steps(netlist: Netlist, qfg: QubitFlowGraph):
+    """`lay_out` one step at a time up to its choice of drawing, each
+    drawing passing `validate_drawing` before and after tightening: the
+    planarized graph and the drawn candidates, each as (representation,
+    tightened drawing, host sides). The default comes first; where the
+    graph has crossings, `outer_face_alternate` follows if it has no more
+    bends. `lay_out` keeps the first with the shortest `critical_path`."""
+    pg = planarize(qfg)
+    rep = orthogonalize(pg)
+    reps = [rep]
+    if pg.crossings:
+        other = outer_face_alternate(rep)
+        if other.total_bends <= rep.total_bends:
+            reps.append(other)
+    candidates = []
+    for rep in reps:
+        drawing = compact(pg, rep)
+        assert validate_drawing(drawing) == []
+        sides = host_sides(netlist, qfg, drawing)
+        drawing = tighten(drawing, sides)
+        assert validate_drawing(drawing) == []
+        candidates.append((rep, drawing, sides))
+    return pg, candidates
 
 
 def synth_qfg(nodes: list[int], pairs: list[tuple[int, int]]) -> QubitFlowGraph:
@@ -465,7 +497,7 @@ def reference_hall(ws, lo: list[int], hi: list[int], taken: set[int]) -> bool:
 def networkx_min_cost_flow(
     node_count: int, arcs: list[tuple[int, int, int, int]], demand: list[int]
 ) -> list[int]:
-    """`orthogonal.min_cost_flow` by networkx's network simplex on a
+    """`orthogonal.NetworkSimplex` flows by networkx's network simplex on a
     multigraph keyed by arc index; raises `nx.NetworkXUnfeasible`."""
     network = nx.MultiDiGraph()
     network.add_nodes_from((node, {"demand": demand[node]}) for node in range(node_count))

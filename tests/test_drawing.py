@@ -41,7 +41,12 @@ from ionpd.gates import GateKind
 from ionpd.latency import host_sides
 from ionpd.lrplanarity import planar_rings
 from ionpd.macrolayout import DIRS, LayoutError, room_sides, tile
-from ionpd.orthogonal import balance_corners, min_cost_flow, orthogonalize
+from ionpd.orthogonal import (
+    NetworkSimplex,
+    balance_corners,
+    orthogonalize,
+    outer_face_alternate,
+)
 from ionpd.planar import PlanarizeError, node_key, planarize
 from ionpd.qasm import parse_qasm, render_qasm
 from ionpd.qfg import QubitFlowGraph, build_qfg
@@ -707,6 +712,61 @@ class TestDualRouting:
         assert len(routed) >= 40 and max(routed) >= 3
 
 
+def random_flow_networks(rng: random.Random, count: int):
+    """`count` random feasible flow networks as (nodes, arcs, demand): arcs
+    of capacity 0 to 4 and cost -3 to 9 with parallel ones, and the
+    demands of a random flow within capacity."""
+    for _ in range(count):
+        n = rng.randint(2, 7)
+        arcs = []
+        for _ in range(rng.randint(n, 3 * n)):
+            u, v = rng.sample(range(n), 2)
+            arcs.append((u, v, rng.randint(0, 4), rng.randint(-3, 9)))
+        for u, v, _, _ in rng.sample(arcs, rng.randint(1, 3)):  # parallel arcs
+            arcs.append((u, v, rng.randint(1, 4), rng.randint(-3, 9)))
+        demand = [0] * n
+        for u, v, cap, _ in arcs:
+            sent = rng.randint(0, cap)
+            demand[u] -= sent
+            demand[v] += sent
+        yield n, arcs, demand
+
+
+def assert_flow_within(n, arcs, demand, flows):
+    """Every arc within its capacity, and every node's net inflow its demand."""
+    net = [0] * n
+    for (u, v, cap, _), sent in zip(arcs, flows):
+        assert 0 <= sent <= cap
+        net[u] -= sent
+        net[v] += sent
+    assert net == demand
+
+
+def flow_cost(arcs, flows) -> int:
+    return sum(sent * cost for sent, (*_, cost) in zip(flows, arcs))
+
+
+def milp_flow_cost(n, arcs, demand) -> int | None:
+    """The minimum cost of an integral flow by HiGHS, or None if no flow
+    meets the demands."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    incidence = np.zeros((n, len(arcs)))
+    for k, (u, v, _, _) in enumerate(arcs):
+        incidence[u, k] -= 1
+        incidence[v, k] += 1
+    best = milp(
+        c=[cost for *_, cost in arcs],
+        constraints=LinearConstraint(incidence, demand, demand),
+        bounds=Bounds(0, [cap for _, _, cap, _ in arcs]),
+        integrality=np.ones(len(arcs)),
+    )
+    if best.status == 2:  # infeasible
+        return None
+    assert best.success, best.message
+    return round(best.fun)
+
+
 class TestOrthogonalize:
     def test_four_cycle_is_a_rectangle(self):
         pg = planarize(synth_qfg([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (1, 4)]))
@@ -746,66 +806,80 @@ class TestOrthogonalize:
         assert sum(bends) >= 20, bends  # Cat-80 draws without bends
 
     def test_min_cost_flow_matches_milp_optimum(self):
-        from scipy.optimize import Bounds, LinearConstraint, milp
-
-        rng = random.Random(5150)
         zero_capacity = 0
-        for _ in range(100):
-            n = rng.randint(2, 7)
-            arcs = []
-            for _ in range(rng.randint(n, 3 * n)):
-                u, v = rng.sample(range(n), 2)
-                arcs.append((u, v, rng.randint(0, 4), rng.randint(-3, 9)))
-            for u, v, _, _ in rng.sample(arcs, rng.randint(1, 3)):  # parallel arcs
-                arcs.append((u, v, rng.randint(1, 4), rng.randint(-3, 9)))
-            # demands of a random flow within capacity: the network is feasible
-            demand = [0] * n
-            for u, v, cap, _ in arcs:
-                sent = rng.randint(0, cap)
-                demand[u] -= sent
-                demand[v] += sent
-
-            flows = min_cost_flow(n, arcs, demand)
+        for n, arcs, demand in random_flow_networks(random.Random(5150), 100):
+            flows = NetworkSimplex(n, arcs, demand).flows()
             assert flows == networkx_min_cost_flow(n, arcs, demand)
             zero_capacity += any(cap == 0 for _, _, cap, _ in arcs)
-            net = [0] * n
-            for (u, v, cap, _), sent in zip(arcs, flows):
-                assert 0 <= sent <= cap
-                net[u] -= sent
-                net[v] += sent
-            assert net == demand
-
-            incidence = np.zeros((n, len(arcs)))
-            for k, (u, v, _, _) in enumerate(arcs):
-                incidence[u, k] -= 1
-                incidence[v, k] += 1
-            best = milp(
-                c=[cost for *_, cost in arcs],
-                constraints=LinearConstraint(incidence, demand, demand),
-                bounds=Bounds(0, [cap for _, _, cap, _ in arcs]),
-                integrality=np.ones(len(arcs)),
-            )
-            assert best.success, best.message
-            assert sum(sent * cost for sent, (*_, cost) in zip(flows, arcs)) == round(best.fun)
+            assert_flow_within(n, arcs, demand, flows)
+            assert flow_cost(arcs, flows) == milp_flow_cost(n, arcs, demand)
         assert zero_capacity >= 50
+
+    def test_warm_move_matches_milp_optimum(self):
+        # the same networks, each re-solved warm after k units of one node's
+        # demand move to another; a move no flow can carry raises
+        rng = random.Random(5151)
+        moved = refused = 0
+        for n, arcs, demand in random_flow_networks(random.Random(5150), 100):
+            u, v = rng.sample(range(n), 2)
+            k = rng.randint(1, 4)
+            simplex = NetworkSimplex(n, arcs, demand)
+            demand = list(demand)
+            demand[u] -= k
+            demand[v] += k
+            best = milp_flow_cost(n, arcs, demand)
+            if best is None:
+                with pytest.raises(LayoutError, match="infeasible: no flow satisfies the moved"):
+                    simplex.move(u, v, k)
+                refused += 1
+                continue
+            flows = simplex.move(u, v, k)
+            assert_flow_within(n, arcs, demand, flows)
+            assert flow_cost(arcs, flows) == best
+            # the added arc and the artificial arcs end empty
+            assert not any(simplex.flow[len(simplex.real) :])
+            moved += 1
+        assert moved >= 50 and refused >= 30  # 61 and 39 with these seeds
+
+    def test_outer_face_alternate_is_bend_minimal(self):
+        # each component's second-ranked face goes outside, and the warm
+        # re-solve bends as little as the bend MILP allows with it there
+        rng = random.Random(4243)
+        graphs = [random_degree4_graph(rng, max_nodes=8) for _ in range(40)]
+        moved = 0
+        for qfg in graphs + bundled_flow_graphs()[:4]:
+            pg = planarize(qfg)
+            rep = orthogonalize(pg)
+            other = outer_face_alternate(rep)
+            assert outer_face_alternate(rep) is other
+            ranked = [
+                sorted(faces, key=lambda fi: (-len(pg.faces[fi]), fi))
+                for _, faces in pg.components
+                if faces
+            ]
+            assert other.ext_face == {faces[min(1, len(faces) - 1)] for faces in ranked}
+            assert other.total_bends == bend_minimum_milp(pg, other)
+            assert one_sided_bends(other)
+            moved += other.ext_face != rep.ext_face
+        assert moved >= 25  # 27 with this seed
 
     def test_min_cost_flow_matches_networkx_on_self_loops(self):
         arcs = [(0, 0, 3, -1), (0, 1, 2, 1), (1, 1, 2, 4), (0, 1, 0, -5), (1, 0, 1, -2)]
         for demand in ([0, 0], [-2, 2], [1, -1]):
-            assert min_cost_flow(2, arcs, demand) == networkx_min_cost_flow(2, arcs, demand)
-        assert min_cost_flow(2, arcs, [0, 0]) == [3, 1, 0, 0, 1]
+            assert NetworkSimplex(2, arcs, demand).flows() == networkx_min_cost_flow(2, arcs, demand)
+        assert NetworkSimplex(2, arcs, [0, 0]).flows() == [3, 1, 0, 0, 1]
 
     def test_min_cost_flow_matches_networkx_in_orthogonalize(self, monkeypatch):
-        kernel = orthogonal.min_cost_flow
+        kernel = orthogonal.NetworkSimplex
         networks = []
 
         def both(node_count, arcs, demand):
-            got = kernel(node_count, arcs, demand)
-            assert got == networkx_min_cost_flow(node_count, arcs, demand)
+            solved = kernel(node_count, arcs, demand)
+            assert solved.flows() == networkx_min_cost_flow(node_count, arcs, demand)
             networks.append(len(arcs))
-            return got
+            return solved
 
-        monkeypatch.setattr(orthogonal, "min_cost_flow", both)
+        monkeypatch.setattr(orthogonal, "NetworkSimplex", both)
         for netlist in (parse_qasm(LAYERED16.read_text()), generate_cat_circuit(80)):
             orthogonalize(planarize(build_qfg(netlist, schedule_netlist(netlist))))
         assert len(networks) >= 2 and max(networks) >= 1000
@@ -818,7 +892,7 @@ class TestOrthogonalize:
 
     def test_infeasible_flow_raises_layout_error(self):
         with pytest.raises(LayoutError, match="infeasible"):
-            min_cost_flow(2, [(0, 1, 1, 0)], [-2, 2])
+            NetworkSimplex(2, [(0, 1, 1, 0)], [-2, 2])
 
     @pytest.mark.parametrize(
         "arcs, demand, reason",
@@ -830,7 +904,7 @@ class TestOrthogonalize:
     )
     def test_unbalanced_or_negative_network_is_infeasible(self, arcs, demand, reason):
         with pytest.raises(LayoutError, match=f"infeasible: {reason}"):
-            min_cost_flow(2, arcs, demand)
+            NetworkSimplex(2, arcs, demand)
         with pytest.raises(nx.NetworkXUnfeasible):
             networkx_min_cost_flow(2, arcs, demand)
 

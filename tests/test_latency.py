@@ -1,9 +1,10 @@
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from helpers import full_pipeline, random_netlist
+from helpers import critical_path, full_pipeline, lay_out_steps, random_netlist
 from ionpd.circuits import generate_cat_circuit
 from ionpd.gates import GateKind
 from ionpd.latency import (
@@ -12,11 +13,13 @@ from ionpd.latency import (
     _drawn_timing,
     cat_latency_formula,
     host_sides,
+    lay_out,
     load_latency_model,
     simulate,
 )
 from ionpd.drawing import OrthogonalDrawing, validate_drawing
 from ionpd.macrolayout import place_qubits, route, tile
+from ionpd.planar import planarize
 from ionpd.qasm import parse_qasm
 from ionpd.qfg import build_qfg
 from ionpd.refplan import build_reference_cat_plan
@@ -64,12 +67,6 @@ class TestModel:
         assert model.gate_cost(GateKind.PrepZ) == 51
         with pytest.raises(ValueError):
             model.gate_cost(GateKind.Toffoli)
-
-
-def critical_path(netlist, qfg, drawing) -> float:
-    """The drawing's longest dependency chain: the latest finish."""
-    _, finish, _ = _drawn_timing(netlist, qfg, drawing)
-    return max(finish.values(), default=0.0)
 
 
 class TestDrawnCriticalPath:
@@ -123,6 +120,56 @@ class TestDrawnTiming:
         assert finish == {1: 1, 2: 1, 3: 1 + 15 + 10, 4: 33, 5: 33}
         assert tail == {1: 1 + 6 + 17, 2: 33, 3: 10 + 6 + 1, 4: 1, 5: 1}
         assert max(finish.values()) == 33
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# inputs whose flow graphs cross, and whether `lay_out` keeps the
+# outer-face alternate: chains draws it and keeps the default, extra4,
+# extra8 and layered16 bend more with it and do not draw it
+CROSSING_INPUTS = {
+    "circuits/code_9_3_2.qasm": True,
+    "tests/fixtures/chains.qasm": False,
+    "tests/fixtures/extra4.qasm": False,
+    "tests/fixtures/extra8.qasm": False,
+    "tests/fixtures/layered16.qasm": False,
+    "tests/fixtures/layered5.qasm": True,
+}
+
+
+class TestLayOut:
+    @pytest.mark.parametrize("path", sorted(CROSSING_INPUTS))
+    def test_kept_drawing_is_no_worse_than_the_default(self, path):
+        netlist = parse_qasm((ROOT / path).read_text(encoding="utf-8"))
+        qfg = build_qfg(netlist, schedule_netlist(netlist))
+        pg, candidates = lay_out_steps(netlist, qfg)
+        assert pg.crossings
+        drawing, _ = lay_out(netlist, qfg)
+        (rep, default, _), *_ = candidates
+        kept = next(c for c in candidates if c[1] == drawing)
+        assert kept[0].total_bends <= rep.total_bends
+        assert critical_path(netlist, qfg, drawing) <= critical_path(netlist, qfg, default)
+        assert (kept is not candidates[0]) == CROSSING_INPUTS[path]
+
+    def test_one_cold_solve_per_component(self, monkeypatch):
+        # the alternate re-solves each component's flow warm: a run that
+        # draws it still builds one network per component with faces
+        from ionpd import orthogonal
+
+        kernel = orthogonal.NetworkSimplex
+        solves = []
+
+        def counted(node_count, arcs, demand):
+            solves.append(node_count)
+            return kernel(node_count, arcs, demand)
+
+        monkeypatch.setattr(orthogonal, "NetworkSimplex", counted)
+        for path in CROSSING_INPUTS:
+            netlist = parse_qasm((ROOT / path).read_text(encoding="utf-8"))
+            qfg = build_qfg(netlist, schedule_netlist(netlist))
+            solves.clear()
+            lay_out(netlist, qfg)
+            pg = planarize(qfg)
+            assert len(solves) == sum(1 for _, faces in pg.components if faces), path
 
 
 class TestHostSides:
