@@ -16,14 +16,14 @@ from functools import cache
 from pathlib import Path
 
 from .circuits import generate_cat_circuit
-from .decompose import DecomposeError, Library, decompose
+from .decompose import Library, decompose
 from .depgraph import asap_alap, build_dataflow, stage_lower_bound
 from .gates import Netlist, NetlistError
 from .ilp import emit_ilp, to_lp_text
-from .latency import LatencyConfigError, LatencyModel, lay_out, load_latency_model, simulate
+from .latency import LatencyModel, lay_out, load_latency_model, simulate
 from .macrolayout import LayoutError, place_qubits, route
 from .planar import PlanarizeError
-from .qasm import QasmError, parse_qasm
+from .qasm import parse_qasm
 from .qfg import build_qfg
 from .solver import (
     Schedule,
@@ -226,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     except (PlanarizeError, LayoutError) as exc:  # both are ValueErrors, so catch them first
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LAYOUT
-    except (QasmError, NetlistError, DecomposeError, LatencyConfigError, ValueError) as exc:
+    except ValueError as exc:  # QasmError, NetlistError, DecomposeError, LatencyConfigError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except SolverError as exc:

@@ -24,7 +24,7 @@ from .compact import compact, tighten
 from .drawing import EdgeKey, OrthogonalDrawing, validate_drawing
 from .gates import GateKind, Netlist
 from .macrolayout import DIRS, OPPOSITE, LayoutError, MacroLayout, Point, RoutePlan, node_ports, tile
-from .orthogonal import OrthoRep, orthogonalize, outer_face_alternate
+from .orthogonal import OrthoRep, orthogonalize
 from .planar import PlanarizedGraph, planarize
 from .qfg import QubitFlowGraph
 
@@ -216,20 +216,17 @@ def lay_out(netlist: Netlist, qfg: QubitFlowGraph) -> tuple[OrthogonalDrawing, M
     """The layout generator: the flow graph's drawing, tightened to the room
     its displaced traps' host sides need, and that drawing's tiling.
 
-    If the planarized graph has crossings, the representation with each
-    component's second-ranked face outside (`outer_face_alternate`, a warm
-    re-solve of the flow) is drawn too when it has no more bends, and kept
-    when its tightened drawing's `_critical_path` is strictly shorter.
-    Raises `LayoutError` if the kept drawing fails `validate_drawing`."""
+    The representation `orthogonalize` gives is drawn, and so is its
+    `alternate` if it has one; the first with the least `_critical_path`
+    is kept. Raises `LayoutError` if the kept drawing fails
+    `validate_drawing`."""
     pg = planarize(qfg)
     rep = orthogonalize(pg)
     drawing, sides = _tightened(netlist, qfg, pg, rep)
-    if pg.crossings:
-        other = outer_face_alternate(rep)
-        if other.total_bends <= rep.total_bends:
-            drawn = _tightened(netlist, qfg, pg, other)
-            if _critical_path(netlist, qfg, drawn[0]) < _critical_path(netlist, qfg, drawing):
-                drawing, sides = drawn
+    if rep.alternate is not None:
+        drawn = _tightened(netlist, qfg, pg, rep.alternate)
+        if _critical_path(netlist, qfg, drawn[0]) < _critical_path(netlist, qfg, drawing):
+            drawing, sides = drawn
     problems = validate_drawing(drawing)
     if problems:
         raise LayoutError(f"invalid drawing: {problems[0]}")

@@ -29,12 +29,13 @@ onto a vertex with the same other face and the same turn price, so the
 flow cost and the bends stay minimal.
 
 Any face may be the external one. `orthogonalize` puts each component's
-longest walk outside; `outer_face_alternate` moves it to the second walk of
-that ranking. The network simplex is resumable for that: the move sends
-the external face's 8 extra angle units on from the old face to the new
-one over an added arc that costs as much as an artificial arc, and the
-simplex pivots on from the old optimum until that arc is empty, in a
-fraction of a cold solve's pivots.
+longest walk outside. If the graph has crossings, it also draws
+`OrthoRep.alternate`, with the second walk of that ranking outside, and
+keeps it only if it bends no more. The network simplex is resumable for
+that: the move sends the external face's 8 extra angle units on from the
+old face to the new one over an added arc that costs as much as an
+artificial arc, and the simplex pivots on from the old optimum until that
+arc is empty, in a fraction of a cold solve's pivots.
 """
 
 from __future__ import annotations
@@ -134,9 +135,9 @@ class NetworkSimplex:
             out[k] = self.flow[pos]
         return out
 
-    def move(self, u: int, v: int, units: int) -> list[int]:
-        """Re-solve with `units` of node u's demand moved to node v; returns
-        `flows`.
+    def move(self, u: int, v: int, units: int) -> None:
+        """Re-solve with `units` of node u's demand moved to node v; `flows`
+        then gives the new optimum.
 
         The optimal flow stays feasible for the moved demands once `units`
         travel from u to v on a new arc, appended after the priced arcs,
@@ -159,7 +160,6 @@ class NetworkSimplex:
         self._pivot()
         if any(self.flow[len(self.real) :]):
             raise LayoutError("flow network infeasible: no flow satisfies the moved demands")
-        return self.flows()
 
     def _pivot(self) -> None:
         """Pivot to an optimal spanning tree from the current feasible one."""
@@ -314,8 +314,9 @@ class OrthoRep:
     ext_face: frozenset[int]
     angles: dict[tuple[int, int], int]
     bends: dict[HalfEdge, int]
-    # the solved flows that `outer_face_alternate` re-solves
-    angle_flow: _AngleFlow | None = field(default=None, repr=False, compare=False)
+    # with each component's second-ranked face outside, if `orthogonalize`
+    # kept one; equality compares the representation itself
+    alternate: OrthoRep | None = field(default=None, compare=False)
 
     @property
     def total_bends(self) -> int:
@@ -339,10 +340,25 @@ def _wide_costs(pg: PlanarizedGraph, degree: dict[Node, int]) -> dict[Node, int]
 
 def orthogonalize(pg: PlanarizedGraph) -> OrthoRep:
     """Minimum-bend representation of the embedding, per component, with
-    the corners of its rectangular faces balanced."""
+    the corners of its rectangular faces balanced.
+
+    If the graph has crossings, each component's flow is re-solved warm
+    (`NetworkSimplex.move`) with the second face of its ranking outside (a
+    component with one face keeps it). That representation, balanced
+    alike, is the result's `alternate` if it has no more bends."""
     degree = {v: len(pg.adj.get(v, [])) for v in pg.nodes}
     wide_cost = _wide_costs(pg, degree)
-    return balance_corners(_bend_minimal(pg, degree, wide_cost), degree, wide_cost)
+    flow = _AngleFlow(pg, degree, wide_cost)
+    rep = flow.rep(0)
+    alternate = None
+    if pg.crossings:
+        for simplex, fid, ranked, _, _ in flow.components:
+            if len(ranked) > 1:
+                simplex.move(fid[ranked[0]], fid[ranked[1]], _OUTER_UNITS)
+        other = flow.rep(-1)
+        if other.total_bends <= rep.total_bends:
+            alternate = balance_corners(other, degree, wide_cost)
+    return replace(balance_corners(rep, degree, wide_cost), alternate=alternate)
 
 
 class _AngleFlow:
@@ -354,8 +370,6 @@ class _AngleFlow:
         self, pg: PlanarizedGraph, degree: dict[Node, int], wide_cost: dict[Node, int]
     ) -> None:
         self.faces = faces = pg.faces
-        self.degree, self.wide_cost = degree, wide_cost
-        self.alternate: OrthoRep | None = None  # `outer_face_alternate`, once made
         # per component: the solved network, the flow node of each face, the
         # first two faces ranked for the outside (longest walk first, ties
         # to the lower index), and the corners (two arcs each) and
@@ -399,12 +413,16 @@ class _AngleFlow:
             simplex = NetworkSimplex(len(demand), arcs, demand)
             self.components.append((simplex, fid, ranked, corner_arcs, bend_arcs))
 
-    def rep(self, flows: list[list[int]], outer: list[int]) -> OrthoRep:
-        """The representation of one flow per component, with external
-        faces `outer`."""
+    def rep(self, place: int) -> OrthoRep:
+        """The representation of each component's current flow, with face
+        `ranked[place]` outside: 0 for the first-ranked face, -1 for the
+        second (the only one, if the component has one face)."""
         angles: dict[tuple[int, int], int] = {}
         bends: dict[HalfEdge, int] = {}
-        for (_, _, _, corner_arcs, bend_arcs), flow in zip(self.components, flows):
+        outer = set()
+        for simplex, _, ranked, corner_arcs, bend_arcs in self.components:
+            outer.add(ranked[place])
+            flow = simplex.flows()
             for k, corner in enumerate(corner_arcs):
                 angles[corner] = 1 + flow[2 * k] + flow[2 * k + 1]
             pos = 2 * len(corner_arcs)
@@ -420,47 +438,6 @@ class _AngleFlow:
                 raise LayoutError(f"angles around {v} sum to {total}")
 
         return OrthoRep(faces=self.faces, ext_face=frozenset(outer), angles=angles, bends=bends)
-
-
-def _bend_minimal(
-    pg: PlanarizedGraph, degree: dict[Node, int], wide_cost: dict[Node, int]
-) -> OrthoRep:
-    """The representation of a minimum-cost flow, with vertex degrees
-    `degree` and turn prices `wide_cost` (`_wide_costs`)."""
-    flow = _AngleFlow(pg, degree, wide_cost)
-    rep = flow.rep(
-        [simplex.flows() for simplex, *_ in flow.components],
-        [ranked[0] for _, _, ranked, _, _ in flow.components],
-    )
-    return replace(rep, angle_flow=flow)
-
-
-def outer_face_alternate(rep: OrthoRep) -> OrthoRep:
-    """`orthogonalize`'s representation with each component's external
-    face moved to the second face of its ranking (longest walk first, ties
-    to the lower index), balanced alike; a component with one face keeps it.
-
-    Any face may be the external one (Tamassia 1987). `rep`'s optimal flows
-    stay feasible once the external face's extra angle units travel on to
-    the new one, so each component's flow is re-solved warm
-    (`NetworkSimplex.move`) instead of from scratch. `rep` must come from
-    `orthogonalize` (else `ValueError`); the first call makes the
-    alternate, and later calls return it.
-    """
-    flow = rep.angle_flow
-    if flow is None:
-        raise ValueError("representation keeps no solved flows")
-    if flow.alternate is None:
-        flows, outer = [], []
-        for simplex, fid, ranked, _, _ in flow.components:
-            if len(ranked) == 1:
-                flows.append(simplex.flows())
-                outer.append(ranked[0])
-            else:
-                flows.append(simplex.move(fid[ranked[0]], fid[ranked[1]], _OUTER_UNITS))
-                outer.append(ranked[1])
-        flow.alternate = balance_corners(flow.rep(flows, outer), flow.degree, flow.wide_cost)
-    return flow.alternate
 
 
 def _moves(k: int, a: int, b: int) -> int:
@@ -534,7 +511,7 @@ def balance_corners(
     rep: OrthoRep, degree: dict[Node, int], wide_cost: dict[Node, int]
 ) -> OrthoRep:
     """Move the turns of each rectangular face so opposite sides match;
-    `degree` and `wide_cost` are the flow's, as in `_bend_minimal`.
+    `degree` and `wide_cost` are the flow's, as in `_AngleFlow`.
 
     A face qualifies if it is internal, a simple cycle and free of bends,
     with four convex corners and every other corner straight. A corner on a

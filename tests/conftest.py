@@ -4,7 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from ionpd.qasm import parse_qasm
+# pytest rewrites the asserts of test modules and conftest only; rewriting
+# the shared helpers too keeps their checks under `python -O`
+pytest.register_assert_rewrite("helpers")
+
+from ionpd.qasm import parse_qasm  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "fixtures"

@@ -27,8 +27,7 @@ from ionpd.depgraph import DataflowGraph, exchangeable
 from ionpd.drawing import OrthogonalDrawing, Point, validate_drawing
 from ionpd.gates import GateKind, Instruction, Netlist, make_netlist
 from ionpd.latency import (
-    InstructionTiming, LatencyModel, LatencyReport, Movement, _drawn_timing, host_sides, lay_out,
-    simulate,
+    InstructionTiming, LatencyModel, LatencyReport, Movement, host_sides, lay_out, simulate,
 )
 from ionpd.lrplanarity import planar_rings
 from ionpd.macrolayout import (
@@ -44,7 +43,7 @@ from ionpd.macrolayout import (
     place_qubits,
     route,
 )
-from ionpd.orthogonal import OrthoRep, orthogonalize, outer_face_alternate
+from ionpd.orthogonal import OrthoRep, orthogonalize
 from ionpd.planar import Node, PlanarizeError, node_key, planarize
 from ionpd.qfg import QubitFlowGraph, build_qfg
 from ionpd.solver import Schedule, schedule_netlist
@@ -128,28 +127,19 @@ def full_pipeline(netlist: Netlist, model: LatencyModel | None = None):
     return schedule, qfg, drawing, layout, report
 
 
-def critical_path(netlist, qfg, drawing) -> float:
-    """The drawing's longest dependency chain: the latest finish."""
-    _, finish, _ = _drawn_timing(netlist, qfg, drawing)
-    return max(finish.values(), default=0.0)
-
-
 def lay_out_steps(netlist: Netlist, qfg: QubitFlowGraph):
     """`lay_out` one step at a time up to its choice of drawing, each
     drawing passing `validate_drawing` before and after tightening: the
     planarized graph and the drawn candidates, each as (representation,
-    tightened drawing, host sides). The default comes first; where the
-    graph has crossings, `outer_face_alternate` follows if it has no more
-    bends. `lay_out` keeps the first with the shortest `critical_path`."""
+    tightened drawing, host sides). The representation `orthogonalize`
+    gives comes first, then its `alternate` if it has one. `lay_out` keeps
+    the first with the least `_critical_path`."""
     pg = planarize(qfg)
-    rep = orthogonalize(pg)
-    reps = [rep]
-    if pg.crossings:
-        other = outer_face_alternate(rep)
-        if other.total_bends <= rep.total_bends:
-            reps.append(other)
+    default = orthogonalize(pg)
     candidates = []
-    for rep in reps:
+    for rep in (default, default.alternate):
+        if rep is None:
+            continue
         drawing = compact(pg, rep)
         assert validate_drawing(drawing) == []
         sides = host_sides(netlist, qfg, drawing)
@@ -535,7 +525,7 @@ def flow_costs(pg):
 def bend_minimal(pg):
     """The flow's representation, before `orthogonalize` balances its
     rectangles."""
-    return orthogonal._bend_minimal(pg, *flow_costs(pg))
+    return orthogonal._AngleFlow(pg, *flow_costs(pg)).rep(0)
 
 
 def spied_rehangs(monkeypatch):

@@ -21,7 +21,6 @@ from helpers import (
     bend_minimal,
     bend_minimum_milp,
     chained_netlist,
-    critical_path,
     equal_up_to_phase,
     full_pipeline,
     lay_out_steps,
@@ -41,7 +40,7 @@ from ionpd.depgraph import asap_alap, build_dataflow, stage_lower_bound
 from ionpd.drawing import validate_drawing
 from ionpd.gates import GateKind
 from ionpd.ilp import emit_ilp, to_lp_text
-from ionpd.latency import LatencyModel, cat_latency_formula, lay_out, simulate
+from ionpd.latency import LatencyModel, _critical_path, cat_latency_formula, lay_out, simulate
 from ionpd.macrolayout import place_qubits, route, tile
 from ionpd.orthogonal import orthogonalize
 from ionpd.planar import planarize
@@ -258,7 +257,7 @@ def through_every_validator(netlist, model) -> tuple[int, bool, bool]:
     assert validate(netlist, graph, schedule) == []
     qfg = build_qfg(netlist, schedule, graph)
     pg, candidates = lay_out_steps(netlist, qfg)
-    rep, drawing, sides = min(candidates, key=lambda c: critical_path(netlist, qfg, c[1]))
+    rep, drawing, sides = min(candidates, key=lambda c: _critical_path(netlist, qfg, c[1]))
     assert rep.total_bends <= candidates[0][0].total_bends
     layout = tile(drawing, sides)
     layout.check_ports()

@@ -466,7 +466,7 @@ def test_planarize_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_infeasible_angle_flow_exit_code(tmp_path, capsys, monkeypatch):
+def test_infeasible_flow_network_exit_code(tmp_path, capsys, monkeypatch):
     import ionpd.orthogonal as orthogonal
 
     kernel = orthogonal.NetworkSimplex

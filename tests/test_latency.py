@@ -4,12 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import critical_path, full_pipeline, lay_out_steps, random_netlist
+from helpers import full_pipeline, lay_out_steps, random_netlist
 from ionpd.circuits import generate_cat_circuit
 from ionpd.gates import GateKind
 from ionpd.latency import (
     LatencyConfigError,
     LatencyModel,
+    _critical_path,
     _drawn_timing,
     cat_latency_formula,
     host_sides,
@@ -78,7 +79,7 @@ class TestDrawnCriticalPath:
         netlist = parse_qasm("H q0\nX q0")
         qfg = build_qfg(netlist, schedule_netlist(netlist))
         drawing = OrthogonalDrawing({1: (0, 0), 2: (2, 1)}, {(1, 2, 0): ((0, 0), (2, 0), (2, 1))})
-        assert critical_path(netlist, qfg, drawing) == 1 + 3 * 3 + 10 + 1
+        assert _critical_path(netlist, qfg, drawing) == 1 + 3 * 3 + 10 + 1
 
     def test_longest_chain_wins_and_uncosted_gates_count_nothing(self):
         from ionpd.drawing import OrthogonalDrawing
@@ -89,7 +90,7 @@ class TestDrawnCriticalPath:
             {1: (0, 0), 2: (1, 0), 3: (0, 4)},
             {(1, 2, 0): ((0, 0), (1, 0)), (1, 3, 1): ((0, 0), (0, 4))},
         )
-        assert critical_path(netlist, qfg, drawing) == 4 * 3 + 10
+        assert _critical_path(netlist, qfg, drawing) == 4 * 3 + 10
 
 
 # CX 3 drawn as a cross: q0 comes from H 1 over two units into its W side
@@ -147,8 +148,29 @@ class TestLayOut:
         (rep, default, _), *_ = candidates
         kept = next(c for c in candidates if c[1] == drawing)
         assert kept[0].total_bends <= rep.total_bends
-        assert critical_path(netlist, qfg, drawing) <= critical_path(netlist, qfg, default)
+        assert _critical_path(netlist, qfg, drawing) <= _critical_path(netlist, qfg, default)
         assert (kept is not candidates[0]) == CROSSING_INPUTS[path]
+
+    def test_only_a_drawn_alternate_is_balanced(self, monkeypatch):
+        # extra4, extra8 and layered16 bend more with the second-ranked
+        # face outside, so their alternates are dropped before balancing
+        from ionpd import orthogonal
+
+        balance = orthogonal.balance_corners
+        calls = []
+
+        def counted(rep, degree, wide_cost):
+            calls.append(rep)
+            return balance(rep, degree, wide_cost)
+
+        monkeypatch.setattr(orthogonal, "balance_corners", counted)
+        bends_more = {"extra4", "extra8", "layered16"}
+        for path in CROSSING_INPUTS:
+            netlist = parse_qasm((ROOT / path).read_text(encoding="utf-8"))
+            qfg = build_qfg(netlist, schedule_netlist(netlist))
+            calls.clear()
+            lay_out(netlist, qfg)
+            assert len(calls) == (1 if Path(path).stem in bends_more else 2), path
 
     def test_one_cold_solve_per_component(self, monkeypatch):
         # the alternate re-solves each component's flow warm: a run that
