@@ -1,12 +1,15 @@
 """Ion-trap physical design toolchain.
 
 Pipeline: QASM-style netlist -> dependency analysis -> ILP stage scheduling
--> qubit flow graph -> bend-minimal orthogonal drawing, tightened to the room
-tiling needs -> macroblock layout (the drawing and the layout come from one
-call, `lay_out`) -> placement and routes -> latency simulation.
+-> qubit flow graph -> bend-minimal orthogonal drawing, and for a dense flow
+graph with crossings a drawing in stage columns too, each tightened to the
+room tiling needs, the one with the shorter drawn critical path kept ->
+macroblock layout (the drawing and the layout come from one call,
+`lay_out`) -> placement and routes -> latency simulation.
 """
 
 from .circuits import generate_cat_circuit
+from .columns import draw_columns
 from .compact import compact
 from .decompose import Library, decompose
 from .depgraph import (
@@ -50,7 +53,7 @@ __all__ = [
     "Netlist", "OrthoRep", "OrthogonalDrawing", "PlanarizedGraph",
     "QubitFlowGraph", "RoutePlan", "Schedule", "ScheduleWindow",
     "asap_alap", "build_dataflow", "build_qfg", "build_reference_cat_plan",
-    "cat_latency_formula", "common_qubit_table", "compact", "decompose",
+    "cat_latency_formula", "common_qubit_table", "compact", "decompose", "draw_columns",
     "emit_ilp", "exchangeable", "generate_cat_circuit", "lay_out",
     "load_latency_model", "make_netlist", "oracle_min_stages", "orthogonalize",
     "parse_qasm", "place_qubits", "planarize", "render_qasm",

@@ -11,7 +11,8 @@ its qubits have arrived at its gate location. Channel congestion is
 first-come-first-served per block; the later ion waits, ties broken by
 instruction id through the deterministic processing order. `lay_out`, the
 layout generator in one call, sits beside its two netlist steps:
-`host_sides` and the drawn critical path that picks the external face.
+`host_sides` and the drawn critical path that picks one of its
+`candidates`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .artifact import render_json
+from .columns import draw_columns, idle_share
 from .compact import compact, tighten
 from .drawing import EdgeKey, OrthogonalDrawing, validate_drawing
 from .gates import GateKind, Netlist
@@ -203,30 +205,57 @@ def _critical_path(netlist: Netlist, qfg: QubitFlowGraph, drawing: OrthogonalDra
 
 
 def _tightened(
-    netlist: Netlist, qfg: QubitFlowGraph, pg: PlanarizedGraph, rep: OrthoRep
+    netlist: Netlist, qfg: QubitFlowGraph, drawing: OrthogonalDrawing
 ) -> tuple[OrthogonalDrawing, dict[int, tuple[str, ...]]]:
-    """A representation's drawing, tightened to the room its displaced
-    traps' host sides need, and those sides."""
-    drawing = compact(pg, rep)
+    """A drawing, tightened to the room its displaced traps' host sides
+    need, and those sides."""
     sides = host_sides(netlist, qfg, drawing)
     return tighten(drawing, sides), sides
+
+
+# `lay_out` draws stage columns for a flow graph with crossings whose
+# `idle_share` is below this
+COLUMNS_IDLE_SHARE = 0.2
+
+
+def candidates(
+    qfg: QubitFlowGraph, pg: PlanarizedGraph, rep: OrthoRep
+) -> tuple[tuple[str, OrthogonalDrawing], ...]:
+    """The drawings `lay_out` chooses from, by name, as drawn: the
+    representation `orthogonalize` gives (`"default"`), and where the
+    flow graph has crossings, `draw_columns` (`"columns"`) if its
+    `idle_share` is below `COLUMNS_IDLE_SHARE`, else the representation's
+    `alternate` (`"alternate"`) if it has one."""
+    drawn = (("default", compact(pg, rep)),)
+    if not pg.crossings:
+        return drawn
+    if idle_share(qfg) < COLUMNS_IDLE_SHARE:
+        return (*drawn, ("columns", draw_columns(qfg)))
+    if rep.alternate is not None:
+        return (*drawn, ("alternate", compact(pg, rep.alternate)))
+    return drawn
 
 
 def lay_out(netlist: Netlist, qfg: QubitFlowGraph) -> tuple[OrthogonalDrawing, MacroLayout]:
     """The layout generator: the flow graph's drawing, tightened to the room
     its displaced traps' host sides need, and that drawing's tiling.
 
-    The representation `orthogonalize` gives is drawn, and so is its
-    `alternate` if it has one; the first with the least `_critical_path`
-    is kept. Raises `LayoutError` if the kept drawing fails
-    `validate_drawing`."""
+    Each of the `candidates` is tightened, and the first with the least
+    `_critical_path` is kept; only it is validated and tiled. A planar flow
+    graph has one candidate, its bend-minimal drawing. One with crossings
+    gets a second. Where under `COLUMNS_IDLE_SHARE` of its slots are idle,
+    that is the layered drawing of `columns.draw_columns` (Sugiyama, Tagawa
+    & Toda 1981), its channels routed by the constrained left-edge
+    algorithm (Hashimoto & Stevens 1971) with doglegs (Deutsch 1976): a leg
+    crosses one channel per stage, where the planar embedding's legs grow
+    with depth. Elsewhere it is the outer-face alternate, since columns
+    spend a slot and a channel crossing on every stage a qubit idles.
+    Raises `LayoutError` if the kept drawing fails `validate_drawing`."""
     pg = planarize(qfg)
-    rep = orthogonalize(pg)
-    drawing, sides = _tightened(netlist, qfg, pg, rep)
-    if rep.alternate is not None:
-        drawn = _tightened(netlist, qfg, pg, rep.alternate)
-        if _critical_path(netlist, qfg, drawn[0]) < _critical_path(netlist, qfg, drawing):
-            drawing, sides = drawn
+    drawn = [_tightened(netlist, qfg, d) for _, d in candidates(qfg, pg, orthogonalize(pg))]
+    drawing, sides = drawn[0]
+    if len(drawn) > 1:
+        drawing, sides = min(drawn, key=lambda d: _critical_path(netlist, qfg, d[0]))
     problems = validate_drawing(drawing)
     if problems:
         raise LayoutError(f"invalid drawing: {problems[0]}")

@@ -22,12 +22,13 @@ import numpy as np
 
 from ionpd import orthogonal, planar
 from ionpd.artifact import render_json
-from ionpd.compact import _EAST, _NORTH, _SOUTH, _WEST, compact, tighten
+from ionpd.compact import _EAST, _NORTH, _SOUTH, _WEST, tighten
 from ionpd.depgraph import DataflowGraph, exchangeable
 from ionpd.drawing import OrthogonalDrawing, Point, validate_drawing
 from ionpd.gates import GateKind, Instruction, Netlist, make_netlist
 from ionpd.latency import (
-    InstructionTiming, LatencyModel, LatencyReport, Movement, host_sides, lay_out, simulate,
+    InstructionTiming, LatencyModel, LatencyReport, Movement, candidates, host_sides, lay_out,
+    simulate,
 )
 from ionpd.lrplanarity import planar_rings
 from ionpd.macrolayout import (
@@ -130,23 +131,19 @@ def full_pipeline(netlist: Netlist, model: LatencyModel | None = None):
 def lay_out_steps(netlist: Netlist, qfg: QubitFlowGraph):
     """`lay_out` one step at a time up to its choice of drawing, each
     drawing passing `validate_drawing` before and after tightening: the
-    planarized graph and the drawn candidates, each as (representation,
-    tightened drawing, host sides). The representation `orthogonalize`
-    gives comes first, then its `alternate` if it has one. `lay_out` keeps
-    the first with the least `_critical_path`."""
+    planarized graph, the representation `orthogonalize` gives, and
+    `latency.candidates` drawn, each as (name, tightened drawing, host
+    sides). `lay_out` keeps the first with the least `_critical_path`."""
     pg = planarize(qfg)
-    default = orthogonalize(pg)
-    candidates = []
-    for rep in (default, default.alternate):
-        if rep is None:
-            continue
-        drawing = compact(pg, rep)
+    rep = orthogonalize(pg)
+    drawn = []
+    for name, drawing in candidates(qfg, pg, rep):
         assert validate_drawing(drawing) == []
         sides = host_sides(netlist, qfg, drawing)
         drawing = tighten(drawing, sides)
         assert validate_drawing(drawing) == []
-        candidates.append((rep, drawing, sides))
-    return pg, candidates
+        drawn.append((name, drawing, sides))
+    return pg, rep, drawn
 
 
 def synth_qfg(nodes: list[int], pairs: list[tuple[int, int]]) -> QubitFlowGraph:
@@ -200,6 +197,24 @@ def layered_flow_graph(rng, qubits=8, layers=6):
     netlist = make_netlist(gates)
     stage_of = {instr.id: stage for instr, stage in zip(netlist.instructions, stages)}
     return build_qfg(netlist, Schedule(stage_of, 2 * layers))
+
+
+def dense_netlist(rng: random.Random, max_qubits: int = 20, max_layers: int = 8) -> Netlist:
+    """Random layers on 4 to `max_qubits` qubits, 2 to `max_layers` of them:
+    a one-qubit gate on every qubit, then two-qubit gates on a random
+    matching that leaves out up to two qubits, and one more at an odd
+    count. A qubit left out waits a stage between its one-qubit gates."""
+    qubits = rng.randint(4, max_qubits)
+    gates = []
+    for _ in range(rng.randint(2, max_layers)):
+        for q in range(qubits):
+            gates.append((rng.choice([GateKind.H, GateKind.T, GateKind.X, GateKind.S]), (), q))
+        order = list(range(qubits))
+        rng.shuffle(order)
+        del order[: rng.randint(0, 2)]
+        for a, b in zip(order[::2], order[1::2]):
+            gates.append((rng.choice([GateKind.CX, GateKind.CZ]), (a,), b))
+    return make_netlist(gates)
 
 
 _RANDOM_KINDS = [

@@ -78,7 +78,7 @@ def test_byte_identical_reruns(tmp_path):
 def test_artifacts_match_committed_manifest(tmp_path, capsys):
     # the runs CI checks with `sha256sum -c`; layered16 and two_registers
     # hold gate pairs that share two qubits, so `model.lp` lists each such
-    # pair once, layered5's layout still widens two gaps to two blocks, and
+    # pair once, layered16, layered5 and deep24 keep stage columns, and
     # Cat-8's rectangle is drawn with its corners balanced; chains holds
     # long runs of one-qubit gates, so the planar greedy re-hangs pendant
     # paths in it and orthogonalize moves corners
@@ -87,6 +87,7 @@ def test_artifacts_match_committed_manifest(tmp_path, capsys):
         "chains": ["latency", str(ROOT / "tests" / "fixtures" / "chains.qasm")],
         "layered16": ["latency", LAYERED16],
         "layered5": ["latency", LAYERED5],
+        "deep24": ["latency", str(FIXTURES / "deep24.qasm")],
         "two_registers": ["latency", str(ROOT / "tests" / "fixtures" / "two_registers.qasm")],
         "cat32": ["cat-gen", "32"],
         "cat8": ["cat-gen", "8"],
@@ -98,7 +99,7 @@ def test_artifacts_match_committed_manifest(tmp_path, capsys):
         for path in tmp_path.glob("*/*")
     }
     manifest = dict(line.split()[::-1] for line in MANIFEST.read_text().splitlines())
-    assert len(manifest) == 91
+    assert len(manifest) == 104
     assert written == manifest
 
 
@@ -569,8 +570,9 @@ PINNED_LATENCY = {
     "code_9_3_2": ([CODE932], 210.0),
     "toffoli_pair-cv": ([TOFFOLI_PAIR, "--library", "cv"], 258.0),
     "toffoli_pair-ft": ([TOFFOLI_PAIR, "--library", "ft"], 444.0),
-    "layered16": ([LAYERED16], 732.0),
-    "layered5": ([LAYERED5], 768.0),
+    "layered16": ([LAYERED16], 717.0),
+    "layered5": ([LAYERED5], 767.0),
+    "deep24": ([str(FIXTURES / "deep24.qasm")], 3544.0),
     "two_registers": ([str(FIXTURES / "two_registers.qasm")], 203.0),
     "extra4": ([str(FIXTURES / "extra4.qasm")], 717.0),
     "extra8": ([str(FIXTURES / "extra8.qasm")], 779.0),
