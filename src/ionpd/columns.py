@@ -1,21 +1,30 @@
-"""Layered drawing of a flow graph: one column per stage.
+"""Layered drawing of a flow graph: stage columns, one-qubit gates on their legs.
 
 Every flow-graph edge runs from an earlier stage to a later one, so the
 graph is already layered, and a layered drawing (Sugiyama, Tagawa & Toda,
-IEEE Trans. SMC 1981) puts stage s in column s. A qubit's leg then crosses
-one channel per stage it spans, whatever the depth, where one planar
-embedding gives legs that grow with it. `latency.lay_out` draws this as a
-candidate for dense flow graphs: those with crossings and few idle slots
-(`idle_share`).
+IEEE Trans. SMC 1981) puts each stage in a column of its own. A qubit's leg
+then crosses one channel per column it spans, whatever the depth, where one
+planar embedding gives legs that grow with it. `latency.lay_out` draws this
+as a candidate for dense flow graphs: those with crossings and few idle
+slots (`idle_share`, taken as if every instruction had a column).
 
-- **Slots.** A column holds its stage's instructions and one pass-through
-  slot (a dummy) for every edge that spans it. Dummies are route points,
-  never nodes.
+- **Lanes.** A one-qubit gate with a predecessor and a successor on its
+  qubit (a lane gate) rides its qubit's leg instead of taking a slot. A leg
+  runs from one column node to the next on its qubit through its lane
+  gates, which sit in order on its exit row one unit apart, just right of
+  the source column; that channel's tracks start right of its longest run
+  of lane gates. Each lane gate is a straight W-E trap, and the leg's route
+  splits at each into the flow graph's edges. A qubit's first and last
+  gates stay column nodes.
+- **Slots.** Only the stages of column nodes get a column, so a stage of
+  lane gates alone gets none. A column holds its stage's column nodes and
+  one pass-through slot (a dummy) for every leg that spans it. Dummies are
+  route points, never nodes.
 - **Order.** Each column starts in instruction-id order, a dummy ranked by
-  its edge's ids; then `SWEEPS` barycenter sweeps run down the columns and
-  back. Qubit labels rank nothing, so a relabelled circuit draws the same
-  (parallel legs from one gate to the next are interchangeable and keep
-  their edge order).
+  its leg's ends; then `SWEEPS` barycenter sweeps run down the columns and
+  back. Qubit labels rank nothing, so a relabelled circuit draws the same:
+  parallel legs from one gate to the next go by their lane gates' ids, and
+  those without lane gates are interchangeable and keep their edge order.
 - **Ports.** A first in-edge enters from W and a second from N, the one
   whose source sits higher; a first out-edge leaves E and a second leaves
   S, the one whose target sits lower (a third, on a gate with one edge on
@@ -34,7 +43,7 @@ candidate for dense flow graphs: those with crossings and few idle slots
 
 from __future__ import annotations
 
-from itertools import count, groupby
+from itertools import count, groupby, pairwise
 
 from .drawing import EdgeKey, OrthogonalDrawing, Point
 from .macrolayout import LayoutError
@@ -51,20 +60,51 @@ _OUT_SIDES = {1: ("E",), 2: ("E", "S"), 3: ("N", "E", "S")}
 _SIDE_ROW = {"W": 0, "E": 0, "N": -1, "S": 1}
 
 
-def _column_of(qfg: QubitFlowGraph) -> dict[int, int]:
+def _column_of(stage_of: dict[int, int]) -> dict[int, int]:
     """Each instruction's column: the rank of its stage among the stages
-    that hold an instruction."""
-    rank = {s: c for c, s in enumerate(sorted(set(qfg.stage_of.values())))}
-    return {i: rank[s] for i, s in qfg.stage_of.items()}
+    that hold an instruction of `stage_of`."""
+    rank = {s: c for c, s in enumerate(sorted(set(stage_of.values())))}
+    return {i: rank[s] for i, s in stage_of.items()}
 
 
 def idle_share(qfg: QubitFlowGraph) -> float:
-    """Dummy slots over all slots of the flow graph's column drawing: the
-    share of slots where a qubit waits between two gates."""
-    col = _column_of(qfg)
+    """Dummy slots over all slots of the flow graph's column drawing, were
+    every instruction a column node: the share of slots where a qubit waits
+    between two gates."""
+    col = _column_of(qfg.stage_of)
     dummies = sum(col[j] - col[i] - 1 for i, j, _ in qfg.edges)
     slots = dummies + len(col)
     return dummies / slots if slots else 0.0
+
+
+def _legs(qfg: QubitFlowGraph) -> list[tuple[int, tuple[int, ...], int, int]]:
+    """The legs between column nodes, each as (source, its lane gates in
+    order, target, qubit), by source, target and lane gates. A lane gate is
+    a one-qubit gate with a predecessor and a successor on its qubit: one
+    in-edge, one out-edge, and no qubit's first use."""
+    ins: dict[int, int] = {}
+    outs: dict[int, list[int]] = {}
+    for i, j, _ in qfg.edges:
+        ins[j] = ins.get(j, 0) + 1
+        outs.setdefault(i, []).append(j)
+    firsts = set(qfg.first_use.values())
+    # each lane gate's successor
+    after = {
+        i: js[0] for i, js in outs.items() if len(js) == 1 and ins.get(i) == 1 and i not in firsts
+    }
+    legs = []
+    for i, j, q in qfg.edges:
+        if i in after:
+            continue
+        lanes = []
+        while j in after:
+            lanes.append(j)
+            j = after[j]
+        legs.append((i, tuple(lanes), j, q))
+    # parallel legs without lane gates are interchangeable and keep their
+    # edge order; those with lane gates go by their ids
+    legs.sort(key=lambda leg: (leg[0], leg[2], leg[1]))
+    return legs
 
 
 def _left_edge(pieces: list[tuple[int, int]], before: list[list[int]]) -> list[int]:
@@ -154,7 +194,9 @@ def _route_channel(legs: list[tuple[int, int]]) -> tuple[list[tuple[tuple[int, i
 
 def draw_columns(qfg: QubitFlowGraph) -> OrthogonalDrawing:
     """The flow graph drawn in stage columns; see the module docstring."""
-    col = _column_of(qfg)
+    legs = _legs(qfg)
+    lanes = {g for _, gates, _, _ in legs for g in gates}
+    col = _column_of({i: s for i, s in qfg.stage_of.items() if i not in lanes})
     columns: list[list[int]] = [[] for _ in range(max(col.values(), default=-1) + 1)]
     # slots: instruction ids, and dummies numbered -1, -2, ...; a slot's
     # neighbours one column up and down, by leg index
@@ -165,7 +207,7 @@ def draw_columns(qfg: QubitFlowGraph) -> OrthogonalDrawing:
     for i in col:
         columns[col[i]].append(i)
     fresh = count(-1, -1)
-    for w, (i, j, _) in enumerate(qfg.edges):
+    for w, (i, _, j, _) in enumerate(legs):
         chain = [i]
         for c in range(col[i] + 1, col[j]):
             d = next(fresh)
@@ -227,18 +269,22 @@ def draw_columns(qfg: QubitFlowGraph) -> OrthogonalDrawing:
     for w, chain in enumerate(chains):
         for k, (a, b) in enumerate(zip(chain, chain[1:])):
             channel_legs[col[chain[0]] + k].append((leg_row(a, w), leg_row(b, w), w))
+    # per channel, the most lane gates that one leg holds there
+    lane_span = [0] * len(columns)
+    for i, gates, _, _ in legs:
+        lane_span[col[i]] = max(lane_span[col[i]], len(gates))
     x_of = [0] * len(columns)
     bends: dict[tuple[int, int], tuple[Point, ...]] = {}  # (leg, channel) -> corners
     crossings: set[Point] = set()
-    for c, legs in enumerate(channel_legs[:-1] if columns else ()):
-        legs.sort()
-        corners, tracks = _route_channel([(a, b) for a, b, _ in legs])
+    for c, channel in enumerate(channel_legs[:-1] if columns else ()):
+        channel.sort()
+        corners, tracks = _route_channel([(a, b) for a, b, _ in channel])
         x0 = x_of[c]
-        x_of[c + 1] = x1 = x0 + tracks + 1
+        x_of[c + 1] = x1 = x0 + lane_span[c] + tracks + 1
         vertical: list[tuple[int, int, int]] = []
         horizontal: list[tuple[int, int, int]] = []
-        for (a, b, w), pts in zip(legs, corners):
-            placed = [(x0 + 1 + t, r) for t, r in pts]
+        for (a, b, w), pts in zip(channel, corners):
+            placed = [(x0 + 1 + lane_span[c] + t, r) for t, r in pts]
             bends[w, c] = tuple(placed)
             line = [(x0, a), *placed, (x1, b)]
             for (px, py), (qx, qy) in zip(line, line[1:]):
@@ -253,12 +299,19 @@ def draw_columns(qfg: QubitFlowGraph) -> OrthogonalDrawing:
 
     node_pos = {i: (x_of[col[i]], row[i]) for i in col}
     routes: dict[EdgeKey, tuple[Point, ...]] = {}
-    for w, edge in enumerate(qfg.edges):
-        i, j, _ = edge
-        pts = [node_pos[i], (x_of[col[i]], leg_row(i, w))]
+    for w, (i, gates, j, q) in enumerate(legs):
+        x0, r = x_of[col[i]], leg_row(i, w)
+        # lane gates sit on the exit row, left of the channel's tracks
+        seats = [(x0 + 1 + k, r) for k in range(len(gates))]
+        node_pos.update(zip(gates, seats))
+        pts = [node_pos[i], (x0, r), *seats]
         for c in range(col[i], col[j]):
             pts.extend(bends[w, c])
         pts += [(x_of[col[j]], leg_row(j, w)), node_pos[j]]
-        # only a leg's end at a node that it leaves or enters by E or W repeats a point
-        routes[edge] = tuple(p for p, _ in groupby(pts))
+        # the route splits at each lane gate; only a piece's end at a node
+        # that it leaves or enters by E or W repeats a point
+        cuts = [0, *range(2, 2 + len(gates)), len(pts) - 1]
+        ends = [i, *gates, j]
+        for (a, b), u, v in zip(pairwise(cuts), ends, ends[1:]):
+            routes[u, v, q] = tuple(p for p, _ in groupby(pts[a : b + 1]))
     return OrthogonalDrawing(node_pos, routes, tuple(sorted(crossings)))

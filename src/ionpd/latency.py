@@ -7,9 +7,10 @@ costs three straight-move units; traversing a turn, or changing direction
 inside a junction, costs one turn unit.
 
 Stages order gates but are not barriers: an instruction starts as soon as
-its qubits have arrived at its gate location. Channel congestion is
-first-come-first-served per block; the later ion waits, ties broken by
-instruction id through the deterministic processing order. `lay_out`, the
+its qubits have arrived at its gate location. Channel congestion is settled
+in processing order, instructions by (stage, id), not in simulated time: an
+ion waits at a block until every ion processed before it has left that
+block, even one that reaches the block later than it does. `lay_out`, the
 layout generator in one call, sits beside its two netlist steps:
 `host_sides` and the drawn critical path that picks one of its
 `candidates`.

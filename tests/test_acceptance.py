@@ -264,6 +264,11 @@ def through_every_validator(netlist, model) -> tuple[int, bool, str]:
         assert rep.alternate.total_bends <= rep.total_bends
     layout = tile(drawing, sides)
     layout.check_ports()
+    # the benchmark's node check: every instruction is a drawn node with a
+    # gate location, lane gates included
+    ids = {instr.id for instr in netlist.instructions}
+    assert set(drawing.node_pos) == ids
+    assert set(layout.gate_location_of) == ids
     assert lay_out(netlist, qfg) == (drawing, layout)
     plan = route(qfg, drawing, layout)
     legs = 0

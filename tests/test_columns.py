@@ -85,6 +85,35 @@ class TestDrawColumns:
         assert idle_share(qfg) == 1 / 8
         check(qfg, drawing)
 
+    def test_lane_gates_sit_on_their_legs_by_hand(self):
+        # 1 and 4 join q0 and q1 in stages 1 and 3; one-qubit gates 2 (q0)
+        # and 3 (q1) run between them in stage 2, which gets no column. Leg
+        # q0 leaves 1 E and enters 4 N, both on row 0; leg q1 leaves S and
+        # enters W, both on row 1. Each lane gate sits one unit into the
+        # channel on its leg's exit row, so the channel's tracks, none
+        # here, start one unit further right, and each leg splits at its
+        # lane gate into two flow-graph edges
+        qfg = QubitFlowGraph(
+            {1: 1, 2: 2, 3: 2, 4: 3},
+            ((1, 2, 0), (1, 3, 1), (2, 4, 0), (3, 4, 1)),
+            {0: 1, 1: 1},
+        )
+        drawing = draw_columns(qfg)
+        assert drawing == OrthogonalDrawing(
+            {1: (0, 0), 4: (2, 1), 2: (1, 0), 3: (1, 1)},
+            {
+                (1, 2, 0): ((0, 0), (1, 0)),
+                (2, 4, 0): ((1, 0), (2, 0), (2, 1)),
+                (1, 3, 1): ((0, 0), (0, 1), (1, 1)),
+                (3, 4, 1): ((1, 1), (2, 1)),
+            },
+        )
+        assert idle_share(qfg) == 0.0
+        check(qfg, drawing)
+        ports = node_ports(drawing)
+        assert sorted(d for d, _, _ in ports[2].ends) == sorted(d for d, _, _ in ports[3].ends) == ["E", "W"]
+        assert not ports[2].displaced and not ports[3].displaced
+
     def test_a_cycle_of_legs_takes_a_dogleg(self):
         # leg 0 leaves on row 0 and arrives on row 2, leg 1 the other way:
         # each must lie left of the other, so leg 0 doglegs through free
@@ -116,26 +145,30 @@ class TestDrawColumns:
 
     def test_qubit_labels_order_nothing(self):
         # the same circuit on permuted qubits draws the same geometry, and
-        # simulates to the same latency
-        netlist = fixture("layered16")
-        qfg = scheduled(netlist)
-        drawing = draw_columns(qfg)
-        total = full_pipeline(netlist)[-1].total
+        # simulates to the same latency. In the second circuit both legs
+        # from the first CX to the second carry a lane gate, so the lane
+        # gates' ids, not the qubits, say which leg leaves E
         rng = random.Random(3)
-        for _ in range(3):
-            perm = list(range(netlist.qubit_count))
-            rng.shuffle(perm)
-            relabelled = Netlist(
-                tuple(
-                    replace(i, controls=tuple(perm[c] for c in i.controls), target=perm[i.target])
-                    for i in netlist.instructions
-                ),
-                netlist.qubit_count,
-            )
-            moved = draw_columns(scheduled(relabelled))
-            assert moved.node_pos == drawing.node_pos
-            assert moved.routes == {(i, j, perm[q]): pts for (i, j, q), pts in drawing.routes.items()}
-            assert full_pipeline(relabelled)[-1].total == total
+        for netlist in (fixture("layered16"), parse_qasm("CX q0,q1\nH q0\nT q1\nCX q0,q1\nCX q1,q2")):
+            qfg = scheduled(netlist)
+            drawing = draw_columns(qfg)
+            total = full_pipeline(netlist)[-1].total
+            perms = [list(range(netlist.qubit_count))[::-1]]
+            for _ in range(3):
+                perms.append(list(range(netlist.qubit_count)))
+                rng.shuffle(perms[-1])
+            for perm in perms:
+                relabelled = Netlist(
+                    tuple(
+                        replace(i, controls=tuple(perm[c] for c in i.controls), target=perm[i.target])
+                        for i in netlist.instructions
+                    ),
+                    netlist.qubit_count,
+                )
+                moved = draw_columns(scheduled(relabelled))
+                assert moved.node_pos == drawing.node_pos
+                assert moved.routes == {(i, j, perm[q]): pts for (i, j, q), pts in drawing.routes.items()}
+                assert full_pipeline(relabelled)[-1].total == total
 
     @pytest.mark.parametrize("qasm, gate, side, leg", [
         ("H q0\nH q1\nH q2\nToffoli q0,q1,q2\nH q0", 4, "S", 1),
