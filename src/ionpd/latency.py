@@ -8,9 +8,11 @@ inside a junction, costs one turn unit.
 
 Stages order gates but are not barriers: an instruction starts as soon as
 its qubits have arrived at its gate location. Channel congestion is settled
-in processing order, instructions by (stage, id), not in simulated time: an
-ion waits at a block until every ion processed before it has left that
-block, even one that reaches the block later than it does. `lay_out`, the
+on a reservation table of trap cells: instructions are taken by (stage, id)
+and each leg is booked whole, every cell at the earliest time the ion's
+whole stay there overlaps no earlier booking. An ion does not wait for one
+processed before it that reaches a cell later, and no instruction finishes
+later than if it did. `lay_out`, the
 layout generator in one call, sits beside its two netlist steps:
 `host_sides` and the drawn critical path that picks one of its
 `candidates`.
@@ -19,7 +21,10 @@ layout generator in one call, sits beside its two netlist steps:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right, insort
+from collections import Counter
 from dataclasses import dataclass, fields, replace
+from operator import itemgetter
 
 from .artifact import render_json
 from .columns import draw_columns, idle_share
@@ -309,6 +314,70 @@ class LatencyReport:
         return render_json(payload)
 
 
+# A cell's bookings: the sorted, disjoint (start, end) intervals in which
+# ions hold it. Intervals may touch: an ion may enter a cell the moment
+# another has left it.
+Stays = list[tuple[float, float]]
+
+
+def _free_from(stays: Stays, t: float) -> tuple[float, float]:
+    """The earliest time at or after `t` that falls in none of a cell's
+    `stays`, and the start of the first stay after it (`math.inf` if none),
+    which ends the free interval an ion entering then has."""
+    k = bisect_right(stays, t, key=itemgetter(1))
+    while k < len(stays) and stays[k][0] <= t:
+        t = stays[k][1]
+        k += 1
+    return t, stays[k][0] if k < len(stays) else math.inf
+
+
+def _hold(stays: Stays, start: float, end: float) -> None:
+    """Book `start` to `end` in a cell's `stays`, joined with every stay it
+    overlaps or touches: partner ions rest in their gate cell together."""
+    k = j = bisect_left(stays, start, key=itemgetter(1))
+    while j < len(stays) and stays[j][0] <= end:
+        start, end = min(start, stays[j][0]), max(end, stays[j][1])
+        j += 1
+    stays[k:j] = [(start, end)]
+
+
+def _book_leg(
+    booked: dict[Point, Stays], cells: list[Point], costs: list[float], ready: float
+) -> list[float]:
+    """Book a leg on the cells it passes, the step into `cells[k]` costing
+    `costs[k]`, and return when the ion starts each step.
+
+    The ion holds a cell from the start of its step into it until it has
+    fully entered the next one, so its stay includes any wait there for the
+    next cell. It enters each cell at the earliest time, at or after
+    `ready` and the end of its step before, at which that whole stay
+    overlaps no booking. Where a stay would overrun the cell's next booking,
+    the ion enters that cell after the booking instead, which may lengthen
+    its stay in the cell before; the pass goes on from there. An entry only
+    ever moves later, and only where no earlier one fits, so the pass ends
+    with every entry at its earliest (safe-interval planning on a fixed
+    path, Phillips & Likhachev 2011). The last cell, the gate where partner
+    ions meet, is neither checked nor booked here."""
+    last = len(cells) - 1
+    enter = [0.0] * len(cells)
+    free_until = [math.inf] * len(cells)  # the next booking of each cell
+    k, t = 0, ready
+    while k <= last:
+        if k < last:
+            t, free_until[k] = _free_from(booked.get(cells[k], []), t)
+        if k and t + costs[k] > free_until[k - 1]:
+            # the wait in the cell before would overrun its next booking
+            k -= 1
+            t = free_until[k]
+            continue
+        enter[k] = t
+        t += costs[k]
+        k += 1
+    for k in range(last):
+        insort(booked.setdefault(cells[k], []), (enter[k], enter[k + 1] + costs[k + 1]))
+    return enter
+
+
 def simulate(
     netlist: Netlist,
     qfg: QubitFlowGraph,
@@ -319,14 +388,30 @@ def simulate(
 ) -> LatencyReport:
     """Availability-time simulation of a placed and routed circuit, its
     instructions taken in the order of the flow graph's stages (`build_qfg`
-    checked the schedule they come from); a gap in the route plan raises
-    `LayoutError`."""
+    checked the schedule they come from), each leg booked whole on a
+    reservation table of trap cells (Silver 2005) before the next.
+
+    An ion holds a cell it passes from the start of its step into the cell
+    until it has fully entered the next one, and a cell it rests in from its
+    arrival until it has fully entered the first cell of its next leg.
+    `_book_leg` gives each cell it passes the earliest entry at which the
+    whole stay overlaps no booking. Booking each cell after every earlier
+    booking is always possible, so by induction over the order no start or
+    finish is later than under a rule that makes every ion wait for each
+    one processed before it. Gates at one location start in processing
+    order.
+
+    A leg that passes through a cell where an ion rests, or a gate location
+    whose gates are not all simulated yet, raises `LayoutError`: the rest's
+    end is not yet known there, so no booking could be checked against it.
+    So does a gap in the route plan."""
     m = model or LatencyModel()
     block_move = 3 * m.straight_move  # crossing one block in a straight line
 
     qubit_free: dict[int, float] = {}
     qubit_loc: dict[int, Point] = {}
-    cell_free: dict[Point, float] = {}
+    rest_since: dict[int, float] = {}
+    booked: dict[Point, Stays] = {}
     gate_free: dict[Point, float] = {}
     last_use: dict[int, int] = {}
 
@@ -336,6 +421,10 @@ def simulate(
     congestion = 0.0
 
     order = sorted(netlist.instructions, key=lambda i: (qfg.stage_of[i.id], i.id))
+    # cells a leg may not pass yet: gate locations with gates still to come
+    # and cells where an ion rests (placed ions rest from time 0)
+    blocked = Counter(layout.gate_location(instr.id) for instr in order)
+    blocked.update(placement.values())
     for instr in order:
         target_cell = layout.gate_location(instr.id)
         arrivals = []
@@ -344,7 +433,7 @@ def simulate(
                 if qubit not in placement:
                     raise LayoutError(f"qubit q{qubit} has no initial placement")
                 qubit_loc[qubit] = placement[qubit]
-                qubit_free[qubit] = 0.0
+                qubit_free[qubit] = rest_since[qubit] = 0.0
             t = qubit_free[qubit]
             if qubit_loc[qubit] != target_cell:
                 # an initial leg (qubit placed off its first gate) is keyed from 0
@@ -352,26 +441,26 @@ def simulate(
                 leg = routes.steps.get(edge)
                 if leg is None:
                     raise LayoutError(f"missing route for qubit q{qubit} into {instr.id}")
+                cells = [cell for cell, _ in leg]
+                for cell in cells[:-1]:
+                    if blocked[cell]:
+                        raise LayoutError(
+                            f"route for qubit q{qubit} into {instr.id} passes through {cell}, "
+                            "where an ion rests or a gate is still to run"
+                        )
+                costs = [m.turn if turn else block_move for _, turn in leg]
+                enter = _book_leg(booked, cells, costs, t)
+                # the ion's rest where it was ends once it has fully
+                # entered the first cell of its leg
+                home = qubit_loc[qubit]
+                _hold(booked.setdefault(home, []), rest_since[qubit], enter[0] + costs[0])
+                blocked[home] -= 1
+                blocked[target_cell] += 1
                 delay = 0.0
-                turns = 0
-                prev_cell = qubit_loc[qubit]
-                last = len(leg) - 1
-                for k, (cell, turn) in enumerate(leg):
-                    if k < last:  # partner ions meet inside the gate block
-                        ready = cell_free.get(cell, 0.0)
-                        if ready > t:
-                            delay += ready - t
-                            t = ready
-                    if turn:
-                        t += m.turn
-                        turns += 1
-                    else:
-                        t += block_move
-                    # a cell frees once the ion has fully entered the next
-                    # one; the step after this one frees `cell` itself
-                    if t > cell_free.get(prev_cell, 0.0):
-                        cell_free[prev_cell] = t
-                    prev_cell = cell
+                for entry, cost in zip(enter, costs):
+                    delay += entry - t
+                    t = entry + cost
+                turns = sum(1 for _, turn in leg if turn)
                 straights = 3 * (len(leg) - turns)
                 movements.append(Movement(qubit, edge, straights, turns, delay))
                 movement_time[qubit] = movement_time.get(qubit, 0.0) + (
@@ -379,11 +468,12 @@ def simulate(
                 )
                 congestion += delay
                 qubit_loc[qubit] = target_cell
+                rest_since[qubit] = t
             arrivals.append(t)
         start = max([*arrivals, gate_free.get(target_cell, 0.0)])
         finish = start + m.gate_cost(instr.kind)
         gate_free[target_cell] = finish
-        cell_free[target_cell] = max(cell_free.get(target_cell, 0.0), finish)
+        blocked[target_cell] -= 1
         for qubit in instr.qubits:
             qubit_free[qubit] = finish
             last_use[qubit] = instr.id

@@ -4,7 +4,8 @@ rule and the set-based exchangeability rule, the full-grid layout text,
 hand-rolled face walks, dual routing, component grouping, compaction on a
 label-keyed mesh with networkx lines and longest paths, the macroblock
 layer with one object per cell (tile, route, simulate, `layout.json`, the
-row-wise `layout.txt` and `layout.svg`), random inputs, and queries on
+row-wise `layout.txt` and `layout.svg`), simulation by a safe-interval
+search and the processing-order bound on it, random inputs, and queries on
 pipeline results that only tests ask (reachability, flow-graph degree,
 corner angles, the channel graph, a leg's straights and turns)."""
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -1386,8 +1388,11 @@ def reference_route(qfg: QubitFlowGraph, drawing: OrthogonalDrawing, layout: Mac
 
 
 def reference_simulate(netlist, qfg, layout, routes, placement, model=None):
-    """`latency.simulate` writing both cells of every step into the free
-    times and counting straights and turns in a second pass per leg."""
+    """Congestion settled in processing order: each ion waits at a cell
+    until every ion processed before it has left it, even one that reaches
+    it later. No instruction finishes later under `latency.simulate`. Writes
+    both cells of every step into the free times and counts straights and
+    turns in a second pass per leg."""
     m = model or LatencyModel()
 
     qubit_free: dict = {}
@@ -1444,6 +1449,139 @@ def reference_simulate(netlist, qfg, layout, routes, placement, model=None):
         finish = start + m.gate_cost(instr.kind)
         gate_free[target_cell] = finish
         cell_free[target_cell] = max(cell_free.get(target_cell, 0.0), finish)
+        for qubit in instr.qubits:
+            qubit_free[qubit] = finish
+            last_use[qubit] = instr.id
+        timings.append(InstructionTiming(instr.id, start, finish))
+
+    total = max((t.finish for t in timings), default=0.0)
+    return LatencyReport(total, tuple(timings), tuple(movements), movement_time, congestion)
+
+
+def _free_intervals(held: list) -> list[tuple[float, float]]:
+    """The (from, to) intervals in which no interval of `held` holds a cell."""
+    free, since = [], -math.inf
+    for start, end, _ in sorted(held):
+        if start > since:
+            free.append((since, start))
+        since = max(since, end)
+    free.append((since, math.inf))
+    return free
+
+
+def _safe_interval_entries(free: list, costs: list, ready: float) -> list[float]:
+    """Earliest-arrival search over (cell, free interval) states of one leg
+    (safe-interval path planning, Phillips & Likhachev 2011): `free[k]` are
+    the free intervals of the leg's k-th cell and `costs[k]` the step into
+    it. Leaving cell k for cell k + 1 in free interval g2 starts at the
+    later of the ion's full entry into k and the start of g2, and must be
+    over, the ion fully in k + 1, before either interval ends. States are
+    expanded earliest first; returns the start of each step on the path to
+    the earliest arrival."""
+    last = len(costs) - 1
+    best: dict = {}
+    parent: dict = {}
+    heap: list = []
+    for g, (since, until) in enumerate(free[0]):
+        t = max(ready, since)
+        if t + costs[0] <= until:
+            best[0, g] = t
+            heapq.heappush(heap, (t, 0, g))
+    while heap:
+        t, k, g = heapq.heappop(heap)
+        if best[k, g] < t:
+            continue
+        if k == last:
+            state, path = (k, g), []
+            while state is not None:
+                path.append(best[state])
+                state = parent.get(state)
+            return path[::-1]
+        until = free[k][g][1]
+        for g2, (since2, until2) in enumerate(free[k + 1]):
+            t2 = max(t + costs[k], since2)
+            if t2 + costs[k + 1] <= min(until, until2) and t2 < best.get((k + 1, g2), math.inf):
+                best[k + 1, g2] = t2
+                parent[k + 1, g2] = (k, g)
+                heapq.heappush(heap, (t2, k + 1, g2))
+    raise RuntimeError("no schedule for a leg")
+
+
+def _book_checked(held: list, start: float, end: float, kind: str) -> None:
+    """Append a stay of `kind` ("pass" or "rest") to a cell's intervals,
+    after checking it against every one of them: only rests may overlap,
+    where partner ions meet in their gate cell."""
+    for other_start, other_end, other_kind in held:
+        if start < other_end and other_start < end and "pass" in (kind, other_kind):
+            raise RuntimeError(
+                f"{kind} {start}..{end} overlaps {other_kind} {other_start}..{other_end}"
+            )
+    held.append((start, end, kind))
+
+
+def reference_simulate_in_time(netlist, qfg, layout, routes, placement, model=None):
+    """`latency.simulate` by a search per leg over (cell, free interval)
+    states on explicit per-cell interval lists, each booking checked
+    against every interval of its cell."""
+    m = model or LatencyModel()
+    order = sorted(netlist.instructions, key=lambda i: (qfg.stage_of[i.id], i.id))
+    gate_cell = {instr.id: layout.gate_location(instr.id) for instr in order}
+    last_gate_at = {gate_cell[instr.id]: pos for pos, instr in enumerate(order)}
+
+    qubit_free: dict = {}
+    qubit_loc: dict = {}
+    rest_since: dict = {}
+    held: dict = {}
+    gate_free: dict = {}
+    last_use: dict = {}
+    timings = []
+    movements = []
+    movement_time: dict = {}
+    congestion = 0.0
+
+    for pos, instr in enumerate(order):
+        target_cell = gate_cell[instr.id]
+        arrivals = []
+        for qubit in instr.qubits:
+            if qubit not in qubit_loc:
+                if qubit not in placement:
+                    raise LayoutError(f"qubit q{qubit} has no initial placement")
+                qubit_loc[qubit] = placement[qubit]
+                qubit_free[qubit] = rest_since[qubit] = 0.0
+            ready = qubit_free[qubit]
+            arrival = ready
+            if qubit_loc[qubit] != target_cell:
+                edge = (last_use.get(qubit, 0), instr.id, qubit)
+                leg = routes.steps.get(edge)
+                if leg is None:
+                    raise LayoutError(f"missing route for qubit q{qubit} into {instr.id}")
+                cells = [step.cell for step in leg]
+                for cell in cells[:-1]:
+                    resting = any(qubit_loc.get(q, home) == cell for q, home in placement.items())
+                    if resting or last_gate_at.get(cell, -1) >= pos:
+                        raise LayoutError(f"route for qubit q{qubit} passes through {cell}")
+                costs = [m.turn if step.turn else 3 * m.straight_move for step in leg]
+                free = [_free_intervals(held.get(cell, [])) for cell in cells[:-1]]
+                enter = _safe_interval_entries([*free, [(-math.inf, math.inf)]], costs, ready)
+                for k, cell in enumerate(cells[:-1]):
+                    stay = (enter[k], enter[k + 1] + costs[k + 1])
+                    _book_checked(held.setdefault(cell, []), *stay, "pass")
+                _book_checked(
+                    held.setdefault(qubit_loc[qubit], []), rest_since[qubit], enter[0] + costs[0], "rest"
+                )
+                arrival = enter[-1] + costs[-1]
+                straights, turns = straights_and_turns(routes, edge)
+                moving = straights * m.straight_move + turns * m.turn
+                delay = arrival - ready - moving
+                movements.append(Movement(qubit, edge, straights, turns, delay))
+                movement_time[qubit] = movement_time.get(qubit, 0.0) + moving
+                congestion += delay
+                qubit_loc[qubit] = target_cell
+                rest_since[qubit] = arrival
+            arrivals.append(arrival)
+        start = max([*arrivals, gate_free.get(target_cell, 0.0)])
+        finish = start + m.gate_cost(instr.kind)
+        gate_free[target_cell] = finish
         for qubit in instr.qubits:
             qubit_free[qubit] = finish
             last_use[qubit] = instr.id

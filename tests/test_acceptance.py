@@ -30,6 +30,8 @@ from helpers import (
     random_degree4_graph,
     random_mixed_netlist,
     random_netlist,
+    reference_simulate,
+    reference_simulate_in_time,
     spied_rehangs,
     synth_qfg,
     toffoli_unitary,
@@ -248,12 +250,13 @@ def free_movement_bound(netlist, graph, model) -> float:
     return max(max(finish.values()), max(busy.values()))
 
 
-def through_every_validator(netlist, model) -> tuple[int, bool, str]:
-    """Compile a netlist from its dataflow to the simulated latency, one
-    `lay_out` step at a time, checking every stage on the way and that the
-    steps draw and tile what `lay_out` does. Returns the number of legs that
-    move, whether `orthogonalize` moved a corner of the flow's bend-minimal
-    representation, and the name of the kept candidate drawing."""
+def through_every_validator(netlist, *models) -> tuple[int, bool, str]:
+    """Compile a netlist from its dataflow to the simulated latency under
+    each of `models`, one `lay_out` step at a time, checking every stage on
+    the way and that the steps draw and tile what `lay_out` does. Returns
+    the number of legs that move, whether `orthogonalize` moved a corner of
+    the flow's bend-minimal representation, and the name of the kept
+    candidate drawing."""
     graph = build_dataflow(netlist)
     schedule = schedule_netlist(netlist, graph=graph)
     assert validate(netlist, graph, schedule) == []
@@ -278,8 +281,16 @@ def through_every_validator(netlist, model) -> tuple[int, bool, str]:
         for (ax, ay), (bx, by) in itertools.pairwise(cells):
             assert abs(ax - bx) + abs(ay - by) == 1
         legs += bool(steps)
-    report = simulate(netlist, qfg, layout, plan, place_qubits(qfg, layout), model)
-    assert report.total >= free_movement_bound(netlist, graph, model)
+    placement = place_qubits(qfg, layout)
+    for model in models:
+        report = simulate(netlist, qfg, layout, plan, placement, model)
+        assert report.total >= free_movement_bound(netlist, graph, model)
+        assert report == reference_simulate_in_time(netlist, qfg, layout, plan, placement, model)
+        # cells booked in time order: no instruction finishes later than
+        # when each ion waits for every ion processed before it
+        bound = reference_simulate(netlist, qfg, layout, plan, placement, model)
+        for timing, slower in zip(report.timings, bound.timings):
+            assert timing.finish <= slower.finish
     return legs, rep != bend_minimal(pg), name
 
 
@@ -325,6 +336,26 @@ def test_end_to_end_chain_fuzz(monkeypatch):
     assert kept >= 5  # 7 of 60 with this seed
     # 150 paths re-hung, up to 9 nodes long
     assert len(moves) >= 100 and max(len(path) for path, _ in moves) > 2
+
+
+def test_end_to_end_fuzz_under_three_latency_models():
+    # the dense and the random fuzz netlists, each simulated under the
+    # default costs, under costs that change every ratio and with slower
+    # turns: cells booked in time order match the safe-interval oracle and
+    # never finish an instruction later than processing-order waits
+    models = (
+        LatencyModel(),
+        LatencyModel(one_qubit_gate=3, two_qubit_gate=17, straight_move=2, turn=23),
+        LatencyModel(turn=25),
+    )
+    rng = random.Random(33)
+    legs = 0
+    for _ in range(12):
+        legs += through_every_validator(parse_qasm(render_qasm(dense_netlist(rng))), *models)[0]
+    for _ in range(40):
+        netlist = random_mixed_netlist(rng, max_instr=8, max_qubits=5)
+        legs += through_every_validator(decompose(netlist, rng.choice(list(Library))), *models)[0]
+    assert legs > 1500  # 1,784 with this seed
 
 
 def test_end_to_end_dense_fuzz():

@@ -568,14 +568,14 @@ def test_cat_latency_is_pinned(tmp_path, capsys, n):
 # `total_us` of `ionpd latency` on each input
 PINNED_LATENCY = {
     "code_9_3_2": ([CODE932], 210.0),
-    "toffoli_pair-cv": ([TOFFOLI_PAIR, "--library", "cv"], 258.0),
-    "toffoli_pair-ft": ([TOFFOLI_PAIR, "--library", "ft"], 444.0),
-    "layered16": ([LAYERED16], 674.0),
-    "layered5": ([LAYERED5], 751.0),
-    "deep24": ([str(FIXTURES / "deep24.qasm")], 3077.0),
+    "toffoli_pair-cv": ([TOFFOLI_PAIR, "--library", "cv"], 245.0),
+    "toffoli_pair-ft": ([TOFFOLI_PAIR, "--library", "ft"], 438.0),
+    "layered16": ([LAYERED16], 580.0),
+    "layered5": ([LAYERED5], 589.0),
+    "deep24": ([str(FIXTURES / "deep24.qasm")], 2482.0),
     "two_registers": ([str(FIXTURES / "two_registers.qasm")], 203.0),
-    "extra4": ([str(FIXTURES / "extra4.qasm")], 717.0),
-    "extra8": ([str(FIXTURES / "extra8.qasm")], 779.0),
+    "extra4": ([str(FIXTURES / "extra4.qasm")], 704.0),
+    "extra8": ([str(FIXTURES / "extra8.qasm")], 760.0),
 }
 
 

@@ -4,10 +4,17 @@ from pathlib import Path
 
 import pytest
 
-from helpers import full_pipeline, lay_out_steps, random_netlist
+from helpers import (
+    full_pipeline,
+    lay_out_steps,
+    random_netlist,
+    reference_simulate,
+    reference_simulate_in_time,
+)
 from ionpd.circuits import generate_cat_circuit
 from ionpd.gates import GateKind
 from ionpd.latency import (
+    InstructionTiming,
     LatencyConfigError,
     LatencyModel,
     _critical_path,
@@ -19,7 +26,7 @@ from ionpd.latency import (
     simulate,
 )
 from ionpd.drawing import OrthogonalDrawing, validate_drawing
-from ionpd.macrolayout import place_qubits, route, tile
+from ionpd.macrolayout import LayoutError, place_qubits, route, tile
 from ionpd.planar import planarize
 from ionpd.qasm import parse_qasm
 from ionpd.qfg import build_qfg
@@ -253,6 +260,57 @@ class TestFormula:
             cat_latency_formula(1)
 
 
+# q0 runs east from H 1 through the cross at (0, 0) and turns south at
+# (1, 0) into X 4; q1 runs south from CX 2, which it shares with q2,
+# through the cross into X 3. Processed in (stage, id) order, q1's leg is
+# booked first: it holds the cross from CX 2's finish + 3 until it has fully
+# entered (0, 1), 6 µs later. Each step costs 3 µs, the turn 10.
+CROSSING_QASM = "H q0\nCX q2,q1\nX q1\nX q0"
+
+
+def simulate_crossing(model):
+    """The crossing case simulated under `model`: the report, and the
+    report of the rule that makes each ion wait for every ion processed
+    before it."""
+    from ionpd.macrolayout import MacroLayout, Macroblock, RoutePlan, RouteStep
+    from ionpd.solver import Schedule
+
+    netlist = parse_qasm(CROSSING_QASM)
+    blocks = {
+        (-3, 0): Macroblock(frozenset("E")),
+        (-2, 0): Macroblock(frozenset("EW"), (1,)),
+        (-1, 0): Macroblock(frozenset("EW")),
+        (0, 0): Macroblock(frozenset("NESW")),
+        (1, 0): Macroblock(frozenset("WS")),
+        (1, 1): Macroblock(frozenset("NS")),
+        (1, 2): Macroblock(frozenset("NS"), (4,)),
+        (1, 3): Macroblock(frozenset("N")),
+        (0, -3): Macroblock(frozenset("S")),
+        (0, -2): Macroblock(frozenset("NS"), (2,)),
+        (0, -1): Macroblock(frozenset("NS")),
+        (0, 1): Macroblock(frozenset("NS")),
+        (0, 2): Macroblock(frozenset("NS"), (3,)),
+        (0, 3): Macroblock(frozenset("N")),
+    }
+    gate_cells = {1: (-2, 0), 2: (0, -2), 3: (0, 2), 4: (1, 2)}
+    layout = MacroLayout(blocks, gate_cells, gate_cells)
+    layout.check_ports()
+    plan = RoutePlan(
+        {
+            (1, 4, 0): tuple(
+                RouteStep(cell, cell == (1, 0)) for cell in ((-1, 0), (0, 0), (1, 0), (1, 1), (1, 2))
+            ),
+            (2, 3, 1): tuple(RouteStep(cell, False) for cell in ((0, -1), (0, 0), (0, 1), (0, 2))),
+        }
+    )
+    placement = {0: (-2, 0), 1: (0, -2), 2: (0, -2)}
+    qfg = build_qfg(netlist, Schedule({1: 1, 2: 1, 3: 2, 4: 2}, 2))
+    args = (netlist, qfg, layout, plan, placement, model)
+    report = simulate(*args)
+    assert report == reference_simulate_in_time(*args)
+    return report, reference_simulate(*args)
+
+
 class TestSimulate:
     def test_single_hadamard(self):
         report = full_pipeline(parse_qasm("H q0"))[-1]
@@ -281,6 +339,60 @@ class TestSimulate:
         move = report.movements[0]
         assert (move.straights, move.turns) == (6, 0)
         assert report.total == 6 * 1 + 10
+
+    def test_later_processed_ion_that_arrives_first_passes(self):
+        # with 30 µs CX gates q1 holds the cross from 33 to 39; q0, ready
+        # at 1, holds it from 4 until it has turned into (1, 0) at 17, so it
+        # passes without waiting, where it waited for q1 under processing
+        # order
+        report, by_order = simulate_crossing(LatencyModel(two_qubit_gate=30))
+        q0 = next(move for move in report.movements if move.qubit == 0)
+        assert q0.delay == 0.0
+        assert report.timings[-1] == InstructionTiming(4, 1 + 22, 1 + 22 + 1)
+        assert next(move for move in by_order.movements if move.qubit == 0).delay == 39 - 4
+
+    def test_ion_waits_until_the_holder_has_fully_entered_its_next_cell(self):
+        # with 12 µs one-qubit gates q0 reaches the cross at 15, while q1
+        # holds it from 13 until it has fully entered (0, 1) at 19
+        report, _ = simulate_crossing(LatencyModel(one_qubit_gate=12))
+        q0 = next(move for move in report.movements if move.qubit == 0)
+        assert q0.delay == 19 - 15
+        assert report.timings[-1] == InstructionTiming(4, 12 + 4 + 22, 12 + 4 + 22 + 12)
+
+    def test_stay_that_would_overrun_a_later_booking_moves_after_it(self):
+        # q0 could enter the cross at 4, before q1's booking from 13 to 19,
+        # but would hold it until it has turned into (1, 0) at 17: it
+        # enters at 19 instead, waiting in (-1, 0)
+        report, _ = simulate_crossing(LatencyModel())
+        q0 = next(move for move in report.movements if move.qubit == 0)
+        assert q0.delay == 19 - 4
+        assert report.timings[-1] == InstructionTiming(4, 19 + 3 + 10 + 3 + 3, 19 + 19 + 1)
+        assert report.congestion_delay == 19 - 4
+
+    def test_leg_through_a_gate_location_in_use_is_an_error(self):
+        # q0 runs from H 1 to X 3 straight through (0, 0), the gate of H 2,
+        # where q1 rests: nothing could be booked against a rest whose end
+        # is not yet known. A gate location its ions have all left may be
+        # passed; the reference Cat plan's top connector does so
+        from ionpd.macrolayout import MacroLayout, Macroblock, RoutePlan, RouteStep
+        from ionpd.solver import Schedule
+
+        netlist = parse_qasm("H q0\nH q1\nX q0")
+        blocks = {
+            (-2, 0): Macroblock(frozenset("E")),
+            (-1, 0): Macroblock(frozenset("EW"), (1,)),
+            (0, 0): Macroblock(frozenset("EW"), (2,)),
+            (1, 0): Macroblock(frozenset("EW"), (3,)),
+            (2, 0): Macroblock(frozenset("W")),
+        }
+        gate_cells = {1: (-1, 0), 2: (0, 0), 3: (1, 0)}
+        layout = MacroLayout(blocks, gate_cells, gate_cells)
+        layout.check_ports()
+        plan = RoutePlan({(1, 3, 0): (RouteStep((0, 0), False), RouteStep((1, 0), False))})
+        qfg = build_qfg(netlist, Schedule({1: 1, 2: 1, 3: 2}, 2))
+        placement = {0: (-1, 0), 1: (0, 0)}
+        with pytest.raises(LayoutError, match=r"passes through \(0, 0\)"):
+            simulate(netlist, qfg, layout, plan, placement)
 
     def test_reference_plan_matches_formula_exactly(self):
         for n in range(2, 10):

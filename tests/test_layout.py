@@ -16,6 +16,7 @@ from helpers import (
     reference_layout_text_rows,
     reference_route,
     reference_simulate,
+    reference_simulate_in_time,
     reference_tile,
     straights_and_turns,
     synth_qfg,
@@ -573,8 +574,13 @@ class TestAgainstReference:
             plan = route(qfg, drawing, layout)
             placement = place_qubits(qfg, layout)
             report = simulate(netlist, qfg, layout, plan, placement)
-            expected = reference_simulate(netlist, qfg, layout, plan, placement)
+            expected = reference_simulate_in_time(netlist, qfg, layout, plan, placement)
             assert report == expected, name
             assert report.to_json() == expected.to_json(), name
+            # booking in time order never makes an instruction finish later
+            # than waiting for every ion processed before
+            bound = reference_simulate(netlist, qfg, layout, plan, placement)
+            for timing, slower in zip(report.timings, bound.timings):
+                assert timing.finish <= slower.finish, name
             moved += bool(report.congestion_delay)
         assert moved >= 2  # some runs wait for a busy channel
