@@ -8,28 +8,36 @@ planar embedding gives legs that grow with it. `latency.lay_out` draws this
 as a candidate for dense flow graphs: those with crossings and few idle
 slots (`idle_share`, taken as if every instruction had a column).
 
-- **Lanes.** A one-qubit gate with a predecessor and a successor on its
-  qubit (a lane gate) rides its qubit's leg instead of taking a slot. A leg
-  runs from one column node to the next on its qubit through its lane
-  gates, which sit in order on its exit row one unit apart, just right of
-  the source column; that channel's tracks start right of its longest run
-  of lane gates. Each lane gate is a straight W-E trap, and the leg's route
-  splits at each into the flow graph's edges. A qubit's first and last
-  gates stay column nodes.
+- **Lanes.** Every run of one-qubit gates on a qubit rides its qubit's leg
+  instead of taking slots: a run that leads (from the qubit's first use to
+  its first column node), one between two column nodes, and one that trails
+  (after its last column node). A leg thus runs from a column node or none,
+  through its run, to a column node or none. A run with a target sits in
+  order on the target's entry row one unit apart, just left of the target's
+  column, so each channel widens on its right by its longest such run, and
+  column 0 shifts right by the longest run that leads into it. A trailing
+  run sits on its source's exit row just right of the source's column, and
+  the channel's tracks start right of its longest one. Each lane gate is a
+  straight W-E trap, and the leg's route splits at each into the flow
+  graph's edges. A qubit that sees only one-qubit gates keeps its last
+  gate as a column node.
 - **Slots.** Only the stages of column nodes get a column, so a stage of
   lane gates alone gets none. A column holds its stage's column nodes and
   one pass-through slot (a dummy) for every leg that spans it. Dummies are
   route points, never nodes.
 - **Order.** Each column starts in instruction-id order, a dummy ranked by
   its leg's ends; then `SWEEPS` barycenter sweeps run down the columns and
-  back. Qubit labels rank nothing, so a relabelled circuit draws the same:
-  parallel legs from one gate to the next go by their lane gates' ids, and
-  those without lane gates are interchangeable and keep their edge order.
+  back; a run's open end pulls on no slot. Qubit labels rank nothing, so a
+  relabelled circuit draws the same: parallel legs from one gate to the
+  next, and runs that lead into or trail one gate, go by their runs' ids,
+  and legs without runs are interchangeable and keep their edge order.
 - **Ports.** A first in-edge enters from W and a second from N, the one
   whose source sits higher; a first out-edge leaves E and a second leaves
   S, the one whose target sits lower (a third, on a gate with one edge on
-  the other side, takes the side left over). A slot stacks the rows its
-  ports need, and one free row goes between slots.
+  the other side, takes the side left over). A leading run's port sorts
+  after the real in-edges, so it takes W, and a trailing run's before the
+  real out-edges, so it takes E. A slot stacks the rows its ports need,
+  and one free row goes between slots.
 - **Channels.** Between two columns a leg leaves on its exit row and
   arrives on its entry row; where the two differ it takes a vertical
   track. Leg A must lie left of leg B where A's exit row is B's entry row.
@@ -43,7 +51,9 @@ slots (`idle_share`, taken as if every instruction had a column).
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import count, groupby, pairwise
+from math import inf
 
 from .drawing import EdgeKey, OrthogonalDrawing, Point
 from .macrolayout import LayoutError
@@ -58,6 +68,10 @@ _IN_SIDES = {1: ("W",), 2: ("N", "W"), 3: ("N", "W", "S")}
 _OUT_SIDES = {1: ("E",), 2: ("E", "S"), 3: ("N", "E", "S")}
 # the row a side's leg takes, relative to its node's row
 _SIDE_ROW = {"W": 0, "E": 0, "N": -1, "S": 1}
+
+# (source, run of one-qubit gates, target, qubit); no source for a run that
+# leads, no target for one that trails
+Leg = tuple[int | None, tuple[int, ...], int | None, int]
 
 
 def _column_of(stage_of: dict[int, int]) -> dict[int, int]:
@@ -77,33 +91,36 @@ def idle_share(qfg: QubitFlowGraph) -> float:
     return dummies / slots if slots else 0.0
 
 
-def _legs(qfg: QubitFlowGraph) -> list[tuple[int, tuple[int, ...], int, int]]:
-    """The legs between column nodes, each as (source, its lane gates in
-    order, target, qubit), by source, target and lane gates. A lane gate is
-    a one-qubit gate with a predecessor and a successor on its qubit: one
-    in-edge, one out-edge, and no qubit's first use."""
-    ins: dict[int, int] = {}
-    outs: dict[int, list[int]] = {}
-    for i, j, _ in qfg.edges:
-        ins[j] = ins.get(j, 0) + 1
-        outs.setdefault(i, []).append(j)
-    firsts = set(qfg.first_use.values())
-    # each lane gate's successor
-    after = {
-        i: js[0] for i, js in outs.items() if len(js) == 1 and ins.get(i) == 1 and i not in firsts
-    }
-    legs = []
-    for i, j, q in qfg.edges:
-        if i in after:
-            continue
-        lanes = []
-        while j in after:
-            lanes.append(j)
-            j = after[j]
-        legs.append((i, tuple(lanes), j, q))
-    # parallel legs without lane gates are interchangeable and keep their
-    # edge order; those with lane gates go by their ids
-    legs.sort(key=lambda leg: (leg[0], leg[2], leg[1]))
+def _legs(qfg: QubitFlowGraph) -> list[Leg]:
+    """The legs of the drawing, each as (source, its run of one-qubit gates
+    in order, target, qubit), by source, target and run. Source and target
+    are column nodes, or None for a run that leads into a qubit's first
+    column node or trails its last one. Every one-qubit gate is in a run but
+    the last gate of a qubit that sees no other kind."""
+    ins = Counter(j for _, j, _ in qfg.edges)
+    firsts = Counter(qfg.first_use.values())
+    after = {(i, q): j for i, j, q in qfg.edges}
+    legs: list[Leg] = []
+    for q, first in qfg.first_use.items():
+        line = [first]
+        while (line[-1], q) in after:
+            line.append(after[line[-1], q])
+        # a gate acts on its in-edges' qubits and on those it uses first
+        cuts = [k for k, i in enumerate(line) if ins[i] + firsts[i] > 1] or [len(line) - 1]
+        for a, b in pairwise([-1, *cuts, len(line)]):
+            source = line[a] if a >= 0 else None
+            target = line[b] if b < len(line) else None
+            run = tuple(line[a + 1 : b])
+            if run or None not in (source, target):
+                legs.append((source, run, target, q))
+
+    # parallel legs without a run are interchangeable and go by qubit, as
+    # their edges do; the others go by their runs' ids
+    def order(leg: Leg) -> tuple[int, int, tuple[int, ...], int]:
+        source, run, target, q = leg
+        return (-1 if source is None else source, -1 if target is None else target, run, q)
+
+    legs.sort(key=order)
     return legs
 
 
@@ -195,19 +212,26 @@ def _route_channel(legs: list[tuple[int, int]]) -> tuple[list[tuple[tuple[int, i
 def draw_columns(qfg: QubitFlowGraph) -> OrthogonalDrawing:
     """The flow graph drawn in stage columns; see the module docstring."""
     legs = _legs(qfg)
-    lanes = {g for _, gates, _, _ in legs for g in gates}
+    lanes = {g for _, run, _, _ in legs for g in run}
     col = _column_of({i: s for i, s in qfg.stage_of.items() if i not in lanes})
     columns: list[list[int]] = [[] for _ in range(max(col.values(), default=-1) + 1)]
     # slots: instruction ids, and dummies numbered -1, -2, ...; a slot's
-    # neighbours one column up and down, by leg index
-    up: dict[int, list[tuple[int, int]]] = {}
-    down: dict[int, list[tuple[int, int]]] = {}
-    chains: list[list[int]] = []
+    # neighbours one column up and down, by leg index, None for a run's
+    # open end
+    up: dict[int, list[tuple[int | None, int]]] = {}
+    down: dict[int, list[tuple[int | None, int]]] = {}
+    chains: dict[int, list[int]] = {}  # by leg index, for legs between two column nodes
     key: dict[int, tuple[int, ...]] = {i: (i,) for i in col}
     for i in col:
         columns[col[i]].append(i)
     fresh = count(-1, -1)
     for w, (i, _, j, _) in enumerate(legs):
+        if i is None:
+            up.setdefault(j, []).append((None, w))
+            continue
+        if j is None:
+            down.setdefault(i, []).append((None, w))
+            continue
         chain = [i]
         for c in range(col[i] + 1, col[j]):
             d = next(fresh)
@@ -218,7 +242,7 @@ def draw_columns(qfg: QubitFlowGraph) -> OrthogonalDrawing:
         for a, b in zip(chain, chain[1:]):
             down.setdefault(a, []).append((b, w))
             up.setdefault(b, []).append((a, w))
-        chains.append(chain)
+        chains[w] = chain
     for i in col:
         ins, outs = len(up.get(i, ())), len(down.get(i, ()))
         if ins + outs > 4 or max(ins, outs) > 3:
@@ -229,12 +253,12 @@ def draw_columns(qfg: QubitFlowGraph) -> OrthogonalDrawing:
         column.sort(key=key.__getitem__)
         pos.update((s, k) for k, s in enumerate(column))
 
-    def sweep(c: int, near: dict[int, list[tuple[int, int]]]) -> None:
+    def sweep(c: int, near: dict[int, list[tuple[int | None, int]]]) -> None:
         def barycenter(s: int) -> tuple[float, int]:
-            ends = near.get(s)
+            ends = [pos[n] for n, _ in near.get(s, ()) if n is not None]
             if not ends:
                 return (pos[s], pos[s])
-            return (sum(pos[n] for n, _ in ends) / len(ends), pos[s])
+            return (sum(ends) / len(ends), pos[s])
 
         columns[c].sort(key=barycenter)
         pos.update((s, k) for k, s in enumerate(columns[c]))
@@ -245,7 +269,8 @@ def draw_columns(qfg: QubitFlowGraph) -> OrthogonalDrawing:
         for c in range(len(columns) - 2, -1, -1):
             sweep(c, down)
 
-    # port sides and rows, top down per column
+    # port sides and rows, top down per column; a leading run's port sorts
+    # after the real in-edges, a trailing run's before the real out-edges
     side: dict[tuple[int, int], str] = {}  # (slot, leg) -> side at that slot
     row: dict[int, int] = {}
     for column in columns:
@@ -253,8 +278,10 @@ def draw_columns(qfg: QubitFlowGraph) -> OrthogonalDrawing:
         for s in column:
             used = set()
             if s >= 0:
-                for near, sides in ((up, _IN_SIDES), (down, _OUT_SIDES)):
-                    ends = sorted(near.get(s, ()), key=lambda e: (pos[e[0]], e[1]))
+                for near, sides, run in ((up, _IN_SIDES, inf), (down, _OUT_SIDES, -inf)):
+                    ends = sorted(
+                        near.get(s, ()), key=lambda e: (run if e[0] is None else pos[e[0]], e[1])
+                    )
                     for (_, w), d in zip(ends, sides.get(len(ends), ())):
                         side[s, w] = d
                         used.add(d)
@@ -266,25 +293,30 @@ def draw_columns(qfg: QubitFlowGraph) -> OrthogonalDrawing:
 
     # channels: per leg the corners in each channel it crosses, track-relative
     channel_legs: list[list[tuple[int, int, int]]] = [[] for _ in columns]
-    for w, chain in enumerate(chains):
+    for w, chain in chains.items():
         for k, (a, b) in enumerate(zip(chain, chain[1:])):
             channel_legs[col[chain[0]] + k].append((leg_row(a, w), leg_row(b, w), w))
-    # per channel, the most lane gates that one leg holds there
-    lane_span = [0] * len(columns)
-    for i, gates, _, _ in legs:
-        lane_span[col[i]] = max(lane_span[col[i]], len(gates))
-    x_of = [0] * len(columns)
+    # per column, the longest run that ends at it and that trails it
+    into = [0] * len(columns)
+    trail = [0] * len(columns)
+    for i, run, j, _ in legs:
+        if j is not None:
+            into[col[j]] = max(into[col[j]], len(run))
+        else:
+            trail[col[i]] = max(trail[col[i]], len(run))
+    # column 0 shifts right by the longest run that leads into it
+    x_of = into[:1] + [0] * (len(columns) - 1)
     bends: dict[tuple[int, int], tuple[Point, ...]] = {}  # (leg, channel) -> corners
     crossings: set[Point] = set()
-    for c, channel in enumerate(channel_legs[:-1] if columns else ()):
+    for c, channel in enumerate(channel_legs[:-1]):
         channel.sort()
         corners, tracks = _route_channel([(a, b) for a, b, _ in channel])
         x0 = x_of[c]
-        x_of[c + 1] = x1 = x0 + lane_span[c] + tracks + 1
+        x_of[c + 1] = x1 = x0 + trail[c] + tracks + into[c + 1] + 1
         vertical: list[tuple[int, int, int]] = []
         horizontal: list[tuple[int, int, int]] = []
         for (a, b, w), pts in zip(channel, corners):
-            placed = [(x0 + 1 + lane_span[c] + t, r) for t, r in pts]
+            placed = [(x0 + 1 + trail[c] + t, r) for t, r in pts]
             bends[w, c] = tuple(placed)
             line = [(x0, a), *placed, (x1, b)]
             for (px, py), (qx, qy) in zip(line, line[1:]):
@@ -299,19 +331,30 @@ def draw_columns(qfg: QubitFlowGraph) -> OrthogonalDrawing:
 
     node_pos = {i: (x_of[col[i]], row[i]) for i in col}
     routes: dict[EdgeKey, tuple[Point, ...]] = {}
-    for w, (i, gates, j, q) in enumerate(legs):
-        x0, r = x_of[col[i]], leg_row(i, w)
-        # lane gates sit on the exit row, left of the channel's tracks
-        seats = [(x0 + 1 + k, r) for k in range(len(gates))]
-        node_pos.update(zip(gates, seats))
-        pts = [node_pos[i], (x0, r), *seats]
-        for c in range(col[i], col[j]):
-            pts.extend(bends[w, c])
-        pts += [(x_of[col[j]], leg_row(j, w)), node_pos[j]]
-        # the route splits at each lane gate; only a piece's end at a node
-        # that it leaves or enters by E or W repeats a point
-        cuts = [0, *range(2, 2 + len(gates)), len(pts) - 1]
-        ends = [i, *gates, j]
-        for (a, b), u, v in zip(pairwise(cuts), ends, ends[1:]):
-            routes[u, v, q] = tuple(p for p, _ in groupby(pts[a : b + 1]))
+    for w, (i, run, j, q) in enumerate(legs):
+        # the leg's points, each with the node it reaches or None; a run
+        # sits one unit apart on its target's entry row just left of the
+        # target's column, or, with no target, on its source's exit row
+        # just right of the source's column
+        path: list[tuple[int | None, Point]] = []
+        if i is not None:
+            x0, r = x_of[col[i]], leg_row(i, w)
+            path += [(i, node_pos[i]), (None, (x0, r))]
+        if j is None:
+            seats = [(x0 + 1 + k, r) for k in range(len(run))]
+        else:
+            x1, r1 = x_of[col[j]], leg_row(j, w)
+            if i is not None:
+                path += [(None, p) for c in range(col[i], col[j]) for p in bends[w, c]]
+            seats = [(x1 - len(run) + k, r1) for k in range(len(run))]
+        node_pos.update(zip(run, seats))
+        path += zip(run, seats)
+        if j is not None:
+            path += [(None, (x1, r1)), (j, node_pos[j])]
+        # the route splits at each node; only a piece's end at a node that
+        # it leaves or enters by E or W repeats a point
+        cuts = [k for k, (n, _) in enumerate(path) if n is not None]
+        for a, b in pairwise(cuts):
+            pts = (p for _, p in path[a : b + 1])
+            routes[path[a][0], path[b][0], q] = tuple(p for p, _ in groupby(pts))
     return OrthogonalDrawing(node_pos, routes, tuple(sorted(crossings)))

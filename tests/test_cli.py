@@ -78,7 +78,8 @@ def test_byte_identical_reruns(tmp_path):
 def test_artifacts_match_committed_manifest(tmp_path, capsys):
     # the runs CI checks with `sha256sum -c`; layered16 and two_registers
     # hold gate pairs that share two qubits, so `model.lp` lists each such
-    # pair once, layered16, layered5 and deep24 keep stage columns, and
+    # pair once, layered16, layered5, deep24 and dense28 keep stage
+    # columns, dense28's with leading, middle and trailing runs, and
     # Cat-8's rectangle is drawn with its corners balanced; chains holds
     # long runs of one-qubit gates, so the planar greedy re-hangs pendant
     # paths in it and orthogonalize moves corners
@@ -88,6 +89,7 @@ def test_artifacts_match_committed_manifest(tmp_path, capsys):
         "layered16": ["latency", LAYERED16],
         "layered5": ["latency", LAYERED5],
         "deep24": ["latency", str(FIXTURES / "deep24.qasm")],
+        "dense28": ["latency", str(FIXTURES / "dense28.qasm")],
         "two_registers": ["latency", str(ROOT / "tests" / "fixtures" / "two_registers.qasm")],
         "cat32": ["cat-gen", "32"],
         "cat8": ["cat-gen", "8"],
@@ -99,7 +101,7 @@ def test_artifacts_match_committed_manifest(tmp_path, capsys):
         for path in tmp_path.glob("*/*")
     }
     manifest = dict(line.split()[::-1] for line in MANIFEST.read_text().splitlines())
-    assert len(manifest) == 104
+    assert len(manifest) == 117
     assert written == manifest
 
 
@@ -570,9 +572,10 @@ PINNED_LATENCY = {
     "code_9_3_2": ([CODE932], 210.0),
     "toffoli_pair-cv": ([TOFFOLI_PAIR, "--library", "cv"], 245.0),
     "toffoli_pair-ft": ([TOFFOLI_PAIR, "--library", "ft"], 438.0),
-    "layered16": ([LAYERED16], 580.0),
-    "layered5": ([LAYERED5], 589.0),
-    "deep24": ([str(FIXTURES / "deep24.qasm")], 2482.0),
+    "layered16": ([LAYERED16], 532.0),
+    "layered5": ([LAYERED5], 542.0),
+    "deep24": ([str(FIXTURES / "deep24.qasm")], 2417.0),
+    "dense28": ([str(FIXTURES / "dense28.qasm")], 488.0),
     "two_registers": ([str(FIXTURES / "two_registers.qasm")], 203.0),
     "extra4": ([str(FIXTURES / "extra4.qasm")], 704.0),
     "extra8": ([str(FIXTURES / "extra8.qasm")], 760.0),

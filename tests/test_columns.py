@@ -61,11 +61,12 @@ def check(qfg: QubitFlowGraph, drawing: OrthogonalDrawing) -> None:
 class TestDrawColumns:
     def test_three_stages_by_hand(self):
         # stage 1: one-qubit gates 1, 2 and 6 on q0, q1 and q2; stage 2: 3
-        # joins q0 and q1; stage 3: one-qubit gates 4, 5 and 7. Gate 3
-        # takes q0 from N (its source sits higher) and q1 from W, sends q0
-        # E and q1 S, and so spans rows 0 to 2; q2 passes stage 2 on a
-        # dummy at row 4. The legs into and out of 3 that change rows
-        # take the one track of their channel
+        # joins q0 and q1; stage 3: one-qubit gates 4, 5 and 7. Gates 1, 2
+        # and 6 lead, so stage 1 gets no column: 1 and 2 sit one unit left
+        # of 3, which takes q0 from N and q1 from W by their runs' ids, and
+        # column 0 shifts right by one. 4 and 5 trail 3, on its E and S
+        # exit rows just right of its column. q2 sees only one-qubit gates,
+        # so its last gate 7 keeps a column, with 6 just left of it
         qfg = QubitFlowGraph(
             {1: 1, 2: 1, 6: 1, 3: 2, 4: 3, 5: 3, 7: 3},
             ((1, 3, 0), (2, 3, 1), (3, 4, 0), (3, 5, 1), (6, 7, 2)),
@@ -73,26 +74,116 @@ class TestDrawColumns:
         )
         drawing = draw_columns(qfg)
         assert drawing == OrthogonalDrawing(
-            {1: (0, 0), 2: (0, 2), 6: (0, 4), 3: (2, 1), 4: (4, 0), 5: (4, 2), 7: (4, 4)},
+            {1: (0, 0), 2: (0, 1), 3: (1, 1), 4: (2, 1), 5: (2, 2), 6: (3, 0), 7: (4, 0)},
             {
-                (1, 3, 0): ((0, 0), (2, 0), (2, 1)),
-                (2, 3, 1): ((0, 2), (1, 2), (1, 1), (2, 1)),
-                (3, 4, 0): ((2, 1), (3, 1), (3, 0), (4, 0)),
-                (3, 5, 1): ((2, 1), (2, 2), (4, 2)),
-                (6, 7, 2): ((0, 4), (4, 4)),
+                (1, 3, 0): ((0, 0), (1, 0), (1, 1)),
+                (2, 3, 1): ((0, 1), (1, 1)),
+                (3, 4, 0): ((1, 1), (2, 1)),
+                (3, 5, 1): ((1, 1), (1, 2), (2, 2)),
+                (6, 7, 2): ((3, 0), (4, 0)),
             },
         )
         assert idle_share(qfg) == 1 / 8
+        check(qfg, drawing)
+
+    def test_a_leading_run_sits_left_of_its_join_by_hand(self):
+        # one-qubit gates 2 and 3 open q0 and lead into 4, which joins q0
+        # with q1 from CX 1. The real in-edge takes N, the run W: it sits
+        # on 4's row one unit apart, just left of 4's column, and the
+        # channel widens by its two gates
+        qfg = QubitFlowGraph(
+            {1: 1, 2: 1, 3: 2, 4: 3},
+            ((1, 4, 1), (2, 3, 0), (3, 4, 0)),
+            {0: 2, 1: 1, 2: 1},
+        )
+        drawing = draw_columns(qfg)
+        assert drawing == OrthogonalDrawing(
+            {1: (0, 0), 2: (1, 1), 3: (2, 1), 4: (3, 1)},
+            {
+                (1, 4, 1): ((0, 0), (3, 0), (3, 1)),
+                (2, 3, 0): ((1, 1), (2, 1)),
+                (3, 4, 0): ((2, 1), (3, 1)),
+            },
+        )
+        check(qfg, drawing)
+        assert [d for d, _, _ in node_ports(drawing)[2].ends] == ["E"]
+
+    def test_a_trailing_run_sits_right_of_its_source_by_hand(self):
+        # one-qubit gates 2 and 3 close q0 after CX 1. The run takes 1's E
+        # port, ahead of the real out-edge to 4, which leaves S; it sits on
+        # row 0 just right of 1's column, and the channel's track starts
+        # right of it
+        qfg = QubitFlowGraph(
+            {1: 1, 2: 2, 3: 3, 4: 2},
+            ((1, 2, 0), (1, 4, 1), (2, 3, 0)),
+            {0: 1, 1: 1, 2: 4},
+        )
+        drawing = draw_columns(qfg)
+        assert drawing == OrthogonalDrawing(
+            {1: (0, 0), 2: (1, 0), 3: (2, 0), 4: (4, 0)},
+            {
+                (1, 2, 0): ((0, 0), (1, 0)),
+                (1, 4, 1): ((0, 0), (0, 1), (3, 1), (3, 0), (4, 0)),
+                (2, 3, 0): ((1, 0), (2, 0)),
+            },
+        )
+        check(qfg, drawing)
+        assert [d for d, _, _ in node_ports(drawing)[3].ends] == ["W"]
+
+    def test_a_lane_gate_sits_before_its_target_past_a_dummy_by_hand(self):
+        # q0 leaves CX 1 and passes column 1 (CX 3 on q1 and q2) on a
+        # dummy before it joins q1 again at 4; its lane gate 2 sits in the
+        # channel before 4, on 4's N entry row just left of its column,
+        # not in the channel after 1
+        qfg = QubitFlowGraph(
+            {1: 1, 2: 2, 3: 3, 4: 4},
+            ((1, 2, 0), (1, 3, 1), (2, 4, 0), (3, 4, 1)),
+            {0: 1, 1: 1, 2: 3},
+        )
+        drawing = draw_columns(qfg)
+        assert drawing == OrthogonalDrawing(
+            {1: (0, 0), 2: (4, 0), 3: (2, 2), 4: (5, 1)},
+            {
+                (1, 2, 0): ((0, 0), (4, 0)),
+                (1, 3, 1): ((0, 0), (0, 1), (1, 1), (1, 2), (2, 2)),
+                (2, 4, 0): ((4, 0), (5, 0), (5, 1)),
+                (3, 4, 1): ((2, 2), (3, 2), (3, 1), (5, 1)),
+            },
+        )
+        check(qfg, drawing)
+
+    def test_a_qubit_of_one_qubit_gates_keeps_its_last_by_hand(self):
+        # q0 sees only one-qubit gates 1, 2 and 3: 3 keeps a column, in
+        # stage 3 with CX 6, and 1 and 2 lead into it from just left of
+        # it. Lane gate 5 on q1 sits just left of 6 too, and the channel
+        # widens by the longer run, 1 and 2
+        qfg = QubitFlowGraph(
+            {1: 1, 2: 2, 3: 3, 4: 1, 5: 2, 6: 3},
+            ((1, 2, 0), (2, 3, 0), (4, 5, 1), (4, 6, 2), (5, 6, 1)),
+            {0: 1, 1: 4, 2: 4},
+        )
+        drawing = draw_columns(qfg)
+        assert drawing == OrthogonalDrawing(
+            {1: (3, 0), 2: (4, 0), 3: (5, 0), 4: (0, 0), 5: (4, 3), 6: (5, 3)},
+            {
+                (1, 2, 0): ((3, 0), (4, 0)),
+                (2, 3, 0): ((4, 0), (5, 0)),
+                (4, 5, 1): ((0, 0), (0, 1), (2, 1), (2, 3), (4, 3)),
+                (4, 6, 2): ((0, 0), (1, 0), (1, 2), (5, 2), (5, 3)),
+                (5, 6, 1): ((4, 3), (5, 3)),
+            },
+            ((1, 1), (2, 2)),
+        )
         check(qfg, drawing)
 
     def test_lane_gates_sit_on_their_legs_by_hand(self):
         # 1 and 4 join q0 and q1 in stages 1 and 3; one-qubit gates 2 (q0)
         # and 3 (q1) run between them in stage 2, which gets no column. Leg
         # q0 leaves 1 E and enters 4 N, both on row 0; leg q1 leaves S and
-        # enters W, both on row 1. Each lane gate sits one unit into the
-        # channel on its leg's exit row, so the channel's tracks, none
-        # here, start one unit further right, and each leg splits at its
-        # lane gate into two flow-graph edges
+        # enters W, both on row 1. Each lane gate sits on its leg's entry
+        # row just left of 4's column, so the channel widens by one on its
+        # right, and each leg splits at its lane gate into two flow-graph
+        # edges
         qfg = QubitFlowGraph(
             {1: 1, 2: 2, 3: 2, 4: 3},
             ((1, 2, 0), (1, 3, 1), (2, 4, 0), (3, 4, 1)),
@@ -145,11 +236,13 @@ class TestDrawColumns:
 
     def test_qubit_labels_order_nothing(self):
         # the same circuit on permuted qubits draws the same geometry, and
-        # simulates to the same latency. In the second circuit both legs
-        # from the first CX to the second carry a lane gate, so the lane
-        # gates' ids, not the qubits, say which leg leaves E
+        # simulates to the same latency. dense28 has runs that lead, sit
+        # between two gates and trail. In the last circuit both legs from
+        # the first CX to the second carry a lane gate, so the lane gates'
+        # ids, not the qubits, say which leg leaves E
         rng = random.Random(3)
-        for netlist in (fixture("layered16"), parse_qasm("CX q0,q1\nH q0\nT q1\nCX q0,q1\nCX q1,q2")):
+        circuits = (fixture("layered16"), fixture("dense28"), parse_qasm("CX q0,q1\nH q0\nT q1\nCX q0,q1\nCX q1,q2"))
+        for netlist in circuits:
             qfg = scheduled(netlist)
             drawing = draw_columns(qfg)
             total = full_pipeline(netlist)[-1].total

@@ -132,10 +132,10 @@ class TestDrawnTiming:
 
 ROOT = Path(__file__).resolve().parent.parent
 # inputs whose flow graphs cross, and the drawing `lay_out` keeps: the
-# layered fixtures idle in no slot, so they draw stage columns and keep
-# them; the others idle in about half of theirs and draw the outer-face
-# alternate if it bends no more (code_9_3_2 and chains; extra4 and extra8
-# bend more with it and do not draw it)
+# layered fixtures idle in no slot and dense28 in 9 %, so they draw stage
+# columns and keep them; the others idle in about half of theirs and draw
+# the outer-face alternate if it bends no more (code_9_3_2 and chains;
+# extra4 and extra8 bend more with it and do not draw it)
 CROSSING_INPUTS = {
     "circuits/code_9_3_2.qasm": "alternate",
     "tests/fixtures/chains.qasm": "default",
@@ -143,6 +143,7 @@ CROSSING_INPUTS = {
     "tests/fixtures/extra8.qasm": "default",
     "tests/fixtures/layered16.qasm": "columns",
     "tests/fixtures/layered5.qasm": "columns",
+    "tests/fixtures/dense28.qasm": "columns",
 }
 
 
